@@ -32,7 +32,7 @@ from .levy import (
     nu_functional_exact,
 )
 from .oracles import closed_form_W, compound_geometric_grid, laplace_invert_scale
-from .series import CoefficientSet, ScaleApprox, coeffs_true, eval_WK, eval_ZK, scale_approx
+from .series import CoefficientSet, ScaleApprox, coeffs_true, scale_approx
 from .simulate import ObservationSet, SamplingScheme, make_scheme, simulate
 from .estimators import EstimationReport, build_report
 
@@ -46,7 +46,7 @@ __all__ = [
     "laplace_exponent", "laplace_exponent_deriv", "lundberg_exponent", "check_npc",
     "nu_functional_exact",
     "closed_form_W", "compound_geometric_grid", "laplace_invert_scale",
-    "CoefficientSet", "ScaleApprox", "coeffs_true", "scale_approx", "eval_WK", "eval_ZK",
+    "CoefficientSet", "ScaleApprox", "coeffs_true", "scale_approx",
     "SamplingScheme", "ObservationSet", "make_scheme", "simulate",
     "EstimationReport", "build_report",
 ]

@@ -66,7 +66,7 @@ class ExperimentConfig:
 
     def require(self, *blocks: str) -> None:
         for b in blocks:
-            if getattr(self, b if b != "x_grid" else "x_grid", None) is None:
+            if getattr(self, b, None) is None:
                 raise ConfigError(f"config block {b!r} is required for this command")
 
 
@@ -161,10 +161,7 @@ def parse_config(d: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -29,14 +29,8 @@ from .series import (
     CoefficientSet,
     ScaleApprox,
     build_Af,
+    build_B,
     coeffs_true,
-    eval_Q_all,
-    eval_Qstar_all,
-    grad_P,
-    grad_Pstar,
-    grad_Q_all,
-    grad_Qstar_all,
-    h_functionals,
     h_functionals_at,
     solve_aG,
 )
@@ -52,7 +46,6 @@ __all__ = [
     "estimate_gamma",
     "PipelineEstimates",
     "estimate_coeffs",
-    "estimate_W",
     "build_B",
     "CovarianceReport",
     "covariance_machinery",
@@ -146,24 +139,37 @@ def estimate_gamma(
             r0 = 2.0 * q / c
         r_max = 10.0 * max(r0, 1e-3)
 
-    psi = lambda r: empirical_psi(obs, c, D, r) - q
-    dpsi = lambda r: empirical_psi_deriv(obs, c, D, r)
+    # module-level objectives with args: a closure over obs would share a
+    # reference cycle with scipy's NaN guard and keep the grid alive until gc
     lo = 0.0
-    if dpsi(0.0) < 0.0:
-        if dpsi(r_max) <= 0.0:
+    if _dpsi(0.0, obs, c, D) < 0.0:
+        if _dpsi(r_max, obs, c, D) <= 0.0:
             lo = r_max
         else:
-            lo = optimize.brentq(dpsi, 0.0, r_max, xtol=1e-14)
-    if psi(r_max) < 0.0 or psi(lo) > 0.0:
+            lo = optimize.brentq(_dpsi, 0.0, r_max, args=(obs, c, D), xtol=1e-14)
+    args = (obs, c, D, q)
+    if _psi_gap(r_max, *args) < 0.0 or _psi_gap(lo, *args) > 0.0:
         res = optimize.minimize_scalar(
-            lambda r: psi(r) ** 2, bounds=(0.0, r_max), method="bounded",
+            _psi_gap_sq, bounds=(0.0, r_max), args=args, method="bounded",
             options={"xatol": 1e-12},
         )
         return GammaEstimate(float(res.x), boundary=True)
-    if psi(lo) == 0.0:
+    if _psi_gap(lo, *args) == 0.0:
         return GammaEstimate(float(lo))
-    root = optimize.brentq(psi, lo, r_max, xtol=1e-14, rtol=8.9e-16)
+    root = optimize.brentq(_psi_gap, lo, r_max, args=args, xtol=1e-14, rtol=8.9e-16)
     return GammaEstimate(float(root))
+
+
+def _psi_gap(r, obs, c, D, q):
+    return empirical_psi(obs, c, D, r) - q
+
+
+def _psi_gap_sq(r, obs, c, D, q):
+    return _psi_gap(r, obs, c, D, q) ** 2
+
+
+def _dpsi(r, obs, c, D):
+    return empirical_psi_deriv(obs, c, D, r)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def estimate_coeffs(
     if len(obs.jump_sizes) == 0:
         coeffs = CoefficientSet(0.0, np.zeros(n), np.zeros(n), np.zeros(n), params, theta)
         return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs)
-    H_p, H_f, H_F = h_functionals(c, theta, params, obs.jump_sizes)
+    H_p, H_f, H_F = h_functionals_at(c, theta.D, theta.gamma, params, obs.jump_sizes)
     T = obs.scheme.T
     p_hat = float(H_p.sum() / T)
     a_f = H_f.sum(axis=1) / T
@@ -219,31 +225,6 @@ def estimate_coeffs(
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
     return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs)
-
-
-def estimate_W(est: PipelineEstimates, c: float, q: float, x):
-    """(W_hat(x), Z_hat(x)) by plugging the estimates into the evaluators."""
-    approx = ScaleApprox(c=c, q=q, coeffs=est.coeffs)
-    return approx.w(x), approx.z(x)
-
-
-def build_B(a_G: np.ndarray, alpha: float) -> np.ndarray:
-    """B_K = (B*_K, -I): the sensitivity of the triangular system to a^f.
-
-    B* has diagonal -a^G_0 / sqrt(2 alpha) and entries
-    -(a^G_{k-l} - a^G_{k-l-1}) / sqrt(2 alpha) below it.
-    """
-    a_G = np.asarray(a_G, dtype=float)
-    n = len(a_G)
-    r = math.sqrt(2.0 * alpha)
-    col = np.empty(n)
-    col[0] = -a_G[0] / r
-    if n > 1:
-        col[1:] = -(a_G[1:] - a_G[:-1]) / r
-    B_star = np.zeros((n, n))
-    for d in range(n):
-        B_star[np.arange(d, n), np.arange(0, n - d)] = col[d]
-    return np.hstack([B_star, -np.eye(n)])
 
 
 @dataclass(frozen=True)
@@ -278,6 +259,18 @@ def _h_stack_at(c, D, gamma, params, z):
     return np.vstack([Hf, HF, Hp[None, :]])
 
 
+def _htilde(c, theta: ThetaParams, params, z, psi_prime: float) -> np.ndarray:
+    """Stacked influence kernels (H^f, H^F, H_p, H_gamma) at the jump sizes z.
+
+    Expanding psi_hat(gamma_hat) = q around gamma_0 gives sqrt(T)(gamma_hat -
+    gamma_0) = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1), k_gamma =
+    e^{-gamma z} - 1, so H_gamma = -k_gamma / psi' (its sign matters only for
+    the cross-covariances).
+    """
+    H_gamma = -np.expm1(-theta.gamma * z) / psi_prime
+    return np.vstack([_h_stack_at(c, theta.D, theta.gamma, params, z), H_gamma[None, :]])
+
+
 def covariance_machinery(
     obs: ObservationSet,
     est: PipelineEstimates,
@@ -303,16 +296,8 @@ def covariance_machinery(
     T = obs.scheme.T
 
     if len(z) > 0:
-        Hstack = _h_stack_at(c, theta.D, theta.gamma, params, z)  # (2K+3, nz)
         psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
-        # gamma influence function: expanding psi_hat(gamma_hat) = q around
-        # gamma_0 gives sqrt(T)(gamma_hat - gamma_0)
-        #   = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1),
-        # so the stacked kernel is -k_gamma / psi' (the sign matters only for
-        # the cross-covariances, not for v_gamma^2 itself)
-        k_gamma = np.expm1(-theta.gamma * z)
-        H_gamma = (-k_gamma / psi_prime)[None, :]
-        Htilde = np.vstack([Hstack, H_gamma])
+        Htilde = _htilde(c, theta, params, z, psi_prime)  # (2K+4, nz)
         Sigma = (Htilde @ Htilde.T) / T
         up = _h_stack_at(c, theta.D, theta.gamma + _FD_STEP, params, z)
         dn = _h_stack_at(c, theta.D, theta.gamma - _FD_STEP, params, z)
@@ -332,33 +317,19 @@ def covariance_machinery(
     A = build_Af(coeffs.a_f, params.alpha)
     AinvB = solve_triangular(A, B, lower=True)  # (K+1, 2K+2)
 
-    p, gamma, D = coeffs.p, theta.gamma, theta.D
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
-    W_hat = approx.w(x)
-    Z_hat = approx.z(x)
-
-    Q = eval_Q_all(params, x, p, gamma, D, c)            # (K+1, nx)
-    dQ_dp, dQ_dg = grad_Q_all(params, x, p, gamma, D, c)
-    dP_dp, dP_dg = grad_P(x, p, gamma, D, c)
-    C = np.empty((len(x), dim))
-    C[:, : 2 * K + 2] = Q.T @ AinvB
-    C[:, 2 * K + 2] = dP_dp - coeffs.a_G @ dQ_dp
-    C[:, 2 * K + 3] = dP_dg - coeffs.a_G @ dQ_dg
-
-    Qs = eval_Qstar_all(params, x, p, gamma, D, c)
-    dQs_dp, dQs_dg = grad_Qstar_all(params, x, p, gamma, D, c)
-    dPs_dp, dPs_dg = grad_Pstar(x, p, gamma, D, c)
-    Cs = np.empty((len(x), dim))
-    Cs[:, : 2 * K + 2] = Qs.T @ AinvB
-    Cs[:, 2 * K + 2] = dPs_dp - coeffs.a_G @ dQs_dp
-    Cs[:, 2 * K + 3] = dPs_dg - coeffs.a_G @ dQs_dg
-
-    CG = C @ Gamma
-    CsG = Cs @ Gamma
-    sigma_W = np.einsum("xi,ij,xj->x", CG, Sigma, CG)
-    sigma_Z = q * q * np.einsum("xi,ij,xj->x", CsG, Sigma, CsG)
-    rows = np.stack([CG, q * CsG], axis=1)  # (nx, 2, dim)
+    k = approx.kernels(x)
+    W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
+    # gradient rows C_K (W) and q C*_K (Z), mapped through Gamma
+    rows = np.empty((len(x), 2, dim))
+    for r, (P, Q, scale) in enumerate([(k.P, k.Q, 1.0), (k.Pstar, k.Qstar, q)]):
+        C = np.empty((len(x), dim))
+        C[:, : 2 * K + 2] = Q.value.T @ AinvB
+        C[:, 2 * K + 2] = P.d_p - coeffs.a_G @ Q.d_p
+        C[:, 2 * K + 3] = P.d_gamma - coeffs.a_G @ Q.d_gamma
+        rows[:, r] = scale * (C @ Gamma)
     joint = np.einsum("xai,ij,xbj->xab", rows, Sigma, rows)
+    sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 
     zq = float(special.ndtri(0.5 + level / 2.0))
     if psd_ok:
@@ -384,14 +355,9 @@ def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarra
     psi_prime = model.c + 2.0 * model.D * theta.gamma - model.jumps.exp_moment(theta.gamma)
     dim = 2 * params.K + 4
 
-    def stacked(z):
-        H = _h_stack_at(model.c, theta.D, theta.gamma, params, z)
-        Hg = (-np.expm1(-theta.gamma * z) / psi_prime)[None, :]
-        return np.vstack([H, Hg])
-
     def integrand(z):
         zz = np.asarray([z], dtype=float)
-        h = stacked(zz)[:, 0]
+        h = _htilde(model.c, theta, params, zz, psi_prime)[:, 0]
         return np.outer(h, h) * float(model.jumps.density(zz)[0])
 
     res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)

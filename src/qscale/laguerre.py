@@ -44,6 +44,7 @@ __all__ = [
     "laguerre_fn_all",
     "psi_integral",
     "psi_integral_all",
+    "psi_integral_and_db_all",
     "psi_integral_db_all",
     "project_grid",
     "ProjectionResult",
@@ -182,30 +183,29 @@ def psi_integral(params: LaguerreParams, k: int, x, b: float):
     return float(res) if np.ndim(x) == 0 else res
 
 
+def psi_integral_and_db_all(
+    params: LaguerreParams, x, b: float, kmax: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..kmax from one sweep.
+
+    d/db Psi_k = x Psi_k - int_0^x z e^{b(x-z)} phi_k(z) dz, and the three-term
+    identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1} expresses the
+    z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1} (one order above kmax).
+    """
+    kmax = params.K if kmax is None else kmax
+    psi = psi_integral_all(params, x, b, kmax=kmax + 1)
+    x = np.asarray(x, dtype=float)
+    k = np.arange(kmax + 1.0).reshape((-1,) + (1,) * x.ndim)
+    zpsi = (2 * k + 1) * psi[:-1] - (k + 1) * psi[1:]
+    zpsi[1:] -= k[1:] * psi[:-2]
+    return psi[:-1], x * psi[:-1] - zpsi / (2.0 * params.alpha)
+
+
 def psi_integral_db_all(
     params: LaguerreParams, x, b: float, kmax: int | None = None
 ) -> np.ndarray:
-    """d/db Psi_{alpha,k}(x; b) for k = 0..kmax.
-
-    Uses d/db Psi_k = x Psi_k - int_0^x z e^{b(x-z)} phi_k(z) dz and the
-    three-term identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1} to
-    express the z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1}.
-    """
-    kmax = params.K if kmax is None else kmax
-    a = params.alpha
-    x_in = np.asarray(x, dtype=float)
-    x = np.atleast_1d(x_in)
-    ext = LaguerreParams(a, kmax + 1)
-    psi = psi_integral_all(ext, x, b)  # (kmax+2, nx)
-    out = np.empty((kmax + 1,) + x.shape, dtype=float)
-    for k in range(kmax + 1):
-        zpsi = (2 * k + 1) * psi[k] - (k + 1) * psi[k + 1]
-        if k >= 1:
-            zpsi = zpsi - k * psi[k - 1]
-        out[k] = x * psi[k] - zpsi / (2.0 * a)
-    if x_in.ndim == 0:
-        return out[:, 0]
-    return out
+    """d/db Psi_{alpha,k}(x; b) for k = 0..kmax."""
+    return psi_integral_and_db_all(params, x, b, kmax)[1]
 
 
 class ProjectionResult(NamedTuple):

@@ -40,7 +40,6 @@ __all__ = [
     "nu_functional_exact",
     "jump_measure_from_dict",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 # Bracketing defaults for the Lundberg root (see lundberg_exponent).
@@ -95,9 +94,6 @@ class JumpMeasure:
         """nu((0, inf)); may be inf (infinite activity)."""
         raise NotImplementedError
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class NoJumps(JumpMeasure):
@@ -132,9 +128,6 @@ class NoJumps(JumpMeasure):
 
     def total_rate(self) -> float:
         return 0.0
-
-    def params_dict(self) -> dict:
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -185,9 +178,6 @@ class CompoundPoissonExponential(JumpMeasure):
     def total_rate(self) -> float:
         return self.rate
 
-    def params_dict(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate, "jump_mean": self.jump_mean}
-
 
 @dataclass(frozen=True)
 class CompoundPoissonGamma(JumpMeasure):
@@ -236,9 +226,6 @@ class CompoundPoissonGamma(JumpMeasure):
     def total_rate(self) -> float:
         return self.rate
 
-    def params_dict(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate, "shape": self.shape, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class GammaSubordinator(JumpMeasure):
@@ -280,9 +267,6 @@ class GammaSubordinator(JumpMeasure):
 
     def total_rate(self) -> float:
         return math.inf
-
-    def params_dict(self) -> dict:
-        return {"kind": self.kind, "shape": self.shape, "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -509,13 +493,3 @@ def model_from_dict(d: dict) -> LevyModel:
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def model_to_dict(model: LevyModel) -> dict:
-    return {
-        "x0": model.x0,
-        "c": model.c,
-        "D": model.D,
-        "q": model.q,
-        "jumps": model.jumps.params_dict(),
-    }

@@ -117,6 +117,11 @@ class MCResult:
     truth: TrueValues
 
 
+def _ad_critical_1pct(n: int) -> float:
+    """1% Anderson-Darling normality critical value: Stephens (1974), case 3, as scipy rounds it."""
+    return float(np.around(1.035 / (1.0 + 0.75 / n + 2.25 / n / n), 3))
+
+
 def run_monte_carlo(
     model: LevyModel,
     scheme: SamplingScheme,
@@ -201,12 +206,12 @@ def run_monte_carlo(
         v2 = np.array([row["v_gamma_sq"] for row in ok])
         if truth.gamma > 0 and np.all(v2 > 0) and len(ok) >= 20:
             zscores = sqT * (gam - truth.gamma) / np.sqrt(v2)
-            ad = stats.anderson(zscores, dist="norm")
-            crit_1pct = float(ad.critical_values[list(ad.significance_level).index(1.0)])
+            ad_stat = float(stats.anderson(zscores, dist="norm", method="interpolate").statistic)
+            crit_1pct = _ad_critical_1pct(len(zscores))
             summary["gamma_normality"] = {
-                "ad_statistic": float(ad.statistic),
+                "ad_statistic": ad_stat,
                 "ad_critical_1pct": crit_1pct,
-                "ad_pass_1pct": bool(ad.statistic < crit_1pct),
+                "ad_pass_1pct": bool(ad_stat < crit_1pct),
                 "dagostino_p": float(stats.normaltest(zscores).pvalue),
                 "z_var": float(zscores.var(ddof=1)),
             }

@@ -20,7 +20,6 @@ import numpy as np
 
 from .exceptions import DomainError, GridTooCoarseError
 from .levy import LevyModel, laplace_exponent, lundberg_exponent
-from .tabular import write_csv
 
 __all__ = [
     "TalbotResult",
@@ -29,7 +28,6 @@ __all__ = [
     "compound_geometric_grid",
     "compound_geometric_series",
     "closed_form_W",
-    "write_oracle_csv",
 ]
 
 
@@ -237,12 +235,3 @@ def closed_form_W(model_kind: str, params: dict, q: float, x) -> np.ndarray:
             c * (s_plus - s_minus)
         )
     raise DomainError(f"unsupported closed-form kind {model_kind!r}")
-
-
-def write_oracle_csv(path, x, w_talbot, w_closed, err_estimate) -> None:
-    """Oracle curve dump: x, W_talbot, W_closed, err_estimate."""
-    write_csv(
-        path,
-        ["x", "W_talbot", "W_closed", "err_estimate"],
-        [x, w_talbot, w_closed, err_estimate],
-    )

@@ -10,6 +10,8 @@ Laguerre coefficients ``a^G`` satisfy a lower-triangular Toeplitz system
     Z_K(x) = 1 + q * (P*(x) - Q*_{alpha,K}(x) . a^G)
 
 use closed-form kernels built from the convolution integrals Psi_{alpha,k}.
+All four share one form, so a single evaluator (``kernels``) returns them with
+their analytic (p, gamma) gradients; ``eval_*`` / ``grad_*`` project from it.
 The starred kernels are the exact antiderivatives of the unstarred ones, so
 Z_K = 1 + q * int_0^x W_K holds identically.
 
@@ -22,9 +24,11 @@ full nested-quadrature evaluation is retained as a cross-check mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
 from .laguerre import (
@@ -32,7 +36,7 @@ from .laguerre import (
     laguerre_fn_all,
     partial_sum,
     psi_integral_all,
-    psi_integral_db_all,
+    psi_integral_and_db_all,
 )
 from .levy import CompoundPoissonExponential, LevyModel, ThetaParams
 
@@ -41,14 +45,17 @@ __all__ = [
     "ScaleApprox",
     "ftilde_q",
     "p_value",
-    "h_functionals",
     "h_functionals_at",
     "h_functionals_quadrature",
     "coeffs_true",
     "scale_approx",
     "build_Af",
+    "build_B",
     "solve_aG",
     "gbar_partial_sum",
+    "Kernel",
+    "Kernels",
+    "kernels",
     "eval_P",
     "eval_Q_all",
     "eval_Pstar",
@@ -57,8 +64,6 @@ __all__ = [
     "grad_Q_all",
     "grad_Pstar",
     "grad_Qstar_all",
-    "eval_WK",
-    "eval_ZK",
 ]
 
 _SOLVE_RTOL = 1e-12
@@ -88,17 +93,7 @@ def _tilted_tail(model: LevyModel, gamma: float, y):
     if kind == "gamma-subordinator":
         a, b = jumps.shape, jumps.rate
         return a * np.exp(gamma * y) * special.exp1((b + gamma) * y)
-    # generic fallback: tail quadrature of the defining integral
-    def one(yy):
-        val, _ = integrate.quad(
-            lambda z: np.exp(-gamma * (z - yy)) * float(jumps.density(z)),
-            yy,
-            np.inf,
-            limit=200,
-        )
-        return val
-
-    return np.vectorize(one)(y)
+    raise DomainError(f"no closed-form tilted tail for jump kind {kind!r}")
 
 
 def ftilde_q(model: LevyModel, theta: ThetaParams, x):
@@ -160,26 +155,15 @@ def _gamma_window(gamma: float, z: np.ndarray) -> np.ndarray:
     return -np.expm1(-gamma * z) / gamma
 
 
-def h_functionals(
-    c: float, theta: ThetaParams, params: LaguerreParams, z
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_p, H^f_{0..K}, H^F_{0..K})(z; theta) for an array of jump sizes z.
-
-    Returns shapes ((nz,), (K+1, nz), (K+1, nz)).
-    """
-    return h_functionals_at(c, theta.D, theta.gamma, params, z)
-
-
 def h_functionals_at(
     c: float, D: float, gamma: float, params: LaguerreParams, z
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h_functionals on raw (D, gamma); gamma may dip slightly negative.
+    """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma), shapes ((nz,), (K+1, nz), (K+1, nz)).
 
-    Used by the finite-difference gamma-derivatives in the covariance
-    machinery (the kernels extend smoothly through gamma = 0).  All inner
-    x-integrals are closed forms; the k-ladders below are first-order
-    recurrences with contraction factor |alpha - beta| / (alpha + beta) < 1
-    (D > 0 branch).
+    gamma may dip slightly negative (the covariance machinery's finite
+    differences in gamma).  All inner x-integrals are closed forms; the
+    k-ladders below are first-order recurrences with contraction factor
+    |alpha - beta| / (alpha + beta) < 1 (D > 0 branch).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     K, alpha = params.K, params.alpha
@@ -269,23 +253,24 @@ class CoefficientSet:
                 raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
 
 
-def build_Af(a_f: np.ndarray, alpha: float) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of the renewal-convolution system.
+def _lower_toeplitz(v: np.ndarray, alpha: float) -> np.ndarray:
+    """T(v): lower-triangular Toeplitz matrix with first column -diff(v) / sqrt(2 alpha).
 
-    Diagonal 1 - a^f_0 / sqrt(2 alpha); entry (k, l) for k > l is
-    -(a^f_{k-l} - a^f_{k-l-1}) / sqrt(2 alpha); zero above the diagonal.
+    Entry (k, l) for k >= l is -(v_{k-l} - v_{k-l-1}) / sqrt(2 alpha), with
+    v_{-1} = 0; zero above the diagonal.
     """
-    a_f = np.asarray(a_f, dtype=float)
-    n = len(a_f)
-    r = np.sqrt(2.0 * alpha)
-    col = np.empty(n)
-    col[0] = 1.0 - a_f[0] / r
-    if n > 1:
-        col[1:] = -(a_f[1:] - a_f[:-1]) / r
-    A = np.zeros((n, n))
-    for d in range(n):
-        A[np.arange(d, n), np.arange(0, n - d)] = col[d]
-    return A
+    col = -np.diff(np.asarray(v, dtype=float), prepend=0.0) / np.sqrt(2.0 * alpha)
+    return linalg.toeplitz(col, np.zeros(len(col)))
+
+
+def build_Af(a_f: np.ndarray, alpha: float) -> np.ndarray:
+    """A^f = I + T(a^f), the renewal-convolution matrix of the system A^f a^G = a^F."""
+    return np.eye(len(a_f)) + _lower_toeplitz(a_f, alpha)
+
+
+def build_B(a_G: np.ndarray, alpha: float) -> np.ndarray:
+    """B_K = (T(a^G), -I): the sensitivity of the triangular system to (a^f, a^F)."""
+    return np.hstack([_lower_toeplitz(a_G, alpha), -np.eye(len(a_G))])
 
 
 def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
@@ -297,14 +282,10 @@ def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     a_F = np.asarray(a_F, dtype=float)
-    n = len(a_F)
-    if np.min(np.abs(np.diag(A))) < _DIAG_FLOOR:
-        raise IllConditionedError(
-            f"triangular system near-singular: min |diag| = {np.min(np.abs(np.diag(A))):.3e}"
-        )
-    x = np.zeros(n)
-    for i in range(n):
-        x[i] = (a_F[i] - A[i, :i] @ x[:i]) / A[i, i]
+    min_diag = np.min(np.abs(np.diag(A)))
+    if min_diag < _DIAG_FLOOR:
+        raise IllConditionedError(f"triangular system near-singular: min |diag| = {min_diag:.3e}")
+    x = linalg.solve_triangular(A, a_F, lower=True, check_finite=False)
     scale = max(float(np.max(np.abs(a_F))), 1e-300)
     resid = float(np.max(np.abs(A @ x - a_F)))
     if resid > _SOLVE_RTOL * scale:
@@ -404,7 +385,7 @@ def _quadrature_coeffs(
 
     def integrand(z):
         zz = np.asarray([z], dtype=float)
-        _, H_f, H_F = h_functionals(model.c, theta, params, zz)
+        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, zz)
         return np.concatenate([H_f[:, 0], H_F[:, 0]]) * float(jumps.density(zz)[0])
 
     res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
@@ -415,138 +396,130 @@ def _quadrature_coeffs(
 
 
 # ---------------------------------------------------------------------------
-# Evaluators P, Q, P*, Q* and the truncated scale functions
+# Kernels P, Q, P*, Q* and the truncated scale functions
 # ---------------------------------------------------------------------------
 
-def _check_p(p: float) -> None:
+class Kernel(NamedTuple):
+    """Kernel values and their partial derivatives in p and gamma."""
+
+    value: np.ndarray
+    d_p: np.ndarray
+    d_gamma: np.ndarray
+
+
+class Kernels(NamedTuple):
+    """P, P* of shape x.shape and Q, Q* of shape (K+1, *x.shape) at one (p, gamma)."""
+
+    P: Kernel
+    Q: Kernel
+    Pstar: Kernel
+    Qstar: Kernel
+
+
+def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Kernel]:
+    """The shared form of every kernel, with its (p, gamma) gradient, split into rows.
+
+    D > 0: (f(gamma) - f(-beta)) / N with N = D (1-p) (beta + gamma) and
+    beta = c/D + gamma; D = 0: f(gamma) / N with N = c (1-p).  ``atom(b)``
+    returns (f(b), df/db) for a stack of atoms.  Since d beta / d gamma = 1,
+    the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 value / (beta + gamma),
+    or f'(gamma) / N for D = 0; the p-derivative is value / (1-p).
+    """
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
+    f, df = atom(gamma)
+    if D > 0:
+        beta = c / D + gamma
+        f_b, df_b = atom(-beta)
+        N = D * (1.0 - p) * (beta + gamma)
+        value = (f - f_b) / N
+        d_gamma = (df + df_b) / N - 2.0 * value / (beta + gamma)
+    else:
+        N = c * (1.0 - p)
+        value = f / N
+        d_gamma = df / N
+    return [Kernel(value[r], value[r] / (1.0 - p), d_gamma[r]) for r in rows]
 
 
-def _expm1_over(gamma: float, x: np.ndarray) -> np.ndarray:
-    """(e^{gamma x} - 1) / gamma with the gamma -> 0 limit x."""
-    if gamma < 1e-10:
-        return x.copy()
-    return np.expm1(gamma * x) / gamma
+def _exp_atoms(x, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives.
+
+    The starred atom takes its b -> 0 limits x and x^2 / 2 for |b| < 1e-10.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.exp(b * x)
+    if abs(b) < 1e-10:
+        star, d_star = x, 0.5 * x * x
+    else:
+        star = np.expm1(b * x) / b
+        d_star = (x * e - star) / b
+    return np.stack([e, star]), np.stack([x * e, d_star])
+
+
+def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
+    """[P, P*]: the kernels that need no Laguerre basis."""
+    return _combine(partial(_exp_atoms, x), p, gamma, D, c, 0, 1)
+
+
+def kernels(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float) -> Kernels:
+    """P, Q_{alpha,0..K}, P*, Q*_{alpha,0..K} at x with their (p, gamma) gradients.
+
+    The Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b); each b
+    takes Psi and d/db Psi from one order-(K+1) sweep.
+    """
+    x = np.asarray(x, dtype=float)
+    phi = laguerre_fn_all(params, x)
+
+    def atom(b):
+        e, d_e = _exp_atoms(x, b)
+        psi, d_psi = psi_integral_and_db_all(params, x, b)
+        return (
+            np.concatenate([e, phi + b * psi, psi]),
+            np.concatenate([d_e, psi + b * d_psi, d_psi]),
+        )
+
+    n = params.K + 1
+    return Kernels(*_combine(atom, p, gamma, D, c, 0, slice(2, n + 2), 1, slice(n + 2, None)))
 
 
 def eval_P(x, p: float, gamma: float, D: float, c: float):
     """Leading term of W_K (the p f_q = 0 part of the compound-geometric form)."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    if D > 0:
-        beta = c / D + gamma
-        return (np.exp(gamma * x) - np.exp(-beta * x)) / (D * (1.0 - p) * (beta + gamma))
-    return np.exp(gamma * x) / (c * (1.0 - p))
-
-
-def eval_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
-    """Q_{alpha,k}(x) for k = 0..K; the kernel applied to each basis function."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    if D > 0:
-        beta = c / D + gamma
-        psi_g = psi_integral_all(params, x, gamma)
-        psi_b = psi_integral_all(params, x, -beta)
-        return (gamma * psi_g + beta * psi_b) / (D * (1.0 - p) * (beta + gamma))
-    phi = laguerre_fn_all(params, x)
-    psi_g = psi_integral_all(params, x, gamma)
-    return (phi + gamma * psi_g) / (c * (1.0 - p))
+    return _exp_kernels(x, p, gamma, D, c)[0].value
 
 
 def eval_Pstar(x, p: float, gamma: float, D: float, c: float):
     """int_0^x P; exact antiderivative of eval_P."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    g1 = _expm1_over(gamma, x)
-    if D > 0:
-        beta = c / D + gamma
-        return (g1 - (1.0 - np.exp(-beta * x)) / beta) / (D * (1.0 - p) * (beta + gamma))
-    return g1 / (c * (1.0 - p))
+    return _exp_kernels(x, p, gamma, D, c)[1].value
+
+
+def eval_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
+    """Q_{alpha,k}(x) for k = 0..K; the kernel applied to each basis function."""
+    return kernels(params, x, p, gamma, D, c).Q.value
 
 
 def eval_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """int_0^x Q_{alpha,k}; exact antiderivative of eval_Q_all."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    psi_g = psi_integral_all(params, x, gamma)
-    if D > 0:
-        beta = c / D + gamma
-        psi_b = psi_integral_all(params, x, -beta)
-        return (psi_g - psi_b) / (D * (1.0 - p) * (beta + gamma))
-    return psi_g / (c * (1.0 - p))
+    return kernels(params, x, p, gamma, D, c).Qstar.value
 
 
 def grad_P(x, p: float, gamma: float, D: float, c: float):
-    """(d/dp P, d/dgamma P); gamma enters beta = c/D + gamma with slope 1."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    P = eval_P(x, p, gamma, D, c)
-    dP_dp = P / (1.0 - p)
-    if D > 0:
-        beta = c / D + gamma
-        dnum = x * (np.exp(gamma * x) + np.exp(-beta * x))
-        dP_dg = dnum / (D * (1.0 - p) * (beta + gamma)) - 2.0 * P / (beta + gamma)
-    else:
-        dP_dg = x * P
-    return dP_dp, dP_dg
-
-
-def grad_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
-    """(d/dp Q_k, d/dgamma Q_k) for k = 0..K."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    Q = eval_Q_all(params, x, p, gamma, D, c)
-    dQ_dp = Q / (1.0 - p)
-    psi_g = psi_integral_all(params, x, gamma)
-    dpsi_g = psi_integral_db_all(params, x, gamma)
-    if D > 0:
-        beta = c / D + gamma
-        psi_b = psi_integral_all(params, x, -beta)
-        dpsi_b = psi_integral_db_all(params, x, -beta)
-        dnum = psi_g + gamma * dpsi_g + psi_b - beta * dpsi_b
-        dQ_dg = dnum / (D * (1.0 - p) * (beta + gamma)) - 2.0 * Q / (beta + gamma)
-    else:
-        dQ_dg = (psi_g + gamma * dpsi_g) / (c * (1.0 - p))
-    return dQ_dp, dQ_dg
+    """(d/dp P, d/dgamma P)."""
+    return _exp_kernels(x, p, gamma, D, c)[0][1:]
 
 
 def grad_Pstar(x, p: float, gamma: float, D: float, c: float):
     """(d/dp P*, d/dgamma P*)."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    Ps = eval_Pstar(x, p, gamma, D, c)
-    dPs_dp = Ps / (1.0 - p)
-    if gamma < 1e-10:
-        dg1 = 0.5 * x * x
-    else:
-        dg1 = (x * np.exp(gamma * x) - _expm1_over(gamma, x)) / gamma
-    if D > 0:
-        beta = c / D + gamma
-        e = np.exp(-beta * x)
-        dtail = (1.0 - e) / beta**2 - x * e / beta
-        dPs_dg = (dg1 + dtail) / (D * (1.0 - p) * (beta + gamma)) - 2.0 * Ps / (beta + gamma)
-    else:
-        dPs_dg = dg1 / (c * (1.0 - p))
-    return dPs_dp, dPs_dg
+    return _exp_kernels(x, p, gamma, D, c)[1][1:]
+
+
+def grad_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
+    """(d/dp Q_k, d/dgamma Q_k) for k = 0..K."""
+    return kernels(params, x, p, gamma, D, c).Q[1:]
 
 
 def grad_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q*_k, d/dgamma Q*_k) for k = 0..K."""
-    _check_p(p)
-    x = np.asarray(x, dtype=float)
-    Qs = eval_Qstar_all(params, x, p, gamma, D, c)
-    dQs_dp = Qs / (1.0 - p)
-    dpsi_g = psi_integral_db_all(params, x, gamma)
-    if D > 0:
-        beta = c / D + gamma
-        dpsi_b = psi_integral_db_all(params, x, -beta)
-        dQs_dg = (dpsi_g + dpsi_b) / (D * (1.0 - p) * (beta + gamma)) - 2.0 * Qs / (
-            beta + gamma
-        )
-    else:
-        dQs_dg = dpsi_g / (c * (1.0 - p))
-    return dQs_dp, dQs_dg
+    return kernels(params, x, p, gamma, D, c).Qstar[1:]
 
 
 @dataclass(frozen=True)
@@ -560,43 +533,29 @@ class ScaleApprox:
     q: float
     coeffs: CoefficientSet
 
-    @property
-    def params(self) -> LaguerreParams:
-        return self.coeffs.params
+    def kernels(self, x) -> Kernels:
+        cs = self.coeffs
+        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
 
-    @property
-    def theta(self) -> ThetaParams:
-        return self.coeffs.theta
+    def w_from(self, k: Kernels):
+        """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from the kernels at x."""
+        return k.P.value - np.tensordot(self.coeffs.a_G, k.Q.value, axes=(0, 0))
+
+    def z_from(self, k: Kernels):
+        """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G) from the kernels at x."""
+        Qs_aG = np.tensordot(self.coeffs.a_G, k.Qstar.value, axes=(0, 0))
+        return 1.0 + self.q * (k.Pstar.value - Qs_aG)
 
     def w(self, x):
-        cs = self.coeffs
-        P = eval_P(x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
-        Q = eval_Q_all(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
-        return P - np.tensordot(cs.a_G, Q, axes=(0, 0))
+        return self.w_from(self.kernels(x))
 
     def z(self, x):
-        cs = self.coeffs
-        Ps = eval_Pstar(x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
-        Qs = eval_Qstar_all(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
-        return 1.0 + self.q * (Ps - np.tensordot(cs.a_G, Qs, axes=(0, 0)))
-
-    def gbar(self, x):
-        return gbar_partial_sum(self.coeffs, x)
+        return self.z_from(self.kernels(x))
 
 
 def scale_approx(model: LevyModel, params: LaguerreParams, method: str = "auto") -> ScaleApprox:
     """Build the K-th Laguerre-type approximation of (W, Z) for the model."""
     return ScaleApprox(c=model.c, q=model.q, coeffs=coeffs_true(model, params, method=method))
-
-
-def eval_WK(approx: ScaleApprox, x):
-    """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G."""
-    return approx.w(x)
-
-
-def eval_ZK(approx: ScaleApprox, x):
-    """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G)."""
-    return approx.z(x)
 
 
 def gbar_partial_sum(coeffs: CoefficientSet, x):

@@ -14,7 +14,7 @@ from qscale.levy import (
     lundberg_exponent,
     nu_functional_exact,
 )
-from qscale.series import ScaleApprox, coeffs_true, h_functionals, scale_approx
+from qscale.series import ScaleApprox, coeffs_true, h_functionals_at, scale_approx
 from qscale.simulate import ObservationSet, SamplingScheme, make_scheme, simulate
 from qscale.estimators import (
     GammaEstimate,
@@ -25,7 +25,6 @@ from qscale.estimators import (
     estimate_D,
     estimate_coeffs,
     estimate_gamma,
-    estimate_W,
     nu_hat,
     population_covariance,
     report_from_true_model,
@@ -126,6 +125,27 @@ class TestEstimateGamma:
         got = estimate_gamma(obs, 0.1, 0.5, 1.5, r_max=1e-6)
         assert got.boundary and got.value <= 1e-6
 
+    @pytest.mark.parametrize(
+        "c, r_max, boundary",
+        [(1.5, None, False), (0.5, None, False), (1.5, 1e-6, True)],
+        ids=["bracket", "bracket-past-minimum", "boundary"],
+    )
+    def test_releases_observation_without_gc(self, exp_jump_model, c, r_max, boundary):
+        # no reference cycle may keep the observation (and its grid) alive
+        import gc
+        import weakref
+
+        obs = simulate(exp_jump_model, make_scheme(50.0), seed=3)
+        ref = weakref.ref(obs)
+        gc.disable()
+        try:
+            got = estimate_gamma(obs, 0.1, 0.0, c, r_max=r_max)
+            del obs
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert got.boundary is boundary
+
     def test_consistency_monte_carlo(self, exp_jump_model):
         gamma0 = lundberg_exponent(exp_jump_model, 0.1)
         s = make_scheme(400.0)
@@ -151,7 +171,8 @@ class TestEstimateCoeffs:
         grid[50:] = -zstar
         obs = _obs_from_path(grid, 0.01, [0.495], [zstar])
         est = estimate_coeffs(obs, 0.1, 1.5, params20)
-        H_p, H_f, H_F = h_functionals(1.5, est.theta, params20, np.array([zstar]))
+        th = est.theta
+        H_p, H_f, H_F = h_functionals_at(1.5, th.D, th.gamma, params20, np.array([zstar]))
         assert est.p == pytest.approx(H_p[0], rel=1e-12)
         assert est.coeffs.a_f == pytest.approx(H_f[:, 0], rel=1e-12)
 
@@ -180,7 +201,8 @@ class TestEstimateW:
             D_raw=exp_jump_model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0
         )
         xs = np.linspace(0, 5, 11)
-        W, Z = estimate_W(est, 1.5, 0.1, xs)
+        approx = ScaleApprox(c=1.5, q=0.1, coeffs=est.coeffs)
+        W, Z = approx.w(xs), approx.z(xs)
         ap = scale_approx(exp_jump_model, params20)
         assert W == pytest.approx(ap.w(xs), rel=0, abs=0)
         assert Z == pytest.approx(ap.z(xs), rel=0, abs=0)
@@ -189,11 +211,16 @@ class TestEstimateW:
         obs = simulate(brownian_model, make_scheme(20.0), seed=6)
         est = estimate_coeffs(obs, 0.1, 1.5, params20)
         xs = np.linspace(0, 5, 6)
-        W, _ = estimate_W(est, 1.5, 0.1, xs)
+        W = ScaleApprox(c=1.5, q=0.1, coeffs=est.coeffs).w(xs)
         D, g = est.theta.D, est.theta.gamma
         beta = 1.5 / D + g
         want = (np.exp(g * xs) - np.exp(-beta * xs)) / (D * (beta + g))
         assert W == pytest.approx(want, rel=1e-12)
+
+
+def _gradient_cases(cs0):
+    """(D, gamma) pairs for the gradient checks: D > 0 and D = 0, gamma = 0 and > 0."""
+    return [(D, g) for D in (cs0.theta.D, 0.0) for g in (cs0.theta.gamma, 0.0)]
 
 
 class TestCovarianceMachinery:
@@ -250,7 +277,7 @@ class TestCovarianceMachinery:
 
         def component(i):
             def H(z):
-                Hp, Hf, HF = h_functionals(exp_jump_model.c, theta, params, z)
+                Hp, Hf, HF = h_functionals_at(exp_jump_model.c, theta.D, theta.gamma, params, z)
                 Hg = -np.expm1(-theta.gamma * z) / psi_p  # note: minus k_gamma
                 stack = np.vstack([Hf, HF, Hp[None, :], Hg[None, :]])
                 return stack[i]
@@ -275,56 +302,84 @@ class TestCovarianceMachinery:
 
     def test_gradient_rows_match_fd(self, exp_jump_model, params20):
         # C_K collapses the delta method: perturbing (p, gamma) in the
-        # evaluator matches the last two gradient entries
+        # evaluator matches the last two gradient entries, for D > 0 and
+        # D = 0, at gamma = 0 and gamma > 0
         cs0 = coeffs_true(exp_jump_model, params20)
         est = PipelineEstimates(
             D_raw=exp_jump_model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0
         )
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=11)
         x = np.array([2.0])
-        cov = covariance_machinery(obs, est, 1.5, 0.1, x)
-        from qscale.series import eval_P, eval_Q_all
-        from qscale.levy import ThetaParams
+        covariance_machinery(obs, est, 1.5, 0.1, x)
+        from qscale.series import eval_P, eval_Q_all, grad_P, grad_Q_all
 
         h = 1e-6
-        K = params20.K
+        for D, gamma in _gradient_cases(cs0):
 
-        def w_at(p, gamma):
-            P = eval_P(x, p, gamma, cs0.theta.D, 1.5)
-            Q = eval_Q_all(params20, x, p, gamma, cs0.theta.D, 1.5)
-            return (P - cs0.a_G @ Q)[0]
+            def w_at(p, g):
+                P = eval_P(x, p, g, D, 1.5)
+                Q = eval_Q_all(params20, x, p, g, D, 1.5)
+                return (P - cs0.a_G @ Q)[0]
 
-        # reconstruct C entries (before Gamma) from covariance internals:
-        # dW/dp and dW/dgamma occupy the last two slots
-        dp_fd = (w_at(cs0.p + h, cs0.theta.gamma) - w_at(cs0.p - h, cs0.theta.gamma)) / (2 * h)
-        dg_fd = (w_at(cs0.p, cs0.theta.gamma + h) - w_at(cs0.p, cs0.theta.gamma - h)) / (2 * h)
-        # recompute C the same way the machinery does
-        from qscale.series import grad_P, grad_Q_all
-
-        dQ_dp, dQ_dg = grad_Q_all(params20, x, cs0.p, cs0.theta.gamma, cs0.theta.D, 1.5)
-        dP_dp, dP_dg = grad_P(x, cs0.p, cs0.theta.gamma, cs0.theta.D, 1.5)
-        assert dP_dp[0] - cs0.a_G @ dQ_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
-        assert dP_dg[0] - cs0.a_G @ dQ_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
+            dp_fd = (w_at(cs0.p + h, gamma) - w_at(cs0.p - h, gamma)) / (2 * h)
+            dg_fd = (w_at(cs0.p, gamma + h) - w_at(cs0.p, gamma - h)) / (2 * h)
+            dQ_dp, dQ_dg = grad_Q_all(params20, x, cs0.p, gamma, D, 1.5)
+            dP_dp, dP_dg = grad_P(x, cs0.p, gamma, D, 1.5)
+            assert dP_dp[0] - cs0.a_G @ dQ_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
+            assert dP_dg[0] - cs0.a_G @ dQ_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
 
     def test_starred_gradients_match_fd(self, exp_jump_model, params20):
         from qscale.series import eval_Pstar, eval_Qstar_all, grad_Pstar, grad_Qstar_all
 
         cs0 = coeffs_true(exp_jump_model, params20)
         x = np.array([2.0])
-        p0, g0, D0 = cs0.p, cs0.theta.gamma, cs0.theta.D
+        p0 = cs0.p
         h = 1e-6
+        for D0, g0 in _gradient_cases(cs0):
 
-        def z_at(p, gamma):
-            Ps = eval_Pstar(x, p, gamma, D0, 1.5)
-            Qs = eval_Qstar_all(params20, x, p, gamma, D0, 1.5)
-            return (Ps - cs0.a_G @ Qs)[0]
+            def z_at(p, gamma):
+                Ps = eval_Pstar(x, p, gamma, D0, 1.5)
+                Qs = eval_Qstar_all(params20, x, p, gamma, D0, 1.5)
+                return (Ps - cs0.a_G @ Qs)[0]
 
-        dp_fd = (z_at(p0 + h, g0) - z_at(p0 - h, g0)) / (2 * h)
-        dg_fd = (z_at(p0, g0 + h) - z_at(p0, g0 - h)) / (2 * h)
-        dQs_dp, dQs_dg = grad_Qstar_all(params20, x, p0, g0, D0, 1.5)
-        dPs_dp, dPs_dg = grad_Pstar(x, p0, g0, D0, 1.5)
-        assert dPs_dp[0] - cs0.a_G @ dQs_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
-        assert dPs_dg[0] - cs0.a_G @ dQs_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
+            dp_fd = (z_at(p0 + h, g0) - z_at(p0 - h, g0)) / (2 * h)
+            dg_fd = (z_at(p0, g0 + h) - z_at(p0, g0 - h)) / (2 * h)
+            dQs_dp, dQs_dg = grad_Qstar_all(params20, x, p0, g0, D0, 1.5)
+            dPs_dp, dPs_dg = grad_Pstar(x, p0, g0, D0, 1.5)
+            assert dPs_dp[0] - cs0.a_G @ dQs_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
+            assert dPs_dg[0] - cs0.a_G @ dQs_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
+
+    @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
+    def test_one_kernel_sweep_per_exponent(self, model_name, params20, request, monkeypatch):
+        # the x-side kernels and gradients take Psi at b = gamma (and b = -beta
+        # when D > 0) from one sweep each; W_hat, Z_hat match the evaluators
+        import qscale.laguerre as lag_mod
+        import qscale.series as series_mod
+
+        model = request.getfixturevalue(model_name)
+        cs0 = coeffs_true(model, params20)
+        est = PipelineEstimates(D_raw=model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0)
+        obs = simulate(model, make_scheme(50.0), seed=13)
+        x = np.linspace(0.0, 6.0, 7)
+        bs = []
+        orig = lag_mod.psi_integral_all
+
+        def counting(params, xx, b, kmax=None):
+            if np.shape(xx) == x.shape and np.array_equal(xx, x):
+                bs.append(b)
+            return orig(params, xx, b, kmax)
+
+        monkeypatch.setattr(lag_mod, "psi_integral_all", counting)
+        monkeypatch.setattr(series_mod, "psi_integral_all", counting)
+        cov = covariance_machinery(obs, est, model.c, model.q, x)
+        theta = cs0.theta
+        if theta.D > 0:
+            assert bs == [theta.gamma, -theta.beta(model.c)]
+        else:
+            assert bs == [theta.gamma]
+        approx = ScaleApprox(c=model.c, q=model.q, coeffs=cs0)
+        assert np.array_equal(cov.W_hat, approx.w(x))
+        assert np.array_equal(cov.Z_hat, approx.z(x))
 
     def test_build_B_linearizes_triangular_solve(self, exp_jump_model):
         # -A^{-1} B (delta_f, delta_F) reproduces the change in a^G

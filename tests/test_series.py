@@ -27,7 +27,7 @@ from qscale.series import (
     eval_Q_all,
     ftilde_q,
     gbar_partial_sum,
-    h_functionals,
+    h_functionals_at,
     h_functionals_quadrature,
     p_value,
     scale_approx,
@@ -106,13 +106,15 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         beta = th.beta(exp_jump_model.c)
         z = np.array([0.5, 2.0, 7.0])
-        H_p, _, _ = h_functionals(exp_jump_model.c, th, params20, z)
+        H_p, _, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)
         want = (1 - np.exp(-th.gamma * z)) / (beta * exp_jump_model.D * th.gamma)
         assert H_p == pytest.approx(want, rel=1e-12)
 
     def test_all_zero_at_origin(self, exp_jump_model, params20):
         th = exp_jump_model.theta0()
-        H_p, H_f, H_F = h_functionals(exp_jump_model.c, th, params20, np.array([0.0]))
+        H_p, H_f, H_F = h_functionals_at(
+            exp_jump_model.c, th.D, th.gamma, params20, np.array([0.0])
+        )
         assert H_p == pytest.approx([0.0], abs=1e-14)
         assert np.max(np.abs(H_f)) < 1e-13 and np.max(np.abs(H_F)) < 1e-13
 
@@ -120,7 +122,7 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         rng = np.random.default_rng(3)
         z = rng.uniform(0.01, 10.0, size=40)
-        H_p, H_f, _ = h_functionals(exp_jump_model.c, th, params20, z)
+        H_p, H_f, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)
         bound = np.sqrt(2 * params20.alpha) * np.abs(H_p)
         assert np.all(np.abs(H_f) <= bound[None, :] * (1 + 1e-10))
 
@@ -128,7 +130,7 @@ class TestHFunctionals:
     def test_matches_nested_quadrature_diffusive(self, exp_jump_model, z, k):
         th = exp_jump_model.theta0()
         p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals(exp_jump_model.c, th, p, np.array([z]))
+        H_p, H_f, H_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))
         hp, hf, hF = h_functionals_quadrature(exp_jump_model.c, th, p, z, k)
         assert H_p[0] == pytest.approx(hp, rel=1e-9)
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
@@ -138,7 +140,9 @@ class TestHFunctionals:
     def test_matches_nested_quadrature_bv(self, cramer_lundberg_model, z, k):
         th = cramer_lundberg_model.theta0()
         p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals(cramer_lundberg_model.c, th, p, np.array([z]))
+        H_p, H_f, H_F = h_functionals_at(
+            cramer_lundberg_model.c, th.D, th.gamma, p, np.array([z])
+        )
         hp, hf, hF = h_functionals_quadrature(cramer_lundberg_model.c, th, p, z, k)
         assert H_p[0] == pytest.approx(hp, rel=1e-9)
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
