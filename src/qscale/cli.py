@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 2 configuration/domain error, 3 numerical failure,
 4 I/O error.  Every run writes a manifest (config hash, versions, seeds) so
-reruns are byte-identical.  SCALE_WORKERS overrides mc.workers.
+reruns are byte-identical.  SCALE_WORKERS overrides mc.workers; either is
+clamped to the usable cores.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__
 from .config import ExperimentConfig, config_hash, load_config
 from .exceptions import ConfigError, DegenerateEstimateError, DomainError, NumericalError
 from .estimators import build_report, report_from_true_model, write_ci_csv
-from .mc import MC_COLUMNS, McWorkerFailure, run_monte_carlo
+from .mc import MC_COLUMNS, McWorkerFailure, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
 from .series import scale_approx
 from .simulate import load_observation, save_observation, simulate
@@ -62,8 +63,8 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     approx = scale_approx(cfg.model, cfg.laguerre)
     x = cfg.x_grid
-    wk = approx.w(x)
-    zk = approx.z(x)
+    k = approx.kernels(x)
+    wk, zk = approx.w_from(k), approx.z_from(k)
     header = ["x", "W_K", "Z_K"]
     cols = [x, wk, zk]
     summary = {}
@@ -150,13 +151,7 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
 def cmd_mc(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "scheme", "mc", "x_grid")
     out = _out_dir(cfg, args)
-    workers = cfg.mc.workers
-    env = os.environ.get("SCALE_WORKERS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SCALE_WORKERS must be an integer, got {env!r}")
+    workers = resolve_workers(cfg.mc.workers, os.environ.get("SCALE_WORKERS"))
     scheme = cfg.scheme.build()
     D_window = cfg.mc.D_window if cfg.mc.D_window else 1.0
     try:

@@ -5,9 +5,12 @@ Every coefficient-level quantity is a threshold functional
 ``nu_hat(H) = (1/T) sum_{recorded jumps} H(size)``; the CLT covariance of the
 stacked estimator (a^f, a^F, p, gamma) is Gamma Sigma Gamma^T with
 ``sigma_ij = nu(Htilde_i Htilde_j)`` and Gamma the identity bordered by the
-column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  Pointwise
-variances for W_hat and Z_hat contract that matrix with the gradient rows
-C_K(x), q C*_K(x); confidence bounds are value +/- z * sqrt(var / T).
+column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  The
+kernels H and their analytic gamma-derivative come from one sweep over the
+jump sizes in ``estimate_coeffs`` and travel on ``PipelineEstimates``.
+Pointwise variances for W_hat and Z_hat contract that matrix with the
+gradient rows C_K(x), q C*_K(x); confidence bounds are value +/- z *
+sqrt(var / T).
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ __all__ = [
     "report_from_true_model",
     "write_ci_csv",
 ]
-
-_FD_STEP = 1e-6  # central finite-difference step for d/dgamma of the H-kernels
 
 
 def estimate_D(obs: ObservationSet, window: float = 1.0) -> float:
@@ -174,11 +175,19 @@ def _dpsi(r, obs, c, D):
 
 @dataclass(frozen=True)
 class PipelineEstimates:
-    """theta_hat = (max(D_hat, 0), gamma_hat) and the plug-in coefficient set."""
+    """theta_hat = (max(D_hat, 0), gamma_hat) and the plug-in coefficient set.
+
+    ``h_stack`` holds (H, d/dgamma H) at the recorded jump sizes when the
+    estimates were computed from them (see ``_h_stack``), so the covariance
+    machinery need not sweep the kernels again.
+    """
 
     D_raw: float
     gamma: GammaEstimate
     coeffs: CoefficientSet
+    h_stack: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def theta(self) -> ThetaParams:
@@ -215,16 +224,14 @@ def estimate_coeffs(
     if len(obs.jump_sizes) == 0:
         coeffs = CoefficientSet(0.0, np.zeros(n), np.zeros(n), np.zeros(n), params, theta)
         return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs)
-    H_p, H_f, H_F = h_functionals_at(c, theta.D, theta.gamma, params, obs.jump_sizes)
-    T = obs.scheme.T
-    p_hat = float(H_p.sum() / T)
-    a_f = H_f.sum(axis=1) / T
-    a_F = H_F.sum(axis=1) / T
+    H, dH = _h_stack(c, theta, params, obs.jump_sizes)
+    nu = H.sum(axis=1) / obs.scheme.T
+    a_f, a_F, p_hat = nu[:n], nu[n:-1], float(nu[-1])
     if p_hat >= 1.0:
         raise DegenerateEstimateError("p_hat >= 1", raw_value=p_hat)
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
-    return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs)
+    return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs, h_stack=(H, dH))
 
 
 @dataclass(frozen=True)
@@ -254,21 +261,27 @@ class CovarianceReport:
         return float(self.Sigma[-1, -1])
 
 
-def _h_stack_at(c, D, gamma, params, z):
-    Hp, Hf, HF = h_functionals_at(c, D, gamma, params, z)
-    return np.vstack([Hf, HF, Hp[None, :]])
+def _stacked(H_p, H_f, H_F) -> np.ndarray:
+    """The kernel stack (H^f, H^F, H_p), shape (2K+3, nz)."""
+    return np.vstack([H_f, H_F, H_p[None, :]])
 
 
-def _htilde(c, theta: ThetaParams, params, z, psi_prime: float) -> np.ndarray:
-    """Stacked influence kernels (H^f, H^F, H_p, H_gamma) at the jump sizes z.
+def _h_stack(c, theta: ThetaParams, params, z) -> tuple[np.ndarray, np.ndarray]:
+    """(H, d/dgamma H) at z from one kernel sweep, each stacked by ``_stacked``."""
+    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z, d_gamma=True)
+    return _stacked(*vals), _stacked(*d_gamma)
+
+
+def _htilde(H: np.ndarray, gamma: float, z, psi_prime: float) -> np.ndarray:
+    """Influence kernels (H^f, H^F, H_p, H_gamma): the stack H with the gamma row appended.
 
     Expanding psi_hat(gamma_hat) = q around gamma_0 gives sqrt(T)(gamma_hat -
     gamma_0) = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1), k_gamma =
     e^{-gamma z} - 1, so H_gamma = -k_gamma / psi' (its sign matters only for
     the cross-covariances).
     """
-    H_gamma = -np.expm1(-theta.gamma * z) / psi_prime
-    return np.vstack([_h_stack_at(c, theta.D, theta.gamma, params, z), H_gamma[None, :]])
+    H_gamma = -np.expm1(-gamma * z) / psi_prime
+    return np.vstack([H, H_gamma[None, :]])
 
 
 def covariance_machinery(
@@ -281,10 +294,10 @@ def covariance_machinery(
 ) -> CovarianceReport:
     """Sigma_hat, Gamma_hat, B_hat and pointwise variances / CIs for (W, Z).
 
-    Gradients of P, Q, P*, Q* in (p, gamma) are analytic; the column
-    nu_hat(d/dgamma H) in Gamma_hat uses central finite differences of the
-    closed-form kernels (step 1e-6), which the kernels' C^1 regularity makes
-    accurate to ~1e-8.
+    Gradients of P, Q, P*, Q* in (p, gamma) and the column nu_hat(d/dgamma H)
+    in Gamma_hat are analytic.  Sigma_hat and that column reuse the kernel
+    stack carried on ``est``; only estimates without it (built by hand or
+    from the true model) cost a sweep over the jump sizes here.
     """
     coeffs = est.coeffs
     params = coeffs.params
@@ -296,12 +309,11 @@ def covariance_machinery(
     T = obs.scheme.T
 
     if len(z) > 0:
+        H, dH = est.h_stack if est.h_stack is not None else _h_stack(c, theta, params, z)
         psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
-        Htilde = _htilde(c, theta, params, z, psi_prime)  # (2K+4, nz)
+        Htilde = _htilde(H, theta.gamma, z, psi_prime)  # (2K+4, nz)
         Sigma = (Htilde @ Htilde.T) / T
-        up = _h_stack_at(c, theta.D, theta.gamma + _FD_STEP, params, z)
-        dn = _h_stack_at(c, theta.D, theta.gamma - _FD_STEP, params, z)
-        dH_col = ((up - dn) / (2.0 * _FD_STEP)).sum(axis=1) / T
+        dH_col = dH.sum(axis=1) / T
     else:
         Sigma = np.zeros((dim, dim))
         dH_col = np.zeros(dim - 1)
@@ -357,7 +369,8 @@ def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarra
 
     def integrand(z):
         zz = np.asarray([z], dtype=float)
-        h = _htilde(model.c, theta, params, zz, psi_prime)[:, 0]
+        H = _stacked(*h_functionals_at(model.c, theta.D, theta.gamma, params, zz))
+        h = _htilde(H, theta.gamma, zz, psi_prime)[:, 0]
         return np.outer(h, h) * float(model.jumps.density(zz)[0])
 
     res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
@@ -493,7 +506,8 @@ def report_from_true_model(
         approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
         dim = 2 * params.K + 4
         zeros = np.zeros(len(x))
-        W_hat, Z_hat = approx.w(x), approx.z(x)
+        k = approx.kernels(x)
+        W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
         cov = CovarianceReport(
             Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim),
             B=build_B(coeffs.a_G, params.alpha),

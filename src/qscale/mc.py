@@ -9,13 +9,14 @@ change wall time, never results.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .exceptions import DegenerateEstimateError, NumericalError
+from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
 from .levy import LevyModel, lundberg_exponent
 from .series import ScaleApprox, coeffs_true, p_value
@@ -29,6 +30,7 @@ __all__ = [
     "true_values",
     "run_replication",
     "run_monte_carlo",
+    "resolve_workers",
 ]
 
 
@@ -60,12 +62,13 @@ def true_values(model: LevyModel, params: LaguerreParams, x_eval) -> TrueValues:
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
     coeffs = coeffs_true(model, params)
     approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
+    k = approx.kernels(x_eval)
     return TrueValues(
         D=model.D,
         gamma=lundberg_exponent(model, model.q),
         p=p_value(model, model.theta0()),
-        W_K=approx.w(x_eval),
-        Z_K=approx.z(x_eval),
+        W_K=approx.w_from(k),
+        Z_K=approx.z_from(k),
     )
 
 
@@ -102,6 +105,20 @@ def run_replication(
         "Z_lo": np.asarray(cov.Z_lo),
         "Z_hi": np.asarray(cov.Z_hi),
     }
+
+
+def resolve_workers(requested: int, env: str | None = None) -> int:
+    """Worker processes for a Monte Carlo run, clamped to [1, usable cores].
+
+    ``env`` is the SCALE_WORKERS value; when set and non-empty it overrides
+    ``requested``.
+    """
+    if env:
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ConfigError(f"SCALE_WORKERS must be an integer, got {env!r}") from None
+    return max(1, min(requested, len(os.sched_getaffinity(0))))
 
 
 def _worker(args) -> tuple[int, dict]:

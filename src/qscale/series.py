@@ -155,49 +155,79 @@ def _gamma_window(gamma: float, z: np.ndarray) -> np.ndarray:
     return -np.expm1(-gamma * z) / gamma
 
 
+def _gamma_window_d(gamma: float, z: np.ndarray, kg: np.ndarray) -> np.ndarray:
+    """d/dgamma of the window kg = _gamma_window(gamma, z), with the gamma -> 0 limit -z^2/2."""
+    if abs(gamma) < 1e-10:
+        return -0.5 * z * z
+    return (z * np.exp(-gamma * z) - kg) / gamma
+
+
+def _v_ladder(u: np.ndarray, st: float, alpha: float) -> np.ndarray:
+    """y_0 = u_0 / s, y_k = (-(2 alpha - s) y_{k-1} + u_k - u_{k-1}) / s with s = st."""
+    y = np.empty_like(u)
+    y[0] = u[0] / st
+    for k in range(1, len(u)):
+        y[k] = (-(2.0 * alpha - st) * y[k - 1] + (u[k] - u[k - 1])) / st
+    return y
+
+
+def _s_ladder(u: np.ndarray, alpha: float) -> np.ndarray:
+    """y_0 = u_0 / alpha, y_k = -y_{k-1} + (u_k - u_{k-1}) / alpha."""
+    y = np.empty_like(u)
+    y[0] = u[0] / alpha
+    for k in range(1, len(u)):
+        y[k] = -y[k - 1] + (u[k] - u[k - 1]) / alpha
+    return y
+
+
 def h_functionals_at(
-    c: float, D: float, gamma: float, params: LaguerreParams, z
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    c: float, D: float, gamma: float, params: LaguerreParams, z, d_gamma: bool = False
+):
     """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma), shapes ((nz,), (K+1, nz), (K+1, nz)).
 
-    gamma may dip slightly negative (the covariance machinery's finite
-    differences in gamma).  All inner x-integrals are closed forms; the
-    k-ladders below are first-order recurrences with contraction factor
-    |alpha - beta| / (alpha + beta) < 1 (D > 0 branch).
+    All inner x-integrals are closed forms; the k-ladders below are
+    first-order recurrences with contraction factor |alpha - beta| / (alpha + beta)
+    < 1 (D > 0 branch), driven by Psi_k(z; -gamma).
+
+    With ``d_gamma=True`` the result is the pair (values, d/dgamma values) of
+    such triples, from the same Psi sweep: the ladders are linear, so their
+    gamma-derivatives run the same ladders on d/dgamma Psi = -d/db Psi at
+    b = -gamma, plus the terms from d beta / d gamma = 1 (D > 0).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     K, alpha = params.K, params.alpha
-    sq2a = params.sq2a
-    ks = np.arange(K + 1)
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)[:, None]
-    kg = _gamma_window(gamma, z)[None, :]
-    psi_neg = psi_integral_all(params, z, -gamma)  # Psi_k(z; -gamma), (K+1, nz)
+    sign_sq2a = params.sq2a * np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    kg = _gamma_window(gamma, z)
+    if d_gamma:
+        psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
+        d_psi = -d_psi
+        d_kg = _gamma_window_d(gamma, z, kg)
+    else:
+        psi = psi_integral_all(params, z, -gamma)  # Psi_k(z; -gamma), (K+1, nz)
 
     if D == 0:
-        H_p = kg[0] / c
-        H_f = psi_neg / c
-        S0 = np.empty_like(psi_neg)
-        S0[0] = psi_neg[0] / alpha
-        for k in range(1, K + 1):
-            S0[k] = -S0[k - 1] + (psi_neg[k] - psi_neg[k - 1]) / alpha
-        H_F = (sign * sq2a * kg / alpha - S0) / c
-        return H_p, H_f, H_F
+        vals = (kg / c, psi / c, (sign_sq2a * kg / alpha - _s_ladder(psi, alpha)) / c)
+        if not d_gamma:
+            return vals
+        d_H_F = (sign_sq2a * d_kg / alpha - _s_ladder(d_psi, alpha)) / c
+        return vals, (d_kg / c, d_psi / c, d_H_F)
 
     beta = c / D + gamma
     st = alpha + beta
-    H_p = kg[0] / (beta * D)
     # V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy (scaled by sqrt(2 alpha))
-    V = np.empty_like(psi_neg)
-    V[0] = psi_neg[0] / st
-    for k in range(1, K + 1):
-        V[k] = (-(2.0 * alpha - st) * V[k - 1] + (psi_neg[k] - psi_neg[k - 1])) / st
-    H_f = V / D
-    S = np.empty_like(psi_neg)
-    S[0] = psi_neg[0] / (alpha * st)
-    for k in range(1, K + 1):
-        S[k] = -S[k - 1] + (V[k] - V[k - 1]) / alpha
-    H_F = (sign * sq2a * kg / (alpha * beta) - S) / D
-    return H_p, H_f, H_F
+    V = _v_ladder(psi, st, alpha)
+    vals = (
+        kg / (beta * D),
+        V / D,
+        (sign_sq2a * kg / (alpha * beta) - _s_ladder(V, alpha)) / D,
+    )
+    if not d_gamma:
+        return vals
+    # d st / d gamma = 1 turns the V-ladder's source diff(psi) into diff(d_psi - V)
+    d_V = _v_ladder(d_psi - V, st, alpha)
+    d_kgb = d_kg - kg / beta  # beta * d/dgamma (kg / beta)
+    d_H_F = (sign_sq2a * d_kgb / (alpha * beta) - _s_ladder(d_V, alpha)) / D
+    return vals, (d_kgb / (beta * D), d_V / D, d_H_F)
 
 
 def h_functionals_quadrature(
@@ -276,12 +306,15 @@ def build_B(a_G: np.ndarray, alpha: float) -> np.ndarray:
 def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
     """Forward substitution for the lower-triangular system A a_G = a_F.
 
-    Raises IllConditionedError when a diagonal entry is below 1e-10 in
-    magnitude (signals p f_q mass concentration), NumericalError if the
-    final residual exceeds 1e-12 * |a_F|_inf.
+    Raises NumericalError on a non-finite entry of A or a_F,
+    IllConditionedError when a diagonal entry is below 1e-10 in magnitude
+    (signals p f_q mass concentration), and NumericalError if the final
+    residual exceeds 1e-12 * |a_F|_inf.
     """
     A = np.asarray(A, dtype=float)
     a_F = np.asarray(a_F, dtype=float)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(a_F))):
+        raise NumericalError("triangular system has non-finite entries")
     min_diag = np.min(np.abs(np.diag(A)))
     if min_diag < _DIAG_FLOOR:
         raise IllConditionedError(f"triangular system near-singular: min |diag| = {min_diag:.3e}")
@@ -379,20 +412,26 @@ def _closed_coeffs_exponential(
 def _quadrature_coeffs(
     model: LevyModel, theta: ThetaParams, params: LaguerreParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """a^f, a^F by adaptive quadrature of the H-kernels against nu."""
+    """a^f, a^F by adaptive Gauss-Kronrod cubature of the H-kernels against nu.
+
+    Each rule evaluation hands all of its nodes to one kernel sweep.
+    """
     jumps = model.jumps
     n = params.K + 1
 
-    def integrand(z):
-        zz = np.asarray([z], dtype=float)
-        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, zz)
-        return np.concatenate([H_f[:, 0], H_F[:, 0]]) * float(jumps.density(zz)[0])
+    def integrand(zz):
+        z = zz[:, 0]
+        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, z)
+        return (np.concatenate([H_f, H_F]) * jumps.density(z)).T
 
-    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
-    scale = max(float(np.max(np.abs(res))), 1.0)
-    if err > 1e-6 * scale:
-        raise NumericalError("coefficient quadrature did not converge", residual=float(err))
-    return res[:n], res[n:]
+    res = integrate.cubature(
+        integrand, [0.0], [np.inf], rtol=1e-9, atol=1e-12, max_subdivisions=200
+    )
+    est, err = res.estimate, float(np.max(res.error))
+    scale = max(float(np.max(np.abs(est))), 1.0)
+    if res.status != "converged" or err > 1e-6 * scale:
+        raise NumericalError("coefficient quadrature did not converge", residual=err)
+    return est[:n], est[n:]
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,17 @@ def _draw_jumps(
     return times, sizes, 0.0
 
 
+def _jumps_by_time(jt: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Number of jump times <= t_i for each grid time: searchsorted(jt, t, side="right").
+
+    Bins each jump at the first grid time it does not exceed and accumulates
+    the bin counts, O(n + #jumps) instead of a binary search per grid point.
+    """
+    count = np.bincount(np.searchsorted(t, jt, side="left"), minlength=len(t) + 1)
+    np.cumsum(count, out=count)
+    return count[: len(t)]
+
+
 def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> ObservationSet:
     """Exact simulation of the observation set: grid values plus jumps > eps.
 
@@ -206,14 +217,17 @@ def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> Observation
     jt, js, small_drift = _draw_jumps(model.jumps, T, eps, rng)
 
     t = np.arange(n + 1) * dt
+    jumps_so_far = _jumps_by_time(jt, t)
+    # X = x0 + (c - drift) t + W - L, accumulated in place in t's buffer in
+    # that order (same rounding as the expression, no grid-sized temporaries)
+    X = t
+    X *= model.c - small_drift
+    X += model.x0
     if model.D > 0:
         incr = rng.normal(0.0, model.sigma * math.sqrt(dt), size=n)
-        W = np.concatenate([[0.0], np.cumsum(incr)])
-    else:
-        W = np.zeros(n + 1)
+        X[1:] += np.cumsum(incr, out=incr)  # W_0 = 0
     cum_jumps = np.concatenate([[0.0], np.cumsum(js)])
-    L_on_grid = cum_jumps[np.searchsorted(jt, t, side="right")]
-    X = model.x0 + (model.c - small_drift) * t + W - L_on_grid
+    X -= cum_jumps[jumps_so_far]
 
     recorded = js > eps
     return ObservationSet(

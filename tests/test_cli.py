@@ -73,6 +73,22 @@ class TestCompute:
         assert len(coeffs["a_G"]) == 21
 
 
+    def test_one_kernel_evaluation(self, tmp_path, monkeypatch):
+        import qscale.series as series_mod
+
+        calls = []
+        orig = series_mod.kernels
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(series_mod, "kernels", counting)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["compute", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+
+
 class TestSimulate:
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

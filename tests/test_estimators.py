@@ -381,6 +381,53 @@ class TestCovarianceMachinery:
         assert np.array_equal(cov.W_hat, approx.w(x))
         assert np.array_equal(cov.Z_hat, approx.z(x))
 
+    @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
+    def test_jump_kernels_swept_once_per_replication(
+        self, model_name, params20, request, monkeypatch
+    ):
+        # estimate_coeffs sweeps the jump sizes once and carries (H, dH/dgamma);
+        # covariance_machinery sweeps only for estimates without that stack,
+        # and both routes give the same Sigma and Gamma
+        import qscale.estimators as est_mod
+
+        model = request.getfixturevalue(model_name)
+        obs = simulate(model, make_scheme(50.0), seed=14)
+        calls = []
+        orig = est_mod.h_functionals_at
+
+        def counting(c, D, gamma, params, z, *args, **kwargs):
+            calls.append(len(np.atleast_1d(z)))
+            return orig(c, D, gamma, params, z, *args, **kwargs)
+
+        monkeypatch.setattr(est_mod, "h_functionals_at", counting)
+        est = estimate_coeffs(obs, model.q, model.c, params20)
+        assert calls == [len(obs.jump_sizes)]
+        calls.clear()
+        x = np.array([1.0, 3.0])
+        carried = covariance_machinery(obs, est, model.c, model.q, x)
+        assert calls == []
+        bare = PipelineEstimates(D_raw=est.D_raw, gamma=est.gamma, coeffs=est.coeffs)
+        swept = covariance_machinery(obs, bare, model.c, model.q, x)
+        assert calls == [len(obs.jump_sizes)]
+        assert np.array_equal(carried.Sigma, swept.Sigma)
+        assert np.array_equal(carried.Gamma, swept.Gamma)
+        assert np.array_equal(carried.W_lo, swept.W_lo)
+
+    def test_gamma_column_matches_fd_of_kernels(self, exp_jump_model, params20):
+        # the analytic column nu_hat(dH/dgamma) against a central difference
+        obs = simulate(exp_jump_model, make_scheme(100.0), seed=15)
+        est = estimate_coeffs(obs, 0.1, 1.5, params20)
+        cov = covariance_machinery(obs, est, 1.5, 0.1, [1.0])
+        th, h, z = est.theta, 1e-6, obs.jump_sizes
+
+        def nu_stack(gamma):
+            Hp, Hf, HF = h_functionals_at(1.5, th.D, gamma, params20, z)
+            return np.vstack([Hf, HF, Hp[None, :]]).sum(axis=1) / obs.scheme.T
+
+        fd = (nu_stack(th.gamma + h) - nu_stack(th.gamma - h)) / (2 * h)
+        col = cov.Gamma[:-1, -1]
+        assert np.max(np.abs(col - fd)) <= 1e-7 * np.max(np.abs(col))
+
     def test_build_B_linearizes_triangular_solve(self, exp_jump_model):
         # -A^{-1} B (delta_f, delta_F) reproduces the change in a^G
         from qscale.series import build_Af, solve_aG
@@ -407,6 +454,20 @@ class TestOracleModeReport:
         assert rep.cov.W_hat == pytest.approx(ap.w(xs), rel=0, abs=0)
         assert rep.cov.Z_hat == pytest.approx(ap.z(xs), rel=0, abs=0)
         assert rep.flags.get("oracle_mode") is True
+
+    def test_one_kernel_evaluation(self, exp_jump_model, params20, monkeypatch):
+        import qscale.series as series_mod
+
+        calls = []
+        orig = series_mod.kernels
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(series_mod, "kernels", counting)
+        report_from_true_model(exp_jump_model, params20, np.linspace(0, 5, 21))
+        assert len(calls) == 1
 
     def test_report_json_round_trips(self, exp_jump_model, params20, tmp_path):
         import json

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
-from qscale.exceptions import DomainError, IllConditionedError
+from qscale.exceptions import DomainError, IllConditionedError, NumericalError
 from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all
 from qscale.levy import (
     CompoundPoissonExponential,
@@ -149,6 +149,37 @@ class TestHFunctionals:
         assert H_F[k, 0] == pytest.approx(hF, abs=1e-9)
 
 
+def _fd_gamma(c, D, gamma, params, z, h=1e-6):
+    up = h_functionals_at(c, D, gamma + h, params, z)
+    dn = h_functionals_at(c, D, gamma - h, params, z)
+    return [(a - b) / (2 * h) for a, b in zip(up, dn)]
+
+
+class TestHFunctionalsGammaDerivative:
+    @pytest.mark.parametrize("D", [0.5, 0.0])
+    @pytest.mark.parametrize("gamma", [0.0625, 0.0, 1e-12])
+    def test_matches_central_fd(self, params20, D, gamma):
+        z = np.linspace(0.05, 8.0, 40)
+        vals, d_gamma = h_functionals_at(1.5, D, gamma, params20, z, d_gamma=True)
+        plain = h_functionals_at(1.5, D, gamma, params20, z)
+        for v, d, fd, w in zip(vals, d_gamma, _fd_gamma(1.5, D, gamma, params20, z), plain):
+            scale = max(np.max(np.abs(v)), np.max(np.abs(d)))
+            assert np.max(np.abs(d - fd)) <= 1e-7 * scale
+            # the values from the derivative sweep are the plain values
+            assert np.max(np.abs(v - w)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("D,gamma", [(0.5, 0.0625), (0.0, 0.0711)])
+    def test_matches_fd_of_nested_quadrature(self, D, gamma):
+        z, k, h = 2.0, 3, 1e-4
+        p = LaguerreParams(1.0, 12)
+        _, (d_Hp, d_Hf, d_HF) = h_functionals_at(1.5, D, gamma, p, np.array([z]), d_gamma=True)
+        up = h_functionals_quadrature(1.5, ThetaParams(D, gamma + h), p, z, k)
+        dn = h_functionals_quadrature(1.5, ThetaParams(D, gamma - h), p, z, k)
+        fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
+        got = [d_Hp[0], d_Hf[k, 0], d_HF[k, 0]]
+        assert got == pytest.approx(fd, abs=1e-7 * max(abs(g) for g in got))
+
+
 class TestCoeffsTrue:
     def test_no_jumps_all_zero(self, brownian_model, params20):
         cs = coeffs_true(brownian_model, params20)
@@ -161,6 +192,18 @@ class TestCoeffsTrue:
         assert c1.a_f == pytest.approx(c2.a_f, abs=1e-9)
         assert c1.a_F == pytest.approx(c2.a_F, abs=1e-9)
         assert c1.p == pytest.approx(c2.p, rel=1e-12)
+
+    def test_unconverged_quadrature_raises(self, gamma_sub_model, params20, monkeypatch):
+        from scipy import integrate
+
+        real = integrate.cubature
+
+        def starved(*args, **kwargs):
+            return real(*args, **{**kwargs, "max_subdivisions": 1})
+
+        monkeypatch.setattr(integrate, "cubature", starved)
+        with pytest.raises(NumericalError, match="did not converge"):
+            coeffs_true(gamma_sub_model, params20)
 
     def test_af_matches_grid_projection(self, exp_jump_model, params20):
         # a^f_k = <p f_q, phi_k> computed on a dense grid
@@ -236,6 +279,13 @@ class TestSolveAG:
         A[1, 1] = 1e-12
         with pytest.raises(IllConditionedError):
             solve_aG(A, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(NumericalError):
+            solve_aG(build_Af(np.array([0.1, bad, 0.2]), 1.0), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(NumericalError):
+            solve_aG(np.eye(3), np.array([1.0, bad, 3.0]))
 
 
 class TestGbarPartialSum:

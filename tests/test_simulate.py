@@ -14,6 +14,7 @@ from qscale.levy import (
 )
 from qscale.simulate import (
     SamplingScheme,
+    _jumps_by_time,
     load_observation,
     make_scheme,
     s2_quantity,
@@ -129,6 +130,46 @@ class TestSimulate:
         t = obs.times
         lsum = np.array([obs.jump_sizes[obs.jump_times <= tt].sum() for tt in t])
         assert obs.grid == pytest.approx(2.0 * t - lsum, abs=1e-12)
+
+
+class TestJumpAccumulator:
+    """The path accumulator counts the jumps up to each grid time exactly as a
+    binary search of every grid time among the jump times."""
+
+    @staticmethod
+    def _reference(jt, t):
+        return np.searchsorted(jt, t, side="right")
+
+    def test_edge_cases_bit_identical(self):
+        t = np.arange(11) * 0.1
+        cases = [
+            np.empty(0),
+            np.array([t[2]]),                       # exactly on a grid time
+            np.array([t[5] + 1e-3, t[5] + 2e-3]),   # two jumps in one bin
+            np.array([0.0, t[3], t[3], t[10]]),     # at both ends, a repeated time
+            np.array([t[10] + 1e-9]),               # after the last grid time
+        ]
+        for jt in cases:
+            got = _jumps_by_time(jt, t)
+            assert got.dtype == self._reference(jt, t).dtype
+            assert np.array_equal(got, self._reference(jt, t))
+
+    def test_random_paths_bit_identical(self):
+        rng = np.random.default_rng(7)
+        for n, m in [(1000, 5), (1000, 3000), (40_000, 200)]:
+            t = np.arange(n + 1) * (10.0 / n)
+            jt = np.sort(np.concatenate([rng.uniform(0.0, 10.0, m), t[rng.integers(0, n, 3)]]))
+            assert np.array_equal(_jumps_by_time(jt, t), self._reference(jt, t))
+
+    def test_simulated_grid_uses_same_jump_sums(self):
+        # sigma = 0: the grid equals drift minus the jump sum indexed the old way
+        m = LevyModel(x0=0.5, c=2.0, D=0.0, jumps=CompoundPoissonExponential(3.0, 1.0), q=0.0)
+        s = SamplingScheme(n=5000, delta=0.01, eps=1e-12)
+        obs = simulate(m, s, seed=9)
+        t = np.arange(s.n + 1) * s.delta
+        cum = np.concatenate([[0.0], np.cumsum(obs.jump_sizes)])
+        want = 0.5 + 2.0 * t + np.zeros(s.n + 1) - cum[self._reference(obs.jump_times, t)]
+        assert np.array_equal(obs.grid, want)
 
 
 class TestSerialization:
