@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .exceptions import (
     ConfigError,
+    DataError,
     DegenerateEstimateError,
     DomainError,
     GridTooCoarseError,
@@ -38,7 +39,7 @@ from .estimators import EstimationReport, build_report
 
 __all__ = [
     "__version__",
-    "QScaleError", "ConfigError", "DomainError", "NumericalError",
+    "QScaleError", "ConfigError", "DataError", "DomainError", "NumericalError",
     "IllConditionedError", "GridTooCoarseError", "DegenerateEstimateError",
     "LaguerreParams", "laguerre_poly", "laguerre_fn", "psi_integral", "partial_sum",
     "JumpMeasure", "NoJumps", "CompoundPoissonExponential", "CompoundPoissonGamma",

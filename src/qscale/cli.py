@@ -6,9 +6,10 @@
     scale mc       --config cfg.json [--out DIR]
 
 Exit codes: 0 success, 2 configuration/domain error, 3 numerical failure,
-4 I/O error.  Every run writes a manifest (config hash, versions, seeds) so
-reruns are byte-identical.  SCALE_WORKERS overrides mc.workers; either is
-clamped to the usable cores.
+4 I/O error, including observation files that fail the checks of
+load_observation.  Every run writes a manifest (config hash, versions,
+seeds) so reruns are byte-identical.  SCALE_WORKERS overrides mc.workers;
+either is clamped to the usable cores.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, load_config
-from .exceptions import ConfigError, DegenerateEstimateError, DomainError, NumericalError
+from .exceptions import (
+    ConfigError,
+    DataError,
+    DegenerateEstimateError,
+    DomainError,
+    NumericalError,
+)
 from .estimators import build_report, report_from_true_model, write_ci_csv
 from .mc import MC_COLUMNS, McWorkerFailure, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
@@ -233,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

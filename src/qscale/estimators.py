@@ -340,7 +340,7 @@ def covariance_machinery(
         C[:, 2 * K + 2] = P.d_p - coeffs.a_G @ Q.d_p
         C[:, 2 * K + 3] = P.d_gamma - coeffs.a_G @ Q.d_gamma
         rows[:, r] = scale * (C @ Gamma)
-    joint = np.einsum("xai,ij,xbj->xab", rows, Sigma, rows)
+    joint = np.einsum("xai,xbi->xab", rows @ Sigma, rows)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 
     zq = float(special.ndtri(0.5 + level / 2.0))

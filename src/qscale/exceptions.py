@@ -1,9 +1,10 @@
 """Error hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, NumericalError and
-subclasses -> 3, I/O problems -> 4.  DomainError signals inputs outside a
-formula's mathematical domain (e.g. net profit condition violated) and is
-treated as a configuration problem at the CLI boundary.
+subclasses -> 3, I/O problems (OSError, DataError) -> 4.  DomainError
+signals inputs outside a formula's mathematical domain (e.g. net profit
+condition violated) and is treated as a configuration problem at the CLI
+boundary.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ class DomainError(QScaleError, ValueError):
 
 class ConfigError(QScaleError, ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+class DataError(QScaleError, ValueError):
+    """An input data file is malformed or disagrees with its sidecar."""
 
 
 class NumericalError(QScaleError, RuntimeError):

@@ -23,6 +23,7 @@ full nested-quadrature evaluation is retained as a cross-check mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -155,11 +156,33 @@ def _gamma_window(gamma: float, z: np.ndarray) -> np.ndarray:
     return -np.expm1(-gamma * z) / gamma
 
 
-def _gamma_window_d(gamma: float, z: np.ndarray, kg: np.ndarray) -> np.ndarray:
-    """d/dgamma of the window kg = _gamma_window(gamma, z), with the gamma -> 0 limit -z^2/2."""
-    if abs(gamma) < 1e-10:
-        return -0.5 * z * z
-    return (z * np.exp(-gamma * z) - kg) / gamma
+# Taylor coefficients (m + 1) / (m + 2)! of g(u) = ((u - 1) e^u + 1) / u^2, m = 0..11;
+# for |u| < 0.1 the first term left out is below 1e-21 of g
+_EXPM1_DB_TAYLOR = tuple((m + 1) / math.factorial(m + 2) for m in range(12))
+
+
+def _expm1_ratio_db(b: float, x) -> np.ndarray:
+    """d/db of (e^{bx} - 1)/b at fixed x, continuous through b = 0 (limit x^2 / 2).
+
+    Equals x^2 g(bx) with g(u) = ((u - 1) expm1(u) + u) / u^2.  That closed form
+    cancels for small |u|, so |u| < 0.1 sums the Taylor series of g instead.
+    """
+    x = np.asarray(x, dtype=float)
+    u = b * x
+    small = np.abs(u) < 0.1
+    us, ul = u[small], u[~small]
+    g = np.empty_like(u)
+    acc = np.zeros_like(us)
+    for coef in reversed(_EXPM1_DB_TAYLOR):
+        acc = acc * us + coef
+    g[small] = acc
+    g[~small] = ((ul - 1.0) * np.expm1(ul) + ul) / (ul * ul)
+    return x * x * g
+
+
+def _gamma_window_d(gamma: float, z: np.ndarray) -> np.ndarray:
+    """d/dgamma of the window _gamma_window(gamma, z) = (e^{bz} - 1)/b at b = -gamma."""
+    return -_expm1_ratio_db(-gamma, z)
 
 
 def _v_ladder(u: np.ndarray, st: float, alpha: float) -> np.ndarray:
@@ -201,7 +224,7 @@ def h_functionals_at(
     if d_gamma:
         psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
         d_psi = -d_psi
-        d_kg = _gamma_window_d(gamma, z, kg)
+        d_kg = _gamma_window_d(gamma, z)
     else:
         psi = psi_integral_all(params, z, -gamma)  # Psi_k(z; -gamma), (K+1, nz)
 
@@ -483,16 +506,12 @@ def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Ke
 def _exp_atoms(x, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives.
 
-    The starred atom takes its b -> 0 limits x and x^2 / 2 for |b| < 1e-10.
+    The starred atom takes its b -> 0 limit x for |b| < 1e-10.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(b * x)
-    if abs(b) < 1e-10:
-        star, d_star = x, 0.5 * x * x
-    else:
-        star = np.expm1(b * x) / b
-        d_star = (x * e - star) / b
-    return np.stack([e, star]), np.stack([x * e, d_star])
+    star = x if abs(b) < 1e-10 else np.expm1(b * x) / b
+    return np.stack([e, star]), np.stack([x * e, _expm1_ratio_db(b, x)])
 
 
 def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:

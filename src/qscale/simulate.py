@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DataError, DomainError
 from .levy import GammaSubordinator, JumpMeasure, LevyModel
 from .tabular import write_csv
 
@@ -251,20 +252,64 @@ def save_observation(obs: ObservationSet, grid_path, jumps_path, sidecar_path) -
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
+def _read_sidecar(path) -> tuple[SamplingScheme, int]:
+    """(scheme, seed) from the JSON sidecar written by save_observation."""
+    try:
+        sidecar = json.loads(Path(path).read_text())
+        return SamplingScheme.from_dict(sidecar["scheme"]), int(sidecar["seed"])
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, wrong types, invalid scheme
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_table(path, header: str, ncols: int) -> np.ndarray:
+    """The rows of a CSV written by write_csv under `header`, (rows, ncols), all finite."""
+    try:
+        with open(path) as f:
+            first = f.readline().rstrip("\n")
+        with warnings.catch_warnings():
+            # a file holding only its header is an empty table
+            warnings.simplefilter("ignore", UserWarning)
+            # by path, not by the open handle: loadtxt reads a path in chunks
+            # but iterates a handle line by line, which is slower
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # unparsable cell, ragged row, undecodable bytes
+        raise DataError(f"{path}: {exc}") from exc
+    if first != header:
+        raise DataError(f"{path}: header {first!r}, expected {header!r}")
+    if rows.size == 0:
+        return np.empty((0, ncols))
+    if rows.shape[1] != ncols:
+        raise DataError(f"{path}: {rows.shape[1]} columns, expected {ncols}")
+    if not np.isfinite(rows).all():
+        raise DataError(f"{path}: non-finite value")
+    return rows
+
+
 def load_observation(grid_path, jumps_path, sidecar_path) -> ObservationSet:
-    sidecar = json.loads(Path(sidecar_path).read_text())
-    scheme = SamplingScheme.from_dict(sidecar["scheme"])
-    grid_rows = np.loadtxt(grid_path, delimiter=",", skiprows=1, ndmin=2)
-    jump_lines = Path(jumps_path).read_text().splitlines()[1:]
-    if jump_lines:
-        jumps_rows = np.loadtxt(jump_lines, delimiter=",", ndmin=2)
-        jt, js = jumps_rows[:, 0], jumps_rows[:, 1]
-    else:
-        jt, js = np.empty(0), np.empty(0)
-    return ObservationSet(
-        grid=grid_rows[:, 2],
-        jump_times=jt,
-        jump_sizes=js,
-        scheme=scheme,
-        seed=int(sidecar["seed"]),
-    )
+    """Read back what save_observation wrote, checking it on the way.
+
+    Raises DataError unless the sidecar holds the scheme and the seed, the
+    headers are ``i,t,X`` and ``t,size``, the grid has n + 1 finite rows with
+    i = 0..n and t = i * delta bit for bit (the writer's shortest repr reads
+    back exactly), and the jumps are finite, their times sorted in [0, T] and
+    their sizes above eps.
+    """
+    scheme, seed = _read_sidecar(sidecar_path)
+    n = scheme.n
+    grid = _read_table(grid_path, "i,t,X", 3)
+    if len(grid) != n + 1:
+        raise DataError(f"{grid_path}: {len(grid)} rows, expected n + 1 = {n + 1}")
+    i = np.arange(n + 1)
+    if not np.array_equal(grid[:, 0], i):
+        raise DataError(f"{grid_path}: column i is not 0..{n}")
+    if not np.array_equal(grid[:, 1], i * scheme.delta):
+        raise DataError(f"{grid_path}: column t is not i * delta, delta = {scheme.delta!r}")
+    jumps = _read_table(jumps_path, "t,size", 2)
+    jt, js = jumps[:, 0], jumps[:, 1]
+    if len(jt) and (jt[0] < 0 or jt[-1] > scheme.T or np.any(np.diff(jt) < 0)):
+        raise DataError(f"{jumps_path}: jump times are not sorted in [0, T = {scheme.T!r}]")
+    if np.any(js <= scheme.eps):
+        raise DataError(f"{jumps_path}: jump sizes must exceed eps = {scheme.eps!r}")
+    return ObservationSet(grid=grid[:, 2], jump_times=jt, jump_sizes=js, scheme=scheme, seed=seed)

@@ -157,6 +157,86 @@ class TestEstimate:
         ) == 4
 
 
+def _edit_cell(path: Path, row: int, col: int, text: str) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _truncate_mid_row(d: Path) -> None:
+    data = (d / "grid.csv").read_bytes()
+    (d / "grid.csv").write_bytes(data[: len(data) // 2 + 3])
+
+
+def _drop_last_rows(d: Path) -> None:
+    lines = (d / "grid.csv").read_text().splitlines()
+    (d / "grid.csv").write_text("\n".join(lines[:-10]) + "\n")
+
+
+def _drop_sidecar_key(key: str):
+    def corrupt(d: Path) -> None:
+        sidecar = json.loads((d / "observation.json").read_text())
+        del sidecar[key]
+        (d / "observation.json").write_text(json.dumps(sidecar))
+
+    return corrupt
+
+
+def _swap_first_jump_times(d: Path) -> None:
+    lines = (d / "jumps.csv").read_text().splitlines()
+    t1, t2 = lines[1].split(",")[0], lines[2].split(",")[0]
+    _edit_cell(d / "jumps.csv", 1, 0, t2)
+    _edit_cell(d / "jumps.csv", 2, 0, t1)
+
+
+CORRUPTIONS = {
+    "grid_truncated_mid_row": _truncate_mid_row,
+    "grid_truncated_rows": _drop_last_rows,
+    "grid_non_numeric_cell": lambda d: _edit_cell(d / "grid.csv", 5, 2, "abc"),
+    "grid_nan_cell": lambda d: _edit_cell(d / "grid.csv", 5, 2, "nan"),
+    "grid_inf_cell": lambda d: _edit_cell(d / "grid.csv", 7, 2, "-inf"),
+    "grid_t_column": lambda d: _edit_cell(d / "grid.csv", 5, 1, "0.2000001"),
+    "grid_i_column": lambda d: _edit_cell(d / "grid.csv", 5, 0, "7"),
+    "grid_header": lambda d: _edit_cell(d / "grid.csv", 0, 2, "Y"),
+    "grid_extra_column": lambda d: _edit_cell(d / "grid.csv", 3, 2, "0.5,0.5"),
+    "sidecar_missing_seed": _drop_sidecar_key("seed"),
+    "sidecar_missing_scheme": _drop_sidecar_key("scheme"),
+    "sidecar_not_json": lambda d: (d / "observation.json").write_text("{not json"),
+    "sidecar_bad_scheme": lambda d: (d / "observation.json").write_text(
+        json.dumps({"scheme": {"n": -4, "delta": 0.05, "eps": 0.2}, "seed": 11})
+    ),
+    "jump_time_past_T": lambda d: _edit_cell(
+        d / "jumps.csv", len((d / "jumps.csv").read_text().splitlines()) - 1, 0, "999.0"
+    ),
+    "jump_time_negative": lambda d: _edit_cell(d / "jumps.csv", 1, 0, "-0.5"),
+    "jump_times_unsorted": _swap_first_jump_times,
+    "jump_size_below_eps": lambda d: _edit_cell(d / "jumps.csv", 1, 1, "1e-12"),
+    "jump_size_nan": lambda d: _edit_cell(d / "jumps.csv", 1, 1, "nan"),
+    "jumps_header": lambda d: _edit_cell(d / "jumps.csv", 0, 0, "time"),
+}
+
+
+class TestCorruptObservation:
+    """Every malformed observation file ends in exit 4 and one stderr line."""
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_estimate_exits_4(self, tmp_path, capsys, name):
+        cfg = write_config(
+            tmp_path / "cfg.json", scheme={"T": 20, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11}
+        )
+        data = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        assert len((data / "jumps.csv").read_text().splitlines()) >= 3
+        assert main(["estimate", "--config", str(cfg), "--data", str(data)]) == 0
+        capsys.readouterr()
+        CORRUPTIONS[name](data)
+        assert main(["estimate", "--config", str(cfg), "--data", str(data)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+
+
 class TestMc:
     def test_single_replication_matches_estimate(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", mc={"replications": 1, "workers": 1})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,10 @@ from qscale.levy import (
 )
 from qscale.oracles import compound_geometric_grid, laplace_invert_scale
 from qscale.series import (
+    _exp_atoms,
+    _expm1_ratio_db,
+    _gamma_window,
+    _gamma_window_d,
     build_Af,
     coeffs_true,
     eval_P,
@@ -178,6 +184,62 @@ class TestHFunctionalsGammaDerivative:
         fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
         got = [d_Hp[0], d_Hf[k, 0], d_HF[k, 0]]
         assert got == pytest.approx(fd, abs=1e-7 * max(abs(g) for g in got))
+
+
+def _expm1_ratio_db_reference(b: float, x: float) -> float:
+    """x^2 sum_m (m+1)/(m+2)! (bx)^m in exact rational arithmetic, to 1e-40."""
+    u = Fraction(b) * Fraction(x)
+    total, power, fact, m = Fraction(0), Fraction(1), 2, 0
+    while True:
+        term = (m + 1) * power / fact
+        total += term
+        if m > 10 and abs(term) < Fraction(1, 10**40):
+            return float(Fraction(x) ** 2 * total)
+        m += 1
+        power *= u
+        fact *= m + 2
+
+
+class TestExpm1RatioDb:
+    """d/db of (e^{bx} - 1)/b: the starred b-derivative and the gamma-window derivative."""
+
+    XS = np.linspace(0.0, 10.0, 41)
+
+    @pytest.mark.parametrize("b", [2e-10, -2e-10, 1e-8, -1e-8, 1e-3, -1e-3, 0.5, -0.5])
+    def test_matches_taylor_reference(self, b):
+        got = _expm1_ratio_db(b, self.XS)
+        want = np.array([_expm1_ratio_db_reference(b, x) for x in self.XS])
+        assert got[0] == want[0] == 0.0
+        assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-14
+
+    def test_limit_at_zero(self):
+        assert np.array_equal(_expm1_ratio_db(0.0, self.XS), 0.5 * self.XS**2)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
+    def test_continuous_across_series_switch(self, x):
+        # |bx| = 0.1 is where the Taylor branch hands over to the closed form
+        for b in (0.1 / x, -0.1 / x):
+            below, above = np.nextafter(b, 0.0), b
+            lo, hi = _expm1_ratio_db(below, np.array([x])), _expm1_ratio_db(above, np.array([x]))
+            assert hi[0] == pytest.approx(lo[0], rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [2e-10, 1e-8, 1e-3, 0.5, 0.0])
+    def test_gamma_window_derivative(self, gamma):
+        z = np.array([0.5, 1.0, 3.0])
+        got = _gamma_window_d(gamma, z)
+        want = -np.array([_expm1_ratio_db_reference(-gamma, zz) for zz in z])
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        # and it is the derivative of the window itself
+        if gamma >= 1e-3:
+            h = 1e-5
+            fd = (_gamma_window(gamma + h, z) - _gamma_window(gamma - h, z)) / (2 * h)
+            assert got == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("b", [2e-10, -1e-8, 0.3])
+    def test_starred_atom_derivative(self, b):
+        x = np.linspace(0.0, 10.0, 11)
+        _, d_atoms = _exp_atoms(x, b)
+        assert np.array_equal(d_atoms[1], _expm1_ratio_db(b, x))
 
 
 class TestCoeffsTrue:
