@@ -30,9 +30,10 @@ from .levy import (
     laplace_exponent,
     laplace_exponent_deriv,
     lundberg_exponent,
-    nu_functional_exact,
 )
-from .oracles import closed_form_W, compound_geometric_grid, laplace_invert_scale
+from .oracles import (
+    closed_form_W, compound_geometric_grid, laplace_invert_scale, nu_functional_exact,
+)
 from .series import CoefficientSet, ScaleApprox, coeffs_true, scale_approx
 from .simulate import ObservationSet, SamplingScheme, make_scheme, simulate
 from .estimators import EstimationReport, build_report

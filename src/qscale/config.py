@@ -19,19 +19,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DomainError
 from .laguerre import LaguerreParams
-from .levy import LevyModel, model_from_dict
+from .levy import (
+    CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, JumpMeasure, LevyModel,
+    NoJumps,
+)
 from .simulate import SamplingScheme, make_scheme
 
-__all__ = ["ExperimentConfig", "load_config", "config_hash"]
+__all__ = [
+    "ExperimentConfig", "parse_config", "load_config", "config_hash",
+    "jump_measure_from_dict", "model_from_dict",
+]
 
 _FORMATS = {"csv", "json"}
+
+# exact field names are part of the CLI contract
+_JUMP_KINDS = {
+    "none": (NoJumps, ()),
+    "compound-poisson-exponential": (CompoundPoissonExponential, ("rate", "jump_mean")),
+    "compound-poisson-gamma": (CompoundPoissonGamma, ("rate", "shape", "scale")),
+    "gamma-subordinator": (GammaSubordinator, ("shape", "rate")),
+}
 
 
 @dataclass(frozen=True)
@@ -70,18 +86,79 @@ class ExperimentConfig:
                 raise ConfigError(f"config block {b!r} is required for this command")
 
 
+def _block(d: dict, name: str) -> dict:
+    """The config block d[name], which must be a JSON object."""
+    block = d[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be an object, got {block!r}")
+    return block
+
+
 def _check_number(block: dict, key: str, blockname: str, default=None):
+    """block[key] as given: a finite real number (bools and strings are rejected)."""
     if key not in block:
         if default is not None:
             return default
         raise ConfigError(f"{blockname} block missing field {key!r}")
     v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{blockname}.{key} must be a number, got {v!r}")
+    # the magnitude test also rejects nan, +-inf and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{blockname}.{key} must be a finite number, got {v!r}")
     return v
 
 
+def jump_measure_from_dict(d: dict) -> JumpMeasure:
+    """Build a jump measure from {kind, <the kind's parameters>}."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError("jumps block must be an object with a 'kind' field")
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in _JUMP_KINDS:
+        raise ConfigError(f"unknown jump kind {kind!r}; expected one of {sorted(_JUMP_KINDS)}")
+    cls, fields = _JUMP_KINDS[kind]
+    missing = [f for f in fields if f not in d]
+    if missing:
+        raise ConfigError(f"jump kind {kind!r} missing parameters {missing}")
+    extra = set(d) - set(fields) - {"kind"}
+    if extra:
+        raise ConfigError(f"jump kind {kind!r} got unexpected parameters {sorted(extra)}")
+    values = {f: float(_check_number(d, f, "jumps")) for f in fields}
+    try:
+        return cls(**values)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def model_from_dict(d: dict) -> LevyModel:
+    """Build a LevyModel from {x0, c, sigma or D, q, jumps: {...}}."""
+    if not isinstance(d, dict):
+        raise ConfigError("model block must be an object")
+    required = {"x0", "c", "jumps"}
+    missing = required - set(d)
+    if missing:
+        raise ConfigError(f"model block missing fields {sorted(missing)}")
+    if "sigma" in d and "D" in d:
+        raise ConfigError("model block must give exactly one of 'sigma' or 'D'")
+    if "sigma" in d:
+        sigma = float(_check_number(d, "sigma", "model"))
+        D = 0.5 * sigma * sigma
+        if not math.isfinite(D):
+            raise ConfigError(f"model.sigma = {sigma!r} gives a non-finite D")
+    elif "D" in d:
+        D = float(_check_number(d, "D", "model"))
+    else:
+        raise ConfigError("model block must give one of 'sigma' or 'D'")
+    x0 = float(_check_number(d, "x0", "model"))
+    c = float(_check_number(d, "c", "model"))
+    q = float(_check_number(d, "q", "model", default=0.0))
+    jumps = jump_measure_from_dict(d["jumps"])
+    try:
+        return LevyModel(x0=x0, c=c, D=D, jumps=jumps, q=q)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(d: dict) -> ExperimentConfig:
+    """Validate a decoded config; any malformed field raises ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
     if "model" not in d:
@@ -90,7 +167,7 @@ def parse_config(d: dict) -> ExperimentConfig:
 
     laguerre = None
     if "laguerre" in d:
-        lb = d["laguerre"]
+        lb = _block(d, "laguerre")
         alpha = _check_number(lb, "alpha", "laguerre", default=1.0)
         K = _check_number(lb, "K", "laguerre")
         if int(K) != K:
@@ -102,28 +179,34 @@ def parse_config(d: dict) -> ExperimentConfig:
 
     scheme = None
     if "scheme" in d:
-        sb = d["scheme"]
+        sb = _block(d, "scheme")
+        seed = _check_number(sb, "seed", "scheme", default=0)
+        if int(seed) != seed or seed < 0:
+            raise ConfigError(f"scheme.seed must be a nonnegative integer, got {seed}")
         scheme = SchemeConfig(
             T=float(_check_number(sb, "T", "scheme")),
             a=float(_check_number(sb, "a", "scheme", default=1.0)),
             rho=float(_check_number(sb, "rho", "scheme", default=0.49)),
             c_eps=float(_check_number(sb, "c_eps", "scheme", default=1.0)),
-            seed=int(_check_number(sb, "seed", "scheme", default=0)),
+            seed=int(seed),
         )
-        scheme.build()  # validate ranges now, not at run time
+        try:
+            scheme.build()  # validate ranges now, not at run time
+        except OverflowError as exc:
+            raise ConfigError(f"scheme.T = {scheme.T!r} is too large: {exc}") from exc
 
     mc = None
     if "mc" in d:
-        mb = d["mc"]
+        mb = _block(d, "mc")
         reps = _check_number(mb, "replications", "mc")
         if int(reps) != reps or reps < 1:
             raise ConfigError(f"mc.replications must be a positive integer, got {reps}")
         workers = int(_check_number(mb, "workers", "mc", default=1))
         if workers < 1:
             raise ConfigError(f"mc.workers must be >= 1, got {workers}")
-        D_window = mb.get("D_window")
-        if D_window is not None:
-            D_window = float(D_window)
+        D_window = None
+        if mb.get("D_window") is not None:
+            D_window = float(_check_number(mb, "D_window", "mc"))
             if D_window <= 0:
                 raise ConfigError("mc.D_window must be > 0")
         mc = McConfig(replications=int(reps), workers=workers, D_window=D_window)
@@ -131,18 +214,21 @@ def parse_config(d: dict) -> ExperimentConfig:
     out_dir = "out"
     formats: tuple[str, ...] = ("csv", "json")
     if "output" in d:
-        ob = d["output"]
+        ob = _block(d, "output")
         out_dir = ob.get("directory", "out")
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigError("output.directory must be a non-empty string")
         fmts = ob.get("formats", ["csv", "json"])
-        if not isinstance(fmts, list) or not fmts or not set(fmts) <= _FORMATS:
+        if (
+            not isinstance(fmts, list) or not fmts
+            or not all(isinstance(f, str) and f in _FORMATS for f in fmts)
+        ):
             raise ConfigError(f"output.formats must be a non-empty subset of {sorted(_FORMATS)}")
         formats = tuple(fmts)
 
     x_grid = None
     if "x_grid" in d:
-        gb = d["x_grid"]
+        gb = _block(d, "x_grid")
         lo = float(_check_number(gb, "min", "x_grid"))
         hi = float(_check_number(gb, "max", "x_grid"))
         pts = _check_number(gb, "points", "x_grid")

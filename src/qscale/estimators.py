@@ -25,9 +25,9 @@ import numpy as np
 from scipy import integrate, optimize, special
 from scipy.linalg import solve_triangular
 
-from .exceptions import DegenerateEstimateError, DomainError
+from .exceptions import DegenerateEstimateError, DomainError, NumericalError
 from .laguerre import LaguerreParams
-from .levy import LevyModel, ThetaParams
+from .levy import LevyModel, ThetaParams, laplace_exponent_deriv
 from .series import (
     CoefficientSet,
     ScaleApprox,
@@ -296,8 +296,8 @@ def covariance_machinery(
 
     Gradients of P, Q, P*, Q* in (p, gamma) and the column nu_hat(d/dgamma H)
     in Gamma_hat are analytic.  Sigma_hat and that column reuse the kernel
-    stack carried on ``est``; only estimates without it (built by hand or
-    from the true model) cost a sweep over the jump sizes here.
+    stack carried on ``est``; only estimates without it (built by hand)
+    cost a sweep over the jump sizes here.
     """
     coeffs = est.coeffs
     params = coeffs.params
@@ -362,10 +362,13 @@ def covariance_machinery(
 
 
 def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarray:
-    """Sigma_K at the true parameters by quadrature against nu (oracle mode)."""
+    """Sigma_K at the true parameters by quadrature against nu (oracle mode).
+
+    Raises NumericalError when the quadrature's error estimate exceeds
+    1e-8 * max(1, max |Sigma_K|).
+    """
     theta = model.theta0()
-    psi_prime = model.c + 2.0 * model.D * theta.gamma - model.jumps.exp_moment(theta.gamma)
-    dim = 2 * params.K + 4
+    psi_prime = laplace_exponent_deriv(model, theta.gamma)
 
     def integrand(z):
         zz = np.asarray([z], dtype=float)
@@ -373,8 +376,10 @@ def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarra
         h = _htilde(H, theta.gamma, zz, psi_prime)[:, 0]
         return np.outer(h, h) * float(model.jumps.density(zz)[0])
 
-    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
-    assert res.shape == (dim, dim)
+    rtol = 1e-9
+    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=rtol, limit=200)
+    if err > 10.0 * rtol * max(float(np.max(np.abs(res))), 1.0):
+        raise NumericalError("population covariance quadrature did not converge", residual=err)
     return res
 
 
@@ -486,46 +491,37 @@ def report_from_true_model(
     model: LevyModel,
     params: LaguerreParams,
     x,
-    obs: ObservationSet | None = None,
     level: float = 0.95,
 ) -> EstimationReport:
     """Oracle mode: true (theta0, p0, a^G) through the estimation code path.
 
-    Reproduces the scale_series curves exactly; covariances use the exact
-    nu-functionals when no observation set is supplied.
+    Reproduces the scale_series curves exactly; with no sampling error the
+    covariance blocks are zero and the bounds equal the curves.
     """
     coeffs = coeffs_true(model, params)
-    est = PipelineEstimates(
-        D_raw=model.D, gamma=GammaEstimate(coeffs.theta.gamma), coeffs=coeffs
-    )
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if obs is not None:
-        cov = covariance_machinery(obs, est, model.c, model.q, x, level=level)
-        scheme, seed, n_jumps = obs.scheme.to_dict(), obs.seed, len(obs.jump_sizes)
-    else:
-        approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
-        dim = 2 * params.K + 4
-        zeros = np.zeros(len(x))
-        k = approx.kernels(x)
-        W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
-        cov = CovarianceReport(
-            Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim),
-            B=build_B(coeffs.a_G, params.alpha),
-            x=x, W_hat=W_hat, Z_hat=Z_hat,
-            sigma_W=zeros, sigma_Z=zeros.copy(),
-            joint=np.zeros((len(x), 2, 2)),
-            W_lo=W_hat.copy(), W_hi=W_hat.copy(),
-            Z_lo=Z_hat.copy(), Z_hi=Z_hat.copy(),
-            level=level, psd_ok=True, min_eig=0.0,
-        )
-        scheme, seed, n_jumps = {}, -1, 0
+    approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
+    dim = 2 * params.K + 4
+    zeros = np.zeros(len(x))
+    k = approx.kernels(x)
+    W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
+    cov = CovarianceReport(
+        Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim),
+        B=build_B(coeffs.a_G, params.alpha),
+        x=x, W_hat=W_hat, Z_hat=Z_hat,
+        sigma_W=zeros, sigma_Z=zeros.copy(),
+        joint=np.zeros((len(x), 2, 2)),
+        W_lo=W_hat.copy(), W_hi=W_hat.copy(),
+        Z_lo=Z_hat.copy(), Z_hi=Z_hat.copy(),
+        level=level, psd_ok=True, min_eig=0.0,
+    )
     return EstimationReport(
         c=model.c, q=model.q, alpha=params.alpha, K=params.K,
         D_hat_raw=model.D, D_hat=model.D,
         gamma_hat=coeffs.theta.gamma, gamma_boundary=False,
         p_hat=coeffs.p,
         a_f_hat=coeffs.a_f, a_F_hat=coeffs.a_F, a_G_hat=coeffs.a_G,
-        cov=cov, scheme=scheme, seed=seed, n_jumps=n_jumps,
+        cov=cov, scheme={}, seed=-1, n_jumps=0,
         level=level, flags={"oracle_mode": True},
     )
 

@@ -28,9 +28,9 @@ the backward branch, which never divides by s.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
     "psi_integral_all",
     "psi_integral_and_db_all",
     "psi_integral_db_all",
-    "project_grid",
-    "ProjectionResult",
     "partial_sum",
 ]
 
@@ -70,16 +68,34 @@ class LaguerreParams:
         return float(np.sqrt(2.0 * self.alpha))
 
 
+def _laguerre_rows(kmax: int, t, m0):
+    """m0 * L_k(t) for k = 0..kmax, one row at a time.
+
+    (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}; the recurrence is linear, so a
+    factor m0 carried from the first row (e^{-alpha x} for the Laguerre
+    functions) keeps the rows overflow-free.
+    """
+    cur = m0
+    yield cur
+    if kmax >= 1:
+        prev, cur = cur, (1.0 - t) * cur
+        yield cur
+    for k in range(1, kmax):
+        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+        yield cur
+
+
+def _fill_rows(kmax: int, t: np.ndarray, m0) -> np.ndarray:
+    """The rows of _laguerre_rows stacked; shape (kmax+1, *t.shape)."""
+    out = np.empty((kmax + 1,) + t.shape, dtype=float)
+    for k, row in enumerate(_laguerre_rows(kmax, t, m0)):
+        out[k] = row
+    return out
+
+
 def laguerre_poly_all(kmax: int, x) -> np.ndarray:
     """L_k(x) for k = 0..kmax via the three-term recurrence; shape (kmax+1, *x.shape)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 - x
-    for k in range(1, kmax):
-        out[k + 1] = ((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return _fill_rows(kmax, np.asarray(x, dtype=float), 1.0)
 
 
 def laguerre_poly(k: int, x):
@@ -90,15 +106,7 @@ def laguerre_poly(k: int, x):
 
 def _weighted_laguerre_all(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
     """M_k(x) = L_k(2 alpha x) e^{-alpha x}; same recurrence, overflow-free."""
-    t = 2.0 * alpha * x
-    e = np.exp(-alpha * x)
-    out = np.empty((kmax + 1,) + x.shape, dtype=float)
-    out[0] = e
-    if kmax >= 1:
-        out[1] = (1.0 - t) * e
-    for k in range(1, kmax):
-        out[k + 1] = ((2 * k + 1 - t) * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return _fill_rows(kmax, 2.0 * alpha * x, np.exp(-alpha * x))
 
 
 def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.ndarray:
@@ -126,25 +134,13 @@ def _backward_seed(kmax: int, alpha: float, x: np.ndarray, b: float) -> np.ndarr
     of the kernel is below e^{-45}; node count covers polynomial degree kmax
     plus the exponential factor on the window.
     """
-    n_nodes = 96 + kmax
-    u, wts = _leggauss(n_nodes)
-    if b < 0:
-        w = np.minimum(x, 45.0 / (-b)) if b < -1e-12 else x
-    else:  # pragma: no cover - seed only used for b < 0
-        w = x
-    lo = x - w
+    u, wts = _leggauss(96 + kmax)
+    w = np.minimum(x, 45.0 / (-b)) if b < -1e-12 else x
     half = 0.5 * w
-    mid = lo + half
+    mid = x - w + half
     z = mid[..., None] + half[..., None] * u  # (nx, n_nodes)
-    t = 2.0 * alpha * z
-    # L_kmax(t) e^{-alpha z} via the scaled recurrence at the nodes
-    m_prev = np.exp(-alpha * z)
-    m = (1.0 - t) * m_prev
-    if kmax == 0:
-        m = m_prev
-    else:
-        for k in range(1, kmax):
-            m_prev, m = m, ((2 * k + 1 - t) * m - k * m_prev) / (k + 1)
+    # L_kmax(2 alpha z) e^{-alpha z} at the nodes: only the top row is kept
+    m = deque(_laguerre_rows(kmax, 2.0 * alpha * z, np.exp(-alpha * z)), maxlen=1).pop()
     kern = np.exp(b * (x[..., None] - z))
     return half * np.einsum("...q,q->...", kern * m, wts)
 
@@ -206,34 +202,6 @@ def psi_integral_db_all(
 ) -> np.ndarray:
     """d/db Psi_{alpha,k}(x; b) for k = 0..kmax."""
     return psi_integral_and_db_all(params, x, b, kmax)[1]
-
-
-class ProjectionResult(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def project_grid(
-    xgrid: np.ndarray,
-    fvals: np.ndarray,
-    params: LaguerreParams,
-    k: int,
-    tail_mass: float = 0.0,
-) -> ProjectionResult:
-    """<f, phi_{alpha,k}> by composite Simpson on a uniform grid.
-
-    `tail_mass` is the caller's estimate of int_{x_max}^inf |f|; the reported
-    tail bound is sqrt(2 alpha) * tail_mass (the basis sup bound).
-    """
-    from scipy.integrate import simpson
-
-    xgrid = np.asarray(xgrid, dtype=float)
-    fvals = np.asarray(fvals, dtype=float)
-    if xgrid.shape != fvals.shape:
-        raise ValueError("xgrid and fvals must have matching shapes")
-    phi = laguerre_fn_all(params, xgrid, kmax=k)[k]
-    value = float(simpson(fvals * phi, x=xgrid))
-    return ProjectionResult(value=value, tail_bound=params.sq2a * abs(tail_mass))
 
 
 def partial_sum(coeffs: np.ndarray, params: LaguerreParams, x):

@@ -8,19 +8,20 @@ model through its Laplace exponent
 
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
 
-Jump measures are parametric families with closed-form functionals where the
-family admits them; a generic quadrature fallback (`nu_functional_exact`)
-covers test oracles and any future family.
+Jump measures are parametric families with closed-form functionals (density,
+tail, moments, exponential functional).  The generic quadrature of nu(H),
+``nu_functional_exact``, is a cross-check and lives in ``oracles``; the JSON
+``model`` block is parsed in ``config``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import optimize, special
 
 from .exceptions import DomainError, NumericalError
 
@@ -37,14 +38,13 @@ __all__ = [
     "laplace_exponent_deriv",
     "lundberg_exponent",
     "check_npc",
-    "nu_functional_exact",
-    "jump_measure_from_dict",
-    "model_from_dict",
 ]
 
-# Bracketing defaults for the Lundberg root (see lundberg_exponent).
+# Bracketing defaults and Brent tolerances for the Lundberg root (see lundberg_exponent).
 _THETA_MAX_DEFAULT = 50.0
 _THETA_MAX_CAP = 1.0e9
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_XTOL = 1e-300
 
 
 class JumpMeasure:
@@ -359,8 +359,10 @@ def lundberg_exponent(model: LevyModel, q: float | None = None) -> float:
 
     Under NPC, psi is strictly convex with psi(0) = 0 and psi'(0+) > 0, so for
     q > 0 the root is unique and positive.  Bracket [0, theta_max] (doubling
-    theta_max until psi exceeds q), bisect to 1e-8, then polish with at most
-    five Newton steps.  Residual target |psi(Phi) - q| <= 1e-12 * max(1, q).
+    theta_max until psi exceeds q), then Brent's method to the relative
+    tolerance 4 eps, the tightest scipy allows, with an absolute tolerance
+    far below any root, so small q keeps full relative accuracy.  Residual
+    check |psi(Phi) - q| <= 1e-12 * max(1, q).
 
     Raises DomainError if NPC fails, NumericalError if no bracket is found.
     """
@@ -380,24 +382,9 @@ def lundberg_exponent(model: LevyModel, q: float | None = None) -> float:
                 f"no bracket for Phi({q}) below theta_max = {_THETA_MAX_CAP:.1e}",
                 residual=float(laplace_exponent(model, _THETA_MAX_CAP) - q),
             )
-    lo = 0.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if laplace_exponent(model, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(5):
-        resid = laplace_exponent(model, root) - q
-        if abs(resid) <= 1e-13 * max(1.0, q):
-            break
-        slope = laplace_exponent_deriv(model, root)
-        step = resid / slope
-        candidate = root - step
-        if not (lo - 1e-8 <= candidate <= hi + 1e-8):
-            break  # Newton left the bracket; keep the bisection value
-        root = candidate
+    root = optimize.brentq(
+        _lundberg_gap, 0.0, hi, args=(model, q), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
+    )
     resid = abs(laplace_exponent(model, root) - q)
     tol = 1e-12 * max(1.0, q)
     if resid > tol:
@@ -405,91 +392,5 @@ def lundberg_exponent(model: LevyModel, q: float | None = None) -> float:
     return float(root)
 
 
-def nu_functional_exact(
-    model: LevyModel,
-    H: Callable[[np.ndarray], np.ndarray],
-    rtol: float = 1e-10,
-) -> np.ndarray | float:
-    """Adaptive quadrature of nu(H) = integral of H dnu over (0, inf).
-
-    Test oracle for the closed-form functionals and for the threshold
-    estimators.  H may be vector-valued (returns an array per point).
-    Non-convergence raises NumericalError carrying the achieved estimate.
-    """
-    jumps = model.jumps
-    if jumps.is_zero:
-        probe = np.asarray(H(np.asarray([1.0]))).astype(float)
-        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
-
-    def integrand(z):
-        zz = np.asarray([z], dtype=float)
-        return np.asarray(H(zz), dtype=float)[..., 0] * jumps.density(zz)[0]
-
-    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=rtol, limit=200)
-    scale = max(float(np.max(np.abs(res))), 1e-300)
-    if err > 10.0 * rtol * max(scale, 1.0):
-        raise NumericalError("nu-functional quadrature did not converge", residual=float(err))
-    return res
-
-
-# ---------------------------------------------------------------------------
-# JSON (de)serialization; exact field names are part of the CLI contract.
-# ---------------------------------------------------------------------------
-
-_JUMP_KINDS = {
-    "none": (NoJumps, ()),
-    "compound-poisson-exponential": (CompoundPoissonExponential, ("rate", "jump_mean")),
-    "compound-poisson-gamma": (CompoundPoissonGamma, ("rate", "shape", "scale")),
-    "gamma-subordinator": (GammaSubordinator, ("shape", "rate")),
-}
-
-
-def jump_measure_from_dict(d: dict) -> JumpMeasure:
-    from .exceptions import ConfigError
-
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("jumps block must be an object with a 'kind' field")
-    kind = d["kind"]
-    if kind not in _JUMP_KINDS:
-        raise ConfigError(f"unknown jump kind {kind!r}; expected one of {sorted(_JUMP_KINDS)}")
-    cls, fields = _JUMP_KINDS[kind]
-    missing = [f for f in fields if f not in d]
-    if missing:
-        raise ConfigError(f"jump kind {kind!r} missing parameters {missing}")
-    extra = set(d) - set(fields) - {"kind"}
-    if extra:
-        raise ConfigError(f"jump kind {kind!r} got unexpected parameters {sorted(extra)}")
-    try:
-        return cls(**{f: float(d[f]) for f in fields})
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def model_from_dict(d: dict) -> LevyModel:
-    """Build a LevyModel from {x0, c, sigma or D, q, jumps: {...}}."""
-    from .exceptions import ConfigError
-
-    if not isinstance(d, dict):
-        raise ConfigError("model block must be an object")
-    required = {"x0", "c", "jumps"}
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"model block missing fields {sorted(missing)}")
-    if "sigma" in d and "D" in d:
-        raise ConfigError("model block must give exactly one of 'sigma' or 'D'")
-    if "sigma" in d:
-        D = 0.5 * float(d["sigma"]) ** 2
-    elif "D" in d:
-        D = float(d["D"])
-    else:
-        raise ConfigError("model block must give one of 'sigma' or 'D'")
-    try:
-        return LevyModel(
-            x0=float(d["x0"]),
-            c=float(d["c"]),
-            D=D,
-            jumps=jump_measure_from_dict(d["jumps"]),
-            q=float(d.get("q", 0.0)),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+def _lundberg_gap(theta, model: LevyModel, q: float):
+    return laplace_exponent(model, theta) - q

@@ -18,8 +18,8 @@ from scipy import stats
 
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
-from .levy import LevyModel, lundberg_exponent
-from .series import ScaleApprox, coeffs_true, p_value
+from .levy import LevyModel
+from .series import ScaleApprox, coeffs_true
 from .simulate import SamplingScheme, replication_seed, simulate
 from .estimators import build_report
 
@@ -65,8 +65,8 @@ def true_values(model: LevyModel, params: LaguerreParams, x_eval) -> TrueValues:
     k = approx.kernels(x_eval)
     return TrueValues(
         D=model.D,
-        gamma=lundberg_exponent(model, model.q),
-        p=p_value(model, model.theta0()),
+        gamma=coeffs.theta.gamma,
+        p=coeffs.p,
         W_K=approx.w_from(k),
         Z_K=approx.z_from(k),
     )

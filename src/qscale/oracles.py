@@ -9,17 +9,28 @@ Three routes that never touch the Laguerre expansion:
   the defective renewal equation (geometric-series summation as cross-check);
 * closed forms for the Brownian-with-drift and Cramer-Lundberg-exponential
   special cases.
+
+A last section holds the quadrature cross-checks of the series path, which
+only tests call: the defective density ``ftilde_q`` by quadrature of the
+tilted jump tail, the kernels H_p, H^f_k, H^F_k by nested quadrature
+(``h_functionals_quadrature``), grid projections onto the Laguerre basis
+(``project_grid``) and the adaptive quadrature of nu(H)
+(``nu_functional_exact``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import integrate, special
 
-from .exceptions import DomainError, GridTooCoarseError
-from .levy import LevyModel, laplace_exponent, lundberg_exponent
+from .exceptions import DomainError, GridTooCoarseError, NumericalError
+from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
+from .levy import (
+    CompoundPoissonExponential, LevyModel, ThetaParams, laplace_exponent, lundberg_exponent,
+)
 
 __all__ = [
     "TalbotResult",
@@ -28,6 +39,11 @@ __all__ = [
     "compound_geometric_grid",
     "compound_geometric_series",
     "closed_form_W",
+    "ftilde_q",
+    "h_functionals_quadrature",
+    "ProjectionResult",
+    "project_grid",
+    "nu_functional_exact",
 ]
 
 
@@ -235,3 +251,143 @@ def closed_form_W(model_kind: str, params: dict, q: float, x) -> np.ndarray:
             c * (s_plus - s_minus)
         )
     raise DomainError(f"unsupported closed-form kind {model_kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Quadrature cross-checks of the series path
+# ---------------------------------------------------------------------------
+
+def _tilted_tail(model: LevyModel, gamma: float, y):
+    """g(y) = int_y^inf e^{-gamma (z - y)} nu(dz), closed form per family."""
+    jumps = model.jumps
+    y = np.asarray(y, dtype=float)
+    if jumps.is_zero:
+        return np.zeros_like(y)
+    if isinstance(jumps, CompoundPoissonExponential):
+        mu = jumps.mu
+        return jumps.rate * mu * np.exp(-mu * y) / (gamma + mu)
+    kind = jumps.kind
+    if kind == "compound-poisson-gamma":
+        a, s = jumps.shape, jumps.scale
+        w = gamma + 1.0 / s
+        return jumps.rate * np.exp(gamma * y) * special.gammaincc(a, w * y) / (s * w) ** a
+    if kind == "gamma-subordinator":
+        a, b = jumps.shape, jumps.rate
+        return a * np.exp(gamma * y) * special.exp1((b + gamma) * y)
+    raise DomainError(f"no closed-form tilted tail for jump kind {kind!r}")
+
+
+def ftilde_q(model: LevyModel, theta: ThetaParams, x):
+    """The defective density ftilde_q(x) (mass p, not normalized).
+
+    D > 0: D^{-1} int_0^x e^{-beta (x-y)} g(y) dy with g the gamma-tilted
+    jump tail; D = 0: c^{-1} g(x).
+    """
+    gamma = theta.gamma
+    x_in = np.asarray(x, dtype=float)
+    x_arr = np.atleast_1d(x_in)
+    if model.jumps.is_zero:
+        out = np.zeros_like(x_arr)
+        return float(out[0]) if x_in.ndim == 0 else out
+    if theta.D == 0:
+        out = _tilted_tail(model, gamma, x_arr) / model.c
+        return float(out[0]) if x_in.ndim == 0 else out
+    beta = theta.beta(model.c)
+
+    def one(xx):
+        if xx <= 0:
+            return 0.0
+        val, _ = integrate.quad(
+            lambda y: np.exp(-beta * (xx - y)) * float(_tilted_tail(model, gamma, y)),
+            0.0,
+            xx,
+            limit=200,
+            points=[0.0] if model.jumps.total_rate() == np.inf else None,
+        )
+        return val / theta.D
+
+    out = np.vectorize(one)(x_arr)
+    return float(out[0]) if x_in.ndim == 0 else out
+
+
+def h_functionals_quadrature(
+    c: float, theta: ThetaParams, params: LaguerreParams, z: float, k: int
+) -> tuple[float, float, float]:
+    """Nested-quadrature evaluation of (H_p, H^f_k, H^F_k)(z; theta).
+
+    Slow cross-check of the recurrence path (one z, one order at a time).
+    """
+    gamma, D = theta.gamma, theta.D
+    phi = lambda x: laguerre_fn_all(params, x, kmax=k)[k]
+    psi0 = lambda x: psi_integral_all(params, x, 0.0, kmax=k)[k]
+    if D == 0:
+        H_p, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)), 0.0, z)
+        H_f, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * phi(x), 0.0, z, limit=200)
+        H_F, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * psi0(x), 0.0, z, limit=200)
+        return H_p / c, H_f / c, H_F / c
+    beta = theta.beta(c)
+
+    def outer(inner_fn):
+        def dy(y):
+            val, _ = integrate.quad(
+                lambda x: np.exp(-beta * (x - y)) * inner_fn(x), y, np.inf, limit=200
+            )
+            return np.exp(-gamma * (z - y)) * val
+
+        val, _ = integrate.quad(dy, 0.0, z, limit=200)
+        return val / D
+
+    return outer(lambda x: 1.0), outer(phi), outer(psi0)
+
+
+class ProjectionResult(NamedTuple):
+    value: float
+    tail_bound: float
+
+
+def project_grid(
+    xgrid: np.ndarray,
+    fvals: np.ndarray,
+    params: LaguerreParams,
+    k: int,
+    tail_mass: float = 0.0,
+) -> ProjectionResult:
+    """<f, phi_{alpha,k}> by composite Simpson on a uniform grid.
+
+    `tail_mass` is the caller's estimate of int_{x_max}^inf |f|; the reported
+    tail bound is sqrt(2 alpha) * tail_mass (the basis sup bound).
+    """
+    xgrid = np.asarray(xgrid, dtype=float)
+    fvals = np.asarray(fvals, dtype=float)
+    if xgrid.shape != fvals.shape:
+        raise ValueError("xgrid and fvals must have matching shapes")
+    phi = laguerre_fn_all(params, xgrid, kmax=k)[k]
+    value = float(integrate.simpson(fvals * phi, x=xgrid))
+    return ProjectionResult(value=value, tail_bound=params.sq2a * abs(tail_mass))
+
+
+def nu_functional_exact(
+    model: LevyModel,
+    H: Callable[[np.ndarray], np.ndarray],
+    rtol: float = 1e-10,
+) -> np.ndarray | float:
+    """Adaptive quadrature of nu(H) = integral of H dnu over (0, inf).
+
+    Test oracle for the closed-form functionals and for the threshold
+    estimators.  H may be vector-valued (returns an array per point).
+    Non-convergence raises NumericalError carrying the achieved estimate.
+    """
+    jumps = model.jumps
+    if jumps.is_zero:
+        probe = np.asarray(H(np.asarray([1.0]))).astype(float)
+        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
+
+    def integrand(z):
+        zz = np.asarray([z], dtype=float)
+        return np.asarray(H(zz), dtype=float)[..., 0] * jumps.density(zz)[0]
+
+    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=rtol, limit=200)
+    scale = max(float(np.max(np.abs(res))), 1e-300)
+    if err > 10.0 * rtol * max(scale, 1.0):
+        raise NumericalError("nu-functional quadrature did not converge", residual=float(err))
+    return res

@@ -17,8 +17,9 @@ Z_K = 1 + q * int_0^x W_K holds identically.
 
 Coefficient functionals: p, a^f_k, a^F_k are nu-integrals of kernels H_p,
 H^f_k, H^F_k.  Those kernels are evaluated pointwise through stable
-first-order recurrences in k (same generating-function identity as Psi); a
-full nested-quadrature evaluation is retained as a cross-check mode.
+first-order recurrences in k (same generating-function identity as Psi).
+The module holds only this production path; the quadrature cross-checks of
+it (``ftilde_q``, ``h_functionals_quadrature``) live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -32,28 +33,19 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
-from .laguerre import (
-    LaguerreParams,
-    laguerre_fn_all,
-    partial_sum,
-    psi_integral_all,
-    psi_integral_and_db_all,
-)
+from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all
 from .levy import CompoundPoissonExponential, LevyModel, ThetaParams
 
 __all__ = [
     "CoefficientSet",
     "ScaleApprox",
-    "ftilde_q",
     "p_value",
     "h_functionals_at",
-    "h_functionals_quadrature",
     "coeffs_true",
     "scale_approx",
     "build_Af",
     "build_B",
     "solve_aG",
-    "gbar_partial_sum",
     "Kernel",
     "Kernels",
     "kernels",
@@ -72,63 +64,8 @@ _DIAG_FLOOR = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Defective density and its mass
+# Mass of the defective density
 # ---------------------------------------------------------------------------
-
-def _tilted_tail(model: LevyModel, gamma: float, y):
-    """g(y) = int_y^inf e^{-gamma (z - y)} nu(dz), closed form per family."""
-    from scipy import special
-
-    jumps = model.jumps
-    y = np.asarray(y, dtype=float)
-    if jumps.is_zero:
-        return np.zeros_like(y)
-    if isinstance(jumps, CompoundPoissonExponential):
-        mu = jumps.mu
-        return jumps.rate * mu * np.exp(-mu * y) / (gamma + mu)
-    kind = jumps.kind
-    if kind == "compound-poisson-gamma":
-        a, s = jumps.shape, jumps.scale
-        w = gamma + 1.0 / s
-        return jumps.rate * np.exp(gamma * y) * special.gammaincc(a, w * y) / (s * w) ** a
-    if kind == "gamma-subordinator":
-        a, b = jumps.shape, jumps.rate
-        return a * np.exp(gamma * y) * special.exp1((b + gamma) * y)
-    raise DomainError(f"no closed-form tilted tail for jump kind {kind!r}")
-
-
-def ftilde_q(model: LevyModel, theta: ThetaParams, x):
-    """The defective density ftilde_q(x) (mass p, not normalized).
-
-    D > 0: D^{-1} int_0^x e^{-beta (x-y)} g(y) dy with g the gamma-tilted
-    jump tail; D = 0: c^{-1} g(x).
-    """
-    gamma = theta.gamma
-    x_in = np.asarray(x, dtype=float)
-    x_arr = np.atleast_1d(x_in)
-    if model.jumps.is_zero:
-        out = np.zeros_like(x_arr)
-        return float(out[0]) if x_in.ndim == 0 else out
-    if theta.D == 0:
-        out = _tilted_tail(model, gamma, x_arr) / model.c
-        return float(out[0]) if x_in.ndim == 0 else out
-    beta = theta.beta(model.c)
-
-    def one(xx):
-        if xx <= 0:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda y: np.exp(-beta * (xx - y)) * float(_tilted_tail(model, gamma, y)),
-            0.0,
-            xx,
-            limit=200,
-            points=[0.0] if model.jumps.total_rate() == np.inf else None,
-        )
-        return val / theta.D
-
-    out = np.vectorize(one)(x_arr)
-    return float(out[0]) if x_in.ndim == 0 else out
-
 
 def p_value(model: LevyModel, theta: ThetaParams) -> float:
     """p = nu(H_p(.; theta)) in closed form via the jump exponential functional.
@@ -149,16 +86,15 @@ def p_value(model: LevyModel, theta: ThetaParams) -> float:
 # Coefficient kernels H_p, H^f_k, H^F_k
 # ---------------------------------------------------------------------------
 
-def _gamma_window(gamma: float, z: np.ndarray) -> np.ndarray:
-    """(1 - e^{-gamma z}) / gamma with the gamma -> 0 limit z."""
-    if abs(gamma) < 1e-10:
-        return z.copy()
-    return -np.expm1(-gamma * z) / gamma
-
-
 # Taylor coefficients (m + 1) / (m + 2)! of g(u) = ((u - 1) e^u + 1) / u^2, m = 0..11;
 # for |u| < 0.1 the first term left out is below 1e-21 of g
 _EXPM1_DB_TAYLOR = tuple((m + 1) / math.factorial(m + 2) for m in range(12))
+
+
+def _expm1_ratio(b: float, x) -> np.ndarray:
+    """(e^{bx} - 1)/b at fixed x, with the b -> 0 limit x for |b| < 1e-10."""
+    x = np.asarray(x, dtype=float)
+    return x.copy() if abs(b) < 1e-10 else np.expm1(b * x) / b
 
 
 def _expm1_ratio_db(b: float, x) -> np.ndarray:
@@ -181,7 +117,7 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
 
 
 def _gamma_window_d(gamma: float, z: np.ndarray) -> np.ndarray:
-    """d/dgamma of the window _gamma_window(gamma, z) = (e^{bz} - 1)/b at b = -gamma."""
+    """d/dgamma of the window (1 - e^{-gamma z})/gamma = _expm1_ratio(-gamma, z)."""
     return -_expm1_ratio_db(-gamma, z)
 
 
@@ -220,7 +156,7 @@ def h_functionals_at(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     K, alpha = params.K, params.alpha
     sign_sq2a = params.sq2a * np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)[:, None]
-    kg = _gamma_window(gamma, z)
+    kg = _expm1_ratio(-gamma, z)  # (1 - e^{-gamma z}) / gamma
     if d_gamma:
         psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
         d_psi = -d_psi
@@ -251,36 +187,6 @@ def h_functionals_at(
     d_kgb = d_kg - kg / beta  # beta * d/dgamma (kg / beta)
     d_H_F = (sign_sq2a * d_kgb / (alpha * beta) - _s_ladder(d_V, alpha)) / D
     return vals, (d_kgb / (beta * D), d_V / D, d_H_F)
-
-
-def h_functionals_quadrature(
-    c: float, theta: ThetaParams, params: LaguerreParams, z: float, k: int
-) -> tuple[float, float, float]:
-    """Nested-quadrature evaluation of (H_p, H^f_k, H^F_k)(z; theta).
-
-    Slow cross-check of the recurrence path (one z, one order at a time).
-    """
-    gamma, D = theta.gamma, theta.D
-    phi = lambda x: laguerre_fn_all(params, x, kmax=k)[k]
-    psi0 = lambda x: psi_integral_all(params, x, 0.0, kmax=k)[k]
-    if D == 0:
-        H_p, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)), 0.0, z)
-        H_f, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * phi(x), 0.0, z, limit=200)
-        H_F, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * psi0(x), 0.0, z, limit=200)
-        return H_p / c, H_f / c, H_F / c
-    beta = theta.beta(c)
-
-    def outer(inner_fn):
-        def dy(y):
-            val, _ = integrate.quad(
-                lambda x: np.exp(-beta * (x - y)) * inner_fn(x), y, np.inf, limit=200
-            )
-            return np.exp(-gamma * (z - y)) * val
-
-        val, _ = integrate.quad(dy, 0.0, z, limit=200)
-        return val / D
-
-    return outer(lambda x: 1.0), outer(phi), outer(psi0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +255,11 @@ def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
     return x
 
 
-def coeffs_true(
-    model: LevyModel, params: LaguerreParams, method: str = "auto"
-) -> CoefficientSet:
+def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
     """Population coefficients (p, a^f, a^F, a^G) at theta0 = (D, Phi(q)).
 
-    method: 'closed' uses the exponential-mixture form of p f_q (exponential
-    jump family only); 'quadrature' integrates the H-kernels against nu;
-    'auto' picks closed where available.
+    Exponential jumps use the closed exponential-mixture form of p f_q; every
+    other family integrates the H-kernels against nu by cubature.
     """
     model.require_npc()
     theta = model.theta0()
@@ -365,17 +268,11 @@ def coeffs_true(
         zero = np.zeros(n)
         return CoefficientSet(0.0, zero, zero.copy(), zero.copy(), params, theta)
 
-    if method == "auto":
-        method = (
-            "closed" if isinstance(model.jumps, CompoundPoissonExponential) else "quadrature"
-        )
-    if method == "closed":
+    if isinstance(model.jumps, CompoundPoissonExponential):
         p, a_f, a_F = _closed_coeffs_exponential(model, theta, params)
-    elif method == "quadrature":
+    else:
         p = p_value(model, theta)
         a_f, a_F = _quadrature_coeffs(model, theta, params)
-    else:
-        raise ValueError(f"unknown coefficient method {method!r}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p = {p} outside (0,1); NPC or quadrature failure")
     A = build_Af(a_f, params.alpha)
@@ -504,14 +401,10 @@ def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Ke
 
 
 def _exp_atoms(x, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives.
-
-    The starred atom takes its b -> 0 limit x for |b| < 1e-10.
-    """
+    """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives."""
     x = np.asarray(x, dtype=float)
     e = np.exp(b * x)
-    star = x if abs(b) < 1e-10 else np.expm1(b * x) / b
-    return np.stack([e, star]), np.stack([x * e, _expm1_ratio_db(b, x)])
+    return np.stack([e, _expm1_ratio(b, x)]), np.stack([x * e, _expm1_ratio_db(b, x)])
 
 
 def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
@@ -611,11 +504,6 @@ class ScaleApprox:
         return self.z_from(self.kernels(x))
 
 
-def scale_approx(model: LevyModel, params: LaguerreParams, method: str = "auto") -> ScaleApprox:
+def scale_approx(model: LevyModel, params: LaguerreParams) -> ScaleApprox:
     """Build the K-th Laguerre-type approximation of (W, Z) for the model."""
-    return ScaleApprox(c=model.c, q=model.q, coeffs=coeffs_true(model, params, method=method))
-
-
-def gbar_partial_sum(coeffs: CoefficientSet, x):
-    """Truncated compound-geometric tail Gbar_{q,K}(x) = sum_k a^G_k phi_k(x)."""
-    return partial_sum(coeffs.a_G, coeffs.params, x)
+    return ScaleApprox(c=model.c, q=model.q, coeffs=coeffs_true(model, params))

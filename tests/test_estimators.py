@@ -12,8 +12,8 @@ from qscale.levy import (
     LevyModel,
     NoJumps,
     lundberg_exponent,
-    nu_functional_exact,
 )
+from qscale.oracles import nu_functional_exact
 from qscale.series import ScaleApprox, coeffs_true, h_functionals_at, scale_approx
 from qscale.simulate import ObservationSet, SamplingScheme, make_scheme, simulate
 from qscale.estimators import (

@@ -17,11 +17,11 @@ from qscale.laguerre import (
     laguerre_fn_all,
     laguerre_poly,
     partial_sum,
-    project_grid,
     psi_integral,
     psi_integral_all,
     psi_integral_db_all,
 )
+from qscale.oracles import project_grid
 
 
 def binomial_sum_laguerre(k: int, x: float) -> float:

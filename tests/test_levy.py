@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from qscale.config import model_from_dict
 from qscale.exceptions import ConfigError, DomainError
 from qscale.levy import (
     CompoundPoissonExponential,
@@ -19,9 +20,8 @@ from qscale.levy import (
     laplace_exponent,
     laplace_exponent_deriv,
     lundberg_exponent,
-    model_from_dict,
-    nu_functional_exact,
 )
+from qscale.oracles import nu_functional_exact
 
 
 class TestLaplaceExponent:
@@ -118,6 +118,36 @@ class TestLundbergExponent:
         m = LevyModel(x0=0, c=1.0, D=0.1, jumps=CompoundPoissonExponential(2.0, 1.0), q=0.1)
         with pytest.raises(DomainError):
             lundberg_exponent(m, 0.1)
+
+
+def _positive_root(a2: float, a1: float, a0: float) -> float:
+    """Positive root of a2 t^2 + a1 t + a0 (a2 > 0 > a0), branch chosen so nothing cancels."""
+    disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+    if a1 > 0:
+        return -2.0 * a0 / (a1 + disc)
+    return (-a1 + disc) / (2.0 * a2)
+
+
+class TestLundbergAccuracy:
+    """Phi(q) against psi(theta) = q solved as a quadratic, to 1e-14 relative."""
+
+    QS = [1e-12, 1e-8, 1e-6, 1e-4, 0.1, 10.0]
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("c, D", [(1.5, 0.5), (0.2, 3.0)])
+    def test_brownian_with_drift(self, c, D, q):
+        # D t^2 + c t - q = 0
+        m = LevyModel(x0=0, c=c, D=D, jumps=NoJumps(), q=q)
+        want = _positive_root(D, c, -q)
+        assert lundberg_exponent(m, q) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_cramer_lundberg_exponential(self, cramer_lundberg_model, q):
+        # c t - lam t / (mu + t) = q  <=>  c t^2 + (c mu - lam - q) t - q mu = 0
+        c, jumps = cramer_lundberg_model.c, cramer_lundberg_model.jumps
+        lam, mu = jumps.rate, jumps.mu
+        want = _positive_root(c, c * mu - lam - q, -q * mu)
+        assert lundberg_exponent(cramer_lundberg_model, q) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestCheckNpc:

@@ -12,9 +12,10 @@ from qscale.oracles import (
     closed_form_W,
     compound_geometric_grid,
     compound_geometric_series,
+    ftilde_q,
     laplace_invert_scale,
 )
-from qscale.series import coeffs_true, ftilde_q, p_value, scale_approx
+from qscale.series import coeffs_true, p_value, scale_approx
 
 
 class TestTalbot:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from qscale.exceptions import DomainError, IllConditionedError, NumericalError
-from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all
+from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all, partial_sum
 from qscale.levy import (
     CompoundPoissonExponential,
     LevyModel,
@@ -21,20 +21,24 @@ from qscale.levy import (
     laplace_exponent_deriv,
     lundberg_exponent,
 )
-from qscale.oracles import compound_geometric_grid, laplace_invert_scale
+from qscale.oracles import (
+    compound_geometric_grid,
+    ftilde_q,
+    h_functionals_quadrature,
+    laplace_invert_scale,
+)
 from qscale.series import (
+    _closed_coeffs_exponential,
     _exp_atoms,
+    _expm1_ratio,
     _expm1_ratio_db,
-    _gamma_window,
     _gamma_window_d,
+    _quadrature_coeffs,
     build_Af,
     coeffs_true,
     eval_P,
     eval_Q_all,
-    ftilde_q,
-    gbar_partial_sum,
     h_functionals_at,
-    h_functionals_quadrature,
     p_value,
     scale_approx,
     solve_aG,
@@ -232,7 +236,7 @@ class TestExpm1RatioDb:
         # and it is the derivative of the window itself
         if gamma >= 1e-3:
             h = 1e-5
-            fd = (_gamma_window(gamma + h, z) - _gamma_window(gamma - h, z)) / (2 * h)
+            fd = (_expm1_ratio(-(gamma + h), z) - _expm1_ratio(-(gamma - h), z)) / (2 * h)
             assert got == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("b", [2e-10, -1e-8, 0.3])
@@ -249,11 +253,13 @@ class TestCoeffsTrue:
         assert np.all(cs.a_f == 0) and np.all(cs.a_F == 0) and np.all(cs.a_G == 0)
 
     def test_closed_matches_quadrature(self, exp_jump_model, params20):
-        c1 = coeffs_true(exp_jump_model, params20, method="closed")
-        c2 = coeffs_true(exp_jump_model, params20, method="quadrature")
-        assert c1.a_f == pytest.approx(c2.a_f, abs=1e-9)
-        assert c1.a_F == pytest.approx(c2.a_F, abs=1e-9)
-        assert c1.p == pytest.approx(c2.p, rel=1e-12)
+        th = exp_jump_model.theta0()
+        p1, a_f1, a_F1 = _closed_coeffs_exponential(exp_jump_model, th, params20)
+        p2 = p_value(exp_jump_model, th)
+        a_f2, a_F2 = _quadrature_coeffs(exp_jump_model, th, params20)
+        assert a_f1 == pytest.approx(a_f2, abs=1e-9)
+        assert a_F1 == pytest.approx(a_F2, abs=1e-9)
+        assert p1 == pytest.approx(p2, rel=1e-12)
 
     def test_unconverged_quadrature_raises(self, gamma_sub_model, params20, monkeypatch):
         from scipy import integrate
@@ -354,12 +360,12 @@ class TestGbarPartialSum:
     def test_zero_for_no_jumps(self, brownian_model, params20):
         cs = coeffs_true(brownian_model, params20)
         xs = np.linspace(0, 10, 11)
-        assert np.all(gbar_partial_sum(cs, xs) == 0.0)
+        assert np.all(partial_sum(cs.a_G, cs.params, xs) == 0.0)
 
     def test_value_at_zero_approaches_p(self, exp_jump_model, params40):
         # Gbar_q(0) = p (the compound geometric has atom 1 - p at zero)
         cs = coeffs_true(exp_jump_model, params40)
-        assert gbar_partial_sum(cs, 0.0) == pytest.approx(cs.p, abs=2e-2)
+        assert partial_sum(cs.a_G, cs.params, 0.0) == pytest.approx(cs.p, abs=2e-2)
 
     def test_sup_error_vs_grid_oracle_decreases_in_K(self, exp_jump_model):
         th = exp_jump_model.theta0()
@@ -373,7 +379,7 @@ class TestGbarPartialSum:
         errs = []
         for K in (10, 20, 40):
             cs = coeffs_true(exp_jump_model, LaguerreParams(1.0, K))
-            errs.append(np.max(np.abs(gbar_partial_sum(cs, probe) - want)))
+            errs.append(np.max(np.abs(partial_sum(cs.a_G, cs.params, probe) - want)))
         # nonincreasing within 10% noise as K doubles
         assert errs[1] <= errs[0] * 1.1
         assert errs[2] <= errs[1] * 1.1
