@@ -122,36 +122,35 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
     model = cfg.model
     if args.oracle:
         report = report_from_true_model(model, cfg.laguerre, cfg.x_grid)
-        report.save_json(out / "report.json")
-        write_ci_csv(out / "ci_curve.csv", report.cov)
-        _write_manifest(out, cfg, "estimate", [])
-        return EXIT_OK
-    data = Path(args.data) if args.data else out
-    obs = load_observation(
-        data / "grid.csv", data / "jumps.csv", data / "observation.json"
-    )
-    D_window = cfg.mc.D_window if (cfg.mc and cfg.mc.D_window) else 1.0
-    try:
-        report = build_report(
-            obs, model.q, model.c, cfg.laguerre, x=cfg.x_grid, D_window=D_window
+        seeds = []
+    else:
+        data = Path(args.data) if args.data else out
+        obs = load_observation(
+            data / "grid.csv", data / "jumps.csv", data / "observation.json"
         )
-    except DegenerateEstimateError as exc:
-        # degenerate estimates are flagged output, not a failure
-        payload = {
-            "flags": {"degenerate_estimate": True},
-            "error": str(exc),
-            "raw_value": exc.raw_value,
-            "scheme": obs.scheme.to_dict(),
-            "seed": obs.seed,
-        }
-        (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, cfg, "estimate", [obs.seed])
-        return EXIT_OK
+        seeds = [obs.seed]
+        D_window = cfg.mc.D_window if (cfg.mc and cfg.mc.D_window) else 1.0
+        try:
+            report = build_report(
+                obs, model.q, model.c, cfg.laguerre, x=cfg.x_grid, D_window=D_window
+            )
+        except DegenerateEstimateError as exc:
+            # degenerate estimates are flagged output, not a failure
+            payload = {
+                "flags": {"degenerate_estimate": True},
+                "error": str(exc),
+                "raw_value": exc.raw_value,
+                "scheme": obs.scheme.to_dict(),
+                "seed": obs.seed,
+            }
+            (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_manifest(out, cfg, "estimate", seeds)
+            return EXIT_OK
     if "json" in cfg.formats:
         report.save_json(out / "report.json")
     if "csv" in cfg.formats:
         write_ci_csv(out / "ci_curve.csv", report.cov)
-    _write_manifest(out, cfg, "estimate", [obs.seed])
+    _write_manifest(out, cfg, "estimate", seeds)
     return EXIT_OK
 
 
@@ -198,8 +197,6 @@ def _write_mc_table(path: Path, rows: list[dict]) -> None:
         for name in MC_COLUMNS:
             if name == "failed":
                 table_cols[name].append(1 if row["failed"] else 0)
-            elif name == "rep":
-                table_cols[name].append(row.get("rep", -1))
             else:
                 table_cols[name].append(row.get(name, float("nan")))
     write_csv(path, MC_COLUMNS, [table_cols[n] for n in MC_COLUMNS])

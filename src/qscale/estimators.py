@@ -19,15 +19,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 from scipy.linalg import solve_triangular
 
-from .exceptions import DegenerateEstimateError, DomainError, NumericalError
+from .exceptions import DegenerateEstimateError, DomainError
 from .laguerre import LaguerreParams
-from .levy import LevyModel, ThetaParams, laplace_exponent_deriv
+from .levy import LevyModel, ThetaParams
 from .series import (
     CoefficientSet,
     ScaleApprox,
@@ -42,7 +41,6 @@ from .tabular import write_csv
 
 __all__ = [
     "estimate_D",
-    "nu_hat",
     "empirical_psi",
     "empirical_psi_deriv",
     "GammaEstimate",
@@ -52,7 +50,6 @@ __all__ = [
     "build_B",
     "CovarianceReport",
     "covariance_machinery",
-    "population_covariance",
     "EstimationReport",
     "build_report",
     "report_from_true_model",
@@ -81,15 +78,6 @@ def estimate_D(obs: ObservationSet, window: float = 1.0) -> float:
     in_window = obs.jump_times <= window
     jump_sq = float(np.dot(obs.jump_sizes[in_window], obs.jump_sizes[in_window]))
     return (sum_sq - jump_sq) / (2.0 * window)
-
-
-def nu_hat(obs: ObservationSet, H: Callable[[np.ndarray], np.ndarray]):
-    """Threshold estimator (1/T) * sum_{jumps} H(size) over the whole window."""
-    if len(obs.jump_sizes) == 0:
-        probe = np.asarray(H(np.asarray([1.0])), dtype=float)
-        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
-    vals = np.asarray(H(obs.jump_sizes), dtype=float)
-    return vals.sum(axis=-1) / obs.scheme.T
 
 
 def empirical_psi(obs: ObservationSet, c: float, D: float, r) -> float:
@@ -359,28 +347,6 @@ def covariance_machinery(
         W_lo=W_lo, W_hi=W_hi, Z_lo=Z_lo, Z_hi=Z_hi,
         level=level, psd_ok=psd_ok, min_eig=min_eig,
     )
-
-
-def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarray:
-    """Sigma_K at the true parameters by quadrature against nu (oracle mode).
-
-    Raises NumericalError when the quadrature's error estimate exceeds
-    1e-8 * max(1, max |Sigma_K|).
-    """
-    theta = model.theta0()
-    psi_prime = laplace_exponent_deriv(model, theta.gamma)
-
-    def integrand(z):
-        zz = np.asarray([z], dtype=float)
-        H = _stacked(*h_functionals_at(model.c, theta.D, theta.gamma, params, zz))
-        h = _htilde(H, theta.gamma, zz, psi_prime)[:, 0]
-        return np.outer(h, h) * float(model.jumps.density(zz)[0])
-
-    rtol = 1e-9
-    res, err = integrate.quad_vec(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=rtol, limit=200)
-    if err > 10.0 * rtol * max(float(np.max(np.abs(res))), 1.0):
-        raise NumericalError("population covariance quadrature did not converge", residual=err)
-    return res
 
 
 @dataclass

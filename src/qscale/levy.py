@@ -9,9 +9,9 @@ model through its Laplace exponent
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
 
 Jump measures are parametric families with closed-form functionals (density,
-tail, moments, exponential functional).  The generic quadrature of nu(H),
-``nu_functional_exact``, is a cross-check and lives in ``oracles``; the JSON
-``model`` block is parsed in ``config``.
+mean, exponential functional and moment, total rate).  The generic quadrature
+of nu(H), ``nu_functional_exact``, is a cross-check and lives in ``oracles``;
+the JSON ``model`` block is parsed in ``config``.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ _ROOT_XTOL = 1e-300
 class JumpMeasure:
     """Base class for the jump measure ``nu`` of the subordinator ``L``.
 
-    Subclasses provide the density per unit time, the tail
-    ``nubar(x) = nu((x, inf))``, the first two moments ``nu(z)``, ``nu(z^2)``,
-    and the exponential functional ``nu(e^{-theta z} - 1)`` in closed form.
-    The closed forms accept complex ``theta`` (needed by the Talbot oracle).
+    Subclasses provide, in closed form, the five functionals the pipeline
+    reads: the density per unit time, the mean ``nu(z)``, the exponential
+    functional ``nu(e^{-theta z} - 1)`` and moment ``nu(z e^{-theta z})``
+    behind psi, psi' and Phi(q), and the total rate ``nu((0, inf))``.  The
+    exponential forms accept complex ``theta`` (needed by the Talbot oracle).
     """
 
     kind: str = "abstract"
@@ -66,16 +67,8 @@ class JumpMeasure:
         """Levy density rho(z), z > 0."""
         raise NotImplementedError
 
-    def tail(self, x):
-        """nubar(x) = integral of nu over (x, inf)."""
-        raise NotImplementedError
-
     def mean(self) -> float:
         """nu(z), finite for every supported family."""
-        raise NotImplementedError
-
-    def second_moment(self) -> float:
-        """nu(z^2)."""
         raise NotImplementedError
 
     def exp_functional(self, theta):
@@ -84,10 +77,6 @@ class JumpMeasure:
 
     def exp_moment(self, theta):
         """nu(z e^{-theta z}), so that psi'(theta) = c + 2 D theta - exp_moment."""
-        raise NotImplementedError
-
-    def truncated_moments(self, eps: float) -> tuple[float, float]:
-        """(integral of z nu(dz), integral of z^2 nu(dz)) over (0, eps]."""
         raise NotImplementedError
 
     def total_rate(self) -> float:
@@ -108,13 +97,7 @@ class NoJumps(JumpMeasure):
     def density(self, z):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def tail(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     def mean(self) -> float:
-        return 0.0
-
-    def second_moment(self) -> float:
         return 0.0
 
     def exp_functional(self, theta):
@@ -122,9 +105,6 @@ class NoJumps(JumpMeasure):
 
     def exp_moment(self, theta):
         return np.zeros_like(np.asarray(theta)) if np.ndim(theta) else 0.0 * theta
-
-    def truncated_moments(self, eps: float) -> tuple[float, float]:
-        return (0.0, 0.0)
 
     def total_rate(self) -> float:
         return 0.0
@@ -153,27 +133,14 @@ class CompoundPoissonExponential(JumpMeasure):
         z = np.asarray(z, dtype=float)
         return self.rate * self.mu * np.exp(-self.mu * z)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.rate * np.exp(-self.mu * x)
-
     def mean(self) -> float:
         return self.rate * self.jump_mean
-
-    def second_moment(self) -> float:
-        return 2.0 * self.rate / self.mu**2
 
     def exp_functional(self, theta):
         return -self.rate * theta / (self.mu + theta)
 
     def exp_moment(self, theta):
         return self.rate * self.mu / (self.mu + theta) ** 2
-
-    def truncated_moments(self, eps: float) -> tuple[float, float]:
-        mu = self.mu
-        m1 = self.rate / mu * special.gammainc(2.0, mu * eps)
-        m2 = 2.0 * self.rate / mu**2 * special.gammainc(3.0, mu * eps)
-        return (m1, m2)
 
     def total_rate(self) -> float:
         return self.rate
@@ -200,15 +167,8 @@ class CompoundPoissonGamma(JumpMeasure):
         a, s = self.shape, self.scale
         return self.rate * z ** (a - 1.0) * np.exp(-z / s) / (special.gamma(a) * s**a)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.rate * special.gammaincc(self.shape, x / self.scale)
-
     def mean(self) -> float:
         return self.rate * self.shape * self.scale
-
-    def second_moment(self) -> float:
-        return self.rate * self.shape * (self.shape + 1.0) * self.scale**2
 
     def exp_functional(self, theta):
         return self.rate * ((1.0 + self.scale * theta) ** (-self.shape) - 1.0)
@@ -216,12 +176,6 @@ class CompoundPoissonGamma(JumpMeasure):
     def exp_moment(self, theta):
         a, s = self.shape, self.scale
         return self.rate * a * s * (1.0 + s * theta) ** (-a - 1.0)
-
-    def truncated_moments(self, eps: float) -> tuple[float, float]:
-        a, s = self.shape, self.scale
-        m1 = self.rate * a * s * special.gammainc(a + 1.0, eps / s)
-        m2 = self.rate * a * (a + 1.0) * s**2 * special.gammainc(a + 2.0, eps / s)
-        return (m1, m2)
 
     def total_rate(self) -> float:
         return self.rate
@@ -243,27 +197,14 @@ class GammaSubordinator(JumpMeasure):
         z = np.asarray(z, dtype=float)
         return self.shape * np.exp(-self.rate * z) / z
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.shape * special.exp1(self.rate * x)
-
     def mean(self) -> float:
         return self.shape / self.rate
-
-    def second_moment(self) -> float:
-        return self.shape / self.rate**2
 
     def exp_functional(self, theta):
         return -self.shape * np.log(1.0 + theta / self.rate)
 
     def exp_moment(self, theta):
         return self.shape / (self.rate + theta)
-
-    def truncated_moments(self, eps: float) -> tuple[float, float]:
-        a, b = self.shape, self.rate
-        m1 = a / b * (-math.expm1(-b * eps))
-        m2 = a / b**2 * special.gammainc(2.0, b * eps)
-        return (m1, m2)
 
     def total_rate(self) -> float:
         return math.inf

@@ -9,6 +9,7 @@ change wall time, never results.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,17 +122,19 @@ def resolve_workers(requested: int, env: str | None = None) -> int:
     return max(1, min(requested, len(os.sched_getaffinity(0))))
 
 
-def _worker(args) -> tuple[int, dict]:
-    rep_idx, model, scheme, params, seed, x_eval, level, D_window = args
-    return rep_idx, run_replication(model, scheme, params, seed, x_eval, level, D_window)
-
-
 @dataclass
 class MCResult:
-    rows: list[dict]          # in replication order; failures keep their slot
+    rows: list[dict]          # in replication order, "rep" set; failures keep their slot
     summary: dict
     x_eval: np.ndarray
     truth: TrueValues
+
+
+def _collect(rows: list[dict], results) -> None:
+    """Append each replication row as it arrives, numbering it by arrival."""
+    for row in results:
+        row["rep"] = len(rows)
+        rows.append(row)
 
 
 def _ad_critical_1pct(n: int) -> float:
@@ -161,25 +164,20 @@ def run_monte_carlo(
     """
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
     truth = true_values(model, params, x_eval)
-    payloads = [
-        (r, model, scheme, params, replication_seed(base_seed, r), x_eval, level, D_window)
-        for r in range(replications)
-    ]
-    rows: list[dict | None] = [None] * replications
+    run = functools.partial(
+        run_replication, model, scheme, params, x_eval=x_eval, level=level, D_window=D_window
+    )
+    seeds = [replication_seed(base_seed, r) for r in range(replications)]
+    # map and pool.map both yield rows in replication order
+    rows: list[dict] = []
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rep_idx, row in pool.map(_worker, payloads, chunksize=4):
-                    rows[rep_idx] = row
+                _collect(rows, pool.map(run, seeds, chunksize=4))
         else:
-            for payload in payloads:
-                rep_idx, row = _worker(payload)
-                rows[rep_idx] = row
+            _collect(rows, map(run, seeds))
     except Exception as exc:
-        done = [row for row in rows if row is not None]
-        raise McWorkerFailure(exc, partial_rows=done) from exc
-    for r, row in enumerate(rows):
-        row["rep"] = r
+        raise McWorkerFailure(exc, partial_rows=rows) from exc
 
     ok = [row for row in rows if not row["failed"]]
     summary: dict = {

@@ -32,7 +32,6 @@ __all__ = [
     "SamplingScheme",
     "ObservationSet",
     "make_scheme",
-    "s2_quantity",
     "simulate",
     "path_rng",
     "replication_seed",
@@ -57,10 +56,10 @@ class SamplingScheme:
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
             raise ConfigError(f"n must be a positive integer, got {self.n}")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not (self.delta > 0 and math.isfinite(self.T)):
+            raise ConfigError(f"delta must be > 0 with T = n * delta finite, got {self.delta}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
 
     @property
     def T(self) -> float:
@@ -87,8 +86,8 @@ def make_scheme(T: float, a: float = 1.0, rho: float = 0.49, c_eps: float = 1.0)
     """n = ceil(T^{1+a}), delta = T/n, eps = c_eps * delta^rho.
 
     a = 1 gives n = T^2 and n delta^2 = 1/T -> 0 (condition S1); rho <= 1/2
-    keeps the small-jump moments o(T^{-1/2}) for our families (condition S2,
-    see s2_quantity).
+    keeps the small-jump moments o(T^{-1/2}) for our families (condition S2:
+    sqrt(T) times the integral of (z + z^2) nu(dz) over (0, eps] tends to 0).
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
@@ -102,16 +101,6 @@ def make_scheme(T: float, a: float = 1.0, rho: float = 0.49, c_eps: float = 1.0)
     delta = T / n
     eps = c_eps * delta**rho
     return SamplingScheme(n=n, delta=delta, eps=eps, rule=(a, rho, c_eps))
-
-
-def s2_quantity(jumps: JumpMeasure, scheme: SamplingScheme) -> float:
-    """sqrt(T) * (int_0^eps z nu(dz) + int_0^eps z^2 nu(dz)).
-
-    Should trend to zero along a scheme family for the threshold bias to be
-    negligible at the CLT scale.
-    """
-    m1, m2 = jumps.truncated_moments(scheme.eps)
-    return math.sqrt(scheme.T) * (m1 + m2)
 
 
 @dataclass(frozen=True)
@@ -259,7 +248,9 @@ def _read_sidecar(path) -> tuple[SamplingScheme, int]:
         return SamplingScheme.from_dict(sidecar["scheme"]), int(sidecar["seed"])
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # not JSON, wrong types, invalid scheme
+    # not JSON, wrong types (a scheme that is not an object has no .get),
+    # invalid scheme; int() of Infinity overflows
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,15 @@ def _drop_sidecar_key(key: str):
     return corrupt
 
 
+def _set_sidecar_value(key: str, value):
+    def corrupt(d: Path) -> None:
+        sidecar = json.loads((d / "observation.json").read_text())
+        (sidecar if key == "seed" else sidecar["scheme"])[key] = value
+        (d / "observation.json").write_text(json.dumps(sidecar))
+
+    return corrupt
+
+
 def _swap_first_jump_times(d: Path) -> None:
     lines = (d / "jumps.csv").read_text().splitlines()
     t1, t2 = lines[1].split(",")[0], lines[2].split(",")[0]
@@ -206,6 +216,13 @@ CORRUPTIONS = {
     "sidecar_not_json": lambda d: (d / "observation.json").write_text("{not json"),
     "sidecar_bad_scheme": lambda d: (d / "observation.json").write_text(
         json.dumps({"scheme": {"n": -4, "delta": 0.05, "eps": 0.2}, "seed": 11})
+    ),
+    "sidecar_n_infinity": _set_sidecar_value("n", math.inf),
+    "sidecar_seed_infinity": _set_sidecar_value("seed", math.inf),
+    "sidecar_eps_nan": _set_sidecar_value("eps", math.nan),
+    "sidecar_delta_infinity": _set_sidecar_value("delta", math.inf),
+    "sidecar_scheme_not_object": lambda d: (d / "observation.json").write_text(
+        json.dumps({"scheme": "n=400", "seed": 11})
     ),
     "jump_time_past_T": lambda d: _edit_cell(
         d / "jumps.csv", len((d / "jumps.csv").read_text().splitlines()) - 1, 0, "999.0"
@@ -312,6 +329,23 @@ class TestWorkerFailure:
             "replications.csv", "replications_partial.csv"))
         assert len(partial["seed"]) == 2  # two completed before the crash
 
+    def test_partial_table_numbers_rows_by_replication(self, tmp_path, monkeypatch):
+        import qscale.mc as mc_mod
+
+        original = mc_mod.run_replication
+
+        def crash_at_fourth_seed(model, scheme, params, seed, *args, **kwargs):
+            if seed == 11 + 3:
+                raise RuntimeError("worker crashed")
+            return original(model, scheme, params, seed, *args, **kwargs)
+
+        monkeypatch.setattr(mc_mod, "run_replication", crash_at_fourth_seed)
+        cfg = write_config(tmp_path / "cfg.json", mc={"replications": 6, "workers": 1})
+        assert main(["mc", "--config", str(cfg)]) == 3
+        partial = read_csv_columns(tmp_path / "out" / "replications_partial.csv")
+        assert partial["rep"].tolist() == [0, 1, 2]
+        assert partial["seed"].tolist() == [11, 12, 13]
+
 
 class TestOutputFormats:
     def test_csv_only(self, tmp_path):
@@ -331,6 +365,20 @@ class TestOutputFormats:
         assert main(["compute", "--config", str(cfg)]) == 0
         assert not (tmp_path / "out" / "w_curve.csv").exists()
         assert (tmp_path / "out" / "coeffs.json").exists()
+
+    @pytest.mark.parametrize(
+        "formats, written, absent",
+        [(["csv"], "ci_curve.csv", "report.json"), (["json"], "report.json", "ci_curve.csv")],
+    )
+    def test_estimate_oracle_honours_formats(self, tmp_path, formats, written, absent):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            output={"directory": str(tmp_path / "out"), "formats": formats},
+        )
+        assert main(["estimate", "--config", str(cfg), "--oracle"]) == 0
+        assert (tmp_path / "out" / written).exists()
+        assert not (tmp_path / "out" / absent).exists()
+        assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         cfg = write_config(

@@ -11,6 +11,7 @@ from qscale.levy import (
     CompoundPoissonExponential,
     LevyModel,
     NoJumps,
+    laplace_exponent_deriv,
     lundberg_exponent,
 )
 from qscale.oracles import nu_functional_exact
@@ -25,10 +26,32 @@ from qscale.estimators import (
     estimate_D,
     estimate_coeffs,
     estimate_gamma,
-    nu_hat,
-    population_covariance,
+    _htilde,
+    _stacked,
     report_from_true_model,
 )
+
+
+def nu_hat(obs: ObservationSet, H):
+    """Threshold estimator (1/T) * sum_{jumps} H(size) over the whole window."""
+    if len(obs.jump_sizes) == 0:
+        probe = np.asarray(H(np.asarray([1.0])), dtype=float)
+        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
+    vals = np.asarray(H(obs.jump_sizes), dtype=float)
+    return vals.sum(axis=-1) / obs.scheme.T
+
+
+def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarray:
+    """Sigma_K at the true parameters: nu of the outer products of Htilde, by quadrature."""
+    theta = model.theta0()
+    psi_prime = laplace_exponent_deriv(model, theta.gamma)
+
+    def outer(z):
+        H = _stacked(*h_functionals_at(model.c, theta.D, theta.gamma, params, z))
+        h = _htilde(H, theta.gamma, z, psi_prime)
+        return h[:, None, :] * h[None, :, :]
+
+    return nu_functional_exact(model, outer, rtol=1e-9)
 
 
 def _obs_from_path(grid, delta, jump_times, jump_sizes, eps=1e-6, seed=0):

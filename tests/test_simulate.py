@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
-from qscale.exceptions import ConfigError
+from qscale.exceptions import ConfigError, DataError
 from qscale.levy import (
     CompoundPoissonExponential,
     GammaSubordinator,
@@ -17,10 +23,24 @@ from qscale.simulate import (
     _jumps_by_time,
     load_observation,
     make_scheme,
-    s2_quantity,
     save_observation,
     simulate,
 )
+
+
+def _s2_quantity(jumps, scheme: SamplingScheme) -> float:
+    """sqrt(T) * (int_0^eps z nu(dz) + int_0^eps z^2 nu(dz)), the S2 quantity.
+
+    Should trend to zero along a scheme family for the threshold bias to be
+    negligible at the CLT scale.  Closed forms for the families used here.
+    """
+    if jumps.is_zero:
+        return 0.0
+    assert isinstance(jumps, CompoundPoissonExponential)
+    mu, eps = jumps.mu, scheme.eps
+    m1 = jumps.rate / mu * special.gammainc(2.0, mu * eps)
+    m2 = 2.0 * jumps.rate / mu**2 * special.gammainc(3.0, mu * eps)
+    return math.sqrt(scheme.T) * (m1 + m2)
 
 
 class TestMakeScheme:
@@ -44,13 +64,24 @@ class TestMakeScheme:
         with pytest.raises(ConfigError):
             make_scheme(**kwargs)
 
+    @pytest.mark.parametrize("field", ["delta", "eps"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_step_and_threshold_finite_positive(self, field, value):
+        kwargs = {"n": 10, "delta": 0.1, "eps": 0.5, field: value}
+        with pytest.raises(ConfigError):
+            SamplingScheme(**kwargs)
+
+    def test_horizon_finite(self):
+        with pytest.raises(ConfigError):
+            SamplingScheme(n=10, delta=1e308, eps=0.5)
+
     def test_s2_zero_without_jumps(self):
         s = make_scheme(100.0)
-        assert s2_quantity(NoJumps(), s) == 0.0
+        assert _s2_quantity(NoJumps(), s) == 0.0
 
     def test_s2_decreasing_along_family(self):
         jumps = CompoundPoissonExponential(1.0, 1.0)
-        vals = [s2_quantity(jumps, make_scheme(float(T))) for T in (100, 400, 1600)]
+        vals = [_s2_quantity(jumps, make_scheme(float(T))) for T in (100, 400, 1600)]
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -214,3 +245,54 @@ class TestSerialization:
             )
         for name in ("grid.csv", "jumps.csv", "obs.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# a sidecar value replaced by an arbitrary JSON scalar: "scheme" and "seed"
+# address the top level, "a.b" sidecar["scheme"]["a"]["b"] and any other key
+# sidecar["scheme"][key]
+_SIDECAR_KEYS = [
+    "scheme", "seed", "n", "delta", "eps", "rule", "rule.a", "rule.rho", "rule.c_eps",
+]
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**30, -(10**30), 10**400, 1e308, -1e308, 5e-324]),
+)
+
+
+@pytest.fixture(scope="module")
+def small_triple(tmp_path_factory):
+    """grid.csv, jumps.csv and the sidecar of a short path with recorded jumps."""
+    d = tmp_path_factory.mktemp("triple")
+    model = LevyModel(x0=0.0, c=1.5, D=0.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1)
+    obs = simulate(model, make_scheme(5.0), seed=3)
+    assert len(obs.jump_sizes) >= 1
+    save_observation(obs, d / "grid.csv", d / "jumps.csv", d / "observation.json")
+    return d
+
+
+class TestSidecarFuzz:
+    @given(key=st.sampled_from(_SIDECAR_KEYS), value=_JSON_SCALARS)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_loads_or_raises_data_error(self, small_triple, key, value):
+        sidecar = json.loads((small_triple / "observation.json").read_text())
+        if key in ("scheme", "seed"):
+            sidecar[key] = value
+        else:
+            *path, last = key.split(".")
+            target = sidecar["scheme"]
+            for part in path:
+                target = target[part]
+            target[last] = value
+        mutated = small_triple / "mutated.json"
+        mutated.write_text(json.dumps(sidecar))
+        try:
+            obs = load_observation(small_triple / "grid.csv", small_triple / "jumps.csv", mutated)
+        except DataError:
+            return
+        assert math.isfinite(obs.scheme.delta) and obs.scheme.delta > 0
+        assert math.isfinite(obs.scheme.eps) and obs.scheme.eps > 0
+        assert len(obs.grid) == obs.scheme.n + 1
