@@ -32,7 +32,7 @@ from .exceptions import (
     DomainError,
     NumericalError,
 )
-from .estimators import build_report, report_from_true_model, write_ci_csv
+from .estimators import build_report, estimate_D, report_from_true_model, write_ci_csv
 from .mc import MC_COLUMNS, McWorkerFailure, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
 from .series import scale_approx
@@ -130,10 +130,9 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
         )
         seeds = [obs.seed]
         D_window = cfg.mc.D_window if (cfg.mc and cfg.mc.D_window) else 1.0
+        D_hat = estimate_D(obs, D_window)
         try:
-            report = build_report(
-                obs, model.q, model.c, cfg.laguerre, x=cfg.x_grid, D_window=D_window
-            )
+            report = build_report(obs, model.q, model.c, cfg.laguerre, x=cfg.x_grid, D_hat=D_hat)
         except DegenerateEstimateError as exc:
             # degenerate estimates are flagged output, not a failure
             payload = {

@@ -36,11 +36,12 @@ from .series import (
     h_functionals_at,
     solve_aG,
 )
-from .simulate import ObservationSet
+from .simulate import JumpSample, ObservationSet, window_steps
 from .tabular import write_csv
 
 __all__ = [
     "estimate_D",
+    "realized_D",
     "empirical_psi",
     "empirical_psi_deriv",
     "GammaEstimate",
@@ -58,36 +59,36 @@ __all__ = [
 
 
 def estimate_D(obs: ObservationSet, window: float = 1.0) -> float:
-    """Realized-variance estimator of D = sigma^2/2 on [0, window].
+    """Realized-variance estimator of D = sigma^2/2 on [0, window] from the grid.
 
-    (1/(2 window)) * [ sum of squared grid increments - sum of squared
-    recorded jump sizes with time <= window ].  The raw value is returned
-    even when negative; callers clamp at zero where a nonnegative D feeds
-    closed forms.
+    The raw value is returned even when negative; callers clamp at zero
+    where a nonnegative D feeds closed forms.
     """
-    if window <= 0:
-        raise DomainError(f"window must be > 0, got {window}")
-    # epsilon guards the floor against float division noise at window = T
-    m = int(math.floor(window / obs.scheme.delta + 1e-9))
-    if m < 1 or m > obs.scheme.n:
-        raise DomainError(
-            f"window {window} needs {m} increments but the grid has {obs.scheme.n}"
-        )
+    m = window_steps(obs.scheme, window)
     incr = np.diff(obs.grid[: m + 1])
-    sum_sq = float(np.dot(incr, incr))
-    in_window = obs.jump_times <= window
-    jump_sq = float(np.dot(obs.jump_sizes[in_window], obs.jump_sizes[in_window]))
+    return realized_D(obs, float(np.dot(incr, incr)), window)
+
+
+def realized_D(sample: JumpSample, sum_sq: float, window: float) -> float:
+    """(1/(2 window)) * [ sum_sq - sum of squared recorded jump sizes with time <= window ].
+
+    ``sum_sq`` is the sum of squared grid increments on [0, window], from the
+    grid (``estimate_D``) or straight from the simulation
+    (``simulate.simulate_window``).
+    """
+    in_window = sample.jump_times <= window
+    jump_sq = float(np.dot(sample.jump_sizes[in_window], sample.jump_sizes[in_window]))
     return (sum_sq - jump_sq) / (2.0 * window)
 
 
-def empirical_psi(obs: ObservationSet, c: float, D: float, r) -> float:
+def empirical_psi(obs: JumpSample, c: float, D: float, r) -> float:
     """psi_hat(r) = c r + D r^2 + nu_hat(e^{-r z} - 1); convex in r for D >= 0."""
     z = obs.jump_sizes
     tail = float(np.sum(np.expm1(-np.multiply.outer(r, z)))) / obs.scheme.T if len(z) else 0.0
     return c * r + D * r * r + tail
 
 
-def empirical_psi_deriv(obs: ObservationSet, c: float, D: float, r) -> float:
+def empirical_psi_deriv(obs: JumpSample, c: float, D: float, r) -> float:
     z = obs.jump_sizes
     tail = float(np.sum(z * np.exp(-r * z))) / obs.scheme.T if len(z) else 0.0
     return c + 2.0 * D * r - tail
@@ -100,7 +101,7 @@ class GammaEstimate:
 
 
 def estimate_gamma(
-    obs: ObservationSet,
+    obs: JumpSample,
     q: float,
     D_hat: float,
     c: float,
@@ -187,24 +188,24 @@ class PipelineEstimates:
 
 
 def estimate_coeffs(
-    obs: ObservationSet,
+    obs: JumpSample,
     q: float,
     c: float,
     params: LaguerreParams,
     D_hat: float | None = None,
     gamma_hat: GammaEstimate | None = None,
-    D_window: float = 1.0,
 ) -> PipelineEstimates:
-    """(p_hat, a^f_hat, a^F_hat, a^G_hat) from one observation set.
+    """(p_hat, a^f_hat, a^F_hat, a^G_hat) from one sample.
 
-    Averages the closed-form kernels over recorded jump sizes, then solves
-    the triangular system built from a^f_hat.  Raises
+    Without ``D_hat``, ``obs`` must be an ObservationSet and D is estimated
+    from its grid on [0, 1].  Averages the closed-form kernels over recorded
+    jump sizes, then solves the triangular system built from a^f_hat.  Raises
     DegenerateEstimateError when p_hat >= 1 (every downstream formula
     divides by 1 - p) and IllConditionedError when the triangular system
     degenerates.
     """
     if D_hat is None:
-        D_hat = estimate_D(obs, window=D_window)
+        D_hat = estimate_D(obs)
     if gamma_hat is None:
         gamma_hat = estimate_gamma(obs, q, D_hat, c)
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat.value)
@@ -273,7 +274,7 @@ def _htilde(H: np.ndarray, gamma: float, z, psi_prime: float) -> np.ndarray:
 
 
 def covariance_machinery(
-    obs: ObservationSet,
+    obs: JumpSample,
     est: PipelineEstimates,
     c: float,
     q: float,
@@ -422,21 +423,26 @@ class EstimationReport:
 
 
 def build_report(
-    obs: ObservationSet,
+    obs: JumpSample,
     q: float,
     c: float,
     params: LaguerreParams,
     x,
     level: float = 0.95,
-    D_window: float = 1.0,
+    *,
+    D_hat: float,
 ) -> EstimationReport:
-    """Run the whole pipeline on one observation set."""
-    D_raw = estimate_D(obs, window=D_window)
-    gam = estimate_gamma(obs, q, D_raw, c)
-    est = estimate_coeffs(obs, q, c, params, D_hat=D_raw, gamma_hat=gam)
+    """Run the whole pipeline on one sample, given its raw D_hat.
+
+    D_hat comes from the caller: ``estimate_D`` of an observation set's grid
+    or ``realized_D`` of a simulated sum of squares; everything else reads
+    only the recorded jumps.
+    """
+    gam = estimate_gamma(obs, q, D_hat, c)
+    est = estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gam)
     cov = covariance_machinery(obs, est, c, q, x, level=level)
     flags = {}
-    if D_raw < 0:
+    if D_hat < 0:
         flags["negative_D_hat"] = True
     if gam.boundary:
         flags["gamma_boundary"] = True
@@ -444,7 +450,7 @@ def build_report(
         flags["non_psd_sigma"] = True
     return EstimationReport(
         c=c, q=q, alpha=params.alpha, K=params.K,
-        D_hat_raw=D_raw, D_hat=max(D_raw, 0.0),
+        D_hat_raw=D_hat, D_hat=max(D_hat, 0.0),
         gamma_hat=gam.value, gamma_boundary=gam.boundary,
         p_hat=est.p,
         a_f_hat=est.coeffs.a_f, a_F_hat=est.coeffs.a_F, a_G_hat=est.coeffs.a_G,

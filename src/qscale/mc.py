@@ -1,10 +1,13 @@
 """Monte Carlo driver: replicated simulate -> estimate runs with summaries.
 
 Each replication r simulates with seed base_seed + r (Philox streams are
-independent across keys, and replication 0 reproduces a direct run with the
-base seed), estimates the full pipeline, and reports scalars.  Aggregation
-happens in fixed replication order so reruns are byte-identical; workers only
-change wall time, never results.
+independent across keys), estimates the full pipeline, and reports scalars.
+A replication never builds the grid: ``simulate_window`` draws only the
+increments on [0, D_window] and sums their squares directly.  Replication r
+therefore matches a direct ``scale simulate`` + ``scale estimate`` run with
+the same seed in its jumps exactly, and in D_hat (and what follows from it)
+to the last bits.  Aggregation happens in fixed replication order so reruns
+are byte-identical; workers only change wall time, never results.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
 from .levy import LevyModel
 from .series import ScaleApprox, coeffs_true
-from .simulate import SamplingScheme, replication_seed, simulate
-from .estimators import build_report
+from .simulate import SamplingScheme, replication_seed, simulate_window, window_steps
+from .estimators import build_report, realized_D
 
 __all__ = [
     "MCResult",
@@ -83,13 +86,12 @@ def run_replication(
     D_window: float = 1.0,
 ) -> dict:
     """One simulate -> estimate pass; returns a flat row of scalars/arrays."""
-    obs = simulate(model, scheme, seed)
+    sample, sum_sq = simulate_window(model, scheme, seed, D_window)
+    D_hat = realized_D(sample, sum_sq, D_window)
     try:
-        rep = build_report(
-            obs, model.q, model.c, params, x=x_eval, level=level, D_window=D_window
-        )
+        rep = build_report(sample, model.q, model.c, params, x=x_eval, level=level, D_hat=D_hat)
     except (DegenerateEstimateError, NumericalError) as exc:
-        return {"seed": seed, "failed": str(exc), "n_jumps": len(obs.jump_sizes)}
+        return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
     cov = rep.cov
     return {
         "seed": seed,
@@ -160,8 +162,10 @@ def run_monte_carlo(
     covariance treats D_hat noise as negligible at the sqrt(T) scale; under
     the n = T^2 schemes that requires a window growing with T (window = T
     restores it), while sqrt(T)-rate checks for D_hat itself use the fixed
-    default.
+    default.  A window the grid cannot hold raises DomainError before any
+    replication runs.
     """
+    window_steps(scheme, D_window)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
     truth = true_values(model, params, x_eval)
     run = functools.partial(

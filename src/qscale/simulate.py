@@ -11,6 +11,13 @@ Randomness comes from Philox (counter-based) streams keyed by the seed, so
 replications parallelize reproducibly; identical (model, scheme, seed) give
 bit-identical observations.  Draw order is fixed: jump count, jump times,
 jump sizes, then Gaussian increments.
+
+The estimators read the grid only through the sum of squared increments on
+[0, window].  ``simulate_window`` draws the same stream but only the first
+m = window / delta increments, in fixed blocks, and sums their squares
+without building the path: its jumps equal those of ``simulate`` with the
+same seed, and its sum equals the grid's to the last bits (the rounding of
+the path values is skipped, not the draws).
 """
 
 from __future__ import annotations
@@ -30,9 +37,12 @@ from .tabular import write_csv
 
 __all__ = [
     "SamplingScheme",
+    "JumpSample",
     "ObservationSet",
     "make_scheme",
+    "window_steps",
     "simulate",
+    "simulate_window",
     "path_rng",
     "replication_seed",
     "save_observation",
@@ -103,21 +113,42 @@ def make_scheme(T: float, a: float = 1.0, rho: float = 0.49, c_eps: float = 1.0)
     return SamplingScheme(n=n, delta=delta, eps=eps, rule=(a, rho, c_eps))
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Grid samples, recorded jumps (> eps strictly), scheme, and seed."""
+def window_steps(scheme: SamplingScheme, window: float) -> int:
+    """Number m of grid increments on [0, window]; DomainError unless 1 <= m <= n."""
+    if window <= 0:
+        raise DomainError(f"window must be > 0, got {window}")
+    # epsilon guards the floor against float division noise at window = T
+    m = int(math.floor(window / scheme.delta + 1e-9))
+    if m < 1 or m > scheme.n:
+        raise DomainError(f"window {window} needs {m} increments but the grid has {scheme.n}")
+    return m
 
-    grid: np.ndarray
+
+@dataclass(frozen=True)
+class JumpSample:
+    """Recorded jumps (> eps strictly), scheme, and seed: what the estimators
+    read besides the realized variance."""
+
     jump_times: np.ndarray
     jump_sizes: np.ndarray
     scheme: SamplingScheme
     seed: int
 
     def __post_init__(self):
-        if len(self.grid) != self.scheme.n + 1:
-            raise ValueError("grid must have n + 1 samples")
         if np.any(self.jump_sizes <= self.scheme.eps):
             raise ValueError("recorded jump sizes must exceed eps strictly")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ObservationSet(JumpSample):
+    """Grid samples X_{i delta}, i = 0..n, plus the recorded jumps."""
+
+    grid: np.ndarray
+
+    def __post_init__(self):
+        if len(self.grid) != self.scheme.n + 1:
+            raise ValueError("grid must have n + 1 samples")
+        super().__post_init__()
 
     @property
     def times(self) -> np.ndarray:
@@ -186,6 +217,20 @@ def _draw_jumps(
     return times, sizes, 0.0
 
 
+def _grid_bins(jt: np.ndarray, delta: float, n: int) -> np.ndarray:
+    """Index of the first grid time i * delta, i = 0..n, not below each jump time.
+
+    Equals searchsorted(arange(n + 1) * delta, jt, side="left") in O(#jumps):
+    ceil(jt / delta) is off by at most one from it, and one comparison with
+    the grid times (computed as arange computes them) on either side corrects
+    it.  Times beyond n * delta get n + 1.
+    """
+    b = np.clip(np.ceil(jt / delta), 0, n + 1).astype(np.int64)
+    b -= (b > 0) & ((b - 1) * delta >= jt)
+    b += (b <= n) & (b * delta < jt)
+    return b
+
+
 def _jumps_by_time(jt: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Number of jump times <= t_i for each grid time: searchsorted(jt, t, side="right").
 
@@ -227,6 +272,55 @@ def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> Observation
         scheme=scheme,
         seed=int(seed),
     )
+
+
+# increments drawn and summed at a time by simulate_window
+_BLOCK = 1 << 16
+
+
+def simulate_window(
+    model: LevyModel, scheme: SamplingScheme, seed: int, window: float
+) -> tuple[JumpSample, float]:
+    """The recorded jumps of ``simulate(model, scheme, seed)`` and the sum of
+    squared grid increments on [0, window], without building the grid.
+
+    Draws the same stream as ``simulate`` up to the m = window_steps(scheme,
+    window) Gaussian increments it needs.  Each increment is the drift
+    (c - small-jump drift) delta plus its Gaussian draw, minus the jumps in
+    its bin; these are summed a block at a time, so memory does not grow
+    with n.  Only the path values' rounding differs from the grid: the sum
+    agrees with it to the last bits.
+    """
+    m = window_steps(scheme, window)
+    rng = path_rng(seed)
+    dt, eps = scheme.delta, scheme.eps
+    jt, js, small_drift = _draw_jumps(model.jumps, scheme.T, eps, rng)
+
+    # increment i (from t_i to t_{i+1}) holds the jumps binned at grid time i + 1;
+    # a jump at t = 0 lands in X_0 and in no increment
+    step = _grid_bins(jt, dt, scheme.n) - 1
+    inside = (step >= 0) & (step < m)
+    step, bin_start = np.unique(step[inside], return_index=True)
+    bin_jumps = np.add.reduceat(js[inside], bin_start) if len(step) else np.empty(0)
+
+    drift = (model.c - small_drift) * dt
+    scale = model.sigma * math.sqrt(dt)
+    sum_sq = 0.0
+    for start in range(0, m, _BLOCK):
+        stop = min(start + _BLOCK, m)
+        incr = np.full(stop - start, drift)
+        if model.D > 0:
+            incr += rng.normal(0.0, scale, size=stop - start)
+        lo, hi = np.searchsorted(step, [start, stop])
+        incr[step[lo:hi] - start] -= bin_jumps[lo:hi]
+        # einsum, not np.dot: the reduction stays on this thread
+        sum_sq += float(np.einsum("i,i->", incr, incr))
+
+    recorded = js > eps
+    sample = JumpSample(
+        jump_times=jt[recorded], jump_sizes=js[recorded], scheme=scheme, seed=int(seed)
+    )
+    return sample, sum_sq
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qscale.series import (
     scale_approx,
 )
 from qscale.simulate import make_scheme, simulate
-from qscale.estimators import build_report
+from qscale.estimators import build_report, estimate_D
 from qscale.mc import run_monte_carlo
 
 WORKERS = 2
@@ -252,12 +252,16 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     # gamma_hat = 0 exactly at q = 0
     obs = simulate(CL_MODEL_Q0, make_scheme(100.0), seed=88)
-    rep_q0 = build_report(obs, 0.0, CL_MODEL_Q0.c, LaguerreParams(1.0, 10), x=[1.0])
+    rep_q0 = build_report(
+        obs, 0.0, CL_MODEL_Q0.c, LaguerreParams(1.0, 10), x=[1.0], D_hat=estimate_D(obs)
+    )
     checks.append(("gamma_hat == 0 at q=0", rep_q0.gamma_hat == 0.0))
 
     # Gamma block structure
     obs2 = simulate(ACC_MODEL, make_scheme(100.0), seed=89)
-    rep = build_report(obs2, ACC_MODEL.q, ACC_MODEL.c, LaguerreParams(1.0, 10), x=[1.0])
+    rep = build_report(
+        obs2, ACC_MODEL.q, ACC_MODEL.c, LaguerreParams(1.0, 10), x=[1.0], D_hat=estimate_D(obs2)
+    )
     G = rep.cov.Gamma
     d = G.shape[0]
     gamma_ok = (

@@ -157,6 +157,25 @@ class TestEstimate:
             ["estimate", "--config", str(cfg), "--data", str(tmp_path / "missing")]
         ) == 4
 
+    def test_degenerate_report_is_always_json(self, tmp_path):
+        # p_hat >= 1 leaves no intervals to write, and the flag must not vanish
+        # with "json" missing from the formats
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            scheme={"T": 10, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11},
+            output={"directory": str(tmp_path / "out"), "formats": ["csv"]},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        times = np.linspace(0.01, 9.99, 999)
+        (tmp_path / "out" / "jumps.csv").write_text(
+            "t,size\n" + "".join(f"{t!r},3.0\n" for t in times.tolist())
+        )
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["flags"] == {"degenerate_estimate": True}
+        assert report["raw_value"] >= 1.0
+        assert not (tmp_path / "out" / "ci_curve.csv").exists()
+
 
 def _edit_cell(path: Path, row: int, col: int, text: str) -> None:
     lines = path.read_text().splitlines()
@@ -307,6 +326,19 @@ class TestMc:
         assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "r2")]) == 0
         for name in ("replications.csv", "mc_summary.json", "manifest.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+    def test_window_longer_than_grid_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            scheme={"T": 10, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11},
+            mc={"replications": 2, "workers": 1, "D_window": 20.0},
+        )
+        assert main(["mc", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "replications_partial.csv").exists()
+        assert not (tmp_path / "out" / "replications.csv").exists()
 
 
 class TestWorkerFailure:

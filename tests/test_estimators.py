@@ -249,13 +249,13 @@ def _gradient_cases(cs0):
 class TestCovarianceMachinery:
     def test_no_jumps_degenerate(self, brownian_model, params20):
         obs = simulate(brownian_model, make_scheme(20.0), seed=7)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0])
+        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
         assert np.all(rep.cov.Sigma == 0.0)
         assert rep.cov.W_lo == pytest.approx(rep.cov.W_hi)
 
     def test_gamma_block_structure(self, exp_jump_model, params20):
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=8)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0])
+        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0], D_hat=estimate_D(obs))
         G = rep.cov.Gamma
         d = 2 * params20.K + 4
         assert G.shape == (d, d)
@@ -265,14 +265,14 @@ class TestCovarianceMachinery:
 
     def test_sigma_psd(self, exp_jump_model, params20):
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=9)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0])
+        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0], D_hat=estimate_D(obs))
         assert rep.cov.psd_ok
         assert rep.cov.min_eig >= -1e-10
 
     def test_joint_covariance_diagonal(self, exp_jump_model, params20):
         # the joint 2x2 blocks carry (sigma_K, sigma*_K) on the diagonal
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=13)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0])
+        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
         joint = rep.cov.joint
         assert joint[:, 0, 0] == pytest.approx(rep.cov.sigma_W, rel=1e-12)
         assert joint[:, 1, 1] == pytest.approx(rep.cov.sigma_Z, rel=1e-12)
@@ -496,7 +496,7 @@ class TestOracleModeReport:
         import json
 
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=12)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0])
+        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
         rep.save_json(tmp_path / "report.json")
         d = json.loads((tmp_path / "report.json").read_text())
         assert d["estimates"]["p_hat"] == pytest.approx(rep.p_hat)

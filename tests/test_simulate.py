@@ -11,20 +11,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from qscale.exceptions import ConfigError, DataError
+from qscale.estimators import estimate_D, realized_D
+from qscale.exceptions import ConfigError, DataError, DomainError
 from qscale.levy import (
     CompoundPoissonExponential,
+    CompoundPoissonGamma,
     GammaSubordinator,
     LevyModel,
     NoJumps,
 )
 from qscale.simulate import (
+    _BLOCK,
     SamplingScheme,
+    _grid_bins,
     _jumps_by_time,
     load_observation,
     make_scheme,
+    path_rng,
     save_observation,
     simulate,
+    simulate_window,
+    window_steps,
 )
 
 
@@ -203,6 +210,104 @@ class TestJumpAccumulator:
         assert np.array_equal(obs.grid, want)
 
 
+class TestGridBins:
+    """The O(#jumps) bin index equals a binary search among the grid times."""
+
+    @staticmethod
+    def _reference(jt, delta, n):
+        return np.searchsorted(np.arange(n + 1) * delta, jt, side="left")
+
+    @pytest.mark.parametrize("n, delta", [(10, 0.1), (2_560_000, 1600.0 / 2_560_000), (30, 1 / 3)])
+    def test_on_and_around_grid_times(self, n, delta):
+        rng = np.random.default_rng(3)
+        i = np.concatenate([[0, 1, n - 1, n], rng.integers(0, n + 1, 200)])
+        t = i * delta
+        jt = np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+            rng.uniform(0.0, n * delta, 500), [0.0, n * delta + 1e-9],
+        ])
+        jt = jt[jt >= 0.0]
+        got = _grid_bins(jt, delta, n)
+        assert np.array_equal(got, self._reference(jt, delta, n))
+
+    @given(
+        n=st.integers(1, 10**5),
+        delta=st.floats(1e-7, 10.0),
+        frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_schemes(self, n, delta, frac):
+        # fractions of T, and the grid times nearest to them
+        jt = np.array(frac) * (n * delta)
+        jt = np.concatenate([jt, np.round(jt / delta) * delta])
+        assert np.array_equal(_grid_bins(jt, delta, n), self._reference(jt, delta, n))
+
+
+class TestSimulateWindow:
+    """The grid-free replication draw against the grid of ``simulate``."""
+
+    MODELS = {
+        "exponential": LevyModel(
+            x0=0.0, c=1.5, D=0.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1
+        ),
+        "cp_gamma": LevyModel(
+            x0=0.0, c=2.0, D=0.2, jumps=CompoundPoissonGamma(1.0, 2.0, 0.4), q=0.05
+        ),
+        "gamma_subordinator": LevyModel(
+            x0=0.0, c=1.5, D=0.3, jumps=GammaSubordinator(shape=0.5, rate=1.0), q=0.2
+        ),
+        "no_brownian": LevyModel(
+            x0=1.0, c=2.0, D=0.0, jumps=CompoundPoissonGamma(1.0, 2.0, 0.4), q=0.05
+        ),
+    }
+
+    @staticmethod
+    def _check(model, scheme, seed, window):
+        obs = simulate(model, scheme, seed)
+        sample, sum_sq = simulate_window(model, scheme, seed, window)
+        assert np.array_equal(sample.jump_times, obs.jump_times)
+        assert np.array_equal(sample.jump_sizes, obs.jump_sizes)
+        assert (sample.scheme, sample.seed) == (obs.scheme, obs.seed)
+        m = window_steps(scheme, window)
+        incr = np.diff(obs.grid[: m + 1])
+        want = float(np.dot(incr, incr))
+        assert abs(sum_sq - want) <= 1e-12 * want
+        # D_hat to 1e-12 of the sum's own scale (D = 0 leaves only roundoff)
+        D_grid = estimate_D(obs, window)
+        assert abs(realized_D(sample, sum_sq, window) - D_grid) <= 1e-12 * want / (2 * window)
+        return obs
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_sum_equals_grid(self, name, whole):
+        scheme = make_scheme(300.0)  # n = 90_000, two blocks
+        self._check(self.MODELS[name], scheme, 5, scheme.T if whole else 1.0)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_window_ending_in_a_jump_bin(self, name):
+        model = self.MODELS[name]
+        scheme = make_scheme(40.0)
+        obs = simulate(model, scheme, 11)
+        assert len(obs.jump_times) >= 3
+        jt = obs.jump_times[len(obs.jump_times) // 2]
+        b = int(_grid_bins(np.array([jt]), scheme.delta, scheme.n)[0])
+        window = b * scheme.delta
+        assert window_steps(scheme, window) == b and jt <= window
+        self._check(model, scheme, 11, window)
+
+    def test_block_draws_continue_one_stream(self):
+        full = path_rng(21).normal(0.0, 0.3, size=2 * _BLOCK + 123)
+        rng = path_rng(21)
+        parts = [rng.normal(0.0, 0.3, size=k) for k in (_BLOCK, _BLOCK, 123)]
+        assert np.array_equal(np.concatenate(parts), full)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, 10.5])
+    def test_window_outside_grid(self, window):
+        scheme = SamplingScheme(n=100, delta=0.1, eps=0.5)
+        with pytest.raises(DomainError):
+            simulate_window(self.MODELS["exponential"], scheme, 1, window)
+
+
 class TestSerialization:
     def test_round_trip(self, exp_jump_model, tmp_path):
         s = make_scheme(50.0)
@@ -296,3 +401,45 @@ class TestSidecarFuzz:
         assert math.isfinite(obs.scheme.delta) and obs.scheme.delta > 0
         assert math.isfinite(obs.scheme.eps) and obs.scheme.eps > 0
         assert len(obs.grid) == obs.scheme.n + 1
+
+
+# one byte edit: (kind, position as a fraction of the file, byte)
+_BYTE_EDITS = st.tuples(
+    st.sampled_from(["mutate", "insert", "delete"]),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from(list(b"0123456789.,-+eE\n\r #nai ")), st.integers(0, 255)),
+)
+
+
+def _edit_bytes(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, where, byte in edits:
+        pos = min(int(where * len(buf)), max(len(buf) - 1, 0))
+        if kind == "insert":
+            buf.insert(pos, byte)
+        elif buf and kind == "mutate":
+            buf[pos] = byte
+        elif buf:
+            del buf[pos]
+    return bytes(buf)
+
+
+class TestObservationCsvFuzz:
+    @given(
+        which=st.sampled_from(["grid.csv", "jumps.csv"]),
+        edits=st.lists(_BYTE_EDITS, min_size=1, max_size=4),
+    )
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_loads_or_raises_data_error(self, small_triple, which, edits):
+        paths = {"grid.csv": small_triple / "grid.csv", "jumps.csv": small_triple / "jumps.csv"}
+        mutated = small_triple / f"mutated-{which}"
+        mutated.write_bytes(_edit_bytes(paths[which].read_bytes(), edits))
+        paths[which] = mutated
+        try:
+            obs = load_observation(
+                paths["grid.csv"], paths["jumps.csv"], small_triple / "observation.json"
+            )
+        except DataError:
+            return
+        assert len(obs.grid) == obs.scheme.n + 1 and np.isfinite(obs.grid).all()
+        assert np.all(obs.jump_sizes > obs.scheme.eps)
