@@ -15,7 +15,6 @@ either is clamped to the usable cores.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,7 @@ from .mc import MC_COLUMNS, McWorkerFailure, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
 from .series import scale_approx
 from .simulate import load_observation, save_observation, simulate
-from .tabular import write_csv
+from .tabular import write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +55,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, seeds: list[
         },
         "seeds": seeds,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
@@ -97,11 +96,9 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
             "theta": {"D": cs.theta.D, "gamma": cs.theta.gamma},
             "laguerre": {"alpha": cfg.laguerre.alpha, "K": cfg.laguerre.K},
         }
-        (out / "coeffs.json").write_text(json.dumps(coeffs, indent=2, sort_keys=True) + "\n")
+        write_json(out / "coeffs.json", coeffs)
         if summary:
-            (out / "oracle_summary.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            )
+            write_json(out / "oracle_summary.json", summary)
     _write_manifest(out, cfg, "compute", [])
     return EXIT_OK
 
@@ -129,8 +126,7 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
             data / "grid.csv", data / "jumps.csv", data / "observation.json"
         )
         seeds = [obs.seed]
-        D_window = cfg.mc.D_window if (cfg.mc and cfg.mc.D_window) else 1.0
-        D_hat = estimate_D(obs, D_window)
+        D_hat = estimate_D(obs, cfg.mc.D_window) if cfg.mc else estimate_D(obs)
         try:
             report = build_report(obs, model.q, model.c, cfg.laguerre, x=cfg.x_grid, D_hat=D_hat)
         except DegenerateEstimateError as exc:
@@ -142,7 +138,7 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
                 "scheme": obs.scheme.to_dict(),
                 "seed": obs.seed,
             }
-            (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            write_json(out / "report.json", payload)
             _write_manifest(out, cfg, "estimate", seeds)
             return EXIT_OK
     if "json" in cfg.formats:
@@ -158,7 +154,6 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     workers = resolve_workers(cfg.mc.workers, os.environ.get("SCALE_WORKERS"))
     scheme = cfg.scheme.build()
-    D_window = cfg.mc.D_window if cfg.mc.D_window else 1.0
     try:
         result = run_monte_carlo(
             cfg.model,
@@ -168,7 +163,7 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
             x_eval=cfg.x_grid,
             base_seed=cfg.scheme.seed,
             workers=workers,
-            D_window=D_window,
+            D_window=cfg.mc.D_window,
         )
     except McWorkerFailure as exc:
         _write_mc_table(out / "replications_partial.csv", exc.partial_rows)
@@ -178,9 +173,7 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
     if "csv" in cfg.formats:
         _write_mc_table(out / "replications.csv", rows)
     if "json" in cfg.formats:
-        (out / "mc_summary.json").write_text(
-            json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "mc_summary.json", result.summary)
     seeds = [row["seed"] for row in rows]
     _write_manifest(out, cfg, "mc", seeds)
     failed = [r for r in rows if r["failed"]]

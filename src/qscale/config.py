@@ -66,7 +66,7 @@ class SchemeConfig:
 class McConfig:
     replications: int
     workers: int
-    D_window: float | None  # None: estimator default
+    D_window: float  # realized-variance window of D_hat
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def parse_config(d: dict) -> ExperimentConfig:
         workers = int(_check_number(mb, "workers", "mc", default=1))
         if workers < 1:
             raise ConfigError(f"mc.workers must be >= 1, got {workers}")
-        D_window = None
+        D_window = 1.0  # also when given as null
         if mb.get("D_window") is not None:
             D_window = float(_check_number(mb, "D_window", "mc"))
             if D_window <= 0:

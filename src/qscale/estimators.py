@@ -5,20 +5,21 @@ Every coefficient-level quantity is a threshold functional
 ``nu_hat(H) = (1/T) sum_{recorded jumps} H(size)``; the CLT covariance of the
 stacked estimator (a^f, a^F, p, gamma) is Gamma Sigma Gamma^T with
 ``sigma_ij = nu(Htilde_i Htilde_j)`` and Gamma the identity bordered by the
-column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  The
-kernels H and their analytic gamma-derivative come from one sweep over the
-jump sizes in ``estimate_coeffs`` and travel on ``PipelineEstimates``.
-Pointwise variances for W_hat and Z_hat contract that matrix with the
-gradient rows C_K(x), q C*_K(x); confidence bounds are value +/- z *
-sqrt(var / T).
+column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  After
+``estimate_D`` and ``estimate_gamma``, ``estimate_coeffs`` reads the jump
+sizes once: one sweep of the kernels H and their analytic gamma-derivative
+gives the coefficients, Sigma_hat and Gamma_hat, which travel on
+``PipelineEstimates``.  Nothing downstream reads the sample: pointwise
+variances for W_hat and Z_hat contract that matrix with the gradient rows
+C_K(x), q C*_K(x), and confidence bounds are value +/- z * sqrt(var / T).
+The oracle report runs the same machinery on population estimates (zero
+Sigma, identity Gamma).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import optimize, special
@@ -37,7 +38,7 @@ from .series import (
     solve_aG,
 )
 from .simulate import JumpSample, ObservationSet, window_steps
-from .tabular import write_csv
+from .tabular import write_csv, write_json
 
 __all__ = [
     "estimate_D",
@@ -83,15 +84,13 @@ def realized_D(sample: JumpSample, sum_sq: float, window: float) -> float:
 
 def empirical_psi(obs: JumpSample, c: float, D: float, r) -> float:
     """psi_hat(r) = c r + D r^2 + nu_hat(e^{-r z} - 1); convex in r for D >= 0."""
-    z = obs.jump_sizes
-    tail = float(np.sum(np.expm1(-np.multiply.outer(r, z)))) / obs.scheme.T if len(z) else 0.0
+    tail = float(np.sum(np.expm1(-np.multiply.outer(r, obs.jump_sizes)))) / obs.scheme.T
     return c * r + D * r * r + tail
 
 
 def empirical_psi_deriv(obs: JumpSample, c: float, D: float, r) -> float:
     z = obs.jump_sizes
-    tail = float(np.sum(z * np.exp(-r * z))) / obs.scheme.T if len(z) else 0.0
-    return c + 2.0 * D * r - tail
+    return c + 2.0 * D * r - float(np.sum(z * np.exp(-r * z))) / obs.scheme.T
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,10 @@ def estimate_gamma(
     """M-estimator of the Lundberg exponent: gamma_hat solves psi_hat(r) = q.
 
     Returns 0 exactly when q = 0 (the indicator in the definition).  The
-    empirical psi_hat is convex, so its largest root is found by locating the
-    minimizer of psi_hat (root of the increasing psi_hat') and bracketing to
-    the right; when psi_hat never reaches q on [0, r_max] the squared
-    objective is minimized by golden section instead and the boundary flag
-    is set.
+    empirical psi_hat is convex with psi_hat(0) = 0 < q, so psi_hat = q has
+    exactly one root on (0, inf), and [0, r_max] brackets it whenever
+    psi_hat(r_max) >= q; otherwise the squared objective is minimized by
+    golden section instead and the boundary flag is set.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -131,22 +129,14 @@ def estimate_gamma(
 
     # module-level objectives with args: a closure over obs would share a
     # reference cycle with scipy's NaN guard and keep the grid alive until gc
-    lo = 0.0
-    if _dpsi(0.0, obs, c, D) < 0.0:
-        if _dpsi(r_max, obs, c, D) <= 0.0:
-            lo = r_max
-        else:
-            lo = optimize.brentq(_dpsi, 0.0, r_max, args=(obs, c, D), xtol=1e-14)
     args = (obs, c, D, q)
-    if _psi_gap(r_max, *args) < 0.0 or _psi_gap(lo, *args) > 0.0:
+    if _psi_gap(r_max, *args) < 0.0:
         res = optimize.minimize_scalar(
             _psi_gap_sq, bounds=(0.0, r_max), args=args, method="bounded",
             options={"xatol": 1e-12},
         )
         return GammaEstimate(float(res.x), boundary=True)
-    if _psi_gap(lo, *args) == 0.0:
-        return GammaEstimate(float(lo))
-    root = optimize.brentq(_psi_gap, lo, r_max, args=args, xtol=1e-14, rtol=8.9e-16)
+    root = optimize.brentq(_psi_gap, 0.0, r_max, args=args, xtol=1e-14, rtol=8.9e-16)
     return GammaEstimate(float(root))
 
 
@@ -158,25 +148,27 @@ def _psi_gap_sq(r, obs, c, D, q):
     return _psi_gap(r, obs, c, D, q) ** 2
 
 
-def _dpsi(r, obs, c, D):
-    return empirical_psi_deriv(obs, c, D, r)
-
-
 @dataclass(frozen=True)
 class PipelineEstimates:
-    """theta_hat = (max(D_hat, 0), gamma_hat) and the plug-in coefficient set.
-
-    ``h_stack`` holds (H, d/dgamma H) at the recorded jump sizes when the
-    estimates were computed from them (see ``_h_stack``), so the covariance
-    machinery need not sweep the kernels again.
-    """
+    """theta_hat = (max(D_hat, 0), gamma_hat), the plug-in coefficient set,
+    and the covariance inputs Sigma_hat, Gamma_hat over the horizon T."""
 
     D_raw: float
     gamma: GammaEstimate
     coeffs: CoefficientSet
-    h_stack: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    Sigma: np.ndarray       # (2K+4, 2K+4), nu_hat of Htilde outer products
+    Gamma: np.ndarray       # (2K+4, 2K+4), identity bordered by nu_hat(dH/dgamma)
+    T: float
+
+    @staticmethod
+    def population(coeffs: CoefficientSet) -> "PipelineEstimates":
+        """The true parameters as estimates: no sampling error, so Sigma is
+        zero and Gamma the identity (an infinite horizon)."""
+        dim = 2 * coeffs.params.K + 4
+        return PipelineEstimates(
+            D_raw=coeffs.theta.D, gamma=GammaEstimate(coeffs.theta.gamma), coeffs=coeffs,
+            Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim), T=math.inf,
+        )
 
     @property
     def theta(self) -> ThetaParams:
@@ -192,43 +184,46 @@ def estimate_coeffs(
     q: float,
     c: float,
     params: LaguerreParams,
-    D_hat: float | None = None,
-    gamma_hat: GammaEstimate | None = None,
+    *,
+    D_hat: float,
+    gamma_hat: GammaEstimate,
 ) -> PipelineEstimates:
-    """(p_hat, a^f_hat, a^F_hat, a^G_hat) from one sample.
+    """(p_hat, a^f_hat, a^F_hat, a^G_hat), Sigma_hat and Gamma_hat from one sample.
 
-    Without ``D_hat``, ``obs`` must be an ObservationSet and D is estimated
-    from its grid on [0, 1].  Averages the closed-form kernels over recorded
-    jump sizes, then solves the triangular system built from a^f_hat.  Raises
-    DegenerateEstimateError when p_hat >= 1 (every downstream formula
-    divides by 1 - p) and IllConditionedError when the triangular system
-    degenerates.
+    One sweep of the closed-form kernels and their gamma-derivative over the
+    recorded jump sizes gives every average; a^G_hat then solves the
+    triangular system built from a^f_hat.  Raises DegenerateEstimateError
+    when p_hat >= 1 (every downstream formula divides by 1 - p) and
+    IllConditionedError when the triangular system degenerates.
     """
-    if D_hat is None:
-        D_hat = estimate_D(obs)
-    if gamma_hat is None:
-        gamma_hat = estimate_gamma(obs, q, D_hat, c)
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat.value)
     n = params.K + 1
-    if len(obs.jump_sizes) == 0:
-        coeffs = CoefficientSet(0.0, np.zeros(n), np.zeros(n), np.zeros(n), params, theta)
-        return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs)
-    H, dH = _h_stack(c, theta, params, obs.jump_sizes)
-    nu = H.sum(axis=1) / obs.scheme.T
+    z, T = obs.jump_sizes, obs.scheme.T
+    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z, d_gamma=True)
+    H = _stacked(*vals)
+    nu = H.sum(axis=1) / T
     a_f, a_F, p_hat = nu[:n], nu[n:-1], float(nu[-1])
     if p_hat >= 1.0:
         raise DegenerateEstimateError("p_hat >= 1", raw_value=p_hat)
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
-    return PipelineEstimates(D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs, h_stack=(H, dH))
+
+    psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
+    Htilde = _htilde(H, theta.gamma, z, psi_prime)  # (2K+4, nz)
+    Gamma = np.eye(len(Htilde))
+    Gamma[:-1, -1] = _stacked(*d_gamma).sum(axis=1) / T
+    return PipelineEstimates(
+        D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs,
+        Sigma=(Htilde @ Htilde.T) / T, Gamma=Gamma, T=T,
+    )
 
 
 @dataclass(frozen=True)
 class CovarianceReport:
     """Plug-in CLT covariance blocks and pointwise intervals on the x grid."""
 
-    Sigma: np.ndarray       # (2K+4, 2K+4), nu_hat of Htilde outer products
-    Gamma: np.ndarray       # (2K+4, 2K+4), identity bordered by nu_hat(dH/dgamma)
+    Sigma: np.ndarray       # the estimates' Sigma_hat
+    Gamma: np.ndarray       # the estimates' Gamma_hat
     B: np.ndarray           # (K+1, 2K+2)
     x: np.ndarray
     W_hat: np.ndarray
@@ -255,12 +250,6 @@ def _stacked(H_p, H_f, H_F) -> np.ndarray:
     return np.vstack([H_f, H_F, H_p[None, :]])
 
 
-def _h_stack(c, theta: ThetaParams, params, z) -> tuple[np.ndarray, np.ndarray]:
-    """(H, d/dgamma H) at z from one kernel sweep, each stacked by ``_stacked``."""
-    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z, d_gamma=True)
-    return _stacked(*vals), _stacked(*d_gamma)
-
-
 def _htilde(H: np.ndarray, gamma: float, z, psi_prime: float) -> np.ndarray:
     """Influence kernels (H^f, H^F, H_p, H_gamma): the stack H with the gamma row appended.
 
@@ -274,41 +263,23 @@ def _htilde(H: np.ndarray, gamma: float, z, psi_prime: float) -> np.ndarray:
 
 
 def covariance_machinery(
-    obs: JumpSample,
     est: PipelineEstimates,
     c: float,
     q: float,
     x,
     level: float = 0.95,
 ) -> CovarianceReport:
-    """Sigma_hat, Gamma_hat, B_hat and pointwise variances / CIs for (W, Z).
+    """B_hat and pointwise variances / CIs for (W, Z) from the estimates alone.
 
-    Gradients of P, Q, P*, Q* in (p, gamma) and the column nu_hat(d/dgamma H)
-    in Gamma_hat are analytic.  Sigma_hat and that column reuse the kernel
-    stack carried on ``est``; only estimates without it (built by hand)
-    cost a sweep over the jump sizes here.
+    Gradients of P, Q, P*, Q* in (p, gamma) are analytic; Sigma_hat and
+    Gamma_hat come with ``est``.
     """
     coeffs = est.coeffs
     params = coeffs.params
-    theta = coeffs.theta
     K = params.K
     dim = 2 * K + 4
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = obs.jump_sizes
-    T = obs.scheme.T
-
-    if len(z) > 0:
-        H, dH = est.h_stack if est.h_stack is not None else _h_stack(c, theta, params, z)
-        psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
-        Htilde = _htilde(H, theta.gamma, z, psi_prime)  # (2K+4, nz)
-        Sigma = (Htilde @ Htilde.T) / T
-        dH_col = dH.sum(axis=1) / T
-    else:
-        Sigma = np.zeros((dim, dim))
-        dH_col = np.zeros(dim - 1)
-
-    Gamma = np.eye(dim)
-    Gamma[: dim - 1, dim - 1] = dH_col
+    Sigma, Gamma, T = est.Sigma, est.Gamma, est.T
 
     eigs = np.linalg.eigvalsh(Sigma)
     min_eig = float(eigs[0])
@@ -356,38 +327,29 @@ class EstimationReport:
 
     c: float
     q: float
-    alpha: float
-    K: int
-    D_hat_raw: float
-    D_hat: float
-    gamma_hat: float
-    gamma_boundary: bool
-    p_hat: float
-    a_f_hat: np.ndarray
-    a_F_hat: np.ndarray
-    a_G_hat: np.ndarray
+    est: PipelineEstimates
     cov: CovarianceReport
     scheme: dict
     seed: int
     n_jumps: int
-    level: float
     flags: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        cov = self.cov
+        est, cov = self.est, self.cov
+        coeffs = est.coeffs
         return {
             "c": self.c,
             "q": self.q,
-            "laguerre": {"alpha": self.alpha, "K": self.K},
+            "laguerre": {"alpha": coeffs.params.alpha, "K": coeffs.params.K},
             "estimates": {
-                "D_hat_raw": self.D_hat_raw,
-                "D_hat": self.D_hat,
-                "gamma_hat": self.gamma_hat,
-                "gamma_boundary": self.gamma_boundary,
-                "p_hat": self.p_hat,
-                "a_f_hat": self.a_f_hat.tolist(),
-                "a_F_hat": self.a_F_hat.tolist(),
-                "a_G_hat": self.a_G_hat.tolist(),
+                "D_hat_raw": est.D_raw,
+                "D_hat": est.theta.D,
+                "gamma_hat": est.gamma.value,
+                "gamma_boundary": est.gamma.boundary,
+                "p_hat": est.p,
+                "a_f_hat": coeffs.a_f.tolist(),
+                "a_F_hat": coeffs.a_F.tolist(),
+                "a_G_hat": coeffs.a_G.tolist(),
                 "v_gamma_sq": cov.v_gamma_sq,
             },
             "covariance": {
@@ -408,7 +370,7 @@ class EstimationReport:
                 "W_hi": cov.W_hi.tolist(),
                 "Z_lo": cov.Z_lo.tolist(),
                 "Z_hi": cov.Z_hi.tolist(),
-                "level": self.level,
+                "level": cov.level,
             },
             "scheme": self.scheme,
             "seed": self.seed,
@@ -417,9 +379,7 @@ class EstimationReport:
         }
 
     def save_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self.to_json_dict())
 
 
 def build_report(
@@ -440,7 +400,7 @@ def build_report(
     """
     gam = estimate_gamma(obs, q, D_hat, c)
     est = estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gam)
-    cov = covariance_machinery(obs, est, c, q, x, level=level)
+    cov = covariance_machinery(est, c, q, x, level=level)
     flags = {}
     if D_hat < 0:
         flags["negative_D_hat"] = True
@@ -449,13 +409,8 @@ def build_report(
     if not cov.psd_ok:
         flags["non_psd_sigma"] = True
     return EstimationReport(
-        c=c, q=q, alpha=params.alpha, K=params.K,
-        D_hat_raw=D_hat, D_hat=max(D_hat, 0.0),
-        gamma_hat=gam.value, gamma_boundary=gam.boundary,
-        p_hat=est.p,
-        a_f_hat=est.coeffs.a_f, a_F_hat=est.coeffs.a_F, a_G_hat=est.coeffs.a_G,
-        cov=cov, scheme=obs.scheme.to_dict(), seed=obs.seed,
-        n_jumps=len(obs.jump_sizes), level=level, flags=flags,
+        c=c, q=q, est=est, cov=cov, scheme=obs.scheme.to_dict(), seed=obs.seed,
+        n_jumps=len(obs.jump_sizes), flags=flags,
     )
 
 
@@ -470,31 +425,11 @@ def report_from_true_model(
     Reproduces the scale_series curves exactly; with no sampling error the
     covariance blocks are zero and the bounds equal the curves.
     """
-    coeffs = coeffs_true(model, params)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
-    dim = 2 * params.K + 4
-    zeros = np.zeros(len(x))
-    k = approx.kernels(x)
-    W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
-    cov = CovarianceReport(
-        Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim),
-        B=build_B(coeffs.a_G, params.alpha),
-        x=x, W_hat=W_hat, Z_hat=Z_hat,
-        sigma_W=zeros, sigma_Z=zeros.copy(),
-        joint=np.zeros((len(x), 2, 2)),
-        W_lo=W_hat.copy(), W_hi=W_hat.copy(),
-        Z_lo=Z_hat.copy(), Z_hi=Z_hat.copy(),
-        level=level, psd_ok=True, min_eig=0.0,
-    )
+    est = PipelineEstimates.population(coeffs_true(model, params))
+    cov = covariance_machinery(est, model.c, model.q, x, level=level)
     return EstimationReport(
-        c=model.c, q=model.q, alpha=params.alpha, K=params.K,
-        D_hat_raw=model.D, D_hat=model.D,
-        gamma_hat=coeffs.theta.gamma, gamma_boundary=False,
-        p_hat=coeffs.p,
-        a_f_hat=coeffs.a_f, a_F_hat=coeffs.a_F, a_G_hat=coeffs.a_G,
-        cov=cov, scheme={}, seed=-1, n_jumps=0,
-        level=level, flags={"oracle_mode": True},
+        c=model.c, q=model.q, est=est, cov=cov, scheme={}, seed=-1, n_jumps=0,
+        flags={"oracle_mode": True},
     )
 
 

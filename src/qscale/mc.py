@@ -92,14 +92,14 @@ def run_replication(
         rep = build_report(sample, model.q, model.c, params, x=x_eval, level=level, D_hat=D_hat)
     except (DegenerateEstimateError, NumericalError) as exc:
         return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
-    cov = rep.cov
+    est, cov = rep.est, rep.cov
     return {
         "seed": seed,
         "failed": "",
         "n_jumps": rep.n_jumps,
-        "D_hat": rep.D_hat_raw,
-        "gamma_hat": rep.gamma_hat,
-        "p_hat": rep.p_hat,
+        "D_hat": est.D_raw,
+        "gamma_hat": est.gamma.value,
+        "p_hat": est.p,
         "v_gamma_sq": cov.v_gamma_sq,
         "W_hat": np.asarray(cov.W_hat),
         "Z_hat": np.asarray(cov.Z_hat),

@@ -33,7 +33,7 @@ from scipy import special
 
 from .exceptions import ConfigError, DataError, DomainError
 from .levy import GammaSubordinator, JumpMeasure, LevyModel
-from .tabular import write_csv
+from .tabular import write_csv, write_json
 
 __all__ = [
     "SamplingScheme",
@@ -231,17 +231,6 @@ def _grid_bins(jt: np.ndarray, delta: float, n: int) -> np.ndarray:
     return b
 
 
-def _jumps_by_time(jt: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Number of jump times <= t_i for each grid time: searchsorted(jt, t, side="right").
-
-    Bins each jump at the first grid time it does not exceed and accumulates
-    the bin counts, O(n + #jumps) instead of a binary search per grid point.
-    """
-    count = np.bincount(np.searchsorted(t, jt, side="left"), minlength=len(t) + 1)
-    np.cumsum(count, out=count)
-    return count[: len(t)]
-
-
 def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> ObservationSet:
     """Exact simulation of the observation set: grid values plus jumps > eps.
 
@@ -252,7 +241,8 @@ def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> Observation
     jt, js, small_drift = _draw_jumps(model.jumps, T, eps, rng)
 
     t = np.arange(n + 1) * dt
-    jumps_so_far = _jumps_by_time(jt, t)
+    # number of jumps at or before each grid time
+    jumps_so_far = np.cumsum(np.bincount(_grid_bins(jt, dt, n), minlength=n + 2))[: n + 1]
     # X = x0 + (c - drift) t + W - L, accumulated in place in t's buffer in
     # that order (same rounding as the expression, no grid-sized temporaries)
     X = t
@@ -332,7 +322,7 @@ def save_observation(obs: ObservationSet, grid_path, jumps_path, sidecar_path) -
     write_csv(grid_path, ["i", "t", "X"], [i, obs.times, obs.grid])
     write_csv(jumps_path, ["t", "size"], [obs.jump_times, obs.jump_sizes])
     sidecar = {"scheme": obs.scheme.to_dict(), "seed": obs.seed}
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path, sidecar)
 
 
 def _read_sidecar(path) -> tuple[SamplingScheme, int]:

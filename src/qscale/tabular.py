@@ -8,13 +8,18 @@ a time: it converts each block of a column to Python numbers in one
 ``tolist`` and formats them with ``map``, then streams the rows to the file
 in blocks of ``BLOCK_ROWS``, never holding the whole text in memory.  The
 bytes written are the same as formatting each cell with ``fmt_float``.
+``write_json`` is the one JSON format of every JSON file: two-space indent,
+sorted keys and a final newline.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-__all__ = ["write_csv", "fmt_float", "BLOCK_ROWS"]
+__all__ = ["write_csv", "write_json", "fmt_float", "BLOCK_ROWS"]
 
 # rows formatted and written per file write
 BLOCK_ROWS = 32768
@@ -52,3 +57,8 @@ def write_csv(path, header: list[str], columns: list) -> None:
         for lo in range(0, n, BLOCK_ROWS):
             cells = [_format_column(c[lo : lo + BLOCK_ROWS]) for c in cols]
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as JSON with sorted keys, so reruns are byte-identical."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -68,6 +68,13 @@ def test_valid_config_parses():
     assert cfg.laguerre.K == 4 and len(cfg.x_grid) == 3 and cfg.scheme.seed == 3
 
 
+@pytest.mark.parametrize("given, window", [({}, 1.0), ({"D_window": None}, 1.0),
+                                           ({"D_window": 20}, 20.0)])
+def test_D_window_is_a_float_defaulting_to_one(given, window):
+    D_window = parse_config(_config("mc", given)).mc.D_window
+    assert type(D_window) is float and D_window == window
+
+
 @pytest.mark.parametrize("name", sorted(BAD))
 def test_malformed_field_raises_config_error(name):
     with pytest.raises(ConfigError):

@@ -23,6 +23,8 @@ from qscale.estimators import (
     build_B,
     build_report,
     covariance_machinery,
+    empirical_psi,
+    empirical_psi_deriv,
     estimate_D,
     estimate_coeffs,
     estimate_gamma,
@@ -52,6 +54,13 @@ def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarra
         return h[:, None, :] * h[None, :, :]
 
     return nu_functional_exact(model, outer, rtol=1e-9)
+
+
+def _estimates(obs: ObservationSet, q: float, c: float, params: LaguerreParams):
+    """estimate_coeffs at the sample's own D_hat (window [0, 1]) and gamma_hat."""
+    D_hat = estimate_D(obs)
+    gamma_hat = estimate_gamma(obs, q, D_hat, c)
+    return estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gamma_hat)
 
 
 def _obs_from_path(grid, delta, jump_times, jump_sizes, eps=1e-6, seed=0):
@@ -148,6 +157,20 @@ class TestEstimateGamma:
         got = estimate_gamma(obs, 0.1, 0.5, 1.5, r_max=1e-6)
         assert got.boundary and got.value <= 1e-6
 
+    @pytest.mark.parametrize("c, D", [(0.5, 0.0), (0.5, 0.5), (0.3, 0.2)])
+    def test_root_past_psi_minimum(self, exp_jump_model, c, D):
+        # c < nu_hat(z): psi_hat first falls below 0, then crosses q once;
+        # the bracket [0, r_max] finds that root to Brent's tolerance
+        for seed in range(8):
+            obs = simulate(exp_jump_model, make_scheme(30.0), seed=seed)
+            assert c < np.sum(obs.jump_sizes) / obs.scheme.T
+            got = estimate_gamma(obs, 0.1, D, c)
+            assert not got.boundary
+            slope = empirical_psi_deriv(obs, c, D, got.value)
+            assert slope > 0.0
+            gap = empirical_psi(obs, c, D, got.value) - 0.1
+            assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got.value)
+
     @pytest.mark.parametrize(
         "c, r_max, boundary",
         [(1.5, None, False), (0.5, None, False), (1.5, 1e-6, True)],
@@ -183,7 +206,7 @@ class TestEstimateGamma:
 class TestEstimateCoeffs:
     def test_no_jumps_all_zero(self, brownian_model, params20):
         obs = simulate(brownian_model, make_scheme(20.0), seed=5)
-        est = estimate_coeffs(obs, 0.1, 1.5, params20)
+        est = _estimates(obs, 0.1, 1.5, params20)
         assert est.p == 0.0
         assert np.all(est.coeffs.a_G == 0.0)
 
@@ -193,7 +216,7 @@ class TestEstimateCoeffs:
         grid = np.zeros(101)
         grid[50:] = -zstar
         obs = _obs_from_path(grid, 0.01, [0.495], [zstar])
-        est = estimate_coeffs(obs, 0.1, 1.5, params20)
+        est = _estimates(obs, 0.1, 1.5, params20)
         th = est.theta
         H_p, H_f, H_F = h_functionals_at(1.5, th.D, th.gamma, params20, np.array([zstar]))
         assert est.p == pytest.approx(H_p[0], rel=1e-12)
@@ -212,17 +235,14 @@ class TestEstimateCoeffs:
         vals = []
         for seed in range(60):
             obs = simulate(exp_jump_model, s, seed=seed)
-            vals.append(estimate_coeffs(obs, 0.1, 1.5, params20).p)
+            vals.append(_estimates(obs, 0.1, 1.5, params20).p)
         mean, se = np.mean(vals), np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(mean - cs0.p) <= 3 * se
 
 
 class TestEstimateW:
     def test_true_values_reproduce_eval(self, exp_jump_model, params20):
-        cs0 = coeffs_true(exp_jump_model, params20)
-        est = PipelineEstimates(
-            D_raw=exp_jump_model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0
-        )
+        est = PipelineEstimates.population(coeffs_true(exp_jump_model, params20))
         xs = np.linspace(0, 5, 11)
         approx = ScaleApprox(c=1.5, q=0.1, coeffs=est.coeffs)
         W, Z = approx.w(xs), approx.z(xs)
@@ -232,7 +252,7 @@ class TestEstimateW:
 
     def test_no_jump_data_gives_brownian_form(self, brownian_model, params20):
         obs = simulate(brownian_model, make_scheme(20.0), seed=6)
-        est = estimate_coeffs(obs, 0.1, 1.5, params20)
+        est = _estimates(obs, 0.1, 1.5, params20)
         xs = np.linspace(0, 5, 6)
         W = ScaleApprox(c=1.5, q=0.1, coeffs=est.coeffs).w(xs)
         D, g = est.theta.D, est.theta.gamma
@@ -282,7 +302,7 @@ class TestCovarianceMachinery:
         from qscale.series import build_Af
 
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=10)
-        est = estimate_coeffs(obs, 0.1, 1.5, params20)
+        est = _estimates(obs, 0.1, 1.5, params20)
         A = build_Af(est.coeffs.a_f, params20.alpha)
         resid = np.max(np.abs(A @ est.coeffs.a_G - est.coeffs.a_F))
         assert resid <= 1e-12 * max(1.0, np.max(np.abs(est.coeffs.a_F)))
@@ -328,12 +348,8 @@ class TestCovarianceMachinery:
         # evaluator matches the last two gradient entries, for D > 0 and
         # D = 0, at gamma = 0 and gamma > 0
         cs0 = coeffs_true(exp_jump_model, params20)
-        est = PipelineEstimates(
-            D_raw=exp_jump_model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0
-        )
-        obs = simulate(exp_jump_model, make_scheme(100.0), seed=11)
         x = np.array([2.0])
-        covariance_machinery(obs, est, 1.5, 0.1, x)
+        covariance_machinery(PipelineEstimates.population(cs0), 1.5, 0.1, x)
         from qscale.series import eval_P, eval_Q_all, grad_P, grad_Q_all
 
         h = 1e-6
@@ -381,8 +397,7 @@ class TestCovarianceMachinery:
 
         model = request.getfixturevalue(model_name)
         cs0 = coeffs_true(model, params20)
-        est = PipelineEstimates(D_raw=model.D, gamma=GammaEstimate(cs0.theta.gamma), coeffs=cs0)
-        obs = simulate(model, make_scheme(50.0), seed=13)
+        est = PipelineEstimates.population(cs0)
         x = np.linspace(0.0, 6.0, 7)
         bs = []
         orig = lag_mod.psi_integral_all
@@ -394,7 +409,7 @@ class TestCovarianceMachinery:
 
         monkeypatch.setattr(lag_mod, "psi_integral_all", counting)
         monkeypatch.setattr(series_mod, "psi_integral_all", counting)
-        cov = covariance_machinery(obs, est, model.c, model.q, x)
+        cov = covariance_machinery(est, model.c, model.q, x)
         theta = cs0.theta
         if theta.D > 0:
             assert bs == [theta.gamma, -theta.beta(model.c)]
@@ -408,9 +423,8 @@ class TestCovarianceMachinery:
     def test_jump_kernels_swept_once_per_replication(
         self, model_name, params20, request, monkeypatch
     ):
-        # estimate_coeffs sweeps the jump sizes once and carries (H, dH/dgamma);
-        # covariance_machinery sweeps only for estimates without that stack,
-        # and both routes give the same Sigma and Gamma
+        # estimate_coeffs sweeps the jump sizes once, and Sigma_hat and
+        # Gamma_hat come out of that sweep; covariance_machinery sweeps none
         import qscale.estimators as est_mod
 
         model = request.getfixturevalue(model_name)
@@ -423,24 +437,26 @@ class TestCovarianceMachinery:
             return orig(c, D, gamma, params, z, *args, **kwargs)
 
         monkeypatch.setattr(est_mod, "h_functionals_at", counting)
-        est = estimate_coeffs(obs, model.q, model.c, params20)
+        est = _estimates(obs, model.q, model.c, params20)
         assert calls == [len(obs.jump_sizes)]
         calls.clear()
-        x = np.array([1.0, 3.0])
-        carried = covariance_machinery(obs, est, model.c, model.q, x)
+        cov = covariance_machinery(est, model.c, model.q, np.array([1.0, 3.0]))
         assert calls == []
-        bare = PipelineEstimates(D_raw=est.D_raw, gamma=est.gamma, coeffs=est.coeffs)
-        swept = covariance_machinery(obs, bare, model.c, model.q, x)
-        assert calls == [len(obs.jump_sizes)]
-        assert np.array_equal(carried.Sigma, swept.Sigma)
-        assert np.array_equal(carried.Gamma, swept.Gamma)
-        assert np.array_equal(carried.W_lo, swept.W_lo)
+        assert cov.Sigma is est.Sigma and cov.Gamma is est.Gamma
+
+        # the same blocks from a sweep of their own
+        th, z, T = est.theta, obs.jump_sizes, obs.scheme.T
+        vals, d_gamma = orig(model.c, th.D, th.gamma, params20, z, d_gamma=True)
+        psi_prime = model.c + 2 * th.D * th.gamma - np.sum(z * np.exp(-th.gamma * z)) / T
+        Htilde = _htilde(_stacked(*vals), th.gamma, z, psi_prime)
+        assert np.array_equal(est.Sigma, Htilde @ Htilde.T / T)
+        assert np.array_equal(est.Gamma[:-1, -1], _stacked(*d_gamma).sum(axis=1) / T)
 
     def test_gamma_column_matches_fd_of_kernels(self, exp_jump_model, params20):
         # the analytic column nu_hat(dH/dgamma) against a central difference
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=15)
-        est = estimate_coeffs(obs, 0.1, 1.5, params20)
-        cov = covariance_machinery(obs, est, 1.5, 0.1, [1.0])
+        est = _estimates(obs, 0.1, 1.5, params20)
+        cov = covariance_machinery(est, 1.5, 0.1, [1.0])
         th, h, z = est.theta, 1e-6, obs.jump_sizes
 
         def nu_stack(gamma):
@@ -478,6 +494,19 @@ class TestOracleModeReport:
         assert rep.cov.Z_hat == pytest.approx(ap.z(xs), rel=0, abs=0)
         assert rep.flags.get("oracle_mode") is True
 
+    @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
+    def test_zero_blocks(self, model_name, params20, request):
+        # no sampling error: zero Sigma and joint covariances, identity Gamma,
+        # and bounds equal to the curves bit for bit
+        model = request.getfixturevalue(model_name)
+        cov = report_from_true_model(model, params20, np.linspace(0, 5, 21)).cov
+        for block in (cov.Sigma, cov.joint, cov.sigma_W, cov.sigma_Z):
+            assert np.all(block == 0.0) and not np.any(np.signbit(block))
+        assert np.array_equal(cov.Gamma, np.eye(2 * params20.K + 4))
+        assert cov.psd_ok and cov.min_eig == 0.0
+        for lo, mid, hi in ((cov.W_lo, cov.W_hat, cov.W_hi), (cov.Z_lo, cov.Z_hat, cov.Z_hi)):
+            assert lo.tobytes() == mid.tobytes() == hi.tobytes()
+
     def test_one_kernel_evaluation(self, exp_jump_model, params20, monkeypatch):
         import qscale.series as series_mod
 
@@ -499,5 +528,5 @@ class TestOracleModeReport:
         rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
         rep.save_json(tmp_path / "report.json")
         d = json.loads((tmp_path / "report.json").read_text())
-        assert d["estimates"]["p_hat"] == pytest.approx(rep.p_hat)
+        assert d["estimates"]["p_hat"] == pytest.approx(rep.est.p)
         assert len(d["covariance"]["Sigma"]) == 2 * params20.K + 4

@@ -24,7 +24,6 @@ from qscale.simulate import (
     _BLOCK,
     SamplingScheme,
     _grid_bins,
-    _jumps_by_time,
     load_observation,
     make_scheme,
     path_rng,
@@ -177,27 +176,6 @@ class TestJumpAccumulator:
     @staticmethod
     def _reference(jt, t):
         return np.searchsorted(jt, t, side="right")
-
-    def test_edge_cases_bit_identical(self):
-        t = np.arange(11) * 0.1
-        cases = [
-            np.empty(0),
-            np.array([t[2]]),                       # exactly on a grid time
-            np.array([t[5] + 1e-3, t[5] + 2e-3]),   # two jumps in one bin
-            np.array([0.0, t[3], t[3], t[10]]),     # at both ends, a repeated time
-            np.array([t[10] + 1e-9]),               # after the last grid time
-        ]
-        for jt in cases:
-            got = _jumps_by_time(jt, t)
-            assert got.dtype == self._reference(jt, t).dtype
-            assert np.array_equal(got, self._reference(jt, t))
-
-    def test_random_paths_bit_identical(self):
-        rng = np.random.default_rng(7)
-        for n, m in [(1000, 5), (1000, 3000), (40_000, 200)]:
-            t = np.arange(n + 1) * (10.0 / n)
-            jt = np.sort(np.concatenate([rng.uniform(0.0, 10.0, m), t[rng.integers(0, n, 3)]]))
-            assert np.array_equal(_jumps_by_time(jt, t), self._reference(jt, t))
 
     def test_simulated_grid_uses_same_jump_sums(self):
         # sigma = 0: the grid equals drift minus the jump sum indexed the old way

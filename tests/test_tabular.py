@@ -1,4 +1,5 @@
-"""The streamed CSV writer against the per-cell fmt_float contract, byte for byte."""
+"""The streamed CSV writer against the per-cell fmt_float contract, byte for byte,
+and the JSON writer's fixed format."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qscale.tabular as tabular
-from qscale.tabular import BLOCK_ROWS, fmt_float, write_csv
+from qscale.tabular import BLOCK_ROWS, fmt_float, write_csv, write_json
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 0.1, 2.0**53]
 DTYPES = [np.int64, np.uint8, np.bool_, np.float32, np.float64]
@@ -130,3 +131,12 @@ class TestWriteCsv:
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="same length"):
             write_csv(tmp_path / "out.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+
+def test_json_sorted_two_space_indent_final_newline(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": [1.5, -0.0], "a": {"d": None, "c": True}})
+    assert path.read_text() == (
+        '{\n  "a": {\n    "c": true,\n    "d": null\n  },\n'
+        '  "b": [\n    1.5,\n    -0.0\n  ]\n}\n'
+    )
