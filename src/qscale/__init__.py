@@ -35,7 +35,7 @@ from .oracles import (
     closed_form_W, compound_geometric_grid, laplace_invert_scale, nu_functional_exact,
 )
 from .series import CoefficientSet, ScaleApprox, coeffs_true, scale_approx
-from .simulate import ObservationSet, SamplingScheme, make_scheme, simulate
+from .simulate import ObservationSet, SamplingScheme, make_scheme
 from .estimators import EstimationReport, build_report
 
 __all__ = [
@@ -49,6 +49,6 @@ __all__ = [
     "nu_functional_exact",
     "closed_form_W", "compound_geometric_grid", "laplace_invert_scale",
     "CoefficientSet", "ScaleApprox", "coeffs_true", "scale_approx",
-    "SamplingScheme", "ObservationSet", "make_scheme", "simulate",
+    "SamplingScheme", "ObservationSet", "make_scheme",
     "EstimationReport", "build_report",
 ]

@@ -106,10 +106,9 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     cfg.require("scheme")
     out = _out_dir(cfg, args)
-    scheme = cfg.scheme.build()
-    obs = simulate(cfg.model, scheme, cfg.scheme.seed)
+    obs = simulate(cfg.model, cfg.scheme, cfg.seed)
     save_observation(obs, out / "grid.csv", out / "jumps.csv", out / "observation.json")
-    _write_manifest(out, cfg, "simulate", [cfg.scheme.seed])
+    _write_manifest(out, cfg, "simulate", [cfg.seed])
     return EXIT_OK
 
 
@@ -153,15 +152,14 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "scheme", "mc", "x_grid")
     out = _out_dir(cfg, args)
     workers = resolve_workers(cfg.mc.workers, os.environ.get("SCALE_WORKERS"))
-    scheme = cfg.scheme.build()
     try:
         result = run_monte_carlo(
             cfg.model,
-            scheme,
+            cfg.scheme,
             cfg.laguerre,
             replications=cfg.mc.replications,
             x_eval=cfg.x_grid,
-            base_seed=cfg.scheme.seed,
+            base_seed=cfg.seed,
             workers=workers,
             D_window=cfg.mc.D_window,
         )

@@ -51,18 +51,6 @@ _JUMP_KINDS = {
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    T: float
-    a: float
-    rho: float
-    c_eps: float
-    seed: int
-
-    def build(self) -> SamplingScheme:
-        return make_scheme(self.T, a=self.a, rho=self.rho, c_eps=self.c_eps)
-
-
-@dataclass(frozen=True)
 class McConfig:
     replications: int
     workers: int
@@ -73,7 +61,8 @@ class McConfig:
 class ExperimentConfig:
     model: LevyModel
     laguerre: LaguerreParams | None
-    scheme: SchemeConfig | None
+    scheme: SamplingScheme | None
+    seed: int               # scheme.seed: the simulation seed, or base seed of mc
     mc: McConfig | None
     out_dir: str
     formats: tuple[str, ...]
@@ -177,23 +166,20 @@ def parse_config(d: dict) -> ExperimentConfig:
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
 
-    scheme = None
+    scheme, seed = None, 0
     if "scheme" in d:
         sb = _block(d, "scheme")
         seed = _check_number(sb, "seed", "scheme", default=0)
         if int(seed) != seed or seed < 0:
             raise ConfigError(f"scheme.seed must be a nonnegative integer, got {seed}")
-        scheme = SchemeConfig(
-            T=float(_check_number(sb, "T", "scheme")),
-            a=float(_check_number(sb, "a", "scheme", default=1.0)),
-            rho=float(_check_number(sb, "rho", "scheme", default=0.49)),
-            c_eps=float(_check_number(sb, "c_eps", "scheme", default=1.0)),
-            seed=int(seed),
-        )
+        seed = int(seed)
+        T = float(_check_number(sb, "T", "scheme"))
+        # the rule's defaults are make_scheme's; pass only what the config gives
+        rule = {k: float(_check_number(sb, k, "scheme")) for k in ("a", "rho", "c_eps") if k in sb}
         try:
-            scheme.build()  # validate ranges now, not at run time
+            scheme = make_scheme(T, **rule)
         except OverflowError as exc:
-            raise ConfigError(f"scheme.T = {scheme.T!r} is too large: {exc}") from exc
+            raise ConfigError(f"scheme.T = {T!r} is too large: {exc}") from exc
 
     mc = None
     if "mc" in d:
@@ -241,7 +227,7 @@ def parse_config(d: dict) -> ExperimentConfig:
         x_grid = np.linspace(lo, hi, int(pts))
 
     return ExperimentConfig(
-        model=model, laguerre=laguerre, scheme=scheme, mc=mc,
+        model=model, laguerre=laguerre, scheme=scheme, seed=seed, mc=mc,
         out_dir=out_dir, formats=formats, x_grid=x_grid, raw=d,
     )
 

@@ -11,9 +11,13 @@ sizes once: one sweep of the kernels H and their analytic gamma-derivative
 gives the coefficients, Sigma_hat and Gamma_hat, which travel on
 ``PipelineEstimates``.  Nothing downstream reads the sample: pointwise
 variances for W_hat and Z_hat contract that matrix with the gradient rows
-C_K(x), q C*_K(x), and confidence bounds are value +/- z * sqrt(var / T).
+C_K(x), q C*_K(x), and confidence bounds are value +/- z * sqrt(var / T):
+pointwise intervals in x at the fixed asymptotic level ``LEVEL``.
 The oracle report runs the same machinery on population estimates (zero
 Sigma, identity Gamma).
+
+When psi_hat stays below q on the whole search box, gamma_hat is the end of
+the box nearest q and carries the boundary flag.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .simulate import JumpSample, ObservationSet, window_steps
 from .tabular import write_csv, write_json
 
 __all__ = [
+    "LEVEL",
     "estimate_D",
     "realized_D",
     "empirical_psi",
@@ -57,6 +62,9 @@ __all__ = [
     "report_from_true_model",
     "write_ci_csv",
 ]
+
+# asymptotic coverage of every pointwise interval the reports give
+LEVEL = 0.95
 
 
 def estimate_D(obs: ObservationSet, window: float = 1.0) -> float:
@@ -96,7 +104,7 @@ def empirical_psi_deriv(obs: JumpSample, c: float, D: float, r) -> float:
 @dataclass(frozen=True)
 class GammaEstimate:
     value: float
-    boundary: bool = False  # search hit the box edge; value is the box optimum
+    boundary: bool = False  # psi_hat < q on the whole box; value is the end nearest q
 
 
 def estimate_gamma(
@@ -111,8 +119,9 @@ def estimate_gamma(
     Returns 0 exactly when q = 0 (the indicator in the definition).  The
     empirical psi_hat is convex with psi_hat(0) = 0 < q, so psi_hat = q has
     exactly one root on (0, inf), and [0, r_max] brackets it whenever
-    psi_hat(r_max) >= q; otherwise the squared objective is minimized by
-    golden section instead and the boundary flag is set.
+    psi_hat(r_max) >= q.  Otherwise psi_hat < q on all of [0, r_max], and by
+    convexity |psi_hat - q| is least at an end: r_max when psi_hat(r_max) > 0,
+    else 0; that end is returned with the boundary flag set.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -127,25 +136,17 @@ def estimate_gamma(
             r0 = 2.0 * q / c
         r_max = 10.0 * max(r0, 1e-3)
 
-    # module-level objectives with args: a closure over obs would share a
+    # a module-level objective with args: a closure over obs would share a
     # reference cycle with scipy's NaN guard and keep the grid alive until gc
-    args = (obs, c, D, q)
-    if _psi_gap(r_max, *args) < 0.0:
-        res = optimize.minimize_scalar(
-            _psi_gap_sq, bounds=(0.0, r_max), args=args, method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return GammaEstimate(float(res.x), boundary=True)
-    root = optimize.brentq(_psi_gap, 0.0, r_max, args=args, xtol=1e-14, rtol=8.9e-16)
+    psi_max = empirical_psi(obs, c, D, r_max)
+    if psi_max < q:
+        return GammaEstimate(float(r_max) if psi_max > 0.0 else 0.0, boundary=True)
+    root = optimize.brentq(_psi_gap, 0.0, r_max, args=(obs, c, D, q), xtol=1e-14, rtol=8.9e-16)
     return GammaEstimate(float(root))
 
 
 def _psi_gap(r, obs, c, D, q):
     return empirical_psi(obs, c, D, r) - q
-
-
-def _psi_gap_sq(r, obs, c, D, q):
-    return _psi_gap(r, obs, c, D, q) ** 2
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,11 @@ class PipelineEstimates:
     @property
     def p(self) -> float:
         return self.coeffs.p
+
+    @property
+    def v_gamma_sq(self) -> float:
+        """Asymptotic variance of sqrt(T) (gamma_hat - gamma_0)."""
+        return float(self.Sigma[-1, -1])
 
 
 def estimate_coeffs(
@@ -220,10 +226,8 @@ def estimate_coeffs(
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Plug-in CLT covariance blocks and pointwise intervals on the x grid."""
+    """Plug-in CLT covariance blocks and pointwise LEVEL intervals on the x grid."""
 
-    Sigma: np.ndarray       # the estimates' Sigma_hat
-    Gamma: np.ndarray       # the estimates' Gamma_hat
     B: np.ndarray           # (K+1, 2K+2)
     x: np.ndarray
     W_hat: np.ndarray
@@ -235,14 +239,8 @@ class CovarianceReport:
     W_hi: np.ndarray
     Z_lo: np.ndarray
     Z_hi: np.ndarray
-    level: float
     psd_ok: bool
     min_eig: float
-
-    @property
-    def v_gamma_sq(self) -> float:
-        """Asymptotic variance of sqrt(T) (gamma_hat - gamma_0)."""
-        return float(self.Sigma[-1, -1])
 
 
 def _stacked(H_p, H_f, H_F) -> np.ndarray:
@@ -267,7 +265,6 @@ def covariance_machinery(
     c: float,
     q: float,
     x,
-    level: float = 0.95,
 ) -> CovarianceReport:
     """B_hat and pointwise variances / CIs for (W, Z) from the estimates alone.
 
@@ -303,7 +300,7 @@ def covariance_machinery(
     joint = np.einsum("xai,xbi->xab", rows @ Sigma, rows)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 
-    zq = float(special.ndtri(0.5 + level / 2.0))
+    zq = float(special.ndtri(0.5 + LEVEL / 2.0))
     if psd_ok:
         hw_W = zq * np.sqrt(np.maximum(sigma_W, 0.0) / T)
         hw_Z = zq * np.sqrt(np.maximum(sigma_Z, 0.0) / T)
@@ -314,10 +311,8 @@ def covariance_machinery(
         W_lo = W_hi = Z_lo = Z_hi = nanarr
 
     return CovarianceReport(
-        Sigma=Sigma, Gamma=Gamma, B=B, x=x, W_hat=W_hat, Z_hat=Z_hat,
-        sigma_W=sigma_W, sigma_Z=sigma_Z, joint=joint,
-        W_lo=W_lo, W_hi=W_hi, Z_lo=Z_lo, Z_hi=Z_hi,
-        level=level, psd_ok=psd_ok, min_eig=min_eig,
+        B=B, x=x, W_hat=W_hat, Z_hat=Z_hat, sigma_W=sigma_W, sigma_Z=sigma_Z, joint=joint,
+        W_lo=W_lo, W_hi=W_hi, Z_lo=Z_lo, Z_hi=Z_hi, psd_ok=psd_ok, min_eig=min_eig,
     )
 
 
@@ -350,11 +345,11 @@ class EstimationReport:
                 "a_f_hat": coeffs.a_f.tolist(),
                 "a_F_hat": coeffs.a_F.tolist(),
                 "a_G_hat": coeffs.a_G.tolist(),
-                "v_gamma_sq": cov.v_gamma_sq,
+                "v_gamma_sq": est.v_gamma_sq,
             },
             "covariance": {
-                "Sigma": cov.Sigma.tolist(),
-                "Gamma": cov.Gamma.tolist(),
+                "Sigma": est.Sigma.tolist(),
+                "Gamma": est.Gamma.tolist(),
                 "B": cov.B.tolist(),
                 "psd_ok": cov.psd_ok,
                 "min_eig": cov.min_eig,
@@ -370,7 +365,7 @@ class EstimationReport:
                 "W_hi": cov.W_hi.tolist(),
                 "Z_lo": cov.Z_lo.tolist(),
                 "Z_hi": cov.Z_hi.tolist(),
-                "level": cov.level,
+                "level": LEVEL,
             },
             "scheme": self.scheme,
             "seed": self.seed,
@@ -388,7 +383,6 @@ def build_report(
     c: float,
     params: LaguerreParams,
     x,
-    level: float = 0.95,
     *,
     D_hat: float,
 ) -> EstimationReport:
@@ -400,7 +394,7 @@ def build_report(
     """
     gam = estimate_gamma(obs, q, D_hat, c)
     est = estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gam)
-    cov = covariance_machinery(est, c, q, x, level=level)
+    cov = covariance_machinery(est, c, q, x)
     flags = {}
     if D_hat < 0:
         flags["negative_D_hat"] = True
@@ -418,7 +412,6 @@ def report_from_true_model(
     model: LevyModel,
     params: LaguerreParams,
     x,
-    level: float = 0.95,
 ) -> EstimationReport:
     """Oracle mode: true (theta0, p0, a^G) through the estimation code path.
 
@@ -426,7 +419,7 @@ def report_from_true_model(
     covariance blocks are zero and the bounds equal the curves.
     """
     est = PipelineEstimates.population(coeffs_true(model, params))
-    cov = covariance_machinery(est, model.c, model.q, x, level=level)
+    cov = covariance_machinery(est, model.c, model.q, x)
     return EstimationReport(
         c=model.c, q=model.q, est=est, cov=cov, scheme={}, seed=-1, n_jumps=0,
         flags={"oracle_mode": True},

@@ -179,29 +179,24 @@ def psi_integral(params: LaguerreParams, k: int, x, b: float):
     return float(res) if np.ndim(x) == 0 else res
 
 
-def psi_integral_and_db_all(
-    params: LaguerreParams, x, b: float, kmax: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..kmax from one sweep.
+def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one sweep.
 
     d/db Psi_k = x Psi_k - int_0^x z e^{b(x-z)} phi_k(z) dz, and the three-term
     identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1} expresses the
-    z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1} (one order above kmax).
+    z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1} (one order above K).
     """
-    kmax = params.K if kmax is None else kmax
-    psi = psi_integral_all(params, x, b, kmax=kmax + 1)
+    psi = psi_integral_all(params, x, b, kmax=params.K + 1)
     x = np.asarray(x, dtype=float)
-    k = np.arange(kmax + 1.0).reshape((-1,) + (1,) * x.ndim)
+    k = np.arange(params.K + 1.0).reshape((-1,) + (1,) * x.ndim)
     zpsi = (2 * k + 1) * psi[:-1] - (k + 1) * psi[1:]
     zpsi[1:] -= k[1:] * psi[:-2]
     return psi[:-1], x * psi[:-1] - zpsi / (2.0 * params.alpha)
 
 
-def psi_integral_db_all(
-    params: LaguerreParams, x, b: float, kmax: int | None = None
-) -> np.ndarray:
-    """d/db Psi_{alpha,k}(x; b) for k = 0..kmax."""
-    return psi_integral_and_db_all(params, x, b, kmax)[1]
+def psi_integral_db_all(params: LaguerreParams, x, b: float) -> np.ndarray:
+    """d/db Psi_{alpha,k}(x; b) for k = 0..K."""
+    return psi_integral_and_db_all(params, x, b)[1]
 
 
 def partial_sum(coeffs: np.ndarray, params: LaguerreParams, x):

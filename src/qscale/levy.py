@@ -295,7 +295,7 @@ def check_npc(model: LevyModel) -> NpcResult:
     return NpcResult(holds=margin > 0.0, margin=margin)
 
 
-def lundberg_exponent(model: LevyModel, q: float | None = None) -> float:
+def lundberg_exponent(model: LevyModel, q: float) -> float:
     """Lundberg exponent Phi(q) = sup{theta >= 0 : psi(theta) = q}.
 
     Under NPC, psi is strictly convex with psi(0) = 0 and psi'(0+) > 0, so for
@@ -307,8 +307,6 @@ def lundberg_exponent(model: LevyModel, q: float | None = None) -> float:
 
     Raises DomainError if NPC fails, NumericalError if no bracket is found.
     """
-    if q is None:
-        q = model.q
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
     model.require_npc()

@@ -25,7 +25,7 @@ from .laguerre import LaguerreParams
 from .levy import LevyModel
 from .series import ScaleApprox, coeffs_true
 from .simulate import SamplingScheme, replication_seed, simulate_window, window_steps
-from .estimators import build_report, realized_D
+from .estimators import LEVEL, build_report, realized_D
 
 __all__ = [
     "MCResult",
@@ -82,14 +82,14 @@ def run_replication(
     params: LaguerreParams,
     seed: int,
     x_eval,
-    level: float = 0.95,
-    D_window: float = 1.0,
+    *,
+    D_window: float,
 ) -> dict:
     """One simulate -> estimate pass; returns a flat row of scalars/arrays."""
     sample, sum_sq = simulate_window(model, scheme, seed, D_window)
     D_hat = realized_D(sample, sum_sq, D_window)
     try:
-        rep = build_report(sample, model.q, model.c, params, x=x_eval, level=level, D_hat=D_hat)
+        rep = build_report(sample, model.q, model.c, params, x=x_eval, D_hat=D_hat)
     except (DegenerateEstimateError, NumericalError) as exc:
         return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
     est, cov = rep.est, rep.cov
@@ -100,7 +100,7 @@ def run_replication(
         "D_hat": est.D_raw,
         "gamma_hat": est.gamma.value,
         "p_hat": est.p,
-        "v_gamma_sq": cov.v_gamma_sq,
+        "v_gamma_sq": est.v_gamma_sq,
         "W_hat": np.asarray(cov.W_hat),
         "Z_hat": np.asarray(cov.Z_hat),
         "W_lo": np.asarray(cov.W_lo),
@@ -152,8 +152,8 @@ def run_monte_carlo(
     x_eval,
     base_seed: int = 0,
     workers: int = 1,
-    level: float = 0.95,
-    D_window: float = 1.0,
+    *,
+    D_window: float,
 ) -> MCResult:
     """Replicated estimation study with bias/SE/RMSE, CI coverage, and a
     normality screen for the standardized gamma errors.
@@ -161,15 +161,15 @@ def run_monte_carlo(
     D_window is the realized-variance window for D_hat.  The plug-in CLT
     covariance treats D_hat noise as negligible at the sqrt(T) scale; under
     the n = T^2 schemes that requires a window growing with T (window = T
-    restores it), while sqrt(T)-rate checks for D_hat itself use the fixed
-    default.  A window the grid cannot hold raises DomainError before any
+    restores it), while sqrt(T)-rate checks for D_hat itself use a fixed
+    window of 1.  A window the grid cannot hold raises DomainError before any
     replication runs.
     """
     window_steps(scheme, D_window)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
     truth = true_values(model, params, x_eval)
     run = functools.partial(
-        run_replication, model, scheme, params, x_eval=x_eval, level=level, D_window=D_window
+        run_replication, model, scheme, params, x_eval=x_eval, D_window=D_window
     )
     seeds = [replication_seed(base_seed, r) for r in range(replications)]
     # map and pool.map both yield rows in replication order
@@ -188,7 +188,7 @@ def run_monte_carlo(
         "replications": replications,
         "failures": replications - len(ok),
         "T": scheme.T,
-        "level": level,
+        "level": LEVEL,
         "x_eval": x_eval.tolist(),
         "D_window": D_window,
     }
@@ -205,7 +205,7 @@ def run_monte_carlo(
                 "rmse": float(np.sqrt(np.mean((vals - target) ** 2))),
                 "true": float(target),
             }
-        # coverage of the level-CIs for the fixed-K estimands W_K, Z_K
+        # coverage of the LEVEL CIs for the fixed-K estimands W_K, Z_K
         W_lo = np.stack([row["W_lo"] for row in ok])
         W_hi = np.stack([row["W_hi"] for row in ok])
         Z_lo = np.stack([row["Z_lo"] for row in ok])

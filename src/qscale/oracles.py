@@ -2,9 +2,9 @@
 
 Three routes that never touch the Laguerre expansion:
 
-* fixed-Talbot numerical inversion of the defining transform 1/(psi - q),
-  contour shifted right of the Lundberg root so every singularity of the
-  (analytically continued) transform is enclosed;
+* fixed-Talbot numerical inversion (32 nodes) of the defining transform
+  1/(psi - q) at the model's q, contour shifted right of the Lundberg root so
+  every singularity of the (analytically continued) transform is enclosed;
 * the compound geometric distribution built directly on a grid by marching
   the defective renewal equation (geometric-series summation as cross-check);
 * closed forms for the Brownian-with-drift and Cramer-Lundberg-exponential
@@ -47,6 +47,14 @@ __all__ = [
 ]
 
 
+# Talbot nodes: the truncation error ~10^{-0.6 M} is already far below double
+# precision at M = 32, while roundoff grows like e^{2M/5} * eps, so larger M
+# strictly degrades the result.
+_TALBOT_M = 32
+# node-doubling error estimate, relative to max(1, |W|), above which a value is flagged
+_TALBOT_TOL = 1e-6
+
+
 class TalbotResult(NamedTuple):
     value: float
     error_estimate: float
@@ -68,40 +76,31 @@ def _talbot_sum(F, x: float, M: int) -> float:
     return float(r / M * total)
 
 
-def laplace_invert_scale(
-    model: LevyModel,
-    x: float,
-    q: float | None = None,
-    M: int = 32,
-    tol: float = 1e-6,
-) -> TalbotResult:
-    """W^(q)(x) by fixed-Talbot inversion of theta -> 1/(psi(theta) - q).
+def laplace_invert_scale(model: LevyModel, x: float) -> TalbotResult:
+    """W^(q)(x), q = model.q, by fixed-Talbot inversion of theta -> 1/(psi(theta) - q).
 
     The transform is inverted after shifting by a = Phi(q), which moves the
     rightmost singularity to the origin (enclosed by the Talbot contour) and
     every other pole / branch cut onto the negative real axis, which the
-    contour wraps around.  Returns the M-node value together with a
+    contour wraps around.  Returns the M = _TALBOT_M node value together with a
     node-doubling error estimate |W_M - W_{M/2}|; `flagged` is set instead of
-    raising when the estimate exceeds `tol`.
-
-    M defaults to 32: the truncation error ~10^{-0.6 M} is already far below
-    double precision there, while roundoff grows like e^{2M/5} * eps, so
-    larger M strictly degrades the result.
+    raising when the estimate exceeds _TALBOT_TOL * max(1, |W|).
     """
     if x <= 0:
         raise DomainError(f"inversion requires x > 0, got x = {x}")
-    if q is None:
-        q = model.q
+    q = model.q
     a = lundberg_exponent(model, q)  # also enforces NPC (pole location sanity)
 
     def F(u):
         return 1.0 / (laplace_exponent(model, a + u) - q)
 
     shift = float(np.exp(a * x))
-    v_half = shift * _talbot_sum(F, x, M // 2)
-    v = shift * _talbot_sum(F, x, M)
+    v_half = shift * _talbot_sum(F, x, _TALBOT_M // 2)
+    v = shift * _talbot_sum(F, x, _TALBOT_M)
     err = abs(v - v_half)
-    return TalbotResult(value=v, error_estimate=err, flagged=err > tol * max(1.0, abs(v)))
+    return TalbotResult(
+        value=v, error_estimate=err, flagged=err > _TALBOT_TOL * max(1.0, abs(v))
+    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ class GridDistribution:
     """
 
     h: float
-    x_max: float
     atom: float
     density: np.ndarray
     tail: np.ndarray
@@ -134,13 +132,11 @@ class GridDistribution:
         return np.arange(len(self.tail)) * self.h
 
     def tail_at(self, x) -> np.ndarray:
-        """Gbar at arbitrary points by linear interpolation (0 beyond x_max)."""
+        """Gbar at arbitrary points by linear interpolation (0 beyond the grid)."""
         return np.interp(np.asarray(x, dtype=float), self.x, self.tail, right=0.0)
 
 
-def compound_geometric_grid(
-    f_vals: np.ndarray, p: float, h: float, x_max: float | None = None
-) -> GridDistribution:
+def compound_geometric_grid(f_vals: np.ndarray, p: float, h: float) -> GridDistribution:
     """Solve the defective renewal equation Gbar = p Fbar + p f * Gbar by marching.
 
     `f_vals` samples the (normalized) density f_q on the uniform grid
@@ -155,8 +151,6 @@ def compound_geometric_grid(
     if np.any(f_vals < -1e-12):
         raise DomainError("density values must be nonnegative")
     n = len(f_vals)
-    if x_max is None:
-        x_max = (n - 1) * h
     f_mass = float(np.trapezoid(f_vals, dx=h))
     if abs(f_mass - 1.0) > 1e-4:
         raise GridTooCoarseError(
@@ -192,15 +186,13 @@ def compound_geometric_grid(
         )
     g *= p / g_mass  # total mass (atom + density) is then exactly 1
 
-    return GridDistribution(h=h, x_max=x_max, atom=1.0 - p, density=g, tail=Gbar)
+    return GridDistribution(h=h, atom=1.0 - p, density=g, tail=Gbar)
 
 
-def compound_geometric_series(
-    f_vals: np.ndarray, p: float, h: float, tol: float = 1e-12
-) -> np.ndarray:
+def compound_geometric_series(f_vals: np.ndarray, p: float, h: float) -> np.ndarray:
     """Gbar by direct geometric-series summation (cross-check of the DRE march).
 
-    Truncates when p^k < tol.  Convolution powers are accumulated with
+    Truncates when p^k < 1e-12.  Convolution powers are accumulated with
     trapezoid-weighted discrete convolution.
     """
     f_vals = np.asarray(f_vals, dtype=float)
@@ -214,7 +206,7 @@ def compound_geometric_series(
     dens = np.zeros(n)
     coeff = 1.0 - p
     pk = p
-    while pk >= tol:
+    while pk >= 1e-12:
         dens += coeff * pk * fk
         pk *= p
         fk = h * np.convolve(w * fk, w * f)[:n]

@@ -262,7 +262,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     rep = build_report(
         obs2, ACC_MODEL.q, ACC_MODEL.c, LaguerreParams(1.0, 10), x=[1.0], D_hat=estimate_D(obs2)
     )
-    G = rep.cov.Gamma
+    G = rep.est.Gamma
     d = G.shape[0]
     gamma_ok = (
         np.array_equal(G[: d - 1, : d - 1], np.eye(d - 1))

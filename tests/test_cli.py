@@ -286,6 +286,8 @@ class TestMc:
         rows = read_csv_columns(tmp_path / "mc" / "replications.csv")
         assert rows["gamma_hat"][0] == pytest.approx(report["estimates"]["gamma_hat"])
         assert rows["p_hat"][0] == pytest.approx(report["estimates"]["p_hat"])
+        summary = json.loads((tmp_path / "mc" / "mc_summary.json").read_text())
+        assert report["curves"]["level"] == summary["level"] == 0.95
 
     def test_jump_count_mean_matches_poisson(self, tmp_path):
         # n_jumps column over replications has mean ~ lambda T within 3 SE

@@ -65,7 +65,7 @@ def _config(block: str, value) -> dict:
 
 def test_valid_config_parses():
     cfg = parse_config(json.loads(json.dumps(VALID)))
-    assert cfg.laguerre.K == 4 and len(cfg.x_grid) == 3 and cfg.scheme.seed == 3
+    assert cfg.laguerre.K == 4 and len(cfg.x_grid) == 3 and cfg.seed == 3
 
 
 @pytest.mark.parametrize("given, window", [({}, 1.0), ({"D_window": None}, 1.0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import special
 
 from qscale.exceptions import DegenerateEstimateError
 from qscale.laguerre import LaguerreParams
@@ -155,7 +156,16 @@ class TestEstimateGamma:
     def test_boundary_flag_when_unreachable(self, exp_jump_model):
         obs = simulate(exp_jump_model, make_scheme(50.0), seed=3)
         got = estimate_gamma(obs, 0.1, 0.5, 1.5, r_max=1e-6)
-        assert got.boundary and got.value <= 1e-6
+        assert got.boundary and got.value == 1e-6
+
+    def test_boundary_at_zero_when_psi_negative(self):
+        # c < nu_hat(z) and psi_hat(r_max) < 0: psi_hat < q on the whole box,
+        # so |psi_hat - q| is least at 0, not at the local minimum r_max
+        model = LevyModel(x0=0.0, c=0.3, D=0.0, jumps=CompoundPoissonExponential(3.0, 1.0), q=0.1)
+        obs = simulate(model, make_scheme(10.0), seed=2)
+        assert empirical_psi(obs, 0.3, 0.0, 10.0 * 2.0 * 0.1 / 0.3) < 0.0
+        got = estimate_gamma(obs, 0.1, 0.0, 0.3)
+        assert got.boundary and got.value == 0.0
 
     @pytest.mark.parametrize("c, D", [(0.5, 0.0), (0.5, 0.5), (0.3, 0.2)])
     def test_root_past_psi_minimum(self, exp_jump_model, c, D):
@@ -270,13 +280,26 @@ class TestCovarianceMachinery:
     def test_no_jumps_degenerate(self, brownian_model, params20):
         obs = simulate(brownian_model, make_scheme(20.0), seed=7)
         rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
-        assert np.all(rep.cov.Sigma == 0.0)
+        assert np.all(rep.est.Sigma == 0.0)
         assert rep.cov.W_lo == pytest.approx(rep.cov.W_hi)
+
+    def test_intervals_at_level_95(self, exp_jump_model, params20):
+        # bounds are value +/- ndtri(0.975) sqrt(var / T); the bounds are
+        # compared, since W_hi - W_hat cancels up to 1e-12 of the half-width
+        obs = simulate(exp_jump_model, make_scheme(100.0), seed=8)
+        rep = build_report(obs, 0.1, 1.5, params20, x=[0.5, 1.0, 3.0], D_hat=estimate_D(obs))
+        cov, zq = rep.cov, special.ndtri(0.975)
+        for hat, lo, hi, var in ((cov.W_hat, cov.W_lo, cov.W_hi, cov.sigma_W),
+                                 (cov.Z_hat, cov.Z_lo, cov.Z_hi, cov.sigma_Z)):
+            hw = zq * np.sqrt(var / rep.est.T)
+            assert np.all(hw > 1e-6 * np.abs(hat))  # a wrong level moves the bounds
+            assert hi == pytest.approx(hat + hw, rel=1e-15, abs=0)
+            assert lo == pytest.approx(hat - hw, rel=1e-15, abs=0)
 
     def test_gamma_block_structure(self, exp_jump_model, params20):
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=8)
         rep = build_report(obs, 0.1, 1.5, params20, x=[1.0], D_hat=estimate_D(obs))
-        G = rep.cov.Gamma
+        G = rep.est.Gamma
         d = 2 * params20.K + 4
         assert G.shape == (d, d)
         assert np.array_equal(G[: d - 1, : d - 1], np.eye(d - 1))
@@ -442,7 +465,6 @@ class TestCovarianceMachinery:
         calls.clear()
         cov = covariance_machinery(est, model.c, model.q, np.array([1.0, 3.0]))
         assert calls == []
-        assert cov.Sigma is est.Sigma and cov.Gamma is est.Gamma
 
         # the same blocks from a sweep of their own
         th, z, T = est.theta, obs.jump_sizes, obs.scheme.T
@@ -456,7 +478,6 @@ class TestCovarianceMachinery:
         # the analytic column nu_hat(dH/dgamma) against a central difference
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=15)
         est = _estimates(obs, 0.1, 1.5, params20)
-        cov = covariance_machinery(est, 1.5, 0.1, [1.0])
         th, h, z = est.theta, 1e-6, obs.jump_sizes
 
         def nu_stack(gamma):
@@ -464,7 +485,7 @@ class TestCovarianceMachinery:
             return np.vstack([Hf, HF, Hp[None, :]]).sum(axis=1) / obs.scheme.T
 
         fd = (nu_stack(th.gamma + h) - nu_stack(th.gamma - h)) / (2 * h)
-        col = cov.Gamma[:-1, -1]
+        col = est.Gamma[:-1, -1]
         assert np.max(np.abs(col - fd)) <= 1e-7 * np.max(np.abs(col))
 
     def test_build_B_linearizes_triangular_solve(self, exp_jump_model):
@@ -499,10 +520,11 @@ class TestOracleModeReport:
         # no sampling error: zero Sigma and joint covariances, identity Gamma,
         # and bounds equal to the curves bit for bit
         model = request.getfixturevalue(model_name)
-        cov = report_from_true_model(model, params20, np.linspace(0, 5, 21)).cov
-        for block in (cov.Sigma, cov.joint, cov.sigma_W, cov.sigma_Z):
+        rep = report_from_true_model(model, params20, np.linspace(0, 5, 21))
+        cov = rep.cov
+        for block in (rep.est.Sigma, cov.joint, cov.sigma_W, cov.sigma_Z):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
-        assert np.array_equal(cov.Gamma, np.eye(2 * params20.K + 4))
+        assert np.array_equal(rep.est.Gamma, np.eye(2 * params20.K + 4))
         assert cov.psd_ok and cov.min_eig == 0.0
         for lo, mid, hi in ((cov.W_lo, cov.W_hat, cov.W_hi), (cov.Z_lo, cov.Z_hat, cov.Z_hi)):
             assert lo.tobytes() == mid.tobytes() == hi.tobytes()

@@ -21,6 +21,13 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_submodule_not_shadowed(name):
+    # the package attribute named after a submodule is that module
+    module = importlib.import_module(name)
+    assert getattr(qscale, name.rpartition(".")[2]) is module
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from qscale import *", namespace)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -10,13 +9,11 @@ import pytest
 
 import qscale.mc as mc_mod
 import qscale.series as series_mod
+import qscale.simulate as simulate_mod
 from qscale.exceptions import ConfigError, DomainError
 from qscale.laguerre import LaguerreParams
 from qscale.mc import _ad_critical_1pct, resolve_workers, run_monte_carlo, true_values
 from qscale.simulate import make_scheme, simulate_window
-
-# the module, not the function that ``qscale`` exports under the same name
-simulate_mod = importlib.import_module("qscale.simulate")
 
 
 @pytest.mark.parametrize("n, want", [(20, 0.992), (200, 1.031), (1000, 1.034)])
