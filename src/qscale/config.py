@@ -187,15 +187,15 @@ def parse_config(d: dict) -> ExperimentConfig:
         reps = _check_number(mb, "replications", "mc")
         if int(reps) != reps or reps < 1:
             raise ConfigError(f"mc.replications must be a positive integer, got {reps}")
-        workers = int(_check_number(mb, "workers", "mc", default=1))
-        if workers < 1:
-            raise ConfigError(f"mc.workers must be >= 1, got {workers}")
+        workers = _check_number(mb, "workers", "mc", default=1)
+        if int(workers) != workers or workers < 1:
+            raise ConfigError(f"mc.workers must be a positive integer, got {workers}")
         D_window = 1.0  # also when given as null
         if mb.get("D_window") is not None:
             D_window = float(_check_number(mb, "D_window", "mc"))
             if D_window <= 0:
                 raise ConfigError("mc.D_window must be > 0")
-        mc = McConfig(replications=int(reps), workers=workers, D_window=D_window)
+        mc = McConfig(replications=int(reps), workers=int(workers), D_window=D_window)
 
     out_dir = "out"
     formats: tuple[str, ...] = ("csv", "json")

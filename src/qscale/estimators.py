@@ -15,9 +15,6 @@ C_K(x), q C*_K(x), and confidence bounds are value +/- z * sqrt(var / T):
 pointwise intervals in x at the fixed asymptotic level ``LEVEL``.
 The oracle report runs the same machinery on population estimates (zero
 Sigma, identity Gamma).
-
-When psi_hat stays below q on the whole search box, gamma_hat is the end of
-the box nearest q and carries the boundary flag.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from scipy.linalg import solve_triangular
 
 from .exceptions import DegenerateEstimateError, DomainError
 from .laguerre import LaguerreParams
-from .levy import LevyModel, ThetaParams
+from .levy import LevyModel, ThetaParams, quadratic_bracket
 from .series import (
     CoefficientSet,
     ScaleApprox,
@@ -50,7 +47,6 @@ __all__ = [
     "realized_D",
     "empirical_psi",
     "empirical_psi_deriv",
-    "GammaEstimate",
     "estimate_gamma",
     "PipelineEstimates",
     "estimate_coeffs",
@@ -90,59 +86,42 @@ def realized_D(sample: JumpSample, sum_sq: float, window: float) -> float:
     return (sum_sq - jump_sq) / (2.0 * window)
 
 
-def empirical_psi(obs: JumpSample, c: float, D: float, r) -> float:
+def empirical_psi(obs: JumpSample, c: float, D: float, r: float) -> float:
     """psi_hat(r) = c r + D r^2 + nu_hat(e^{-r z} - 1); convex in r for D >= 0."""
-    tail = float(np.sum(np.expm1(-np.multiply.outer(r, obs.jump_sizes)))) / obs.scheme.T
+    tail = float(np.expm1(-r * obs.jump_sizes).sum()) / obs.scheme.T
     return c * r + D * r * r + tail
 
 
-def empirical_psi_deriv(obs: JumpSample, c: float, D: float, r) -> float:
+def empirical_psi_deriv(obs: JumpSample, c: float, D: float, r: float) -> float:
     z = obs.jump_sizes
     return c + 2.0 * D * r - float(np.sum(z * np.exp(-r * z))) / obs.scheme.T
 
 
-@dataclass(frozen=True)
-class GammaEstimate:
-    value: float
-    boundary: bool = False  # psi_hat < q on the whole box; value is the end nearest q
-
-
-def estimate_gamma(
-    obs: JumpSample,
-    q: float,
-    D_hat: float,
-    c: float,
-    r_max: float | None = None,
-) -> GammaEstimate:
+def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
     """M-estimator of the Lundberg exponent: gamma_hat solves psi_hat(r) = q.
 
     Returns 0 exactly when q = 0 (the indicator in the definition).  The
-    empirical psi_hat is convex with psi_hat(0) = 0 < q, so psi_hat = q has
-    exactly one root on (0, inf), and [0, r_max] brackets it whenever
-    psi_hat(r_max) >= q.  Otherwise psi_hat < q on all of [0, r_max], and by
-    convexity |psi_hat - q| is least at an end: r_max when psi_hat(r_max) > 0,
-    else 0; that end is returned with the boundary flag set.
+    empirical psi_hat is convex with psi_hat(0) = 0 < q, and since
+    e^{-rz} - 1 >= -1 it is bounded below by D r^2 + c r - lambda_hat, with
+    lambda_hat the recorded jump count over T.  ``quadratic_bracket`` turns
+    that bound into a bracket [0, r_hi] with psi_hat(r_hi) >= q, so the one
+    root on (0, inf) is always found.  The bracket is infinite when
+    D = max(D_hat, 0) is 0 and c <= 0, where psi_hat <= 0 < q on [0, inf),
+    and when its end overflows (D = 0 and c within a few 1e-308 of 0); then
+    DegenerateEstimateError is raised with the raw D_hat.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
     if q == 0.0:
-        return GammaEstimate(0.0)
+        return 0.0
     D = max(D_hat, 0.0)
-    if r_max is None:
-        # ten times the Brownian-only root at 2q: a generous, finite box
-        if D > 0:
-            r0 = (-c + math.sqrt(c * c + 8.0 * D * q)) / (2.0 * D)
-        else:
-            r0 = 2.0 * q / c
-        r_max = 10.0 * max(r0, 1e-3)
-
+    hi = quadratic_bracket(D, c, q + len(obs.jump_sizes) / obs.scheme.T)
+    if math.isinf(hi):
+        raise DegenerateEstimateError(f"psi_hat = q has no finite root at c = {c}", raw_value=D_hat)
     # a module-level objective with args: a closure over obs would share a
     # reference cycle with scipy's NaN guard and keep the grid alive until gc
-    psi_max = empirical_psi(obs, c, D, r_max)
-    if psi_max < q:
-        return GammaEstimate(float(r_max) if psi_max > 0.0 else 0.0, boundary=True)
-    root = optimize.brentq(_psi_gap, 0.0, r_max, args=(obs, c, D, q), xtol=1e-14, rtol=8.9e-16)
-    return GammaEstimate(float(root))
+    root = optimize.brentq(_psi_gap, 0.0, hi, args=(obs, c, D, q), xtol=1e-14, rtol=8.9e-16)
+    return float(root)
 
 
 def _psi_gap(r, obs, c, D, q):
@@ -155,7 +134,6 @@ class PipelineEstimates:
     and the covariance inputs Sigma_hat, Gamma_hat over the horizon T."""
 
     D_raw: float
-    gamma: GammaEstimate
     coeffs: CoefficientSet
     Sigma: np.ndarray       # (2K+4, 2K+4), nu_hat of Htilde outer products
     Gamma: np.ndarray       # (2K+4, 2K+4), identity bordered by nu_hat(dH/dgamma)
@@ -167,7 +145,7 @@ class PipelineEstimates:
         zero and Gamma the identity (an infinite horizon)."""
         dim = 2 * coeffs.params.K + 4
         return PipelineEstimates(
-            D_raw=coeffs.theta.D, gamma=GammaEstimate(coeffs.theta.gamma), coeffs=coeffs,
+            D_raw=coeffs.theta.D, coeffs=coeffs,
             Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim), T=math.inf,
         )
 
@@ -187,12 +165,11 @@ class PipelineEstimates:
 
 def estimate_coeffs(
     obs: JumpSample,
-    q: float,
     c: float,
     params: LaguerreParams,
     *,
     D_hat: float,
-    gamma_hat: GammaEstimate,
+    gamma_hat: float,
 ) -> PipelineEstimates:
     """(p_hat, a^f_hat, a^F_hat, a^G_hat), Sigma_hat and Gamma_hat from one sample.
 
@@ -202,7 +179,7 @@ def estimate_coeffs(
     when p_hat >= 1 (every downstream formula divides by 1 - p) and
     IllConditionedError when the triangular system degenerates.
     """
-    theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat.value)
+    theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
     n = params.K + 1
     z, T = obs.jump_sizes, obs.scheme.T
     vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z, d_gamma=True)
@@ -219,7 +196,7 @@ def estimate_coeffs(
     Gamma = np.eye(len(Htilde))
     Gamma[:-1, -1] = _stacked(*d_gamma).sum(axis=1) / T
     return PipelineEstimates(
-        D_raw=D_hat, gamma=gamma_hat, coeffs=coeffs,
+        D_raw=D_hat, coeffs=coeffs,
         Sigma=(Htilde @ Htilde.T) / T, Gamma=Gamma, T=T,
     )
 
@@ -339,8 +316,7 @@ class EstimationReport:
             "estimates": {
                 "D_hat_raw": est.D_raw,
                 "D_hat": est.theta.D,
-                "gamma_hat": est.gamma.value,
-                "gamma_boundary": est.gamma.boundary,
+                "gamma_hat": est.theta.gamma,
                 "p_hat": est.p,
                 "a_f_hat": coeffs.a_f.tolist(),
                 "a_F_hat": coeffs.a_F.tolist(),
@@ -392,14 +368,12 @@ def build_report(
     or ``realized_D`` of a simulated sum of squares; everything else reads
     only the recorded jumps.
     """
-    gam = estimate_gamma(obs, q, D_hat, c)
-    est = estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gam)
+    gamma_hat = estimate_gamma(obs, q, D_hat, c)
+    est = estimate_coeffs(obs, c, params, D_hat=D_hat, gamma_hat=gamma_hat)
     cov = covariance_machinery(est, c, q, x)
     flags = {}
     if D_hat < 0:
         flags["negative_D_hat"] = True
-    if gam.boundary:
-        flags["gamma_boundary"] = True
     if not cov.psd_ok:
         flags["non_psd_sigma"] = True
     return EstimationReport(

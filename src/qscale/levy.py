@@ -37,12 +37,11 @@ __all__ = [
     "laplace_exponent",
     "laplace_exponent_deriv",
     "lundberg_exponent",
+    "quadratic_bracket",
     "check_npc",
 ]
 
-# Bracketing defaults and Brent tolerances for the Lundberg root (see lundberg_exponent).
-_THETA_MAX_DEFAULT = 50.0
-_THETA_MAX_CAP = 1.0e9
+# Brent tolerances for the Lundberg root (see lundberg_exponent).
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_XTOL = 1e-300
 
@@ -299,13 +298,14 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
     """Lundberg exponent Phi(q) = sup{theta >= 0 : psi(theta) = q}.
 
     Under NPC, psi is strictly convex with psi(0) = 0 and psi'(0+) > 0, so for
-    q > 0 the root is unique and positive.  Bracket [0, theta_max] (doubling
-    theta_max until psi exceeds q), then Brent's method to the relative
-    tolerance 4 eps, the tightest scipy allows, with an absolute tolerance
-    far below any root, so small q keeps full relative accuracy.  Residual
-    check |psi(Phi) - q| <= 1e-12 * max(1, q).
+    q > 0 the root is unique and positive.  psi(theta) - D theta^2 is convex
+    with slope c - nu(z) at 0, so psi(theta) >= D theta^2 + (c - nu(z)) theta
+    and ``quadratic_bracket`` gives a closed-form bracket end.  Brent's method
+    then runs to the relative tolerance 4 eps, the tightest scipy allows,
+    with an absolute tolerance far below any root, so small q keeps full
+    relative accuracy.  Residual check |psi(Phi) - q| <= 1e-12 * max(1, q).
 
-    Raises DomainError if NPC fails, NumericalError if no bracket is found.
+    Raises DomainError if NPC fails, NumericalError if the residual check fails.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -313,14 +313,7 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
     if q == 0.0:
         return 0.0
 
-    hi = _THETA_MAX_DEFAULT
-    while laplace_exponent(model, hi) <= q:
-        hi *= 2.0
-        if hi > _THETA_MAX_CAP:
-            raise NumericalError(
-                f"no bracket for Phi({q}) below theta_max = {_THETA_MAX_CAP:.1e}",
-                residual=float(laplace_exponent(model, _THETA_MAX_CAP) - q),
-            )
+    hi = quadratic_bracket(model.D, check_npc(model).margin, q)
     root = optimize.brentq(
         _lundberg_gap, 0.0, hi, args=(model, q), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
     )
@@ -333,3 +326,20 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
 
 def _lundberg_gap(theta, model: LevyModel, q: float):
     return laplace_exponent(model, theta) - q
+
+
+def quadratic_bracket(D: float, b: float, a: float) -> float:
+    """2 r*, where r* = 2a / (b + sqrt(b^2 + 4 D a)) is the positive root of
+    D r^2 + b r = a (D >= 0, a > 0); inf when that denominator is <= 0,
+    which is when D = 0 and b <= 0.
+
+    A function f >= L = D r^2 + b r - a takes a value >= a at 2 r*, since L
+    is convex with L(r*) = 0, so L(2 r*) = a + 2 D r*^2; so [0, 2 r*]
+    brackets f = 0 when f(0) < 0, with room to spare (at r* itself L can be
+    f exactly).  For b <= 0 the root is taken as (sqrt(.) - b) / (2D), which
+    is the same r* without the cancellation in b + sqrt(.).
+    """
+    disc = math.sqrt(b * b + 4.0 * D * a)
+    if b > 0.0:
+        return 4.0 * a / (b + disc)
+    return (disc - b) / D if D > 0.0 else math.inf

@@ -98,7 +98,7 @@ def run_replication(
         "failed": "",
         "n_jumps": rep.n_jumps,
         "D_hat": est.D_raw,
-        "gamma_hat": est.gamma.value,
+        "gamma_hat": est.theta.gamma,
         "p_hat": est.p,
         "v_gamma_sq": est.v_gamma_sq,
         "W_hat": np.asarray(cov.W_hat),

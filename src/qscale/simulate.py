@@ -166,12 +166,13 @@ def replication_seed(base_seed: int, rep: int) -> int:
 
 
 def _gamma_sub_sizes(
-    shape: float, rate: float, delta_sim: float, count: int, rng: np.random.Generator
+    rate: float, delta_sim: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sizes from nu restricted to (delta_sim, inf), nu(dz) = shape z^{-1} e^{-rate z} dz.
 
     Rejection from a shifted exponential: propose z = delta_sim + Exp(rate),
-    accept with probability delta_sim / z.
+    accept with probability delta_sim / z.  The shape only scales nu, so the
+    size law does not depend on it.
     """
     accept_rate = max(
         delta_sim * rate * math.exp(rate * delta_sim) * special.exp1(rate * delta_sim), 1e-3
@@ -201,7 +202,7 @@ def _draw_jumps(
         intensity = jumps.shape * special.exp1(jumps.rate * delta_sim)
         count = int(rng.poisson(intensity * T))
         times = np.sort(rng.uniform(0.0, T, size=count))
-        sizes = _gamma_sub_sizes(jumps.shape, jumps.rate, delta_sim, count, rng)
+        sizes = _gamma_sub_sizes(jumps.rate, delta_sim, count, rng)
         small_mean_rate = jumps.shape / jumps.rate * (-math.expm1(-jumps.rate * delta_sim))
         return times, sizes, small_mean_rate
     # compound Poisson families: exact

@@ -255,7 +255,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     rep_q0 = build_report(
         obs, 0.0, CL_MODEL_Q0.c, LaguerreParams(1.0, 10), x=[1.0], D_hat=estimate_D(obs)
     )
-    checks.append(("gamma_hat == 0 at q=0", rep_q0.est.gamma.value == 0.0))
+    checks.append(("gamma_hat == 0 at q=0", rep_q0.est.theta.gamma == 0.0))
 
     # Gamma block structure
     obs2 = simulate(ACC_MODEL, make_scheme(100.0), seed=89)

@@ -158,10 +158,15 @@ class TestEstimate:
         ) == 4
 
     def test_degenerate_report_is_always_json(self, tmp_path):
-        # p_hat >= 1 leaves no intervals to write, and the flag must not vanish
-        # with "json" missing from the formats
+        # at q = 0, gamma_hat = 0 and p_hat = nu_hat(z) / c = 199.8 >= 1 leaves
+        # no intervals to write, and the flag must not vanish with "json"
+        # missing from the formats
         cfg = write_config(
             tmp_path / "cfg.json",
+            model={
+                "x0": 0.0, "c": 1.5, "D": 0.5, "q": 0.0,
+                "jumps": {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+            },
             scheme={"T": 10, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11},
             output={"directory": str(tmp_path / "out"), "formats": ["csv"]},
         )

@@ -51,6 +51,7 @@ BAD = {
     "seed_negative": ("scheme", {"seed": -1}),
     "seed_fraction": ("scheme", {"seed": 1.5}),
     "workers_inf": ("mc", {"workers": math.inf}),
+    "workers_fraction": ("mc", {"workers": 1.5}),
     "D_window_nan": ("mc", {"D_window": math.nan}),
     "formats_unhashable": ("output", {"formats": [["csv"]]}),
     "x_grid_not_object": ("x_grid", [0, 1, 2]),

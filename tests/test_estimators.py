@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from qscale.exceptions import DegenerateEstimateError
@@ -17,9 +19,8 @@ from qscale.levy import (
 )
 from qscale.oracles import nu_functional_exact
 from qscale.series import ScaleApprox, coeffs_true, h_functionals_at, scale_approx
-from qscale.simulate import ObservationSet, SamplingScheme, make_scheme, simulate
+from qscale.simulate import JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate
 from qscale.estimators import (
-    GammaEstimate,
     PipelineEstimates,
     build_B,
     build_report,
@@ -61,7 +62,7 @@ def _estimates(obs: ObservationSet, q: float, c: float, params: LaguerreParams):
     """estimate_coeffs at the sample's own D_hat (window [0, 1]) and gamma_hat."""
     D_hat = estimate_D(obs)
     gamma_hat = estimate_gamma(obs, q, D_hat, c)
-    return estimate_coeffs(obs, q, c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+    return estimate_coeffs(obs, c, params, D_hat=D_hat, gamma_hat=gamma_hat)
 
 
 def _obs_from_path(grid, delta, jump_times, jump_sizes, eps=1e-6, seed=0):
@@ -143,29 +144,62 @@ class TestNuHat:
 class TestEstimateGamma:
     def test_zero_at_q_zero(self, exp_jump_model):
         obs = simulate(exp_jump_model, make_scheme(50.0), seed=1)
-        assert estimate_gamma(obs, 0.0, 0.5, 1.5).value == 0.0
+        assert estimate_gamma(obs, 0.0, 0.5, 1.5) == 0.0
 
     def test_brownian_reduction(self, brownian_model):
         # no jumps, D_hat = D: the root is the Brownian Phi(q)
         obs = simulate(brownian_model, make_scheme(20.0), seed=2)
         got = estimate_gamma(obs, 0.1, 0.5, 1.5)
         want = lundberg_exponent(brownian_model, 0.1)
-        assert not got.boundary
-        assert got.value == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(want, abs=1e-8)
 
-    def test_boundary_flag_when_unreachable(self, exp_jump_model):
-        obs = simulate(exp_jump_model, make_scheme(50.0), seed=3)
-        got = estimate_gamma(obs, 0.1, 0.5, 1.5, r_max=1e-6)
-        assert got.boundary and got.value == 1e-6
-
-    def test_boundary_at_zero_when_psi_negative(self):
-        # c < nu_hat(z) and psi_hat(r_max) < 0: psi_hat < q on the whole box,
-        # so |psi_hat - q| is least at 0, not at the local minimum r_max
+    def test_root_far_past_psi_minimum(self):
+        # c = 0.3 < nu_hat(z): psi_hat dips to -0.46 at 20 q / c = 6.67 and
+        # only then climbs to q; the closed-form bracket still holds the root
         model = LevyModel(x0=0.0, c=0.3, D=0.0, jumps=CompoundPoissonExponential(3.0, 1.0), q=0.1)
         obs = simulate(model, make_scheme(10.0), seed=2)
-        assert empirical_psi(obs, 0.3, 0.0, 10.0 * 2.0 * 0.1 / 0.3) < 0.0
+        assert empirical_psi(obs, 0.3, 0.0, 20.0 * 0.1 / 0.3) < 0.0
         got = estimate_gamma(obs, 0.1, 0.0, 0.3)
-        assert got.boundary and got.value == 0.0
+        assert got == pytest.approx(8.6117, abs=1e-4)
+        slope = empirical_psi_deriv(obs, 0.3, 0.0, got)
+        gap = empirical_psi(obs, 0.3, 0.0, got) - 0.1
+        assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # c and D stay off (0, 1e-3) in size, which keeps the root (about
+        # (q + lambda_hat) / c at D = 0) inside the float range
+        c=st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)),
+        D=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        q=st.floats(1e-3, 10.0),
+        sizes=st.lists(st.floats(1e-3, 20.0), max_size=40),
+    )
+    def test_root_or_degenerate(self, c, D, q, sizes):
+        # psi_hat >= D r^2 + c r - lambda_hat brackets the root unless D = 0
+        # and c <= 0, where psi_hat <= 0 < q on [0, inf)
+        scheme = SamplingScheme(n=1000, delta=0.01, eps=1e-4)
+        z = np.asarray(sizes, dtype=float)
+        sample = JumpSample(
+            jump_times=np.linspace(0.0, scheme.T, len(z)), jump_sizes=z, scheme=scheme, seed=0
+        )
+        if D == 0.0 and c <= 0.0:
+            with pytest.raises(DegenerateEstimateError):
+                estimate_gamma(sample, q, D, c)
+            return
+        got = estimate_gamma(sample, q, D, c)
+        slope = empirical_psi_deriv(sample, c, D, got)
+        assert slope > 0.0
+        gap = empirical_psi(sample, c, D, got) - q
+        assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got)
+        # p_hat = nu_hat(1 - e^{-gamma z}) / (gamma (c + D gamma)), so at a root
+        # p_hat = 1 - q / (gamma (c + D gamma)) < 1.  Off the exact root the two
+        # differ by gap / (gamma (c + D gamma)); for c < 0 both sides round
+        # c + D gamma, to a relative eps (|c| + D gamma) / (c + D gamma)
+        H_p = h_functionals_at(c, D, got, LaguerreParams(alpha=1.0, K=2), z)[0]
+        slack = got * (c + D * got)
+        cond = (abs(c) + D * got) / (c + D * got)
+        tol = 1e-12 + abs(gap) / slack + 16.0 * np.finfo(float).eps * cond
+        assert H_p.sum() / scheme.T == pytest.approx(1.0 - q / slack, abs=tol)
 
     @pytest.mark.parametrize("c, D", [(0.5, 0.0), (0.5, 0.5), (0.3, 0.2)])
     def test_root_past_psi_minimum(self, exp_jump_model, c, D):
@@ -175,18 +209,13 @@ class TestEstimateGamma:
             obs = simulate(exp_jump_model, make_scheme(30.0), seed=seed)
             assert c < np.sum(obs.jump_sizes) / obs.scheme.T
             got = estimate_gamma(obs, 0.1, D, c)
-            assert not got.boundary
-            slope = empirical_psi_deriv(obs, c, D, got.value)
+            slope = empirical_psi_deriv(obs, c, D, got)
             assert slope > 0.0
-            gap = empirical_psi(obs, c, D, got.value) - 0.1
-            assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got.value)
+            gap = empirical_psi(obs, c, D, got) - 0.1
+            assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got)
 
-    @pytest.mark.parametrize(
-        "c, r_max, boundary",
-        [(1.5, None, False), (0.5, None, False), (1.5, 1e-6, True)],
-        ids=["bracket", "bracket-past-minimum", "boundary"],
-    )
-    def test_releases_observation_without_gc(self, exp_jump_model, c, r_max, boundary):
+    @pytest.mark.parametrize("c", [1.5, 0.5], ids=["bracket", "bracket-past-minimum"])
+    def test_releases_observation_without_gc(self, exp_jump_model, c):
         # no reference cycle may keep the observation (and its grid) alive
         import gc
         import weakref
@@ -195,12 +224,11 @@ class TestEstimateGamma:
         ref = weakref.ref(obs)
         gc.disable()
         try:
-            got = estimate_gamma(obs, 0.1, 0.0, c, r_max=r_max)
+            estimate_gamma(obs, 0.1, 0.0, c)
             del obs
             assert ref() is None
         finally:
             gc.enable()
-        assert got.boundary is boundary
 
     def test_consistency_monte_carlo(self, exp_jump_model):
         gamma0 = lundberg_exponent(exp_jump_model, 0.1)
@@ -208,7 +236,7 @@ class TestEstimateGamma:
         vals = []
         for seed in range(60):
             obs = simulate(exp_jump_model, s, seed=seed)
-            vals.append(estimate_gamma(obs, 0.1, estimate_D(obs), 1.5).value)
+            vals.append(estimate_gamma(obs, 0.1, estimate_D(obs), 1.5))
         mean, se = np.mean(vals), np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(mean - gamma0) <= 3 * se
 
@@ -237,7 +265,7 @@ class TestEstimateCoeffs:
         grid = np.zeros(101)
         obs = _obs_from_path(grid, 0.01, [0.5] * 60, [50.0] * 60)
         with pytest.raises(DegenerateEstimateError):
-            estimate_coeffs(obs, 0.1, 1.5, params20, D_hat=0.5, gamma_hat=GammaEstimate(0.4))
+            estimate_coeffs(obs, 1.5, params20, D_hat=0.5, gamma_hat=0.4)
 
     def test_consistency_monte_carlo(self, exp_jump_model, params20):
         cs0 = coeffs_true(exp_jump_model, params20)

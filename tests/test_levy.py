@@ -23,6 +23,7 @@ from qscale.levy import (
     laplace_exponent,
     laplace_exponent_deriv,
     lundberg_exponent,
+    quadratic_bracket,
 )
 from qscale.oracles import nu_functional_exact
 
@@ -149,6 +150,30 @@ class TestLundbergExponent:
         m = LevyModel(x0=0, c=1.0, D=0.1, jumps=CompoundPoissonExponential(2.0, 1.0), q=0.1)
         with pytest.raises(DomainError):
             lundberg_exponent(m, 0.1)
+
+    def test_root_at_1e9(self):
+        # psi(theta) = 1e-10 theta reaches q = 0.1 only at 1e9
+        m = LevyModel(x0=0, c=1e-10, D=0.0, jumps=NoJumps(), q=0.1)
+        assert lundberg_exponent(m, 0.1) == pytest.approx(1e9, rel=1e-14, abs=0)
+
+
+class TestQuadraticBracket:
+    @pytest.mark.parametrize(
+        "D, b, a", [(0.5, 1.5, 0.1), (0.0, 0.3, 2.6), (1.0, 0.0, 4.0), (2.0, -3.0, 0.5)],
+    )
+    def test_lower_bound_clears_a(self, D, b, a):
+        hi = quadratic_bracket(D, b, a)
+        r_star = hi / 2.0
+        assert D * r_star**2 + b * r_star == pytest.approx(a, rel=1e-12)
+        assert D * hi**2 + b * hi - a >= a
+
+    def test_no_cancellation_for_negative_b(self):
+        # r* = 3 + 1e-20 / 3 rounds to 3, where b + sqrt(b^2 + 4 D a) rounds to 0
+        assert quadratic_bracket(1.0, -3.0, 1e-20) == 6.0
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_infinite_without_positive_root(self, b):
+        assert quadratic_bracket(0.0, b, 1.0) == math.inf
 
 
 def _positive_root(a2: float, a1: float, a0: float) -> float:
