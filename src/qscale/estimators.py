@@ -50,7 +50,6 @@ __all__ = [
     "estimate_gamma",
     "PipelineEstimates",
     "estimate_coeffs",
-    "build_B",
     "CovarianceReport",
     "covariance_machinery",
     "EstimationReport",

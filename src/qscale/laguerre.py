@@ -13,14 +13,16 @@ Laguerre generating function):
 
     s J_k + (2a - s) J_{k-1} = -e^{-a x} [L_k - L_{k-1}](2 a x),   s = a + b,
 
-where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  The forward direction amplifies
-errors by |a - b| / |a + b| per step, the backward direction by its inverse,
-so the stable direction is forward for b >= 0 and backward for b < 0.  The
+where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  One ``ladder`` runs every recurrence
+``diag y_k + off y_{k-1} = d_k`` in k (Psi here, the H-kernels in ``series``),
+amplifying errors by |off / diag| per step, so each caller runs it where that
+is at most 1: for Psi forward (diag = s, off = 2a - s) when b >= 0 and
+backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  The
 backward sweep is seeded at the top order by Gauss-Legendre quadrature
 restricted to the window where the kernel e^{b(x-z)} is non-negligible; the
-contraction of the backward recurrence then damps the (already ~1e-15) seed
-error further.  This keeps orders up to k = 64 stable in double precision,
-which a monomial expansion of L_k cannot do (binomial cancellation).
+contraction then damps the (already ~1e-15) seed error further.  This keeps
+orders up to k = 64 stable in double precision, which a monomial expansion of
+L_k cannot do (binomial cancellation).
 
 The degenerate regime b ~ -alpha (s ~ 0) needs no special casing: it falls in
 the backward branch, which never divides by s.
@@ -47,6 +49,7 @@ __all__ = [
     "psi_integral_and_db_all",
     "psi_integral_db_all",
     "partial_sum",
+    "ladder",
 ]
 
 
@@ -145,6 +148,20 @@ def _backward_seed(kmax: int, alpha: float, x: np.ndarray, b: float) -> np.ndarr
     return half * np.einsum("...q,q->...", kern * m, wts)
 
 
+def ladder(y0, d: np.ndarray, diag: float, off: float) -> np.ndarray:
+    """y_0 = y0 and y_k = (-off y_{k-1} + d_k) / diag for k = 1..len(d).
+
+    The first-order recurrence diag y_k + off y_{k-1} = d_k, with d[k-1]
+    holding d_k; shape (len(d)+1, *y0.shape).  Errors grow by |off / diag|
+    per step, so a backward sweep passes its sources reversed.
+    """
+    y = np.empty((len(d) + 1,) + np.shape(y0))
+    y[0] = y0
+    for k in range(1, len(y)):
+        y[k] = (-off * y[k - 1] + d[k - 1]) / diag
+    return y
+
+
 def psi_integral_all(
     params: LaguerreParams, x, b: float, kmax: int | None = None
 ) -> np.ndarray:
@@ -154,22 +171,16 @@ def psi_integral_all(
     x_in = np.asarray(x, dtype=float)
     x = np.atleast_1d(x_in)
     s = a + b
-    M = _weighted_laguerre_all(kmax + 1, a, x)  # need deltas up to index kmax
-    J = np.empty((kmax + 1,) + x.shape, dtype=float)
+    # sources -(M_k - M_{k-1}) for k = 1..kmax
+    d = -np.diff(_weighted_laguerre_all(kmax, a, x), axis=0)
     if b >= 0.0:
         # forward: amplification |a-b|/(a+b) <= 1
-        J[0] = np.exp(b * x) * (-np.expm1(-s * x)) / s
-        for k in range(1, kmax + 1):
-            J[k] = (-(2.0 * a - s) * J[k - 1] - (M[k] - M[k - 1])) / s
+        J = ladder(np.exp(b * x) * (-np.expm1(-s * x)) / s, d, s, 2.0 * a - s)
     else:
         # backward: contraction |a+b|/(a-b) < 1; quadrature seed at the top
-        J[kmax] = _backward_seed(kmax, a, x, b)
-        for k in range(kmax, 0, -1):
-            J[k - 1] = (-s * J[k] - (M[k] - M[k - 1])) / (2.0 * a - s)
+        J = ladder(_backward_seed(kmax, a, x, b), d[::-1], 2.0 * a - s, s)[::-1]
     res = params.sq2a * J
-    if x_in.ndim == 0:
-        return res[:, 0]
-    return res
+    return res[:, 0] if x_in.ndim == 0 else res
 
 
 def psi_integral(params: LaguerreParams, k: int, x, b: float):

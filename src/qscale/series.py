@@ -16,8 +16,8 @@ The starred kernels are the exact antiderivatives of the unstarred ones, so
 Z_K = 1 + q * int_0^x W_K holds identically.
 
 Coefficient functionals: p, a^f_k, a^F_k are nu-integrals of kernels H_p,
-H^f_k, H^F_k.  Those kernels are evaluated pointwise through stable
-first-order recurrences in k (same generating-function identity as Psi).
+H^f_k, H^F_k.  Those kernels are evaluated pointwise through
+``laguerre.ladder``, the first-order recurrence in k that also gives Psi.
 The module holds only this production path; the quadrature cross-checks of
 it (``ftilde_q``, ``h_functionals_quadrature``) live in ``oracles``.
 """
@@ -33,7 +33,9 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
-from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all
+from .laguerre import (
+    LaguerreParams, ladder, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all,
+)
 from .levy import CompoundPoissonExponential, LevyModel, ThetaParams
 
 __all__ = [
@@ -121,37 +123,23 @@ def _gamma_window_d(gamma: float, z: np.ndarray) -> np.ndarray:
     return -_expm1_ratio_db(-gamma, z)
 
 
-def _v_ladder(u: np.ndarray, st: float, alpha: float) -> np.ndarray:
-    """y_0 = u_0 / s, y_k = (-(2 alpha - s) y_{k-1} + u_k - u_{k-1}) / s with s = st."""
-    y = np.empty_like(u)
-    y[0] = u[0] / st
-    for k in range(1, len(u)):
-        y[k] = (-(2.0 * alpha - st) * y[k - 1] + (u[k] - u[k - 1])) / st
-    return y
-
-
-def _s_ladder(u: np.ndarray, alpha: float) -> np.ndarray:
-    """y_0 = u_0 / alpha, y_k = -y_{k-1} + (u_k - u_{k-1}) / alpha."""
-    y = np.empty_like(u)
-    y[0] = u[0] / alpha
-    for k in range(1, len(u)):
-        y[k] = -y[k - 1] + (u[k] - u[k - 1]) / alpha
-    return y
-
-
 def h_functionals_at(
     c: float, D: float, gamma: float, params: LaguerreParams, z, d_gamma: bool = False
 ):
     """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma), shapes ((nz,), (K+1, nz), (K+1, nz)).
 
-    All inner x-integrals are closed forms; the k-ladders below are
-    first-order recurrences with contraction factor |alpha - beta| / (alpha + beta)
-    < 1 (D > 0 branch), driven by Psi_k(z; -gamma).
+    All inner x-integrals are closed forms.  H^f_k = V_k / D, where
+    V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy solves the ladder
+    (alpha + beta) V_k + (alpha - beta) V_{k-1} = diff(Psi)_k driven by
+    Psi_k(z; -gamma).  Scaled by D, with beta D = c + gamma D and
+    (alpha + beta) D = beta D + alpha D, it yields V / D directly, contracts
+    by |alpha - beta| / (alpha + beta) <= 1 and reduces at D = 0 to the
+    bounded-variation kernels (H^f = Psi / c), so no D = 0 branch is needed.
 
     With ``d_gamma=True`` the result is the pair (values, d/dgamma values) of
     such triples, from the same Psi sweep: the ladders are linear, so their
     gamma-derivatives run the same ladders on d/dgamma Psi = -d/db Psi at
-    b = -gamma, plus the terms from d beta / d gamma = 1 (D > 0).
+    b = -gamma, plus the terms from d (beta D) / d gamma = D.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     K, alpha = params.K, params.alpha
@@ -164,29 +152,25 @@ def h_functionals_at(
     else:
         psi = psi_integral_all(params, z, -gamma)  # Psi_k(z; -gamma), (K+1, nz)
 
-    if D == 0:
-        vals = (kg / c, psi / c, (sign_sq2a * kg / alpha - _s_ladder(psi, alpha)) / c)
-        if not d_gamma:
-            return vals
-        d_H_F = (sign_sq2a * d_kg / alpha - _s_ladder(d_psi, alpha)) / c
-        return vals, (d_kg / c, d_psi / c, d_H_F)
+    bD = c + gamma * D  # beta D
+    sD = bD + alpha * D  # (alpha + beta) D
 
-    beta = c / D + gamma
-    st = alpha + beta
-    # V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy (scaled by sqrt(2 alpha))
-    V = _v_ladder(psi, st, alpha)
-    vals = (
-        kg / (beta * D),
-        V / D,
-        (sign_sq2a * kg / (alpha * beta) - _s_ladder(V, alpha)) / D,
-    )
+    def v_over_d(u):
+        return ladder(u[0] / sD, np.diff(u, axis=0), sD, alpha * D - bD)
+
+    def s_ladder(u):
+        return ladder(u[0] / alpha, np.diff(u, axis=0) / alpha, 1.0, 1.0)
+
+    H_p = kg / bD
+    H_f = v_over_d(psi)
+    vals = (H_p, H_f, sign_sq2a * kg / (alpha * bD) - s_ladder(H_f))
     if not d_gamma:
         return vals
-    # d st / d gamma = 1 turns the V-ladder's source diff(psi) into diff(d_psi - V)
-    d_V = _v_ladder(d_psi - V, st, alpha)
-    d_kgb = d_kg - kg / beta  # beta * d/dgamma (kg / beta)
-    d_H_F = (sign_sq2a * d_kgb / (alpha * beta) - _s_ladder(d_V, alpha)) / D
-    return vals, (d_kgb / (beta * D), d_V / D, d_H_F)
+    # sD and the off-diagonal move by D and -D per unit gamma: the V-ladder's
+    # source diff(psi) becomes diff(d_psi - D H_f)
+    d_H_f = v_over_d(d_psi - D * H_f)
+    d_kgb = d_kg - D * H_p  # beta D * d/dgamma (kg / beta D)
+    return vals, (d_kgb / bD, d_H_f, sign_sq2a * d_kgb / (alpha * bD) - s_ladder(d_H_f))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ from qscale.levy import (
     lundberg_exponent,
 )
 from qscale.oracles import nu_functional_exact
-from qscale.series import ScaleApprox, coeffs_true, h_functionals_at, scale_approx
+from qscale.series import ScaleApprox, build_B, coeffs_true, h_functionals_at, scale_approx
 from qscale.simulate import JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate
 from qscale.estimators import (
     PipelineEstimates,
-    build_B,
     build_report,
     covariance_machinery,
     empirical_psi,

@@ -13,6 +13,7 @@ from scipy.special import comb, factorial
 
 from qscale.laguerre import (
     LaguerreParams,
+    ladder,
     laguerre_fn,
     laguerre_fn_all,
     laguerre_poly,
@@ -22,6 +23,7 @@ from qscale.laguerre import (
     psi_integral_db_all,
 )
 from qscale.oracles import project_grid
+from qscale.series import _lag_transform_exp
 
 
 def binomial_sum_laguerre(k: int, x: float) -> float:
@@ -138,6 +140,26 @@ class TestPsiIntegral:
         fd = (psi_integral_all(p, x, b + h) - psi_integral_all(p, x, b - h)) / (2 * h)
         got = psi_integral_db_all(p, x, b)
         assert got == pytest.approx(fd, abs=1e-8)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("rate,alpha", [(0.3, 1.0), (2.5, 1.0), (1.0, 1.0), (0.05, 4.0)])
+    def test_sourceless_forward_is_geometric(self, rate, alpha):
+        # s = rate + alpha >= alpha keeps |(s - 2 alpha) / s| <= 1: forward-stable
+        s, K = rate + alpha, 64
+        y0 = np.array([1.0, -2.5, 3e-7])
+        got = ladder(y0, np.zeros((K, 3)), s, 2.0 * alpha - s)
+        k = np.arange(K + 1.0)[:, None]
+        assert got == pytest.approx(y0 * ((s - 2.0 * alpha) / s) ** k, rel=1e-13, abs=0.0)
+        # the closed Laguerre transform of e^{-rate x} is this ladder seeded at sqrt(2a)/s
+        p = LaguerreParams(alpha, K)
+        lag = ladder(p.sq2a / s, np.zeros(K), s, 2.0 * alpha - s)
+        assert lag == pytest.approx(_lag_transform_exp(rate, p), rel=1e-13, abs=0.0)
+
+    def test_empty_sources_return_the_seed_row(self):
+        y0 = np.array([0.5, -1.25])
+        got = ladder(y0, np.empty((0, 2)), 3.0, 1.0)
+        assert got.shape == (1, 2) and np.array_equal(got[0], y0)
 
 
 class TestProjection:

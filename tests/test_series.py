@@ -166,7 +166,7 @@ def _fd_gamma(c, D, gamma, params, z, h=1e-6):
 
 
 class TestHFunctionalsGammaDerivative:
-    @pytest.mark.parametrize("D", [0.5, 0.0])
+    @pytest.mark.parametrize("D", [0.5, 1e-310, 0.0])
     @pytest.mark.parametrize("gamma", [0.0625, 0.0, 1e-12])
     def test_matches_central_fd(self, params20, D, gamma):
         z = np.linspace(0.05, 8.0, 40)
@@ -188,6 +188,21 @@ class TestHFunctionalsGammaDerivative:
         fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
         got = [d_Hp[0], d_Hf[k, 0], d_HF[k, 0]]
         assert got == pytest.approx(fd, abs=1e-7 * max(abs(g) for g in got))
+
+
+class TestHFunctionalsSmallD:
+    """The D-scaled kernels are continuous as D -> 0+, subnormal D included."""
+
+    @pytest.mark.parametrize("D", [1e-100, 1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("gamma", [0.0, 0.06])
+    def test_tends_to_bounded_variation_kernels(self, params20, D, gamma):
+        z = np.linspace(0.0, 8.0, 41)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = h_functionals_at(1.5, D, gamma, params20, z, d_gamma=True)
+            want = h_functionals_at(1.5, 0.0, gamma, params20, z, d_gamma=True)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 def _expm1_ratio_db_reference(b: float, x: float) -> float:
