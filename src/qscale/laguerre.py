@@ -18,11 +18,14 @@ where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  One ``ladder`` runs every recurrence
 amplifying errors by |off / diag| per step, so each caller runs it where that
 is at most 1: for Psi forward (diag = s, off = 2a - s) when b >= 0 and
 backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  The
-backward sweep is seeded at the top order by Gauss-Legendre quadrature
-restricted to the window where the kernel e^{b(x-z)} is non-negligible; the
-contraction then damps the (already ~1e-15) seed error further.  This keeps
-orders up to k = 64 stable in double precision, which a monomial expansion of
-L_k cannot do (binomial cancellation).
+backward sweep is seeded at the top order by Gauss-Legendre quadrature in the
+offset t = x - z, over the window where both the kernel e^{bt} and the basis
+function are above e^{-45}, with a node count sized to each x's window (see
+``_seed_windows``); the contraction then damps the (already ~1e-15) seed error
+further.  The sweep runs over chunks of a bounded number of (x, node) pairs,
+so its memory does not grow with the number of x beyond the output.  This
+keeps orders up to k = 64 stable in double precision, which a monomial
+expansion of L_k cannot do (binomial cancellation).
 
 The degenerate regime b ~ -alpha (s ~ 0) needs no special casing: it falls in
 the backward branch, which never divides by s.
@@ -30,11 +33,12 @@ the backward branch, which never divides by s.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .exceptions import DomainError
 
@@ -76,15 +80,25 @@ def _laguerre_rows(kmax: int, t, m0):
 
     (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}; the recurrence is linear, so a
     factor m0 carried from the first row (e^{-alpha x} for the Laguerre
-    functions) keeps the rows overflow-free.
+    functions) keeps the rows overflow-free.  From k = 1 on the rows rotate
+    through three buffers updated in place, so row k is overwritten while row
+    k + 2 is formed: copy what must outlive that.
     """
-    cur = m0
+    yield m0
+    if kmax == 0:
+        return
+    prev = np.full(np.shape(t), m0, dtype=float)
+    cur = np.subtract(1.0, t, out=np.empty_like(prev))
+    cur *= prev
     yield cur
-    if kmax >= 1:
-        prev, cur = cur, (1.0 - t) * cur
-        yield cur
+    buf = np.empty_like(cur)
     for k in range(1, kmax):
-        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+        np.subtract(2 * k + 1, t, out=buf)
+        buf *= cur
+        prev *= k
+        buf -= prev
+        buf /= k + 1
+        prev, cur, buf = cur, buf, prev
         yield cur
 
 
@@ -125,27 +139,82 @@ def laguerre_fn(params: LaguerreParams, k: int, x):
     return float(res) if np.ndim(x) == 0 else res
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+# The backward seed neglects kernel and basis tails below e^{-_TAIL}.
+_TAIL = 45.0
+# Seed node counts are rounded up to a multiple of this, so few rules are cached.
+_NODE_STEP = 8
+# (x, node) pairs per chunk of the backward sweep: bounds its temporaries.
+_CHUNK_PAIRS = 1 << 14
 
 
-def _backward_seed(kmax: int, alpha: float, x: np.ndarray, b: float) -> np.ndarray:
-    """J_kmax(x; b) = int_0^x e^{b(x-z)} L_kmax(2 a z) e^{-a z} dz for b < 0.
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> np.ndarray:
+    """Rows (1 + nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1]; read-only."""
+    u, wts = special.roots_legendre(n)
+    rule = np.stack([1.0 + u, wts])
+    rule.flags.writeable = False
+    return rule
 
-    Gauss-Legendre on [max(0, x - w), x] with w chosen so the neglected part
-    of the kernel is below e^{-45}; node count covers polynomial degree kmax
-    plus the exponential factor on the window.
+
+def _seed_windows(kmax: int, alpha: float, x: np.ndarray, b: float):
+    """Per x: start t0, half-length h and node count n of the seed's offset window.
+
+    In the offset t = x - z the seed integrand is e^{bt} M_kmax(x - t).  The
+    kernel is below e^{-45} past t = 45/|b| (the near end, left at x for
+    |b| <= 1e-12).  Since |L_K(s)| <= sum_j C(K, j) s^j / j! <= 5^K e^{s/4},
+    |M_K(z)| <= 5^K e^{-alpha z / 2}, so z beyond (2/alpha)(45 + K ln 5) adds
+    below (2/alpha) e^{-45} (the far end).  On [t0, t0 + 2h] the integrand is
+    e^{-alpha x} e^{(alpha + b) t} times a polynomial of degree kmax in t;
+    mapped to [-1, 1] the exponential is e^{kappa u} with |kappa| <=
+    (alpha + |b|) h.  Its Chebyshev coefficients 2 I_j(kappa) fall below eps
+    relative to e^kappa before j = 2 kappa + 24, and n Gauss-Legendre nodes
+    integrate degree 2n - 1 exactly (Trefethen 2008, SIAM Rev. 50), so
+    n = ceil((kmax + 1)/2) + ceil((alpha + |b|) h) + 12, rounded up to a
+    multiple of 8.  The two ends bound (alpha + |b|) h by 45 when |b| >= alpha
+    and by 90 + 3.22 kmax when |b| < alpha, so n <= 111 + 3.72 kmax for every x.
     """
-    u, wts = _leggauss(96 + kmax)
-    w = np.minimum(x, 45.0 / (-b)) if b < -1e-12 else x
-    half = 0.5 * w
-    mid = x - w + half
-    z = mid[..., None] + half[..., None] * u  # (nx, n_nodes)
-    # L_kmax(2 alpha z) e^{-alpha z} at the nodes: only the top row is kept
-    m = deque(_laguerre_rows(kmax, 2.0 * alpha * z, np.exp(-alpha * z)), maxlen=1).pop()
-    kern = np.exp(b * (x[..., None] - z))
-    return half * np.einsum("...q,q->...", kern * m, wts)
+    w = np.minimum(x, _TAIL / -b) if b < -1e-12 else x
+    t0 = np.maximum(x - 2.0 * (_TAIL + kmax * math.log(5.0)) / alpha, 0.0)
+    h = 0.5 * np.fmax(w - t0, 0.0)  # a NaN x gets an empty window and a NaN seed
+    n = (kmax + 2) // 2 + np.ceil((alpha - b) * h).astype(np.int64) + 12
+    return t0, h, -(-n // _NODE_STEP) * _NODE_STEP
+
+
+def _backward_sweep(kmax: int, alpha: float, x: np.ndarray, b: float) -> np.ndarray:
+    """J_k(x; b) for k = 0..kmax and b < 0, x 1-d; shape (kmax+1, len(x)).
+
+    The backward ladder is seeded at kmax by J_kmax(x; b) =
+    int e^{bt} M_kmax(x - t) dt, taken by Gauss-Legendre in the offset
+    t = x - z on each x's window (``_seed_windows``), so the nodes stay
+    distinct however far below the spacing of doubles at x the window is.
+    The x are swept in chunks of about ``_CHUNK_PAIRS`` (x, node) pairs, so
+    the temporaries stay bounded whatever len(x) and the windows are.  In a
+    chunk the x and all their nodes share one flat array and one Laguerre
+    recurrence: every row at the x (the ladder's sources), only the top row
+    at the nodes, summed per x by ``np.add.reduceat``.
+    """
+    J = np.empty((kmax + 1, len(x)))
+    if not len(x):
+        return J
+    # a chunk ends at the first x whose pairs reach a multiple of _CHUNK_PAIRS;
+    # each chunk recomputes its windows, so only `ends` spans every x
+    ends = np.cumsum(_seed_windows(kmax, alpha, x, b)[2])
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1], _CHUNK_PAIRS)) + 1
+    bounds = np.unique(np.r_[0, cuts, len(x)])
+    s = alpha + b
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        xc = x[lo:hi]
+        t0, h, n = _seed_windows(kmax, alpha, xc, b)
+        one_u, wts = np.concatenate([_gauss_legendre(k) for k in n.tolist()], axis=1)
+        owner = np.repeat(np.arange(hi - lo), n)
+        t = t0[owner] + h[owner] * one_u
+        z = np.concatenate([xc, xc[owner] - t])
+        M = np.empty((kmax + 1, hi - lo))
+        for k, row in enumerate(_laguerre_rows(kmax, 2.0 * alpha * z, np.exp(-alpha * z))):
+            M[k] = row[: hi - lo]
+        seed = h * np.add.reduceat(wts * np.exp(b * t) * row[hi - lo :], np.cumsum(n) - n)
+        J[:, lo:hi] = ladder(seed, (M[:-1] - M[1:])[::-1], 2.0 * alpha - s, s)[::-1]
+    return J
 
 
 def ladder(y0, d: np.ndarray, diag: float, off: float) -> np.ndarray:
@@ -170,17 +239,16 @@ def psi_integral_all(
     a = params.alpha
     x_in = np.asarray(x, dtype=float)
     x = np.atleast_1d(x_in)
-    s = a + b
-    # sources -(M_k - M_{k-1}) for k = 1..kmax
-    d = -np.diff(_weighted_laguerre_all(kmax, a, x), axis=0)
     if b >= 0.0:
-        # forward: amplification |a-b|/(a+b) <= 1
+        # forward: amplification |a-b|/(a+b) <= 1; sources -(M_k - M_{k-1})
+        s = a + b
+        d = -np.diff(_weighted_laguerre_all(kmax, a, x), axis=0)
         J = ladder(np.exp(b * x) * (-np.expm1(-s * x)) / s, d, s, 2.0 * a - s)
     else:
         # backward: contraction |a+b|/(a-b) < 1; quadrature seed at the top
-        J = ladder(_backward_seed(kmax, a, x, b), d[::-1], 2.0 * a - s, s)[::-1]
-    res = params.sq2a * J
-    return res[:, 0] if x_in.ndim == 0 else res
+        J = _backward_sweep(kmax, a, x.ravel(), b).reshape((kmax + 1,) + x.shape)
+    J *= params.sq2a
+    return J[:, 0] if x_in.ndim == 0 else J
 
 
 def psi_integral(params: LaguerreParams, k: int, x, b: float):

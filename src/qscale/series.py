@@ -103,7 +103,8 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
     """d/db of (e^{bx} - 1)/b at fixed x, continuous through b = 0 (limit x^2 / 2).
 
     Equals x^2 g(bx) with g(u) = ((u - 1) expm1(u) + u) / u^2.  That closed form
-    cancels for small |u|, so |u| < 0.1 sums the Taylor series of g instead.
+    cancels for small |u|, so |u| < 0.1 sums the Taylor series of g instead;
+    elsewhere it divides by u twice, as u^2 overflows for |u| > 1.3e154.
     """
     x = np.asarray(x, dtype=float)
     u = b * x
@@ -114,7 +115,7 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
     for coef in reversed(_EXPM1_DB_TAYLOR):
         acc = acc * us + coef
     g[small] = acc
-    g[~small] = ((ul - 1.0) * np.expm1(ul) + ul) / (ul * ul)
+    g[~small] = ((ul - 1.0) * np.expm1(ul) + ul) / ul / ul
     return x * x * g
 
 
@@ -291,21 +292,25 @@ def _closed_coeffs_exponential(
     lam, mu = jumps.rate, jumps.mu
     gamma, D, c = theta.gamma, theta.D, model.c
     p = p_value(model, theta)
-    if D == 0:
+    beta = theta.beta(c)
+    if D == 0 or not math.isfinite(beta):
+        # past the overflow of c/D the D = 0 form is the exact limit: the
+        # transform at beta vanishes and front / (beta - mu) -> w
         w = lam * mu / (c * (gamma + mu))
         a_f = w * _lag_transform_exp(mu, params)
         a_F = (w / mu) * _lag_transform_exp(mu, params)
         return p, a_f, a_F
-    beta = theta.beta(c)
-    front = lam * mu / (D * (gamma + mu))
     if abs(beta - mu) > 1e-8 * max(beta, mu):
-        C = front / (beta - mu)
+        # front / (beta - mu), front = lam mu / (D (gamma + mu)), with
+        # D (beta - mu) = c + D (gamma - mu): front alone overflows for tiny D
+        C = lam * mu / ((gamma + mu) * (c + D * (gamma - mu)))
         a_f = C * (_lag_transform_exp(mu, params) - _lag_transform_exp(beta, params))
         a_F = C * (
             _lag_transform_exp(mu, params) / mu - _lag_transform_exp(beta, params) / beta
         )
     else:
         # beta ~ mu: p f_q = front * x e^{-mu x}
+        front = lam * mu / (D * (gamma + mu))
         a_f = front * _lag_transform_xexp(mu, params)
         a_F = front * (
             _lag_transform_xexp(mu, params) / mu + _lag_transform_exp(mu, params) / mu**2
@@ -363,7 +368,8 @@ def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Ke
     """The shared form of every kernel, with its (p, gamma) gradient, split into rows.
 
     D > 0: (f(gamma) - f(-beta)) / N with N = D (1-p) (beta + gamma) and
-    beta = c/D + gamma; D = 0: f(gamma) / N with N = c (1-p).  ``atom(b)``
+    beta = c/D + gamma; D = 0: f(gamma) / N with N = c (1-p), which is also
+    taken where c/D overflows, as the limit for x > 0 (f(-beta) -> 0).  ``atom(b)``
     returns (f(b), df/db) for a stack of atoms.  Since d beta / d gamma = 1,
     the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 value / (beta + gamma),
     or f'(gamma) / N for D = 0; the p-derivative is value / (1-p).
@@ -371,8 +377,8 @@ def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Ke
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
     f, df = atom(gamma)
-    if D > 0:
-        beta = c / D + gamma
+    beta = float(c) / float(D) + gamma if D > 0 else math.inf
+    if math.isfinite(beta):
         f_b, df_b = atom(-beta)
         N = D * (1.0 - p) * (beta + gamma)
         value = (f - f_b) / N

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,65 @@ class TestLadder:
         y0 = np.array([0.5, -1.25])
         got = ladder(y0, np.empty((0, 2)), 3.0, 1.0)
         assert got.shape == (1, 2) and np.array_equal(got[0], y0)
+
+
+def _psi_panel_reference(p: LaguerreParams, x: np.ndarray, b: float) -> np.ndarray:
+    """Psi_{alpha,0..K}(x; b) by 40-node Gauss-Legendre on unit panels of [0, x] in z."""
+    u, w = np.polynomial.legendre.leggauss(40)
+    out = np.empty((p.K + 1, len(x)))
+    for i, xi in enumerate(x):
+        edges = np.linspace(0.0, xi, max(1, math.ceil(xi)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        z = (edges[:-1, None] + half + half * u).ravel()
+        weights = (half * w).ravel() * np.exp(b * (xi - z))
+        out[:, i] = laguerre_fn_all(p, z) @ weights
+    return out
+
+
+class TestBackwardSweep:
+    """The b < 0 sweep: its Gauss-Legendre seed sized to each x's offset window."""
+
+    @pytest.mark.parametrize("b", [-1e10, -1e100, -1e300])
+    def test_huge_decay_rate(self, b):
+        # b Psi_0(x; b) = sqrt(2a) b (e^{bx} - e^{-ax}) / (b + a) -> -phi_0(x)
+        p, x = LaguerreParams(1.0, 0), 1.0
+        want = math.sqrt(2.0) * b * (math.exp(b * x) - math.exp(-x)) / (b + 1.0)
+        assert b * psi_integral(p, 0, x, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want == pytest.approx(-laguerre_fn(p, 0, x), rel=2e-10)
+
+    @pytest.mark.parametrize("K", [20, 40, 64])
+    @pytest.mark.parametrize("b", [-1e-11, -0.01, -0.041, -0.143])
+    def test_wide_windows(self, K, b):
+        # a fixed 96 + K nodes left every order ~15% low at x = 1000, b = -0.01
+        p, x = LaguerreParams(1.0, K), np.array([120.0, 314.0, 1000.0])
+        want = _psi_panel_reference(p, x, b)
+        assert np.max(np.abs(psi_integral_all(p, x, b) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("K", [0, 5, 21, 64])
+    @pytest.mark.parametrize("b", [-1e-12, -1.01e-12, -0.143, -0.5, -3.0, -30.0])
+    def test_up_to_the_kernel_window(self, K, b):
+        # x runs past 45/|b|, where the window stops growing, and |b| = 1e-12
+        # is where the window stops being cut at all
+        p = LaguerreParams(1.0, K)
+        x = np.geomspace(0.01, min(1.5 * 45.0 / abs(b), 600.0), 15)
+        want = _psi_panel_reference(p, x, b)
+        assert np.max(np.abs(psi_integral_all(p, x, b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_memory_does_not_grow_with_the_sweep(self):
+        # the seed's quadrature is chunked: beyond the output itself, the
+        # peak does not grow with the number of points
+        p = LaguerreParams(1.0, 20)
+        peaks, sizes = [], []
+        for nz in (2_000, 20_000):
+            z = np.linspace(0.01, 30.0, nz)
+            tracemalloc.start()
+            try:
+                out = psi_integral_all(p, z, -0.143)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(out.nbytes)
+        assert peaks[1] - peaks[0] < sizes[1], (peaks, sizes)
 
 
 class TestProjection:

@@ -69,7 +69,7 @@ class TestGridFreeReplications:
         # the simulation holds a block of increments and the ~1600 jumps
         assert sim_peak < 2 * 2**20, sim_peak
         # the rest is the kernel sweep over the jump sizes
-        assert peak < 16 * 2**20, peak
+        assert peak < 4 * 2**20, peak
 
     def test_monte_carlo_does_not_simulate_paths(self, exp_jump_model, params20, monkeypatch):
         def no_paths(*args, **kwargs):

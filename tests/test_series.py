@@ -14,6 +14,7 @@ from qscale.exceptions import DomainError, IllConditionedError, NumericalError
 from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all, partial_sum
 from qscale.levy import (
     CompoundPoissonExponential,
+    CompoundPoissonGamma,
     LevyModel,
     NoJumps,
     ThetaParams,
@@ -242,6 +243,14 @@ class TestExpm1RatioDb:
             lo, hi = _expm1_ratio_db(below, np.array([x])), _expm1_ratio_db(above, np.array([x]))
             assert hi[0] == pytest.approx(lo[0], rel=1e-14)
 
+    @pytest.mark.parametrize("b", [-1e160, -1e300])
+    def test_huge_rate_does_not_overflow(self, b):
+        # g(u) = 1/u^2 + O(e^u / u) as u -> -inf: x^2 g(bx) -> 1/b^2, here below
+        # the smallest double; u^2 itself overflows
+        with np.errstate(all="raise"):
+            got = _expm1_ratio_db(b, self.XS)
+        assert np.all(got == 0.0)
+
     @pytest.mark.parametrize("gamma", [2e-10, 1e-8, 1e-3, 0.5, 0.0])
     def test_gamma_window_derivative(self, gamma):
         z = np.array([0.5, 1.0, 3.0])
@@ -259,6 +268,52 @@ class TestExpm1RatioDb:
         x = np.linspace(0.0, 10.0, 11)
         _, d_atoms = _exp_atoms(x, b)
         assert np.array_equal(d_atoms[1], _expm1_ratio_db(b, x))
+
+
+class TestScaleApproxSmallD:
+    """W_K tends to its D = 0 form as D -> 0+ (x > 0): the atom at b = -beta,
+    beta = c/D + gamma, drops out, and where c/D overflows the D = 0 form is
+    taken as the exact limit."""
+
+    EXP = dict(c=1.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1)
+    GAMMA = dict(c=2.0, jumps=CompoundPoissonGamma(rate=1.0, shape=2.0, scale=0.4), q=0.05)
+
+    @staticmethod
+    def _w(D, c, jumps, q, x):
+        model = LevyModel(x0=0.0, c=c, D=D, jumps=jumps, q=q)
+        return scale_approx(model, LaguerreParams(1.0, 20)).w(x)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("D", [1e-12, 1e-20, 1e-100, 1e-300])
+    def test_exponential_jumps(self, D):
+        # the window of the Psi seed at b = -beta was once below the spacing
+        # of doubles at x, which gave W_K(1) = -7.32 from D = 1e-20 down
+        want = self._w(0.0, **self.EXP, x=1.0)
+        assert want == pytest.approx(1.1210597, abs=1e-7)
+        assert self._w(D, **self.EXP, x=1.0) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("D", [1e-310, 5e-324])
+    @pytest.mark.parametrize("family", ["EXP", "GAMMA"])
+    def test_subnormal_D(self, D, family):
+        # c/D overflows: the closed exponential coefficients and the kernels
+        # once gave NaN here
+        kw = getattr(self, family)
+        xs = np.linspace(0.5, 10.0, 20)
+        want = self._w(0.0, **kw, x=xs)
+        assert np.max(np.abs(self._w(D, **kw, x=xs) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(np.isfinite(want))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("D", [1.2e-308, 9e-309])
+    def test_exponential_jumps_where_c_over_D_is_near_overflow(self, D):
+        # c/D is finite, but lam mu / (D (gamma + mu)) alone is not when lam > c.
+        # beta x overflows in the P* atom's b-derivative here, so warnings pass.
+        kw = dict(c=1.5, jumps=CompoundPoissonExponential(3.0, 1.0 / 3.0), q=0.1)
+        xs = np.linspace(0.5, 10.0, 20)
+        want = self._w(0.0, **kw, x=xs)
+        got = self._w(D, **kw, x=xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCoeffsTrue:
