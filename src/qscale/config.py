@@ -96,6 +96,14 @@ def _check_number(block: dict, key: str, blockname: str, default=None):
     return v
 
 
+def _check_int(block: dict, key: str, blockname: str, minimum: int, default=None) -> int:
+    """block[key] as an int: a finite number with an integer value >= minimum."""
+    v = _check_number(block, key, blockname, default)
+    if int(v) != v or v < minimum:
+        raise ConfigError(f"{blockname}.{key} must be an integer >= {minimum}, got {v}")
+    return int(v)
+
+
 def jump_measure_from_dict(d: dict) -> JumpMeasure:
     """Build a jump measure from {kind, <the kind's parameters>}."""
     if not isinstance(d, dict) or "kind" not in d:
@@ -158,21 +166,16 @@ def parse_config(d: dict) -> ExperimentConfig:
     if "laguerre" in d:
         lb = _block(d, "laguerre")
         alpha = _check_number(lb, "alpha", "laguerre", default=1.0)
-        K = _check_number(lb, "K", "laguerre")
-        if int(K) != K:
-            raise ConfigError(f"laguerre.K must be an integer, got {K}")
+        K = _check_int(lb, "K", "laguerre", 0)
         try:
-            laguerre = LaguerreParams(alpha=float(alpha), K=int(K))
-        except Exception as exc:
+            laguerre = LaguerreParams(alpha=float(alpha), K=K)
+        except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
     scheme, seed = None, 0
     if "scheme" in d:
         sb = _block(d, "scheme")
-        seed = _check_number(sb, "seed", "scheme", default=0)
-        if int(seed) != seed or seed < 0:
-            raise ConfigError(f"scheme.seed must be a nonnegative integer, got {seed}")
-        seed = int(seed)
+        seed = _check_int(sb, "seed", "scheme", 0, default=0)
         T = float(_check_number(sb, "T", "scheme"))
         # the rule's defaults are make_scheme's; pass only what the config gives
         rule = {k: float(_check_number(sb, k, "scheme")) for k in ("a", "rho", "c_eps") if k in sb}
@@ -184,18 +187,14 @@ def parse_config(d: dict) -> ExperimentConfig:
     mc = None
     if "mc" in d:
         mb = _block(d, "mc")
-        reps = _check_number(mb, "replications", "mc")
-        if int(reps) != reps or reps < 1:
-            raise ConfigError(f"mc.replications must be a positive integer, got {reps}")
-        workers = _check_number(mb, "workers", "mc", default=1)
-        if int(workers) != workers or workers < 1:
-            raise ConfigError(f"mc.workers must be a positive integer, got {workers}")
+        reps = _check_int(mb, "replications", "mc", 1)
+        workers = _check_int(mb, "workers", "mc", 1, default=1)
         D_window = 1.0  # also when given as null
         if mb.get("D_window") is not None:
             D_window = float(_check_number(mb, "D_window", "mc"))
             if D_window <= 0:
                 raise ConfigError("mc.D_window must be > 0")
-        mc = McConfig(replications=int(reps), workers=int(workers), D_window=D_window)
+        mc = McConfig(replications=reps, workers=workers, D_window=D_window)
 
     out_dir = "out"
     formats: tuple[str, ...] = ("csv", "json")
@@ -217,14 +216,12 @@ def parse_config(d: dict) -> ExperimentConfig:
         gb = _block(d, "x_grid")
         lo = float(_check_number(gb, "min", "x_grid"))
         hi = float(_check_number(gb, "max", "x_grid"))
-        pts = _check_number(gb, "points", "x_grid")
-        if int(pts) != pts or pts < 1:
-            raise ConfigError(f"x_grid.points must be a positive integer, got {pts}")
+        pts = _check_int(gb, "points", "x_grid", 1)
         if hi < lo:
             raise ConfigError(f"x_grid requires max >= min, got [{lo}, {hi}]")
         if lo < 0:
             raise ConfigError(f"x_grid.min must be >= 0, got {lo}")
-        x_grid = np.linspace(lo, hi, int(pts))
+        x_grid = np.linspace(lo, hi, pts)
 
     return ExperimentConfig(
         model=model, laguerre=laguerre, scheme=scheme, seed=seed, mc=mc,

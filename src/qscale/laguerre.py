@@ -45,7 +45,6 @@ from .exceptions import DomainError
 __all__ = [
     "LaguerreParams",
     "laguerre_poly",
-    "laguerre_poly_all",
     "laguerre_fn",
     "laguerre_fn_all",
     "psi_integral",
@@ -110,14 +109,9 @@ def _fill_rows(kmax: int, t: np.ndarray, m0) -> np.ndarray:
     return out
 
 
-def laguerre_poly_all(kmax: int, x) -> np.ndarray:
-    """L_k(x) for k = 0..kmax via the three-term recurrence; shape (kmax+1, *x.shape)."""
-    return _fill_rows(kmax, np.asarray(x, dtype=float), 1.0)
-
-
 def laguerre_poly(k: int, x):
     """Laguerre polynomial L_k(x); (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
-    res = laguerre_poly_all(k, x)[k]
+    res = _fill_rows(k, np.asarray(x, dtype=float), 1.0)[k]
     return float(res) if np.ndim(x) == 0 else res
 
 

@@ -93,10 +93,18 @@ def p_value(model: LevyModel, theta: ThetaParams) -> float:
 _EXPM1_DB_TAYLOR = tuple((m + 1) / math.factorial(m + 2) for m in range(12))
 
 
+def _times(b: float, x: np.ndarray) -> np.ndarray:
+    """u = b x, floored at -1e300.  At the atom b = -beta, beta = c/D + gamma, u
+    overflows to -inf for tiny D; e^u, expm1(u) and g(u) are already at their
+    u -> -inf limits at -1e300, and g's closed form would meet inf - inf at -inf."""
+    with np.errstate(over="ignore"):
+        return np.maximum(b * x, -1e300)
+
+
 def _expm1_ratio(b: float, x) -> np.ndarray:
     """(e^{bx} - 1)/b at fixed x, with the b -> 0 limit x for |b| < 1e-10."""
     x = np.asarray(x, dtype=float)
-    return x.copy() if abs(b) < 1e-10 else np.expm1(b * x) / b
+    return x.copy() if abs(b) < 1e-10 else np.expm1(_times(b, x)) / b
 
 
 def _expm1_ratio_db(b: float, x) -> np.ndarray:
@@ -107,7 +115,7 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
     elsewhere it divides by u twice, as u^2 overflows for |u| > 1.3e154.
     """
     x = np.asarray(x, dtype=float)
-    u = b * x
+    u = _times(b, x)
     small = np.abs(u) < 0.1
     us, ul = u[small], u[~small]
     g = np.empty_like(u)
@@ -265,11 +273,15 @@ def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
     return CoefficientSet(p, a_f, a_F, a_G, params, theta)
 
 
-def _lag_transform_exp(rate: float, params: LaguerreParams) -> np.ndarray:
-    """<e^{-r x}, phi_{alpha,k}> = sqrt(2a)/s * ((s-2a)/s)^k, s = r + alpha."""
-    s = rate + params.alpha
+def _lag_transform_exp(rD: float, params: LaguerreParams, D: float = 1.0) -> np.ndarray:
+    """<e^{-r x}, phi_{alpha,k}> = sqrt(2a) D/sD * ((sD - 2a D)/sD)^k, sD = (r + alpha) D.
+
+    From r D and D (default 1: r itself), so that at r = beta it takes beta D =
+    c + gamma D: exactly 0 at D = 0 and finite for subnormal D.
+    """
+    sD = rD + params.alpha * D
     ks = np.arange(params.K + 1)
-    return params.sq2a / s * ((s - 2.0 * params.alpha) / s) ** ks
+    return params.sq2a * D / sD * ((sD - 2.0 * params.alpha * D) / sD) ** ks
 
 
 def _lag_transform_xexp(rate: float, params: LaguerreParams) -> np.ndarray:
@@ -286,35 +298,29 @@ def _lag_transform_xexp(rate: float, params: LaguerreParams) -> np.ndarray:
 def _closed_coeffs_exponential(
     model: LevyModel, theta: ThetaParams, params: LaguerreParams
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """p f_q is a one- or two-exponential mixture for exponential jumps."""
+    """p f_q is a one- or two-exponential mixture for exponential jumps.
+
+    p f_q = C (e^{-mu x} - e^{-beta x}), C = lam mu / ((gamma + mu) D (beta - mu)),
+    D (beta - mu) = c + D (gamma - mu).  beta enters only as beta D = c + gamma D, so
+    D = 0 is a limit, not a branch; only beta ~ mu, a removable singularity, is.
+    """
     jumps = model.jumps
     assert isinstance(jumps, CompoundPoissonExponential)
     lam, mu = jumps.rate, jumps.mu
     gamma, D, c = theta.gamma, theta.D, model.c
     p = p_value(model, theta)
-    beta = theta.beta(c)
-    if D == 0 or not math.isfinite(beta):
-        # past the overflow of c/D the D = 0 form is the exact limit: the
-        # transform at beta vanishes and front / (beta - mu) -> w
-        w = lam * mu / (c * (gamma + mu))
-        a_f = w * _lag_transform_exp(mu, params)
-        a_F = (w / mu) * _lag_transform_exp(mu, params)
-        return p, a_f, a_F
-    if abs(beta - mu) > 1e-8 * max(beta, mu):
-        # front / (beta - mu), front = lam mu / (D (gamma + mu)), with
-        # D (beta - mu) = c + D (gamma - mu): front alone overflows for tiny D
+    bD = c + gamma * D  # beta D
+    L_mu = _lag_transform_exp(mu, params)
+    if abs(c + D * (gamma - mu)) > 1e-8 * max(bD, mu * D):
         C = lam * mu / ((gamma + mu) * (c + D * (gamma - mu)))
-        a_f = C * (_lag_transform_exp(mu, params) - _lag_transform_exp(beta, params))
-        a_F = C * (
-            _lag_transform_exp(mu, params) / mu - _lag_transform_exp(beta, params) / beta
-        )
+        L_b = _lag_transform_exp(bD, params, D)
+        a_f = C * (L_mu - L_b)
+        a_F = C / mu * L_mu - C * D / bD * L_b  # L(beta) / beta = L(beta) D / (beta D)
     else:
-        # beta ~ mu: p f_q = front * x e^{-mu x}
+        # beta ~ mu: p f_q = front * x e^{-mu x}, front = lam mu / (D (gamma + mu))
         front = lam * mu / (D * (gamma + mu))
         a_f = front * _lag_transform_xexp(mu, params)
-        a_F = front * (
-            _lag_transform_xexp(mu, params) / mu + _lag_transform_exp(mu, params) / mu**2
-        )
+        a_F = front * (_lag_transform_xexp(mu, params) / mu + L_mu / mu**2)
     return p, a_f, a_F
 
 
@@ -367,12 +373,13 @@ class Kernels(NamedTuple):
 def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Kernel]:
     """The shared form of every kernel, with its (p, gamma) gradient, split into rows.
 
-    D > 0: (f(gamma) - f(-beta)) / N with N = D (1-p) (beta + gamma) and
-    beta = c/D + gamma; D = 0: f(gamma) / N with N = c (1-p), which is also
-    taken where c/D overflows, as the limit for x > 0 (f(-beta) -> 0).  ``atom(b)``
-    returns (f(b), df/db) for a stack of atoms.  Since d beta / d gamma = 1,
-    the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 value / (beta + gamma),
-    or f'(gamma) / N for D = 0; the p-derivative is value / (1-p).
+    value = (f(gamma) - f(-beta)) / N, beta = c/D + gamma, with the D-scaled
+    N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D); ``atom(b)`` returns
+    (f(b), df/db) for a stack of atoms.  Since d beta / d gamma = 1, the
+    gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 D value / (c + 2 gamma D);
+    the p-derivative is value / (1-p).  D = 0 is the limit, not a branch: the
+    atom at -beta, not formed there or where c/D overflows, is its own limit
+    for x > 0, and it sets W(0) = 0 wherever it is formed.
     """
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
@@ -380,20 +387,18 @@ def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Ke
     beta = float(c) / float(D) + gamma if D > 0 else math.inf
     if math.isfinite(beta):
         f_b, df_b = atom(-beta)
-        N = D * (1.0 - p) * (beta + gamma)
-        value = (f - f_b) / N
-        d_gamma = (df + df_b) / N - 2.0 * value / (beta + gamma)
-    else:
-        N = c * (1.0 - p)
-        value = f / N
-        d_gamma = df / N
+        f, df = f - f_b, df + df_b
+    s = c + 2.0 * gamma * D  # (beta + gamma) D
+    N = (1.0 - p) * s
+    value = f / N
+    d_gamma = df / N - 2.0 * D * value / s
     return [Kernel(value[r], value[r] / (1.0 - p), d_gamma[r]) for r in rows]
 
 
 def _exp_atoms(x, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(b * x)
+    e = np.exp(_times(b, x))
     return np.stack([e, _expm1_ratio(b, x)]), np.stack([x * e, _expm1_ratio_db(b, x)])
 
 

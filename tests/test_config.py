@@ -33,12 +33,16 @@ BAD = {
     "x0_string": ("model", {"x0": "abc"}),
     "K_nan": ("laguerre", {"K": math.nan}),
     "points_inf": ("x_grid", {"points": math.inf}),
+    "points_zero": ("x_grid", {"points": 0}),
     "replications_inf": ("mc", {"replications": math.inf}),
+    "replications_zero": ("mc", {"replications": 0}),
     "T_nan": ("scheme", {"T": math.nan}),
     "q_nan": ("model", {"q": math.nan}),
     "x_max_inf": ("x_grid", {"max": math.inf}),
     "alpha_nan": ("laguerre", {"alpha": math.nan}),
     "K_bool": ("laguerre", {"K": True}),
+    "K_fraction": ("laguerre", {"K": 4.5}),
+    "K_negative": ("laguerre", {"K": -1}),
     "c_minus_inf": ("model", {"c": -math.inf}),
     "sigma_overflows_D": ("model", {"sigma": 1e200}),
     "int_beyond_float": ("model", {"x0": 10**400}),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all, partia
 from qscale.levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
+    GammaSubordinator,
     LevyModel,
     NoJumps,
     ThetaParams,
@@ -272,16 +274,20 @@ class TestExpm1RatioDb:
 
 class TestScaleApproxSmallD:
     """W_K tends to its D = 0 form as D -> 0+ (x > 0): the atom at b = -beta,
-    beta = c/D + gamma, drops out, and where c/D overflows the D = 0 form is
-    taken as the exact limit."""
+    beta = c/D + gamma, drops out, and where c/D overflows it is not formed."""
 
     EXP = dict(c=1.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1)
     GAMMA = dict(c=2.0, jumps=CompoundPoissonGamma(rate=1.0, shape=2.0, scale=0.4), q=0.05)
+    GSUB = dict(c=1.5, jumps=GammaSubordinator(shape=0.5, rate=1.0), q=0.2)
 
     @staticmethod
-    def _w(D, c, jumps, q, x):
+    def _approx(D, c, jumps, q):
         model = LevyModel(x0=0.0, c=c, D=D, jumps=jumps, q=q)
-        return scale_approx(model, LaguerreParams(1.0, 20)).w(x)
+        return scale_approx(model, LaguerreParams(1.0, 20))
+
+    @classmethod
+    def _w(cls, D, c, jumps, q, x):
+        return cls._approx(D, c, jumps, q).w(x)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("D", [1e-12, 1e-20, 1e-100, 1e-300])
@@ -304,16 +310,48 @@ class TestScaleApproxSmallD:
         assert np.max(np.abs(self._w(D, **kw, x=xs) - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(np.isfinite(want))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("D", [5e-324, 1e-310, 9e-309, 1.2e-308, 1e-300, 1e-12])
+    @pytest.mark.parametrize("family", ["EXP", "GAMMA", "GSUB"])
+    def test_continuous_at_D_zero(self, D, family):
+        # the benchmark's three jump families; c/D overflows below D = c / 1.8e308
+        kw = getattr(self, family)
+        x = np.linspace(0.0, 10.0, 41)
+        approx, approx0 = self._approx(D, **kw), self._approx(0.0, **kw)
+        k, k0 = approx.kernels(x), approx0.kernels(x)
+        assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
+
+        def at_positive_x(a, kern):
+            # coefficients, W_K and every kernel's value and (p, gamma) gradient on x > 0
+            cs = a.coeffs
+            return [cs.a_f, cs.a_F, cs.a_G, a.w_from(kern)[1:]] + [
+                part[..., 1:] for kk in kern for part in kk
+            ]
+
+        for got, want in zip(at_positive_x(approx, k), at_positive_x(approx0, k0)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        # W(0) = 0 while the atom at -beta is formed, else the D = 0 value, which
+        # is 1/c up to the truncation at K = 20 (0.75% for the gamma subordinator)
+        w0, w0_bv = approx.w_from(k)[0], approx0.w_from(k0)[0]
+        assert w0_bv == pytest.approx(1.0 / kw["c"], rel=1e-2)
+        if math.isfinite(kw["c"] / D):
+            assert w0 == 0.0
+        else:
+            assert w0 == pytest.approx(w0_bv, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("D", [1.2e-308, 9e-309])
     def test_exponential_jumps_where_c_over_D_is_near_overflow(self, D):
-        # c/D is finite, but lam mu / (D (gamma + mu)) alone is not when lam > c.
-        # beta x overflows in the P* atom's b-derivative here, so warnings pass.
+        # c/D is finite, but lam mu / (D (gamma + mu)) alone is not when lam > c,
+        # and beta x overflows from x = 1.5 on
         kw = dict(c=1.5, jumps=CompoundPoissonExponential(3.0, 1.0 / 3.0), q=0.1)
         xs = np.linspace(0.5, 10.0, 20)
         want = self._w(0.0, **kw, x=xs)
-        got = self._w(D, **kw, x=xs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        approx = self._approx(D, **kw)
+        k = approx.kernels(xs)
+        assert np.max(np.abs(approx.w_from(k) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
 
 class TestCoeffsTrue:
