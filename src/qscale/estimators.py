@@ -181,7 +181,7 @@ def estimate_coeffs(
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
     n = params.K + 1
     z, T = obs.jump_sizes, obs.scheme.T
-    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z, d_gamma=True)
+    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z)
     H = _stacked(*vals)
     nu = H.sum(axis=1) / T
     a_f, a_F, p_hat = nu[:n], nu[n:-1], float(nu[-1])

@@ -170,7 +170,8 @@ class CompoundPoissonGamma(JumpMeasure):
         return self.rate * self.shape * self.scale
 
     def exp_functional(self, theta):
-        return self.rate * ((1.0 + self.scale * theta) ** (-self.shape) - 1.0)
+        # (1 + s theta)^(-a) - 1, in full relative accuracy as theta -> 0
+        return self.rate * np.expm1(-self.shape * np.log1p(self.scale * theta))
 
     def exp_moment(self, theta):
         a, s = self.shape, self.scale
@@ -200,7 +201,7 @@ class GammaSubordinator(JumpMeasure):
         return self.shape / self.rate
 
     def exp_functional(self, theta):
-        return -self.shape * np.log(1.0 + theta / self.rate)
+        return -self.shape * np.log1p(theta / self.rate)
 
     def exp_moment(self, theta):
         return self.shape / (self.rate + theta)

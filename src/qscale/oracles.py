@@ -13,9 +13,10 @@ Three routes that never touch the Laguerre expansion:
 A last section holds the quadrature cross-checks of the series path, which
 only tests call: the defective density ``ftilde_q`` by quadrature of the
 tilted jump tail, the kernels H_p, H^f_k, H^F_k by nested quadrature
-(``h_functionals_quadrature``), grid projections onto the Laguerre basis
-(``project_grid``) and the adaptive quadrature of nu(H)
-(``nu_functional_exact``).
+(``h_functionals_quadrature``), the population coefficients a^f, a^F by
+cubature of those kernels against nu (``coeffs_quadrature``), grid
+projections onto the Laguerre basis (``project_grid``) and the adaptive
+quadrature of nu(H) (``nu_functional_exact``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
 from .levy import (
     CompoundPoissonExponential, LevyModel, ThetaParams, laplace_exponent, lundberg_exponent,
 )
+from .series import h_functionals_at
 
 __all__ = [
     "TalbotResult",
@@ -41,6 +43,7 @@ __all__ = [
     "closed_form_W",
     "ftilde_q",
     "h_functionals_quadrature",
+    "coeffs_quadrature",
     "ProjectionResult",
     "project_grid",
     "nu_functional_exact",
@@ -330,6 +333,34 @@ def h_functionals_quadrature(
         return val / D
 
     return outer(lambda x: 1.0), outer(phi), outer(psi0)
+
+
+def coeffs_quadrature(model: LevyModel, params: LaguerreParams) -> tuple[np.ndarray, np.ndarray]:
+    """a^f, a^F at theta0 by adaptive Gauss-Kronrod cubature of the H-kernels against nu.
+
+    Reference for ``series.coeffs_true`` on the families without a closed
+    form.  Each rule evaluation hands all of its nodes to one kernel sweep.
+    The map z = (1 - t) / t of [0, inf) can round a node to z = 0, where
+    H = 0 and an infinite-activity density is infinite; that node adds 0.
+    """
+    jumps, theta = model.jumps, model.theta0()
+    n = params.K + 1
+
+    def integrand(zz):
+        z = zz[:, 0]
+        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, z)[0]
+        rho = np.zeros_like(z)
+        rho[z > 0] = jumps.density(z[z > 0])
+        return (np.concatenate([H_f, H_F]) * rho).T
+
+    res = integrate.cubature(
+        integrand, [0.0], [np.inf], rtol=1e-12, atol=1e-14, max_subdivisions=200
+    )
+    est, err = res.estimate, float(np.max(res.error))
+    scale = max(float(np.max(np.abs(est))), 1.0)
+    if res.status != "converged" or err > 1e-6 * scale:
+        raise NumericalError("coefficient quadrature did not converge", residual=err)
+    return est[:n], est[n:]
 
 
 class ProjectionResult(NamedTuple):

@@ -15,11 +15,13 @@ their analytic (p, gamma) gradients; ``eval_*`` / ``grad_*`` project from it.
 The starred kernels are the exact antiderivatives of the unstarred ones, so
 Z_K = 1 + q * int_0^x W_K holds identically.
 
-Coefficient functionals: p, a^f_k, a^F_k are nu-integrals of kernels H_p,
-H^f_k, H^F_k.  Those kernels are evaluated pointwise through
-``laguerre.ladder``, the first-order recurrence in k that also gives Psi.
-The module holds only this production path; the quadrature cross-checks of
-it (``ftilde_q``, ``h_functionals_quadrature``) live in ``oracles``.
+Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k,
+which the estimators average over the recorded jumps (through
+``laguerre.ladder``, the first-order recurrence in k that also gives Psi).
+The population a^f, a^F are Taylor coefficients of closed transforms
+(``coeffs_true``).  The quadrature cross-checks of this production path
+(``ftilde_q``, ``h_functionals_quadrature``, ``coeffs_quadrature``) live in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
-from .laguerre import (
-    LaguerreParams, ladder, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all,
-)
-from .levy import CompoundPoissonExponential, LevyModel, ThetaParams
+from .laguerre import LaguerreParams, ladder, laguerre_fn_all, psi_integral_and_db_all
+from .levy import LevyModel, ThetaParams
 
 __all__ = [
     "CoefficientSet",
@@ -132,21 +132,19 @@ def _gamma_window_d(gamma: float, z: np.ndarray) -> np.ndarray:
     return -_expm1_ratio_db(-gamma, z)
 
 
-def h_functionals_at(
-    c: float, D: float, gamma: float, params: LaguerreParams, z, d_gamma: bool = False
-):
-    """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma), shapes ((nz,), (K+1, nz), (K+1, nz)).
+def h_functionals_at(c: float, D: float, gamma: float, params: LaguerreParams, z):
+    """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma) and their gamma-derivatives.
 
-    All inner x-integrals are closed forms.  H^f_k = V_k / D, where
-    V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy solves the ladder
-    (alpha + beta) V_k + (alpha - beta) V_{k-1} = diff(Psi)_k driven by
-    Psi_k(z; -gamma).  Scaled by D, with beta D = c + gamma D and
+    Returns the pair (values, d/dgamma values) of such triples, shapes
+    ((nz,), (K+1, nz), (K+1, nz)).  All inner x-integrals are closed forms.
+    H^f_k = V_k / D, where V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy solves
+    the ladder (alpha + beta) V_k + (alpha - beta) V_{k-1} = diff(Psi)_k driven
+    by Psi_k(z; -gamma).  Scaled by D, with beta D = c + gamma D and
     (alpha + beta) D = beta D + alpha D, it yields V / D directly, contracts
     by |alpha - beta| / (alpha + beta) <= 1 and reduces at D = 0 to the
     bounded-variation kernels (H^f = Psi / c), so no D = 0 branch is needed.
 
-    With ``d_gamma=True`` the result is the pair (values, d/dgamma values) of
-    such triples, from the same Psi sweep: the ladders are linear, so their
+    Both come from one order-(K+1) Psi sweep: the ladders are linear, so their
     gamma-derivatives run the same ladders on d/dgamma Psi = -d/db Psi at
     b = -gamma, plus the terms from d (beta D) / d gamma = D.
     """
@@ -154,12 +152,9 @@ def h_functionals_at(
     K, alpha = params.K, params.alpha
     sign_sq2a = params.sq2a * np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)[:, None]
     kg = _expm1_ratio(-gamma, z)  # (1 - e^{-gamma z}) / gamma
-    if d_gamma:
-        psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
-        d_psi = -d_psi
-        d_kg = _gamma_window_d(gamma, z)
-    else:
-        psi = psi_integral_all(params, z, -gamma)  # Psi_k(z; -gamma), (K+1, nz)
+    psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
+    d_psi = -d_psi
+    d_kg = _gamma_window_d(gamma, z)
 
     bD = c + gamma * D  # beta D
     sD = bD + alpha * D  # (alpha + beta) D
@@ -173,8 +168,6 @@ def h_functionals_at(
     H_p = kg / bD
     H_f = v_over_d(psi)
     vals = (H_p, H_f, sign_sq2a * kg / (alpha * bD) - s_ladder(H_f))
-    if not d_gamma:
-        return vals
     # sD and the off-diagonal move by D and -D per unit gamma: the V-ladder's
     # source diff(psi) becomes diff(d_psi - D H_f)
     d_H_f = v_over_d(d_psi - D * H_f)
@@ -251,8 +244,7 @@ def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
 def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
     """Population coefficients (p, a^f, a^F, a^G) at theta0 = (D, Phi(q)).
 
-    Exponential jumps use the closed exponential-mixture form of p f_q; every
-    other family integrates the H-kernels against nu by cubature.
+    One formula for every jump family: a^f, a^F from ``_transform_coeffs``.
     """
     model.require_npc()
     theta = model.theta0()
@@ -261,92 +253,60 @@ def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
         zero = np.zeros(n)
         return CoefficientSet(0.0, zero, zero.copy(), zero.copy(), params, theta)
 
-    if isinstance(model.jumps, CompoundPoissonExponential):
-        p, a_f, a_F = _closed_coeffs_exponential(model, theta, params)
-    else:
-        p = p_value(model, theta)
-        a_f, a_F = _quadrature_coeffs(model, theta, params)
+    p = p_value(model, theta)
     if not 0.0 < p < 1.0:
-        raise DomainError(f"p = {p} outside (0,1); NPC or quadrature failure")
+        raise DomainError(f"p = {p} outside (0,1)")
+    a_f, a_F = _transform_coeffs(model, theta, params, p)
     A = build_Af(a_f, params.alpha)
     a_G = solve_aG(A, a_F)
     return CoefficientSet(p, a_f, a_F, a_G, params, theta)
 
 
-def _lag_transform_exp(rD: float, params: LaguerreParams, D: float = 1.0) -> np.ndarray:
-    """<e^{-r x}, phi_{alpha,k}> = sqrt(2a) D/sD * ((sD - 2a D)/sD)^k, sD = (r + alpha) D.
-
-    From r D and D (default 1: r itself), so that at r = beta it takes beta D =
-    c + gamma D: exactly 0 at D = 0 and finite for subnormal D.
-    """
-    sD = rD + params.alpha * D
-    ks = np.arange(params.K + 1)
-    return params.sq2a * D / sD * ((sD - 2.0 * params.alpha * D) / sD) ** ks
-
-
-def _lag_transform_xexp(rate: float, params: LaguerreParams) -> np.ndarray:
-    """<x e^{-r x}, phi_{alpha,k}> = -d/ds of the pure-exponential transform."""
-    a = params.alpha
-    s = rate + a
-    u = (s - 2.0 * a) / s
-    ks = np.arange(params.K + 1)
-    main = u**ks / s**2
-    corr = 2.0 * a * ks * u ** np.maximum(ks - 1, 0) / s**3
-    return params.sq2a * (main - corr)
+# Weeks' rule, every size from K: r = 10^(-1/K) caps the roundoff gain r^(-k)
+# at 10; aliasing adds a_{k+N} r^N, so N (1 - r) >= 80 gives r^N <= e^(-80)
+# and e^(-40) for the N/2 sub-rule of the error check, which the floor of 256
+# keeps a real rule at small K.  Nodes sit half a step off the real axis, where
+# the removable point theta = gamma lies.
+_WEEKS_MIN_NODES = 256
+_WEEKS_ALIAS = 80.0
+_WEEKS_RTOL = 1e-10
 
 
-def _closed_coeffs_exponential(
-    model: LevyModel, theta: ThetaParams, params: LaguerreParams
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """p f_q is a one- or two-exponential mixture for exponential jumps.
-
-    p f_q = C (e^{-mu x} - e^{-beta x}), C = lam mu / ((gamma + mu) D (beta - mu)),
-    D (beta - mu) = c + D (gamma - mu).  beta enters only as beta D = c + gamma D, so
-    D = 0 is a limit, not a branch; only beta ~ mu, a removable singularity, is.
-    """
-    jumps = model.jumps
-    assert isinstance(jumps, CompoundPoissonExponential)
-    lam, mu = jumps.rate, jumps.mu
-    gamma, D, c = theta.gamma, theta.D, model.c
-    p = p_value(model, theta)
-    bD = c + gamma * D  # beta D
-    L_mu = _lag_transform_exp(mu, params)
-    if abs(c + D * (gamma - mu)) > 1e-8 * max(bD, mu * D):
-        C = lam * mu / ((gamma + mu) * (c + D * (gamma - mu)))
-        L_b = _lag_transform_exp(bD, params, D)
-        a_f = C * (L_mu - L_b)
-        a_F = C / mu * L_mu - C * D / bD * L_b  # L(beta) / beta = L(beta) D / (beta D)
-    else:
-        # beta ~ mu: p f_q = front * x e^{-mu x}, front = lam mu / (D (gamma + mu))
-        front = lam * mu / (D * (gamma + mu))
-        a_f = front * _lag_transform_xexp(mu, params)
-        a_F = front * (_lag_transform_xexp(mu, params) / mu + L_mu / mu**2)
-    return p, a_f, a_F
-
-
-def _quadrature_coeffs(
-    model: LevyModel, theta: ThetaParams, params: LaguerreParams
+def _transform_coeffs(
+    model: LevyModel, theta: ThetaParams, params: LaguerreParams, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """a^f, a^F by adaptive Gauss-Kronrod cubature of the H-kernels against nu.
+    """a^f, a^F by Weeks' method: Taylor coefficients from one FFT on |w| = r.
 
-    Each rule evaluation hands all of its nodes to one kernel sweep.
+    With theta(w) = alpha (1 + w) / (1 - w), the basis transforms
+    sqrt(2 alpha) (theta - alpha)^k / (theta + alpha)^(k+1) make a Laguerre
+    series sum_k a_k w^k = sqrt(2 alpha) Fhat(theta(w)) / (1 - w).  For p f_q,
+    Fhat = 1 - (psi(theta) - q) / ((theta - gamma)(D theta + c + gamma D)); with
+    q = psi(gamma) the polynomial part of psi cancels, leaving nu_e(gamma) -
+    nu_e(theta) over that product, nu_e = nu(e^(-theta z) - 1), with
+    ``p_value`` at 0.  The tail p Fbar_q has (p - Fhat) / theta.  D = 0 is the
+    limit of the D-scaled factor.  Raises NumericalError when the N/2 sub-rule
+    differs from the N-node rule by more than 1e-10 of the coefficients' sup.
     """
-    jumps = model.jumps
-    n = params.K + 1
-
-    def integrand(zz):
-        z = zz[:, 0]
-        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, z)
-        return (np.concatenate([H_f, H_F]) * jumps.density(z)).T
-
-    res = integrate.cubature(
-        integrand, [0.0], [np.inf], rtol=1e-9, atol=1e-12, max_subdivisions=200
-    )
-    est, err = res.estimate, float(np.max(res.error))
-    scale = max(float(np.max(np.abs(est))), 1.0)
-    if res.status != "converged" or err > 1e-6 * scale:
-        raise NumericalError("coefficient quadrature did not converge", residual=err)
-    return est[:n], est[n:]
+    K, alpha = params.K, params.alpha
+    r = 10.0 ** (-1.0 / max(K, 1))
+    N = 1 << math.ceil(math.log2(max(_WEEKS_MIN_NODES, _WEEKS_ALIAS / (1.0 - r))))
+    w = r * np.exp(1j * math.pi * (2 * np.arange(N) + 1) / N)
+    s = alpha * (1.0 + w) / (1.0 - w)
+    nu_e, c, D, gamma = model.jumps.exp_functional, model.c, theta.D, theta.gamma
+    F = (nu_e(gamma) - nu_e(s)) / ((s - gamma) * (D * s + c + gamma * D))
+    gen = params.sq2a / (1.0 - w) * np.stack([F, (p - F) / s])
+    # node j sits at angle 2 pi j / N + pi / N, and node 2j of the sub-rule
+    # too; there the first alias, a_{k+N/2} r^(N/2), enters times i, so the
+    # check compares complex values (the full rule's aliases are all real)
+    ks = np.arange(K + 1)
+    twiddle = np.exp(-1j * math.pi * ks / N) / r**ks
+    full = np.fft.fft(gen)[:, : K + 1] * twiddle / N
+    half = np.fft.fft(gen[:, ::2])[:, : K + 1] * twiddle / (N // 2)
+    a = full.real
+    err = float(np.max(np.abs(full - half)))
+    if not err <= _WEEKS_RTOL * float(np.max(np.abs(a))):
+        raise NumericalError("coefficient transform: N and N/2 node rules disagree", residual=err)
+    return a[0], a[1]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,23 @@ class TestLaplaceExponent:
             expected = 3.0 * theta + 0.2 * theta**2 + integral
             assert laplace_exponent(m, theta) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "jumps", [CompoundPoissonGamma(0.8, 0.3, 1.7), GammaSubordinator(0.6, 1.2)]
+    )
+    @pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-6, 1.0])
+    def test_exp_functional_full_relative_accuracy(self, jumps, theta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            t = mpmath.mpf(theta)
+            if isinstance(jumps, CompoundPoissonGamma):
+                s = jumps.scale * t
+                want = jumps.rate * ((1 + s) ** -mpmath.mpf(jumps.shape) - 1)
+            else:
+                want = -jumps.shape * mpmath.log1p(t / jumps.rate)
+            want = float(want)
+        eps = np.finfo(float).eps
+        assert abs(jumps.exp_functional(theta) - want) <= 4 * eps * abs(want)
+
     def test_derivative_at_zero_is_npc_margin(self):
         m = LevyModel(x0=0, c=1.0, D=1.0, jumps=NoJumps(), q=0.0)
         assert laplace_exponent_deriv(m, 0.0) == pytest.approx(1.0, abs=0)

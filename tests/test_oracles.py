@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qscale.exceptions import DomainError, GridTooCoarseError
+from qscale.exceptions import DomainError, GridTooCoarseError, NumericalError
 from qscale.laguerre import LaguerreParams
 from qscale.levy import CompoundPoissonExponential, LevyModel, NoJumps, laplace_exponent_deriv
 from qscale.oracles import (
     closed_form_W,
+    coeffs_quadrature,
     compound_geometric_grid,
     compound_geometric_series,
     ftilde_q,
@@ -167,3 +168,17 @@ class TestThreeWayAgreement:
         assert np.max(np.abs(w_talbot - w_closed)) <= 2e-2 * scale
         assert np.max(np.abs(w_K - w_closed)) <= 2e-2 * scale
         assert np.max(np.abs(w_K - w_talbot)) <= 2e-2 * scale
+
+
+class TestCoeffsQuadrature:
+    def test_unconverged_quadrature_raises(self, gamma_sub_model, params20, monkeypatch):
+        from scipy import integrate
+
+        real = integrate.cubature
+
+        def starved(*args, **kwargs):
+            return real(*args, **{**kwargs, "max_subdivisions": 1})
+
+        monkeypatch.setattr(integrate, "cubature", starved)
+        with pytest.raises(NumericalError, match="did not converge"):
+            coeffs_quadrature(gamma_sub_model, params20)

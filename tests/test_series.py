@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 
+from qscale import series as series_mod
 from qscale.exceptions import DomainError, IllConditionedError, NumericalError
 from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all, partial_sum
 from qscale.levy import (
@@ -25,18 +29,17 @@ from qscale.levy import (
     lundberg_exponent,
 )
 from qscale.oracles import (
+    coeffs_quadrature,
     compound_geometric_grid,
     ftilde_q,
     h_functionals_quadrature,
     laplace_invert_scale,
 )
 from qscale.series import (
-    _closed_coeffs_exponential,
     _exp_atoms,
     _expm1_ratio,
     _expm1_ratio_db,
     _gamma_window_d,
-    _quadrature_coeffs,
     build_Af,
     coeffs_true,
     eval_P,
@@ -119,7 +122,7 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         beta = th.beta(exp_jump_model.c)
         z = np.array([0.5, 2.0, 7.0])
-        H_p, _, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)
+        H_p, _, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
         want = (1 - np.exp(-th.gamma * z)) / (beta * exp_jump_model.D * th.gamma)
         assert H_p == pytest.approx(want, rel=1e-12)
 
@@ -127,7 +130,7 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         H_p, H_f, H_F = h_functionals_at(
             exp_jump_model.c, th.D, th.gamma, params20, np.array([0.0])
-        )
+        )[0]
         assert H_p == pytest.approx([0.0], abs=1e-14)
         assert np.max(np.abs(H_f)) < 1e-13 and np.max(np.abs(H_F)) < 1e-13
 
@@ -135,7 +138,7 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         rng = np.random.default_rng(3)
         z = rng.uniform(0.01, 10.0, size=40)
-        H_p, H_f, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)
+        H_p, H_f, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
         bound = np.sqrt(2 * params20.alpha) * np.abs(H_p)
         assert np.all(np.abs(H_f) <= bound[None, :] * (1 + 1e-10))
 
@@ -143,7 +146,7 @@ class TestHFunctionals:
     def test_matches_nested_quadrature_diffusive(self, exp_jump_model, z, k):
         th = exp_jump_model.theta0()
         p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))
+        H_p, H_f, H_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))[0]
         hp, hf, hF = h_functionals_quadrature(exp_jump_model.c, th, p, z, k)
         assert H_p[0] == pytest.approx(hp, rel=1e-9)
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
@@ -155,7 +158,7 @@ class TestHFunctionals:
         p = LaguerreParams(1.0, 12)
         H_p, H_f, H_F = h_functionals_at(
             cramer_lundberg_model.c, th.D, th.gamma, p, np.array([z])
-        )
+        )[0]
         hp, hf, hF = h_functionals_quadrature(cramer_lundberg_model.c, th, p, z, k)
         assert H_p[0] == pytest.approx(hp, rel=1e-9)
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
@@ -163,8 +166,8 @@ class TestHFunctionals:
 
 
 def _fd_gamma(c, D, gamma, params, z, h=1e-6):
-    up = h_functionals_at(c, D, gamma + h, params, z)
-    dn = h_functionals_at(c, D, gamma - h, params, z)
+    up = h_functionals_at(c, D, gamma + h, params, z)[0]
+    dn = h_functionals_at(c, D, gamma - h, params, z)[0]
     return [(a - b) / (2 * h) for a, b in zip(up, dn)]
 
 
@@ -173,19 +176,16 @@ class TestHFunctionalsGammaDerivative:
     @pytest.mark.parametrize("gamma", [0.0625, 0.0, 1e-12])
     def test_matches_central_fd(self, params20, D, gamma):
         z = np.linspace(0.05, 8.0, 40)
-        vals, d_gamma = h_functionals_at(1.5, D, gamma, params20, z, d_gamma=True)
-        plain = h_functionals_at(1.5, D, gamma, params20, z)
-        for v, d, fd, w in zip(vals, d_gamma, _fd_gamma(1.5, D, gamma, params20, z), plain):
+        vals, d_gamma = h_functionals_at(1.5, D, gamma, params20, z)
+        for v, d, fd in zip(vals, d_gamma, _fd_gamma(1.5, D, gamma, params20, z)):
             scale = max(np.max(np.abs(v)), np.max(np.abs(d)))
             assert np.max(np.abs(d - fd)) <= 1e-7 * scale
-            # the values from the derivative sweep are the plain values
-            assert np.max(np.abs(v - w)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("D,gamma", [(0.5, 0.0625), (0.0, 0.0711)])
     def test_matches_fd_of_nested_quadrature(self, D, gamma):
         z, k, h = 2.0, 3, 1e-4
         p = LaguerreParams(1.0, 12)
-        _, (d_Hp, d_Hf, d_HF) = h_functionals_at(1.5, D, gamma, p, np.array([z]), d_gamma=True)
+        _, (d_Hp, d_Hf, d_HF) = h_functionals_at(1.5, D, gamma, p, np.array([z]))
         up = h_functionals_quadrature(1.5, ThetaParams(D, gamma + h), p, z, k)
         dn = h_functionals_quadrature(1.5, ThetaParams(D, gamma - h), p, z, k)
         fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
@@ -201,8 +201,8 @@ class TestHFunctionalsSmallD:
     def test_tends_to_bounded_variation_kernels(self, params20, D, gamma):
         z = np.linspace(0.0, 8.0, 41)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            got = h_functionals_at(1.5, D, gamma, params20, z, d_gamma=True)
-            want = h_functionals_at(1.5, 0.0, gamma, params20, z, d_gamma=True)
+            got = h_functionals_at(1.5, D, gamma, params20, z)
+            want = h_functionals_at(1.5, 0.0, gamma, params20, z)
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
@@ -354,6 +354,47 @@ class TestScaleApproxSmallD:
         assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
 
+def _exponential_closed_coeffs(model, params):
+    """a^f, a^F of the two-exponential p f_q = C (e^{-mu x} - e^{-beta x}) for Exp(mu) jumps.
+
+    C = lam mu / ((gamma + mu) D (beta - mu)); beta enters as beta D = c + gamma D,
+    so D = 0 is covered.  The generic beta != mu form, in 40-digit arithmetic,
+    which survives its cancellation near beta = mu.
+    """
+    with mpmath.workdps(40):
+        lam, mu = mpmath.mpf(model.jumps.rate), mpmath.mpf(model.jumps.mu)
+        c, D, gamma = (mpmath.mpf(v) for v in (model.c, model.D, model.theta0().gamma))
+        alpha = mpmath.mpf(params.alpha)
+        bD, sq2a = c + gamma * D, mpmath.sqrt(2 * alpha)
+        C = lam * mu / ((gamma + mu) * (c + D * (gamma - mu)))
+        a_f, a_F = [], []
+        for k in range(params.K + 1):
+            L_mu = sq2a / (mu + alpha) * ((mu - alpha) / (mu + alpha)) ** k
+            L_b = sq2a * D / (bD + alpha * D) * ((bD - alpha * D) / (bD + alpha * D)) ** k
+            a_f.append(float(C * (L_mu - L_b)))
+            a_F.append(float(C / mu * L_mu - C * D / bD * L_b))
+    return np.array(a_f), np.array(a_F)
+
+
+def _exponential_limit_coeffs(model, params):
+    """a^f, a^F at beta = mu, where p f_q = lam mu / (D (gamma + mu)) x e^{-mu x}."""
+    lam, mu, gamma = model.jumps.rate, model.jumps.mu, model.theta0().gamma
+    front = lam * mu / (model.D * (gamma + mu))
+    s, a = mu + params.alpha, params.alpha
+    u, k = (s - 2.0 * a) / s, np.arange(params.K + 1)
+    L_mu = params.sq2a / s * u**k
+    # the transform of x e^{-mu x} is -d/dmu of that of e^{-mu x}
+    L_x = params.sq2a * (u**k / s**2 - 2.0 * a * k * u ** np.maximum(k - 1, 0) / s**3)
+    return front * L_x, front * (L_x / mu + L_mu / mu**2)
+
+
+@functools.lru_cache(maxsize=1)
+def _ftilde_on_dense_grid(model):
+    """ftilde_q on 20001 points of [0, 50], by quadrature; shared by the projection tests."""
+    xs = np.linspace(0, 50, 20001)
+    return xs, ftilde_q(model, model.theta0(), xs)
+
+
 class TestCoeffsTrue:
     def test_no_jumps_all_zero(self, brownian_model, params20):
         cs = coeffs_true(brownian_model, params20)
@@ -361,41 +402,100 @@ class TestCoeffsTrue:
         assert np.all(cs.a_f == 0) and np.all(cs.a_F == 0) and np.all(cs.a_G == 0)
 
     def test_closed_matches_quadrature(self, exp_jump_model, params20):
-        th = exp_jump_model.theta0()
-        p1, a_f1, a_F1 = _closed_coeffs_exponential(exp_jump_model, th, params20)
-        p2 = p_value(exp_jump_model, th)
-        a_f2, a_F2 = _quadrature_coeffs(exp_jump_model, th, params20)
-        assert a_f1 == pytest.approx(a_f2, abs=1e-9)
-        assert a_F1 == pytest.approx(a_F2, abs=1e-9)
-        assert p1 == pytest.approx(p2, rel=1e-12)
+        # the cubature oracle against the exact exponential form
+        a_f, a_F = _exponential_closed_coeffs(exp_jump_model, params20)
+        q_f, q_F = coeffs_quadrature(exp_jump_model, params20)
+        assert q_f == pytest.approx(a_f, abs=1e-12)
+        assert q_F == pytest.approx(a_F, abs=1e-12)
 
-    def test_unconverged_quadrature_raises(self, gamma_sub_model, params20, monkeypatch):
+    @pytest.mark.parametrize("D", [0.4, 0.0, 1e-310, 1.2e-308])
+    @pytest.mark.parametrize("rate,mean", [(0.2, 5.0), (1.0, 1.0), (3.0, 1.0 / 3.0)])
+    def test_matches_exponential_closed_form(self, rate, mean, D, monkeypatch):
+        # the N/2-rule check then also holds the error estimate to 1e-13 of sup
+        monkeypatch.setattr(series_mod, "_WEEKS_RTOL", 1e-13)
+        model = LevyModel(0.0, 1.5, D, CompoundPoissonExponential(rate, mean), q=0.1)
+        for alpha in (0.25, 1.0, 3.0):
+            for K in (0, 1, 5, 20, 64, 100):
+                params = LaguerreParams(alpha, K)
+                cs = coeffs_true(model, params)
+                a_f, a_F = _exponential_closed_coeffs(model, params)
+                sup = max(np.max(np.abs(a_f)), np.max(np.abs(a_F)))
+                assert np.max(np.abs(cs.a_f - a_f)) <= 1e-14 * sup
+                assert np.max(np.abs(cs.a_F - a_F)) <= 1e-14 * sup
+                assert cs.p == p_value(model, cs.theta)
+
+    @pytest.mark.parametrize(
+        "model,alpha,K",
+        [
+            (LevyModel(0.0, 2.0, 0.3, CompoundPoissonGamma(1.0, 0.3, 1.0), q=0.05), 1.0, 20),
+            (LevyModel(0.0, 2.0, 0.3, CompoundPoissonGamma(1.0, 0.3, 1.0), q=0.05), 3.0, 64),
+            (LevyModel(0.0, 2.0, 0.0, CompoundPoissonGamma(1.0, 2.0, 0.4), q=0.05), 0.25, 20),
+            (LevyModel(0.0, 1.5, 0.0, GammaSubordinator(0.2, 0.3), q=0.1), 3.0, 64),
+            (LevyModel(0.0, 1.5, 0.3, GammaSubordinator(0.5, 1.0), q=0.0), 1.0, 40),
+            (LevyModel(0.0, 1.5, 1e-310, GammaSubordinator(0.5, 1.0), q=0.1), 0.25, 20),
+        ],
+        ids=["cpg-shape0.3", "cpg-shape0.3-K64", "cpg-D0", "gs-0.2-0.3", "gs-q0", "gs-D1e-310"],
+    )
+    def test_matches_quadrature_oracle(self, model, alpha, K, monkeypatch):
+        monkeypatch.setattr(series_mod, "_WEEKS_RTOL", 1e-13)
+        params = LaguerreParams(alpha, K)
+        cs = coeffs_true(model, params)
+        q_f, q_F = coeffs_quadrature(model, params)
+        sup = max(np.max(np.abs(cs.a_f)), np.max(np.abs(cs.a_F)))
+        assert np.max(np.abs(cs.a_f - q_f)) <= 1e-12 * sup
+        assert np.max(np.abs(cs.a_F - q_F)) <= 1e-12 * sup
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5])
+    def test_continuous_through_beta_equals_mu(self, delta):
+        # Exp(1) jumps: beta = c/D + gamma crosses mu = 1 at D0, where the
+        # two-exponential form of p f_q meets its x e^{-x} limit
+        def model(D):
+            return LevyModel(0.0, 1.5, D, CompoundPoissonExponential(1.0, 1.0), q=0.1)
+
+        D0 = brentq(lambda D: 1.5 + D * (model(D).theta0().gamma - 1.0), 1.0, 3.0, xtol=1e-15)
+        params = LaguerreParams(1.0, 40)
+        at = coeffs_true(model(D0), params)
+        sup = max(np.max(np.abs(at.a_f)), np.max(np.abs(at.a_F)))
+        a_f, a_F = _exponential_limit_coeffs(model(D0), params)
+        assert np.max(np.abs(at.a_f - a_f)) <= 1e-13 * sup
+        assert np.max(np.abs(at.a_F - a_F)) <= 1e-13 * sup
+        for D in (D0 * (1.0 - delta), D0 * (1.0 + delta)):
+            cs = coeffs_true(model(D), params)
+            a_f, a_F = _exponential_closed_coeffs(model(D), params)
+            assert np.max(np.abs(cs.a_f - a_f)) <= 1e-13 * sup
+            assert np.max(np.abs(cs.a_F - a_F)) <= 1e-13 * sup
+
+    def test_too_coarse_rule_raises(self, monkeypatch):
+        model = LevyModel(0.0, 1.5, 0.5, CompoundPoissonExponential(0.2, 5.0), q=0.1)
+        params = LaguerreParams(3.0, 20)
+        coeffs_true(model, params)
+        monkeypatch.setattr(series_mod, "_WEEKS_MIN_NODES", 64)
+        monkeypatch.setattr(series_mod, "_WEEKS_ALIAS", 1.0)
+        with pytest.raises(NumericalError, match="node rules disagree"):
+            coeffs_true(model, params)
+
+    def test_needs_no_cubature_or_kernel_sweep(self, gamma_sub_model, params20, monkeypatch):
         from scipy import integrate
 
-        real = integrate.cubature
+        def forbidden(*args, **kwargs):
+            raise AssertionError("coeffs_true must not integrate the H-kernels")
 
-        def starved(*args, **kwargs):
-            return real(*args, **{**kwargs, "max_subdivisions": 1})
-
-        monkeypatch.setattr(integrate, "cubature", starved)
-        with pytest.raises(NumericalError, match="did not converge"):
-            coeffs_true(gamma_sub_model, params20)
+        monkeypatch.setattr(integrate, "cubature", forbidden)
+        monkeypatch.setattr(series_mod, "h_functionals_at", forbidden)
+        cs = coeffs_true(gamma_sub_model, params20)
+        assert np.all(np.isfinite(cs.a_G))
 
     def test_af_matches_grid_projection(self, exp_jump_model, params20):
         # a^f_k = <p f_q, phi_k> computed on a dense grid
-        th = exp_jump_model.theta0()
         cs = coeffs_true(exp_jump_model, params20)
-        xs = np.linspace(0, 50, 20001)
-        fv = ftilde_q(exp_jump_model, th, xs)
+        xs, fv = _ftilde_on_dense_grid(exp_jump_model)
         phi = laguerre_fn_all(params20, xs)
         proj = simpson(fv[None, :] * phi, x=xs, axis=1)
         assert cs.a_f == pytest.approx(proj, abs=1e-6)
 
     def test_aF_matches_grid_projection(self, exp_jump_model, params20):
-        th = exp_jump_model.theta0()
         cs = coeffs_true(exp_jump_model, params20)
-        xs = np.linspace(0, 50, 20001)
-        fv = ftilde_q(exp_jump_model, th, xs)
+        xs, fv = _ftilde_on_dense_grid(exp_jump_model)
         # p Fbar_q(x) = int_x^inf p f_q: integrate the grid backwards
         h = xs[1] - xs[0]
         pFbar = cs.p - np.concatenate([[0.0], np.cumsum(0.5 * h * (fv[1:] + fv[:-1]))])
