@@ -2,12 +2,14 @@
 
 Each replication r simulates with seed base_seed + r (Philox streams are
 independent across keys), estimates the full pipeline, and reports scalars.
-A replication never builds the grid: ``simulate_window`` draws only the
-increments on [0, D_window] and sums their squares directly.  Replication r
-therefore matches a direct ``scale simulate`` + ``scale estimate`` run with
-the same seed in its jumps exactly, and in D_hat (and what follows from it)
-to the last bits.  Aggregation happens in fixed replication order so reruns
-are byte-identical; workers only change wall time, never results.
+A replication never builds the grid: ``simulate_window`` draws the jumps and
+the sum of squared increments on [0, D_window] directly, in time and memory
+O(#jumps).  Replication r therefore matches a direct ``scale simulate`` +
+``scale estimate`` run with the same seed in its jumps exactly, and in D_hat
+(and what follows from it) in law: the Gaussian part of the sum is a draw of
+its own.  With D = 0 there is no Gaussian part, and D_hat agrees to rounding.
+Aggregation happens in fixed replication order so reruns are byte-identical;
+workers only change wall time, never results.
 """
 
 from __future__ import annotations

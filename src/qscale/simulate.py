@@ -13,11 +13,12 @@ bit-identical observations.  Draw order is fixed: jump count, jump times,
 jump sizes, then Gaussian increments.
 
 The estimators read the grid only through the sum of squared increments on
-[0, window].  ``simulate_window`` draws the same stream but only the first
-m = window / delta increments, in fixed blocks, and sums their squares
-without building the path: its jumps equal those of ``simulate`` with the
-same seed, and its sum equals the grid's to the last bits (the rounding of
-the path values is skipped, not the draws).
+[0, window].  ``simulate_window`` draws that sum without building the path:
+its jumps equal those of ``simulate`` with the same seed (the same stream
+prefix), the increments that hold a jump are drawn one by one, and the
+squared sum of the jump-free ones is one noncentral chi-square draw.  So its
+sum equals the grid's in law, not draw for draw; with D = 0 nothing is
+random and the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def window_steps(scheme: SamplingScheme, window: float) -> int:
     """Number m of grid increments on [0, window]; DomainError unless 1 <= m <= n."""
     if window <= 0:
         raise DomainError(f"window must be > 0, got {window}")
-    # epsilon guards the floor against float division noise at window = T
-    m = int(math.floor(window / scheme.delta + 1e-9))
+    # window / delta is off from the exact ratio by a few ulps of itself (delta
+    # is T / n rounded), so at window = T it can fall just below n; an
+    # absolute guard fails once n is large, a relative one holds at any n
+    m = int(math.floor(window / scheme.delta * (1.0 + 8.0 * np.finfo(float).eps)))
     if m < 1 or m > scheme.n:
         raise DomainError(f"window {window} needs {m} increments but the grid has {scheme.n}")
     return m
@@ -265,22 +268,22 @@ def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> Observation
     )
 
 
-# increments drawn and summed at a time by simulate_window
-_BLOCK = 1 << 16
-
-
 def simulate_window(
     model: LevyModel, scheme: SamplingScheme, seed: int, window: float
 ) -> tuple[JumpSample, float]:
-    """The recorded jumps of ``simulate(model, scheme, seed)`` and the sum of
-    squared grid increments on [0, window], without building the grid.
+    """The recorded jumps of ``simulate(model, scheme, seed)`` and a draw of
+    the sum of squared grid increments on [0, window], without building the grid.
 
-    Draws the same stream as ``simulate`` up to the m = window_steps(scheme,
-    window) Gaussian increments it needs.  Each increment is the drift
-    (c - small-jump drift) delta plus its Gaussian draw, minus the jumps in
-    its bin; these are summed a block at a time, so memory does not grow
-    with n.  Only the path values' rounding differs from the grid: the sum
-    agrees with it to the last bits.
+    The jumps come from the same stream prefix as ``simulate``, so they are
+    equal to its jumps.  Of the m = window_steps(scheme, window) increments,
+    the k that hold a jump are drawn one by one: the drift (c - small-jump
+    drift) delta plus a N(0, s^2) draw, s = sigma sqrt(delta), minus the
+    jumps in the bin.  The other m - k are i.i.d. N(drift, s^2), so their
+    squared sum is s^2 chi'^2(m - k, (m - k) (drift / s)^2) in law: one
+    noncentral chi-square draw, made of one normal and one chi-square.  The
+    sum therefore equals the grid's in law, not draw for draw; with D = 0
+    nothing is random and it equals the grid's sum to rounding.  Time and
+    memory are O(#jumps), whatever m is.
     """
     m = window_steps(scheme, window)
     rng = path_rng(seed)
@@ -295,17 +298,20 @@ def simulate_window(
     bin_jumps = np.add.reduceat(js[inside], bin_start) if len(step) else np.empty(0)
 
     drift = (model.c - small_drift) * dt
-    scale = model.sigma * math.sqrt(dt)
-    sum_sq = 0.0
-    for start in range(0, m, _BLOCK):
-        stop = min(start + _BLOCK, m)
-        incr = np.full(stop - start, drift)
-        if model.D > 0:
-            incr += rng.normal(0.0, scale, size=stop - start)
-        lo, hi = np.searchsorted(step, [start, stop])
-        incr[step[lo:hi] - start] -= bin_jumps[lo:hi]
-        # einsum, not np.dot: the reduction stays on this thread
-        sum_sq += float(np.einsum("i,i->", incr, incr))
+    free = m - len(step)  # increments without a jump
+    incr = drift - bin_jumps
+    free_sq = free * drift**2
+    if model.D > 0:
+        scale = model.sigma * math.sqrt(dt)
+        incr += rng.normal(0.0, scale, size=len(incr))
+        if free:
+            # s^2 chi'^2(free, free (drift / s)^2) as numpy's sampler draws it,
+            # the square of a N(sqrt(free) drift, s^2) plus s^2 chi^2(free - 1),
+            # but scaled before squaring: (drift / s)^2 overflows at subnormal D
+            free_sq = (math.sqrt(free) * drift + scale * rng.standard_normal()) ** 2
+            free_sq += scale**2 * 2.0 * rng.standard_gamma((free - 1) / 2.0)
+    # einsum, not np.dot: the reduction stays on this thread
+    sum_sq = free_sq + float(np.einsum("i,i->", incr, incr))
 
     recorded = js > eps
     sample = JumpSample(

@@ -279,8 +279,10 @@ class TestCorruptObservation:
 
 
 class TestMc:
-    def test_single_replication_matches_estimate(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", mc={"replications": 1, "workers": 1})
+    @staticmethod
+    def _simulate_estimate_mc(tmp_path, cfg):
+        """report.json of ``scale estimate`` on ``scale simulate``'s files, and
+        the ``scale mc`` table, for one config."""
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
         assert main(
             ["estimate", "--config", str(cfg), "--data", str(tmp_path / "sim"),
@@ -289,10 +291,33 @@ class TestMc:
         assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 0
         report = json.loads((tmp_path / "est" / "report.json").read_text())
         rows = read_csv_columns(tmp_path / "mc" / "replications.csv")
-        assert rows["gamma_hat"][0] == pytest.approx(report["estimates"]["gamma_hat"])
-        assert rows["p_hat"][0] == pytest.approx(report["estimates"]["p_hat"])
+        return report, rows
+
+    def test_single_replication_matches_estimate(self, tmp_path):
+        # D = 0: the replication's realized variance has no random part, so
+        # replication 0 reproduces the direct run with the same seed
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={
+                "x0": 0.0, "c": 2.0, "D": 0.0, "q": 0.05,
+                "jumps": {"kind": "compound-poisson-gamma", "rate": 1.0, "shape": 2.0,
+                          "scale": 0.4},
+            },
+            mc={"replications": 1, "workers": 1},
+        )
+        report, rows = self._simulate_estimate_mc(tmp_path, cfg)
+        assert rows["gamma_hat"][0] == report["estimates"]["gamma_hat"]
+        assert rows["p_hat"][0] == report["estimates"]["p_hat"]
         summary = json.loads((tmp_path / "mc" / "mc_summary.json").read_text())
         assert report["curves"]["level"] == summary["level"] == 0.95
+
+    def test_single_replication_has_the_simulated_jumps(self, tmp_path):
+        # D > 0: replication 0 draws its realized variance anew (equal in law
+        # only), but its jumps are those of the direct run with the same seed
+        cfg = write_config(tmp_path / "cfg.json", mc={"replications": 1, "workers": 1})
+        _, rows = self._simulate_estimate_mc(tmp_path, cfg)
+        jumps = read_csv_columns(tmp_path / "sim" / "jumps.csv")
+        assert rows["n_jumps"][0] == len(jumps["t"]) > 0
 
     def test_jump_count_mean_matches_poisson(self, tmp_path):
         # n_jumps column over replications has mean ~ lambda T within 3 SE

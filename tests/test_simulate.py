@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from qscale.estimators import estimate_D, realized_D
 from qscale.exceptions import ConfigError, DataError, DomainError
@@ -21,12 +22,10 @@ from qscale.levy import (
     NoJumps,
 )
 from qscale.simulate import (
-    _BLOCK,
     SamplingScheme,
     _grid_bins,
     load_observation,
     make_scheme,
-    path_rng,
     save_observation,
     simulate,
     simulate_window,
@@ -89,6 +88,20 @@ class TestMakeScheme:
         jumps = CompoundPoissonExponential(1.0, 1.0)
         vals = [_s2_quantity(jumps, make_scheme(float(T))) for T in (100, 400, 1600)]
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestWindowSteps:
+    """m = window / delta increments, exact at every T: no grid is built here."""
+
+    def test_whole_and_unit_windows(self):
+        # window / delta falls below n by float noise that grows with n
+        # (982007568.9999999 at T = 31337, n = 982007569)
+        for T in [*range(1, 3001), 31337]:
+            s = make_scheme(float(T))
+            assert window_steps(s, float(T)) == s.n, T
+            assert window_steps(s, 1.0) == T, T
+            if s.n > 1:  # half a step short of T is one increment fewer
+                assert window_steps(s, (s.n - 0.5) * s.delta) == s.n - 1, T
 
 
 class TestSimulate:
@@ -222,7 +235,11 @@ class TestGridBins:
 
 
 class TestSimulateWindow:
-    """The grid-free replication draw against the grid of ``simulate``."""
+    """The grid-free replication draw against the grid of ``simulate``.
+
+    Its jumps are the grid path's; its realized variance equals the grid's
+    to rounding when D = 0 and in law when D > 0.
+    """
 
     MODELS = {
         "exponential": LevyModel(
@@ -246,6 +263,8 @@ class TestSimulateWindow:
         assert np.array_equal(sample.jump_times, obs.jump_times)
         assert np.array_equal(sample.jump_sizes, obs.jump_sizes)
         assert (sample.scheme, sample.seed) == (obs.scheme, obs.seed)
+        if model.D > 0:
+            return  # a draw of the same law: see test_D_hat_equal_in_law
         m = window_steps(scheme, window)
         incr = np.diff(obs.grid[: m + 1])
         want = float(np.dot(incr, incr))
@@ -253,12 +272,11 @@ class TestSimulateWindow:
         # D_hat to 1e-12 of the sum's own scale (D = 0 leaves only roundoff)
         D_grid = estimate_D(obs, window)
         assert abs(realized_D(sample, sum_sq, window) - D_grid) <= 1e-12 * want / (2 * window)
-        return obs
 
     @pytest.mark.parametrize("name", list(MODELS))
     @pytest.mark.parametrize("whole", [False, True])
     def test_sum_equals_grid(self, name, whole):
-        scheme = make_scheme(300.0)  # n = 90_000, two blocks
+        scheme = make_scheme(300.0)  # n = 90_000
         self._check(self.MODELS[name], scheme, 5, scheme.T if whole else 1.0)
 
     @pytest.mark.parametrize("name", list(MODELS))
@@ -273,11 +291,25 @@ class TestSimulateWindow:
         assert window_steps(scheme, window) == b and jt <= window
         self._check(model, scheme, 11, window)
 
-    def test_block_draws_continue_one_stream(self):
-        full = path_rng(21).normal(0.0, 0.3, size=2 * _BLOCK + 123)
-        rng = path_rng(21)
-        parts = [rng.normal(0.0, 0.3, size=k) for k in (_BLOCK, _BLOCK, 123)]
-        assert np.array_equal(np.concatenate(parts), full)
+    @pytest.mark.parametrize("D", [1e-310, 5e-324])
+    def test_subnormal_D_is_the_D_zero_limit(self, D):
+        # the Gaussian part is far below rounding; (drift / s)^2 would overflow
+        model = self.MODELS["no_brownian"]
+        scheme = make_scheme(300.0)
+        _, want = simulate_window(model, scheme, 5, scheme.T)
+        _, got = simulate_window(dataclasses.replace(model, D=D), scheme, 5, scheme.T)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", [name for name, m in MODELS.items() if m.D > 0])
+    def test_D_hat_equal_in_law(self, name):
+        # two-sample KS over disjoint seeds, so the samples are independent
+        model, scheme, reps = self.MODELS[name], make_scheme(30.0), 2000
+        grid = [estimate_D(simulate(model, scheme, seed), scheme.T) for seed in range(reps)]
+        window = [
+            realized_D(*simulate_window(model, scheme, seed, scheme.T), scheme.T)
+            for seed in range(reps, 2 * reps)
+        ]
+        assert stats.ks_2samp(grid, window).pvalue > 0.01
 
     @pytest.mark.parametrize("window", [0.0, -1.0, 10.5])
     def test_window_outside_grid(self, window):
