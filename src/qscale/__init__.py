@@ -17,7 +17,7 @@ from .exceptions import (
     NumericalError,
     QScaleError,
 )
-from .laguerre import LaguerreParams, laguerre_fn, laguerre_poly, partial_sum, psi_integral
+from .laguerre import LaguerreParams
 from .levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
@@ -42,7 +42,7 @@ __all__ = [
     "__version__",
     "QScaleError", "ConfigError", "DataError", "DomainError", "NumericalError",
     "IllConditionedError", "GridTooCoarseError", "DegenerateEstimateError",
-    "LaguerreParams", "laguerre_poly", "laguerre_fn", "psi_integral", "partial_sum",
+    "LaguerreParams",
     "JumpMeasure", "NoJumps", "CompoundPoissonExponential", "CompoundPoissonGamma",
     "GammaSubordinator", "LevyModel", "ThetaParams",
     "laplace_exponent", "laplace_exponent_deriv", "lundberg_exponent", "check_npc",

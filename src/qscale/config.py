@@ -20,13 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, _check_int, _check_number
 from .laguerre import LaguerreParams
 from .levy import (
     CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, JumpMeasure, LevyModel,
@@ -41,12 +40,11 @@ __all__ = [
 
 _FORMATS = {"csv", "json"}
 
-# exact field names are part of the CLI contract
+# a family's parameters are its dataclass fields, in order; the kind and
+# the field names are part of the CLI contract
 _JUMP_KINDS = {
-    "none": (NoJumps, ()),
-    "compound-poisson-exponential": (CompoundPoissonExponential, ("rate", "jump_mean")),
-    "compound-poisson-gamma": (CompoundPoissonGamma, ("rate", "shape", "scale")),
-    "gamma-subordinator": (GammaSubordinator, ("shape", "rate")),
+    cls.kind: cls
+    for cls in (NoJumps, CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator)
 }
 
 
@@ -83,27 +81,6 @@ def _block(d: dict, name: str) -> dict:
     return block
 
 
-def _check_number(block: dict, key: str, blockname: str, default=None):
-    """block[key] as given: a finite real number (bools and strings are rejected)."""
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"{blockname} block missing field {key!r}")
-    v = block[key]
-    # the magnitude test also rejects nan, +-inf and ints too large for a float
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"{blockname}.{key} must be a finite number, got {v!r}")
-    return v
-
-
-def _check_int(block: dict, key: str, blockname: str, minimum: int, default=None) -> int:
-    """block[key] as an int: a finite number with an integer value >= minimum."""
-    v = _check_number(block, key, blockname, default)
-    if int(v) != v or v < minimum:
-        raise ConfigError(f"{blockname}.{key} must be an integer >= {minimum}, got {v}")
-    return int(v)
-
-
 def jump_measure_from_dict(d: dict) -> JumpMeasure:
     """Build a jump measure from {kind, <the kind's parameters>}."""
     if not isinstance(d, dict) or "kind" not in d:
@@ -111,14 +88,15 @@ def jump_measure_from_dict(d: dict) -> JumpMeasure:
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in _JUMP_KINDS:
         raise ConfigError(f"unknown jump kind {kind!r}; expected one of {sorted(_JUMP_KINDS)}")
-    cls, fields = _JUMP_KINDS[kind]
-    missing = [f for f in fields if f not in d]
+    cls = _JUMP_KINDS[kind]
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in d]
     if missing:
         raise ConfigError(f"jump kind {kind!r} missing parameters {missing}")
-    extra = set(d) - set(fields) - {"kind"}
+    extra = set(d) - set(names) - {"kind"}
     if extra:
         raise ConfigError(f"jump kind {kind!r} got unexpected parameters {sorted(extra)}")
-    values = {f: float(_check_number(d, f, "jumps")) for f in fields}
+    values = {name: float(_check_number(d, name, "jumps")) for name in names}
     try:
         return cls(**values)
     except DomainError as exc:

@@ -5,9 +5,15 @@ subclasses -> 3, I/O problems (OSError, DataError) -> 4.  DomainError
 signals inputs outside a formula's mathematical domain (e.g. net profit
 condition violated) and is treated as a configuration problem at the CLI
 boundary.
+
+The two field checks ``_check_number`` and ``_check_int`` validate a number
+read from JSON (a config block or an observation sidecar); they raise
+ConfigError, which a reader of data files turns into DataError.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class QScaleError(Exception):
@@ -57,3 +63,24 @@ class DegenerateEstimateError(QScaleError, RuntimeError):
     def __init__(self, message: str, raw_value: float):
         super().__init__(f"{message} (raw value {raw_value:.6g})")
         self.raw_value = raw_value
+
+
+def _check_number(block: dict, key: str, blockname: str, default=None):
+    """block[key] as given: a finite real number (bools and strings are rejected)."""
+    if key not in block:
+        if default is not None:
+            return default
+        raise ConfigError(f"{blockname} block missing field {key!r}")
+    v = block[key]
+    # the magnitude test also rejects nan, +-inf and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{blockname}.{key} must be a finite number, got {v!r}")
+    return v
+
+
+def _check_int(block: dict, key: str, blockname: str, minimum: int, default=None) -> int:
+    """block[key] as an int: a finite number with an integer value >= minimum."""
+    v = _check_number(block, key, blockname, default)
+    if int(v) != v or v < minimum:
+        raise ConfigError(f"{blockname}.{key} must be an integer >= {minimum}, got {v}")
+    return int(v)

@@ -44,14 +44,10 @@ from .exceptions import DomainError
 
 __all__ = [
     "LaguerreParams",
-    "laguerre_poly",
-    "laguerre_fn",
     "laguerre_fn_all",
-    "psi_integral",
     "psi_integral_all",
     "psi_integral_and_db_all",
     "psi_integral_db_all",
-    "partial_sum",
     "ladder",
 ]
 
@@ -101,23 +97,12 @@ def _laguerre_rows(kmax: int, t, m0):
         yield cur
 
 
-def _fill_rows(kmax: int, t: np.ndarray, m0) -> np.ndarray:
-    """The rows of _laguerre_rows stacked; shape (kmax+1, *t.shape)."""
-    out = np.empty((kmax + 1,) + t.shape, dtype=float)
-    for k, row in enumerate(_laguerre_rows(kmax, t, m0)):
+def _weighted_laguerre_all(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """M_k(x) = L_k(2 alpha x) e^{-alpha x} for k = 0..kmax; shape (kmax+1, *x.shape)."""
+    out = np.empty((kmax + 1,) + x.shape, dtype=float)
+    for k, row in enumerate(_laguerre_rows(kmax, 2.0 * alpha * x, np.exp(-alpha * x))):
         out[k] = row
     return out
-
-
-def laguerre_poly(k: int, x):
-    """Laguerre polynomial L_k(x); (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
-    res = _fill_rows(k, np.asarray(x, dtype=float), 1.0)[k]
-    return float(res) if np.ndim(x) == 0 else res
-
-
-def _weighted_laguerre_all(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """M_k(x) = L_k(2 alpha x) e^{-alpha x}; same recurrence, overflow-free."""
-    return _fill_rows(kmax, 2.0 * alpha * x, np.exp(-alpha * x))
 
 
 def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.ndarray:
@@ -125,12 +110,6 @@ def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.nd
     kmax = params.K if kmax is None else kmax
     x = np.asarray(x, dtype=float)
     return params.sq2a * _weighted_laguerre_all(kmax, params.alpha, x)
-
-
-def laguerre_fn(params: LaguerreParams, k: int, x):
-    """phi_{alpha,k}(x) = sqrt(2 alpha) L_k(2 alpha x) e^{-alpha x}, x >= 0."""
-    res = laguerre_fn_all(params, x, kmax=k)[k]
-    return float(res) if np.ndim(x) == 0 else res
 
 
 # The backward seed neglects kernel and basis tails below e^{-_TAIL}.
@@ -245,13 +224,6 @@ def psi_integral_all(
     return J[:, 0] if x_in.ndim == 0 else J
 
 
-def psi_integral(params: LaguerreParams, k: int, x, b: float):
-    """Psi_{alpha,k}(x; b) = int_0^x e^{b(x-z)} phi_{alpha,k}(z) dz."""
-    sub = LaguerreParams(params.alpha, k)
-    res = psi_integral_all(sub, x, b)[k]
-    return float(res) if np.ndim(x) == 0 else res
-
-
 def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.ndarray, np.ndarray]:
     """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one sweep.
 
@@ -270,13 +242,3 @@ def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.nda
 def psi_integral_db_all(params: LaguerreParams, x, b: float) -> np.ndarray:
     """d/db Psi_{alpha,k}(x; b) for k = 0..K."""
     return psi_integral_and_db_all(params, x, b)[1]
-
-
-def partial_sum(coeffs: np.ndarray, params: LaguerreParams, x):
-    """sum_k coeffs[k] * phi_{alpha,k}(x); coeffs has length K+1."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
-        raise ValueError("coeffs must be a 1-d vector")
-    phi = laguerre_fn_all(params, x, kmax=len(coeffs) - 1)
-    res = np.tensordot(coeffs, phi, axes=(0, 0))
-    return float(res) if np.ndim(x) == 0 else res

@@ -8,17 +8,18 @@ model through its Laplace exponent
 
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
 
-Jump measures are parametric families with closed-form functionals (density,
-mean, exponential functional and moment, total rate).  The generic quadrature
-of nu(H), ``nu_functional_exact``, is a cross-check and lives in ``oracles``;
-the JSON ``model`` block is parsed in ``config``.
+A jump measure is one class per parametric family: its closed-form
+functionals (density, mean, exponential functional and moment, total rate),
+its sampler ``draw_jumps``, and its config name, the class constant ``kind``.
+The generic quadrature of nu(H), ``nu_functional_exact``, is a cross-check
+and lives in ``oracles``; the JSON ``model`` block is parsed in ``config``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import optimize, special
@@ -54,9 +55,12 @@ class JumpMeasure:
     functional ``nu(e^{-theta z} - 1)`` and moment ``nu(z e^{-theta z})``
     behind psi, psi' and Phi(q), and the total rate ``nu((0, inf))``.  The
     exponential forms accept complex ``theta`` (needed by the Talbot oracle).
+    A family with jumps also draws them (``draw_jumps``); the zero measure
+    draws nothing and says so through ``is_zero``.  ``kind`` is the family's
+    name in the config, a class constant, not a field.
     """
 
-    kind: str = "abstract"
+    kind: ClassVar[str]
 
     @property
     def is_zero(self) -> bool:
@@ -82,12 +86,24 @@ class JumpMeasure:
         """nu((0, inf)); may be inf (infinite activity)."""
         raise NotImplementedError
 
+    def draw_jumps(self, scheme, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+        """Simulated jumps on [0, T] of a ``simulate.SamplingScheme``: sorted
+        times, sizes, and the drift that stands in for the jumps not simulated
+        (0 when all are)."""
+        raise NotImplementedError
+
+
+def _poisson_times(mean: float, T: float, rng: np.random.Generator) -> np.ndarray:
+    """A Poisson(mean) count of uniform times on [0, T], sorted."""
+    count = int(rng.poisson(mean))
+    return np.sort(rng.uniform(0.0, T, size=count))
+
 
 @dataclass(frozen=True)
 class NoJumps(JumpMeasure):
     """The zero measure: purely Gaussian model."""
 
-    kind: str = "none"
+    kind: ClassVar[str] = "none"
 
     @property
     def is_zero(self) -> bool:
@@ -116,9 +132,9 @@ class CompoundPoissonExponential(JumpMeasure):
     nu(dz) = rate * mu * e^{-mu z} dz.
     """
 
+    kind: ClassVar[str] = "compound-poisson-exponential"
     rate: float
     jump_mean: float
-    kind: str = "compound-poisson-exponential"
 
     def __post_init__(self):
         if self.rate <= 0 or self.jump_mean <= 0:
@@ -144,6 +160,10 @@ class CompoundPoissonExponential(JumpMeasure):
     def total_rate(self) -> float:
         return self.rate
 
+    def draw_jumps(self, scheme, rng):
+        times = _poisson_times(self.rate * scheme.T, scheme.T, rng)
+        return times, rng.exponential(self.jump_mean, size=len(times)), 0.0
+
 
 @dataclass(frozen=True)
 class CompoundPoissonGamma(JumpMeasure):
@@ -152,10 +172,10 @@ class CompoundPoissonGamma(JumpMeasure):
     nu(dz) = rate * z^{shape-1} e^{-z/scale} / (Gamma(shape) scale^shape) dz.
     """
 
+    kind: ClassVar[str] = "compound-poisson-gamma"
     rate: float
     shape: float
     scale: float
-    kind: str = "compound-poisson-gamma"
 
     def __post_init__(self):
         if self.rate <= 0 or self.shape <= 0 or self.scale <= 0:
@@ -180,14 +200,18 @@ class CompoundPoissonGamma(JumpMeasure):
     def total_rate(self) -> float:
         return self.rate
 
+    def draw_jumps(self, scheme, rng):
+        times = _poisson_times(self.rate * scheme.T, scheme.T, rng)
+        return times, rng.gamma(self.shape, self.scale, size=len(times)), 0.0
+
 
 @dataclass(frozen=True)
 class GammaSubordinator(JumpMeasure):
     """Gamma subordinator: nu(dz) = shape * z^{-1} e^{-rate z} dz (infinite activity)."""
 
+    kind: ClassVar[str] = "gamma-subordinator"
     shape: float
     rate: float
-    kind: str = "gamma-subordinator"
 
     def __post_init__(self):
         if self.shape <= 0 or self.rate <= 0:
@@ -208,6 +232,32 @@ class GammaSubordinator(JumpMeasure):
 
     def total_rate(self) -> float:
         return math.inf
+
+    def draw_jumps(self, scheme, rng):
+        """The jumps above the cutoff d = eps / 10 exactly; those below as
+        their mean drift, int_0^d z nu(dz) = (shape/rate)(1 - e^{-rate d}).
+
+        Above d, nu has mass shape E1(rate d).  Sizes come by rejection from
+        a shifted exponential: propose z = d + Exp(rate), accept with
+        probability d / z.  The shape only scales nu, so the size law does
+        not depend on it.
+        """
+        cut = scheme.eps / 10.0
+        e1 = special.exp1(self.rate * cut)
+        times = _poisson_times(self.shape * e1 * scheme.T, scheme.T, rng)
+        count = len(times)
+        accept_rate = max(cut * self.rate * math.exp(self.rate * cut) * e1, 1e-3)
+        sizes = np.empty(count)
+        have = 0
+        while have < count:
+            batch = int((count - have) / accept_rate * 1.2) + 16
+            z = cut + rng.exponential(1.0 / self.rate, size=batch)
+            u = rng.uniform(size=batch)
+            acc = z[u < cut / z]
+            take = min(len(acc), count - have)
+            sizes[have : have + take] = acc[:take]
+            have += take
+        return times, sizes, self.shape / self.rate * (-math.expm1(-self.rate * cut))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from scipy import stats
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
 from .levy import LevyModel
-from .series import ScaleApprox, coeffs_true
+from .series import scale_approx
 from .simulate import SamplingScheme, replication_seed, simulate_window, window_steps
 from .estimators import LEVEL, build_report, realized_D
 
@@ -66,13 +66,12 @@ class TrueValues:
 
 def true_values(model: LevyModel, params: LaguerreParams, x_eval) -> TrueValues:
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    coeffs = coeffs_true(model, params)
-    approx = ScaleApprox(c=model.c, q=model.q, coeffs=coeffs)
+    approx = scale_approx(model, params)
     k = approx.kernels(x_eval)
     return TrueValues(
         D=model.D,
-        gamma=coeffs.theta.gamma,
-        p=coeffs.p,
+        gamma=approx.coeffs.theta.gamma,
+        p=approx.coeffs.p,
         W_K=approx.w_from(k),
         Z_K=approx.z_from(k),
     )

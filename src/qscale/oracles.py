@@ -30,7 +30,8 @@ from scipy import integrate, special
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
 from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
 from .levy import (
-    CompoundPoissonExponential, LevyModel, ThetaParams, laplace_exponent, lundberg_exponent,
+    CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, ThetaParams,
+    laplace_exponent, lundberg_exponent,
 )
 from .series import h_functionals_at
 
@@ -261,15 +262,14 @@ def _tilted_tail(model: LevyModel, gamma: float, y):
     if isinstance(jumps, CompoundPoissonExponential):
         mu = jumps.mu
         return jumps.rate * mu * np.exp(-mu * y) / (gamma + mu)
-    kind = jumps.kind
-    if kind == "compound-poisson-gamma":
+    if isinstance(jumps, CompoundPoissonGamma):
         a, s = jumps.shape, jumps.scale
         w = gamma + 1.0 / s
         return jumps.rate * np.exp(gamma * y) * special.gammaincc(a, w * y) / (s * w) ** a
-    if kind == "gamma-subordinator":
+    if isinstance(jumps, GammaSubordinator):
         a, b = jumps.shape, jumps.rate
         return a * np.exp(gamma * y) * special.exp1((b + gamma) * y)
-    raise DomainError(f"no closed-form tilted tail for jump kind {kind!r}")
+    raise DomainError(f"no closed-form tilted tail for {type(jumps).__name__}")
 
 
 def ftilde_q(model: LevyModel, theta: ThetaParams, x):

@@ -3,9 +3,10 @@
 An observation consists of the grid samples X_{i * delta}, i = 0..n, plus the
 set of jumps exceeding the threshold eps.  Large jumps are taken as directly
 observed (think recorded insurance claims), never reconstructed from
-increments.  Simulation is exact for compound Poisson jump parts; the
-gamma subordinator is simulated exactly above a cutoff delta_sim <= eps/10
-with the sub-cutoff part replaced by its mean drift.
+increments.  Each jump family draws its own jumps (``JumpMeasure.draw_jumps``
+in ``levy``): exactly for the compound Poisson families, and for the gamma
+subordinator exactly above the cutoff eps / 10, with the jumps below it
+replaced by their mean drift.
 
 Randomness comes from Philox (counter-based) streams keyed by the seed, so
 replications parallelize reproducibly; identical (model, scheme, seed) give
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from .exceptions import ConfigError, DataError, DomainError
-from .levy import GammaSubordinator, JumpMeasure, LevyModel
+from .exceptions import ConfigError, DataError, DomainError, _check_int, _check_number
+from .levy import JumpMeasure, LevyModel
 from .tabular import write_csv, write_json
 
 __all__ = [
@@ -84,12 +84,17 @@ class SamplingScheme:
 
     @staticmethod
     def from_dict(d: dict) -> "SamplingScheme":
+        """The scheme ``to_dict`` wrote, checked as the config checks its fields:
+        ``n`` an integer-valued number, the others finite numbers (ConfigError)."""
         rule = None
         if d.get("rule") is not None:
             r = d["rule"]
-            rule = (float(r["a"]), float(r["rho"]), float(r["c_eps"]))
+            rule = tuple(float(_check_number(r, k, "scheme.rule")) for k in ("a", "rho", "c_eps"))
         return SamplingScheme(
-            n=int(d["n"]), delta=float(d["delta"]), eps=float(d["eps"]), rule=rule
+            n=_check_int(d, "n", "scheme", 1),
+            delta=float(_check_number(d, "delta", "scheme")),
+            eps=float(_check_number(d, "eps", "scheme")),
+            rule=rule,
         )
 
 
@@ -168,57 +173,13 @@ def replication_seed(base_seed: int, rep: int) -> int:
     return int(base_seed) + int(rep)
 
 
-def _gamma_sub_sizes(
-    rate: float, delta_sim: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sizes from nu restricted to (delta_sim, inf), nu(dz) = shape z^{-1} e^{-rate z} dz.
-
-    Rejection from a shifted exponential: propose z = delta_sim + Exp(rate),
-    accept with probability delta_sim / z.  The shape only scales nu, so the
-    size law does not depend on it.
-    """
-    accept_rate = max(
-        delta_sim * rate * math.exp(rate * delta_sim) * special.exp1(rate * delta_sim), 1e-3
-    )
-    out = np.empty(count)
-    have = 0
-    while have < count:
-        batch = int((count - have) / accept_rate * 1.2) + 16
-        z = delta_sim + rng.exponential(1.0 / rate, size=batch)
-        u = rng.uniform(size=batch)
-        acc = z[u < delta_sim / z]
-        take = min(len(acc), count - have)
-        out[have : have + take] = acc[:take]
-        have += take
-    return out
-
-
 def _draw_jumps(
-    jumps: JumpMeasure, T: float, eps: float, rng: np.random.Generator
+    jumps: JumpMeasure, scheme: SamplingScheme, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """All simulated jumps (times sorted, sizes) and the compensating drift
-    for the discarded sub-cutoff mass (gamma subordinator only)."""
+    """The family's ``draw_jumps``; the zero measure draws nothing."""
     if jumps.is_zero:
         return np.empty(0), np.empty(0), 0.0
-    if isinstance(jumps, GammaSubordinator):
-        delta_sim = eps / 10.0
-        intensity = jumps.shape * special.exp1(jumps.rate * delta_sim)
-        count = int(rng.poisson(intensity * T))
-        times = np.sort(rng.uniform(0.0, T, size=count))
-        sizes = _gamma_sub_sizes(jumps.rate, delta_sim, count, rng)
-        small_mean_rate = jumps.shape / jumps.rate * (-math.expm1(-jumps.rate * delta_sim))
-        return times, sizes, small_mean_rate
-    # compound Poisson families: exact
-    count = int(rng.poisson(jumps.total_rate() * T))
-    times = np.sort(rng.uniform(0.0, T, size=count))
-    kind = jumps.kind
-    if kind == "compound-poisson-exponential":
-        sizes = rng.exponential(jumps.jump_mean, size=count)
-    elif kind == "compound-poisson-gamma":
-        sizes = rng.gamma(jumps.shape, jumps.scale, size=count)
-    else:  # pragma: no cover - new families must register a sampler
-        raise DomainError(f"no sampler for jump kind {kind!r}")
-    return times, sizes, 0.0
+    return jumps.draw_jumps(scheme, rng)
 
 
 def _grid_bins(jt: np.ndarray, delta: float, n: int) -> np.ndarray:
@@ -236,13 +197,14 @@ def _grid_bins(jt: np.ndarray, delta: float, n: int) -> np.ndarray:
 
 
 def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> ObservationSet:
-    """Exact simulation of the observation set: grid values plus jumps > eps.
+    """Simulation of the observation set: grid values plus jumps > eps.
 
-    Deterministic in (model, scheme, seed).
+    Exact but for the gamma subordinator's jumps below eps / 10 (see
+    ``GammaSubordinator.draw_jumps``).  Deterministic in (model, scheme, seed).
     """
     rng = path_rng(seed)
-    n, dt, T, eps = scheme.n, scheme.delta, scheme.T, scheme.eps
-    jt, js, small_drift = _draw_jumps(model.jumps, T, eps, rng)
+    n, dt, eps = scheme.n, scheme.delta, scheme.eps
+    jt, js, small_drift = _draw_jumps(model.jumps, scheme, rng)
 
     t = np.arange(n + 1) * dt
     # number of jumps at or before each grid time
@@ -288,7 +250,7 @@ def simulate_window(
     m = window_steps(scheme, window)
     rng = path_rng(seed)
     dt, eps = scheme.delta, scheme.eps
-    jt, js, small_drift = _draw_jumps(model.jumps, scheme.T, eps, rng)
+    jt, js, small_drift = _draw_jumps(model.jumps, scheme, rng)
 
     # increment i (from t_i to t_{i+1}) holds the jumps binned at grid time i + 1;
     # a jump at t = 0 lands in X_0 and in no increment
@@ -336,12 +298,13 @@ def _read_sidecar(path) -> tuple[SamplingScheme, int]:
     """(scheme, seed) from the JSON sidecar written by save_observation."""
     try:
         sidecar = json.loads(Path(path).read_text())
-        return SamplingScheme.from_dict(sidecar["scheme"]), int(sidecar["seed"])
+        scheme = SamplingScheme.from_dict(sidecar["scheme"])
+        return scheme, _check_int(sidecar, "seed", "sidecar", 0)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
     # not JSON, wrong types (a scheme that is not an object has no .get),
-    # invalid scheme; int() of Infinity overflows
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    # a field that fails its check (ConfigError is a ValueError)
+    except (TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

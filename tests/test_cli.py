@@ -218,6 +218,20 @@ def _set_sidecar_value(key: str, value):
     return corrupt
 
 
+def _map_sidecar_value(path: tuple[str, ...], f):
+    """Replace the sidecar value under the keys `path` by f(value)."""
+    def corrupt(d: Path) -> None:
+        sidecar = json.loads((d / "observation.json").read_text())
+        *outer, key = path
+        block = sidecar
+        for k in outer:
+            block = block[k]
+        block[key] = f(block[key])
+        (d / "observation.json").write_text(json.dumps(sidecar))
+
+    return corrupt
+
+
 def _swap_first_jump_times(d: Path) -> None:
     lines = (d / "jumps.csv").read_text().splitlines()
     t1, t2 = lines[1].split(",")[0], lines[2].split(",")[0]
@@ -248,6 +262,15 @@ CORRUPTIONS = {
     "sidecar_scheme_not_object": lambda d: (d / "observation.json").write_text(
         json.dumps({"scheme": "n=400", "seed": 11})
     ),
+    # the sidecar's numbers are checked as the config's: never coerced
+    "sidecar_seed_fraction": _map_sidecar_value(("seed",), lambda seed: seed + 0.9),
+    "sidecar_seed_bool": _set_sidecar_value("seed", True),
+    "sidecar_seed_negative": _set_sidecar_value("seed", -3),
+    "sidecar_n_fraction": _map_sidecar_value(("scheme", "n"), lambda n: n + 0.5),
+    "sidecar_n_string": _map_sidecar_value(("scheme", "n"), str),
+    "sidecar_delta_string": _map_sidecar_value(("scheme", "delta"), repr),
+    "sidecar_eps_string": _map_sidecar_value(("scheme", "eps"), repr),
+    "sidecar_rule_string": _map_sidecar_value(("scheme", "rule", "a"), repr),
     "jump_time_past_T": lambda d: _edit_cell(
         d / "jumps.csv", len((d / "jumps.csv").read_text().splitlines()) - 1, 0, "999.0"
     ),

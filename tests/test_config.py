@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscale.cli import main
-from qscale.config import ExperimentConfig, parse_config
+from qscale.config import ExperimentConfig, model_from_dict, parse_config
 from qscale.exceptions import ConfigError
+from qscale.levy import CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, NoJumps
 
 VALID = {
     "model": {
@@ -159,3 +162,33 @@ def test_parses_or_raises_config_error(mutations):
     except ConfigError:
         return
     assert isinstance(parsed, ExperimentConfig)
+
+
+# each jump kind with the README's parameters, in order
+JUMP_KINDS = {
+    "none": (NoJumps, []),
+    "compound-poisson-exponential": (CompoundPoissonExponential, ["rate", "jump_mean"]),
+    "compound-poisson-gamma": (CompoundPoissonGamma, ["rate", "shape", "scale"]),
+    "gamma-subordinator": (GammaSubordinator, ["shape", "rate"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JUMP_KINDS))
+def test_jump_kind_parameters_are_the_dataclass_fields(kind):
+    cls, names = JUMP_KINDS[kind]
+    assert cls.kind == kind
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    params = {name: 0.5 + i for i, name in enumerate(names)}
+    model = {"x0": 0.0, "c": 9.0, "D": 0.5, "jumps": {"kind": kind, **params}}
+    assert model_from_dict(model).jumps == cls(**params)
+    for name in names:
+        jumps = {k: v for k, v in model["jumps"].items() if k != name}
+        msg = f"jump kind {kind!r} missing parameters {[name]}"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            model_from_dict({**model, "jumps": jumps})
+    msg = f"jump kind {kind!r} got unexpected parameters ['extra']"
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        model_from_dict({**model, "jumps": {**model["jumps"], "extra": 1.0}})
+    # the kind is a class constant: no constructor argument sets it
+    with pytest.raises(TypeError):
+        cls(*params.values(), "compound-poisson-exponential")

@@ -14,16 +14,19 @@ from scipy.special import comb, factorial
 
 from qscale.laguerre import (
     LaguerreParams,
+    _laguerre_rows,
     ladder,
-    laguerre_fn,
     laguerre_fn_all,
-    laguerre_poly,
-    partial_sum,
-    psi_integral,
     psi_integral_all,
     psi_integral_db_all,
 )
 from qscale.oracles import project_grid
+
+
+def laguerre_poly(k: int, x):
+    """L_k(x): the last row of the three-term recurrence."""
+    *_, row = _laguerre_rows(k, x, 1.0)
+    return row
 
 
 def binomial_sum_laguerre(k: int, x: float) -> float:
@@ -57,7 +60,7 @@ class TestLaguerreFn:
     def test_value_at_zero_any_order(self):
         p = LaguerreParams(alpha=0.8, K=12)
         for k in range(13):
-            assert laguerre_fn(p, k, 0.0) == pytest.approx(math.sqrt(1.6), rel=1e-14)
+            assert laguerre_fn_all(p, 0.0)[k] == pytest.approx(math.sqrt(1.6), rel=1e-14)
 
     @given(
         k=st.integers(0, 64),
@@ -67,7 +70,7 @@ class TestLaguerreFn:
     @settings(max_examples=100, deadline=None)
     def test_uniform_bound(self, k, x, alpha):
         p = LaguerreParams(alpha=alpha, K=k)
-        assert abs(laguerre_fn(p, k, x)) <= math.sqrt(2 * alpha) * (1 + 1e-12)
+        assert abs(laguerre_fn_all(p, x)[k]) <= math.sqrt(2 * alpha) * (1 + 1e-12)
 
     def test_orthonormality_gram(self):
         # Gauss-Legendre panels on [0, 60/alpha]: Gram matrix = identity to 1e-8
@@ -92,18 +95,18 @@ class TestPsiIntegral:
         p = LaguerreParams(1.0, 8)
         for k in (0, 3, 8):
             for b in (-2.0, -1.0, 0.0, 1.5):
-                assert psi_integral(p, k, 0.0, b) == 0.0
+                assert psi_integral_all(p, 0.0, b)[k] == 0.0
 
     def test_order_zero_closed_form(self):
         alpha, b, x = 1.3, 0.7, 3.0
         p = LaguerreParams(alpha, 0)
         want = math.sqrt(2 * alpha) * (math.exp(b * x) - math.exp(-alpha * x)) / (b + alpha)
-        assert psi_integral(p, 0, x, b) == pytest.approx(want, rel=1e-13)
+        assert psi_integral_all(p, x, b)[0] == pytest.approx(want, rel=1e-13)
 
     def test_matches_quadrature_spec_point(self):
         p = LaguerreParams(1.0, 5)
-        val, _ = quad(lambda z: np.exp(-0.3 * (2.0 - z)) * laguerre_fn(p, 5, z), 0, 2.0)
-        assert psi_integral(p, 5, 2.0, -0.3) == pytest.approx(val, abs=1e-9)
+        val, _ = quad(lambda z: np.exp(-0.3 * (2.0 - z)) * laguerre_fn_all(p, z)[5], 0, 2.0)
+        assert psi_integral_all(p, 2.0, -0.3)[5] == pytest.approx(val, abs=1e-9)
 
     @pytest.mark.parametrize("b", [-3.0, -1.0, -0.999999, 0.0, 0.2, 2.0])
     @pytest.mark.parametrize("k", [1, 7, 23, 64])
@@ -112,17 +115,17 @@ class TestPsiIntegral:
         p = LaguerreParams(alpha, k)
         x = 4.3
         val, _ = quad(
-            lambda z: np.exp(b * (x - z)) * laguerre_fn(p, k, z), 0, x, limit=300
+            lambda z: np.exp(b * (x - z)) * laguerre_fn_all(p, z)[k], 0, x, limit=300
         )
-        assert psi_integral(p, k, x, b) == pytest.approx(val, abs=2e-9 * max(1, abs(val)))
+        assert psi_integral_all(p, x, b)[k] == pytest.approx(val, abs=2e-9 * max(1, abs(val)))
 
     def test_degenerate_b_near_minus_alpha(self):
         # |b + alpha| tiny: the backward branch avoids the 1/s cancellation
         p = LaguerreParams(1.0, 6)
         x = 2.5
         for b in (-1.0, -1.0 + 1e-9, -1.0 - 1e-9):
-            val, _ = quad(lambda z: np.exp(b * (x - z)) * laguerre_fn(p, 6, z), 0, x)
-            assert psi_integral(p, 6, x, b) == pytest.approx(val, abs=1e-10)
+            val, _ = quad(lambda z: np.exp(b * (x - z)) * laguerre_fn_all(p, z)[6], 0, x)
+            assert psi_integral_all(p, x, b)[6] == pytest.approx(val, abs=1e-10)
 
     def test_ode_property_by_finite_differences(self):
         # d/dx Psi(x;b) = b Psi(x;b) + phi(x)
@@ -130,8 +133,9 @@ class TestPsiIntegral:
         h = 1e-6
         for b in (-2.0, 0.4):
             for x in (0.5, 2.0, 7.0):
-                fd = (psi_integral(p, 10, x + h, b) - psi_integral(p, 10, x - h, b)) / (2 * h)
-                want = b * psi_integral(p, 10, x, b) + laguerre_fn(p, 10, x)
+                up, down = psi_integral_all(p, x + h, b)[10], psi_integral_all(p, x - h, b)[10]
+                fd = (up - down) / (2 * h)
+                want = b * psi_integral_all(p, x, b)[10] + laguerre_fn_all(p, x)[10]
                 assert fd == pytest.approx(want, abs=1e-6 * max(1, abs(want)))
 
     def test_b_derivative_matches_fd(self):
@@ -185,8 +189,8 @@ class TestBackwardSweep:
         # b Psi_0(x; b) = sqrt(2a) b (e^{bx} - e^{-ax}) / (b + a) -> -phi_0(x)
         p, x = LaguerreParams(1.0, 0), 1.0
         want = math.sqrt(2.0) * b * (math.exp(b * x) - math.exp(-x)) / (b + 1.0)
-        assert b * psi_integral(p, 0, x, b) == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert want == pytest.approx(-laguerre_fn(p, 0, x), rel=2e-10)
+        assert b * psi_integral_all(p, x, b)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want == pytest.approx(-laguerre_fn_all(p, x)[0], rel=2e-10)
 
     @pytest.mark.parametrize("K", [20, 40, 64])
     @pytest.mark.parametrize("b", [-1e-11, -0.01, -0.041, -0.143])
@@ -258,11 +262,12 @@ class TestPartialSum:
         coeffs = np.zeros(7)
         coeffs[3] = 1.0
         xs = np.linspace(0, 8, 30)
-        assert partial_sum(coeffs, p, xs) == pytest.approx(laguerre_fn_all(p, xs)[3])
+        phi = laguerre_fn_all(p, xs)
+        assert np.tensordot(coeffs, phi, 1) == pytest.approx(phi[3])
 
     def test_zero_coeffs(self):
         p = LaguerreParams(1.0, 5)
-        assert partial_sum(np.zeros(6), p, 2.0) == 0.0
+        assert np.tensordot(np.zeros(6), laguerre_fn_all(p, 2.0), 1) == 0.0
 
     def test_reconstructs_exponential(self):
         # projections of e^{-x} up to K = 20 reconstruct it to 1e-3 sup on [0, 10]
@@ -271,7 +276,7 @@ class TestPartialSum:
         f = np.exp(-xs)
         coeffs = np.array([project_grid(xs, f, p, k).value for k in range(21)])
         grid = np.linspace(0, 10, 101)
-        err = np.max(np.abs(partial_sum(coeffs, p, grid) - np.exp(-grid)))
+        err = np.max(np.abs(np.tensordot(coeffs, laguerre_fn_all(p, grid), 1) - np.exp(-grid)))
         assert err <= 1e-3
 
     @given(data=st.data())
@@ -282,6 +287,7 @@ class TestPartialSum:
         u = np.array([data.draw(st.floats(-1, 1)) for _ in range(9)])
         v = np.array([data.draw(st.floats(-1, 1)) for _ in range(9)])
         x = data.draw(st.floats(0, 10))
-        lhs = partial_sum(a * u + v, p, x)
-        rhs = a * partial_sum(u, p, x) + partial_sum(v, p, x)
+        phi = laguerre_fn_all(p, x)
+        lhs = np.tensordot(a * u + v, phi, 1)
+        rhs = a * np.tensordot(u, phi, 1) + np.tensordot(v, phi, 1)
         assert lhs == pytest.approx(rhs, abs=1e-14 * max(1.0, abs(rhs)) * 100)

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from qscale import series as series_mod
 from qscale.exceptions import DomainError, IllConditionedError, NumericalError
-from qscale.laguerre import LaguerreParams, laguerre_fn, laguerre_fn_all, partial_sum
+from qscale.laguerre import LaguerreParams, laguerre_fn_all
 from qscale.levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
@@ -568,12 +568,13 @@ class TestGbarPartialSum:
     def test_zero_for_no_jumps(self, brownian_model, params20):
         cs = coeffs_true(brownian_model, params20)
         xs = np.linspace(0, 10, 11)
-        assert np.all(partial_sum(cs.a_G, cs.params, xs) == 0.0)
+        assert np.all(np.tensordot(cs.a_G, laguerre_fn_all(cs.params, xs), 1) == 0.0)
 
     def test_value_at_zero_approaches_p(self, exp_jump_model, params40):
         # Gbar_q(0) = p (the compound geometric has atom 1 - p at zero)
         cs = coeffs_true(exp_jump_model, params40)
-        assert partial_sum(cs.a_G, cs.params, 0.0) == pytest.approx(cs.p, abs=2e-2)
+        gbar0 = np.tensordot(cs.a_G, laguerre_fn_all(cs.params, 0.0), 1)
+        assert gbar0 == pytest.approx(cs.p, abs=2e-2)
 
     def test_sup_error_vs_grid_oracle_decreases_in_K(self, exp_jump_model):
         th = exp_jump_model.theta0()
@@ -587,7 +588,8 @@ class TestGbarPartialSum:
         errs = []
         for K in (10, 20, 40):
             cs = coeffs_true(exp_jump_model, LaguerreParams(1.0, K))
-            errs.append(np.max(np.abs(partial_sum(cs.a_G, cs.params, probe) - want)))
+            gbar = np.tensordot(cs.a_G, laguerre_fn_all(cs.params, probe), 1)
+            errs.append(np.max(np.abs(gbar - want)))
         # nonincreasing within 10% noise as K doubles
         assert errs[1] <= errs[0] * 1.1
         assert errs[2] <= errs[1] * 1.1
@@ -620,7 +622,7 @@ class TestEvaluators:
         for k in (0, 4, 15):
             want, _ = quad(
                 lambda z: (gamma * np.exp(gamma * (x - z)) + beta * np.exp(-beta * (x - z)))
-                * laguerre_fn(params20, k, z),
+                * laguerre_fn_all(params20, z)[k],
                 0, x, limit=300,
             )
             want /= D * (1 - p) * (beta + gamma)
