@@ -208,10 +208,12 @@ def parse_config(d: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
+        d = json.loads(data.decode("utf-8"))
+    # undecodable bytes, malformed JSON, an integer too long to convert, or
+    # nesting deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(d)
 

@@ -9,8 +9,9 @@ model through its Laplace exponent
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
 
 A jump measure is one class per parametric family: its closed-form
-functionals (density, mean, exponential functional and moment, total rate),
-its sampler ``draw_jumps``, and its config name, the class constant ``kind``.
+functionals (density, mean, exponential functional and moment), its sampler
+``draw_jumps``, and its config name, the class constant ``kind``.  No jumps
+is the zero measure, ``NoJumps``, a family like the others.
 The generic quadrature of nu(H), ``nu_functional_exact``, is a cross-check
 and lives in ``oracles``; the JSON ``model`` block is parsed in ``config``.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 from scipy import optimize, special
@@ -34,7 +35,6 @@ __all__ = [
     "GammaSubordinator",
     "LevyModel",
     "ThetaParams",
-    "NpcResult",
     "laplace_exponent",
     "laplace_exponent_deriv",
     "lundberg_exponent",
@@ -50,21 +50,16 @@ _ROOT_XTOL = 1e-300
 class JumpMeasure:
     """Base class for the jump measure ``nu`` of the subordinator ``L``.
 
-    Subclasses provide, in closed form, the five functionals the pipeline
-    reads: the density per unit time, the mean ``nu(z)``, the exponential
+    Subclasses provide, in closed form, the four functionals the pipeline
+    reads: the density per unit time, the mean ``nu(z)``, and the exponential
     functional ``nu(e^{-theta z} - 1)`` and moment ``nu(z e^{-theta z})``
-    behind psi, psi' and Phi(q), and the total rate ``nu((0, inf))``.  The
-    exponential forms accept complex ``theta`` (needed by the Talbot oracle).
-    A family with jumps also draws them (``draw_jumps``); the zero measure
-    draws nothing and says so through ``is_zero``.  ``kind`` is the family's
-    name in the config, a class constant, not a field.
+    behind psi, psi' and Phi(q).  The exponential forms accept complex
+    ``theta`` (needed by the Talbot oracle).  Each family also draws its
+    jumps (``draw_jumps``).  ``kind`` is the family's name in the config, a
+    class constant, not a field.
     """
 
     kind: ClassVar[str]
-
-    @property
-    def is_zero(self) -> bool:
-        return False
 
     def density(self, z):
         """Levy density rho(z), z > 0."""
@@ -80,10 +75,6 @@ class JumpMeasure:
 
     def exp_moment(self, theta):
         """nu(z e^{-theta z}), so that psi'(theta) = c + 2 D theta - exp_moment."""
-        raise NotImplementedError
-
-    def total_rate(self) -> float:
-        """nu((0, inf)); may be inf (infinite activity)."""
         raise NotImplementedError
 
     def draw_jumps(self, scheme, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
@@ -105,10 +96,6 @@ class NoJumps(JumpMeasure):
 
     kind: ClassVar[str] = "none"
 
-    @property
-    def is_zero(self) -> bool:
-        return True
-
     def density(self, z):
         return np.zeros_like(np.asarray(z, dtype=float))
 
@@ -121,8 +108,10 @@ class NoJumps(JumpMeasure):
     def exp_moment(self, theta):
         return np.zeros_like(np.asarray(theta)) if np.ndim(theta) else 0.0 * theta
 
-    def total_rate(self) -> float:
-        return 0.0
+    def draw_jumps(self, scheme, rng):
+        """A compound Poisson count of rate 0: no jumps, and no draw from ``rng``."""
+        times = _poisson_times(0.0, scheme.T, rng)
+        return times, np.empty(0), 0.0
 
 
 @dataclass(frozen=True)
@@ -156,9 +145,6 @@ class CompoundPoissonExponential(JumpMeasure):
 
     def exp_moment(self, theta):
         return self.rate * self.mu / (self.mu + theta) ** 2
-
-    def total_rate(self) -> float:
-        return self.rate
 
     def draw_jumps(self, scheme, rng):
         times = _poisson_times(self.rate * scheme.T, scheme.T, rng)
@@ -197,9 +183,6 @@ class CompoundPoissonGamma(JumpMeasure):
         a, s = self.shape, self.scale
         return self.rate * a * s * (1.0 + s * theta) ** (-a - 1.0)
 
-    def total_rate(self) -> float:
-        return self.rate
-
     def draw_jumps(self, scheme, rng):
         times = _poisson_times(self.rate * scheme.T, scheme.T, rng)
         return times, rng.gamma(self.shape, self.scale, size=len(times)), 0.0
@@ -229,9 +212,6 @@ class GammaSubordinator(JumpMeasure):
 
     def exp_moment(self, theta):
         return self.shape / (self.rate + theta)
-
-    def total_rate(self) -> float:
-        return math.inf
 
     def draw_jumps(self, scheme, rng):
         """The jumps above the cutoff d = eps / 10 exactly; those below as
@@ -284,8 +264,7 @@ class LevyModel:
         return math.sqrt(2.0 * self.D)
 
     def require_npc(self) -> None:
-        res = check_npc(self)
-        if not res.holds:
+        if check_npc(self) <= 0.0:
             raise DomainError(
                 f"net profit condition violated: c = {self.c} <= nu(z) = {self.jumps.mean()}"
             )
@@ -318,11 +297,6 @@ class ThetaParams:
         return self.gamma
 
 
-class NpcResult(NamedTuple):
-    holds: bool
-    margin: float
-
-
 def laplace_exponent(model: LevyModel, theta):
     """psi(theta) = c theta + D theta^2 + nu(e^{-theta z} - 1).
 
@@ -339,10 +313,9 @@ def laplace_exponent_deriv(model: LevyModel, theta):
     return model.c + 2.0 * model.D * theta - model.jumps.exp_moment(theta)
 
 
-def check_npc(model: LevyModel) -> NpcResult:
-    """Net profit condition c > nu(z); margin is psi'(0+)."""
-    margin = model.c - model.jumps.mean()
-    return NpcResult(holds=margin > 0.0, margin=margin)
+def check_npc(model: LevyModel) -> float:
+    """The net-profit margin c - nu(z) = psi'(0+); the condition holds when it is > 0."""
+    return model.c - model.jumps.mean()
 
 
 def lundberg_exponent(model: LevyModel, q: float) -> float:
@@ -364,7 +337,7 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
     if q == 0.0:
         return 0.0
 
-    hi = quadratic_bracket(model.D, check_npc(model).margin, q)
+    hi = quadratic_bracket(model.D, check_npc(model), q)
     root = optimize.brentq(
         _lundberg_gap, 0.0, hi, args=(model, q), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
     )

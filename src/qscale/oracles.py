@@ -30,8 +30,8 @@ from scipy import integrate, special
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
 from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
 from .levy import (
-    CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, ThetaParams,
-    laplace_exponent, lundberg_exponent,
+    CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, NoJumps,
+    ThetaParams, laplace_exponent, lundberg_exponent,
 )
 from .series import h_functionals_at
 
@@ -257,7 +257,7 @@ def _tilted_tail(model: LevyModel, gamma: float, y):
     """g(y) = int_y^inf e^{-gamma (z - y)} nu(dz), closed form per family."""
     jumps = model.jumps
     y = np.asarray(y, dtype=float)
-    if jumps.is_zero:
+    if isinstance(jumps, NoJumps):
         return np.zeros_like(y)
     if isinstance(jumps, CompoundPoissonExponential):
         mu = jumps.mu
@@ -281,9 +281,6 @@ def ftilde_q(model: LevyModel, theta: ThetaParams, x):
     gamma = theta.gamma
     x_in = np.asarray(x, dtype=float)
     x_arr = np.atleast_1d(x_in)
-    if model.jumps.is_zero:
-        out = np.zeros_like(x_arr)
-        return float(out[0]) if x_in.ndim == 0 else out
     if theta.D == 0:
         out = _tilted_tail(model, gamma, x_arr) / model.c
         return float(out[0]) if x_in.ndim == 0 else out
@@ -297,7 +294,8 @@ def ftilde_q(model: LevyModel, theta: ThetaParams, x):
             0.0,
             xx,
             limit=200,
-            points=[0.0] if model.jumps.total_rate() == np.inf else None,
+            # the gamma subordinator's tail has a log singularity at y = 0
+            points=[0.0] if isinstance(model.jumps, GammaSubordinator) else None,
         )
         return val / theta.D
 
@@ -401,9 +399,6 @@ def nu_functional_exact(
     Non-convergence raises NumericalError carrying the achieved estimate.
     """
     jumps = model.jumps
-    if jumps.is_zero:
-        probe = np.asarray(H(np.asarray([1.0]))).astype(float)
-        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
 
     def integrand(z):
         zz = np.asarray([z], dtype=float)

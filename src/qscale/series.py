@@ -76,12 +76,11 @@ def p_value(model: LevyModel, theta: ThetaParams) -> float:
     (beta D = c + D gamma when D > 0), with the gamma -> 0 limit z / c.
     """
     model.require_npc()
-    if model.jumps.is_zero:
-        return 0.0
     c, D, gamma = model.c, theta.D, theta.gamma
     if gamma == 0.0:
         return model.jumps.mean() / c
-    return float(-model.jumps.exp_functional(gamma) / (gamma * (c + D * gamma)))
+    # 0.0 - x is -x, and +0.0 (not -0.0) for the zero measure
+    return float(0.0 - model.jumps.exp_functional(gamma) / (gamma * (c + D * gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +247,9 @@ def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
     """
     model.require_npc()
     theta = model.theta0()
-    n = params.K + 1
-    if model.jumps.is_zero:
-        zero = np.zeros(n)
-        return CoefficientSet(0.0, zero, zero.copy(), zero.copy(), params, theta)
-
     p = p_value(model, theta)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p = {p} outside (0,1)")
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"p = {p} outside [0,1)")
     a_f, a_F = _transform_coeffs(model, theta, params, p)
     A = build_Af(a_f, params.alpha)
     a_G = solve_aG(A, a_F)

@@ -3,10 +3,11 @@
 An observation consists of the grid samples X_{i * delta}, i = 0..n, plus the
 set of jumps exceeding the threshold eps.  Large jumps are taken as directly
 observed (think recorded insurance claims), never reconstructed from
-increments.  Each jump family draws its own jumps (``JumpMeasure.draw_jumps``
-in ``levy``): exactly for the compound Poisson families, and for the gamma
-subordinator exactly above the cutoff eps / 10, with the jumps below it
-replaced by their mean drift.
+increments.  ``simulate`` and ``simulate_window`` take the jumps from the
+model's jump family (``JumpMeasure.draw_jumps`` in ``levy``), the zero
+measure included: none for ``NoJumps``, exactly for the compound Poisson
+families, and for the gamma subordinator exactly above the cutoff eps / 10,
+with the jumps below it replaced by their mean drift.
 
 Randomness comes from Philox (counter-based) streams keyed by the seed, so
 replications parallelize reproducibly; identical (model, scheme, seed) give
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError, _check_int, _check_number
-from .levy import JumpMeasure, LevyModel
+from .levy import LevyModel
 from .tabular import write_csv, write_json
 
 __all__ = [
@@ -173,15 +174,6 @@ def replication_seed(base_seed: int, rep: int) -> int:
     return int(base_seed) + int(rep)
 
 
-def _draw_jumps(
-    jumps: JumpMeasure, scheme: SamplingScheme, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The family's ``draw_jumps``; the zero measure draws nothing."""
-    if jumps.is_zero:
-        return np.empty(0), np.empty(0), 0.0
-    return jumps.draw_jumps(scheme, rng)
-
-
 def _grid_bins(jt: np.ndarray, delta: float, n: int) -> np.ndarray:
     """Index of the first grid time i * delta, i = 0..n, not below each jump time.
 
@@ -204,7 +196,7 @@ def simulate(model: LevyModel, scheme: SamplingScheme, seed: int) -> Observation
     """
     rng = path_rng(seed)
     n, dt, eps = scheme.n, scheme.delta, scheme.eps
-    jt, js, small_drift = _draw_jumps(model.jumps, scheme, rng)
+    jt, js, small_drift = model.jumps.draw_jumps(scheme, rng)
 
     t = np.arange(n + 1) * dt
     # number of jumps at or before each grid time
@@ -250,7 +242,7 @@ def simulate_window(
     m = window_steps(scheme, window)
     rng = path_rng(seed)
     dt, eps = scheme.delta, scheme.eps
-    jt, js, small_drift = _draw_jumps(model.jumps, scheme, rng)
+    jt, js, small_drift = model.jumps.draw_jumps(scheme, rng)
 
     # increment i (from t_i to t_{i+1}) holds the jumps binned at grid time i + 1;
     # a jump at t = 0 lands in X_0 and in no increment
@@ -302,9 +294,10 @@ def _read_sidecar(path) -> tuple[SamplingScheme, int]:
         return scheme, _check_int(sidecar, "seed", "sidecar", 0)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    # not JSON, wrong types (a scheme that is not an object has no .get),
-    # a field that fails its check (ConfigError is a ValueError)
-    except (TypeError, ValueError, AttributeError) as exc:
+    # not JSON or nested deeper than the parser recurses, wrong types (a scheme
+    # that is not an object has no .get), a field that fails its check
+    # (ConfigError is a ValueError)
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

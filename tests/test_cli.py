@@ -262,6 +262,9 @@ CORRUPTIONS = {
     "sidecar_scheme_not_object": lambda d: (d / "observation.json").write_text(
         json.dumps({"scheme": "n=400", "seed": 11})
     ),
+    "sidecar_nested_too_deep": lambda d: (d / "observation.json").write_text(
+        "[" * 200_000 + "]" * 200_000
+    ),
     # the sidecar's numbers are checked as the config's: never coerced
     "sidecar_seed_fraction": _map_sidecar_value(("seed",), lambda seed: seed + 0.9),
     "sidecar_seed_bool": _set_sidecar_value("seed", True),
@@ -480,6 +483,22 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["compute", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"model": {"x0": 0.0, "c": 1.5, "D": 0.5, "q": 0.1, "jumps": {"kind": "none\xff"}}}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"model": {"x0": ' + b"1" * 5000 + b"}}",
+        ],
+        ids=["not_utf8", "nested_too_deep", "integer_too_long"],
+    )
+    def test_malformed_bytes_exit_2(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert main(["compute", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_bad_jump_kind(self, tmp_path):
         cfg = write_config(

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
-from qscale.config import model_from_dict
+from qscale.config import _JUMP_KINDS, model_from_dict
 from qscale.exceptions import ConfigError, DomainError
 from qscale.levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
     GammaSubordinator,
+    JumpMeasure,
     LevyModel,
     NoJumps,
     check_npc,
@@ -226,18 +227,15 @@ class TestLundbergAccuracy:
 class TestCheckNpc:
     def test_holds_with_margin(self):
         m = LevyModel(x0=0, c=1.5, D=0.0, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.0)
-        res = check_npc(m)
-        assert res.holds and res.margin == pytest.approx(0.5)
+        assert check_npc(m) == pytest.approx(0.5)
 
     def test_fails_with_negative_margin(self):
         m = LevyModel(x0=0, c=1.0, D=0.0, jumps=CompoundPoissonExponential(2.0, 1.0), q=0.0)
-        res = check_npc(m)
-        assert not res.holds and res.margin == pytest.approx(-1.0)
+        assert check_npc(m) == pytest.approx(-1.0)
 
     def test_no_jumps_margin_is_c(self):
         m = LevyModel(x0=0, c=0.7, D=1.0, jumps=NoJumps(), q=0.0)
-        res = check_npc(m)
-        assert res.holds and res.margin == pytest.approx(0.7)
+        assert check_npc(m) == pytest.approx(0.7)
 
 
 class TestNuFunctionalExact:
@@ -245,7 +243,7 @@ class TestNuFunctionalExact:
         m = LevyModel(x0=0, c=9.0, D=0.0, jumps=CompoundPoissonExponential(1.0, 0.5), q=0.0)
         assert nu_functional_exact(m, lambda z: z) == pytest.approx(0.5, rel=1e-9)
 
-    def test_total_rate(self):
+    def test_total_mass(self):
         m = LevyModel(x0=0, c=9.0, D=0.0, jumps=CompoundPoissonGamma(1.7, 2.0, 0.3), q=0.0)
         assert nu_functional_exact(m, lambda z: np.ones_like(z)) == pytest.approx(1.7, rel=1e-9)
 
@@ -275,6 +273,18 @@ class TestNuFunctionalExact:
 
 
 class TestJumpMeasureInvariants:
+    INTERFACE = {"density", "mean", "exp_functional", "exp_moment", "draw_jumps"}
+
+    def test_interface_is_four_functionals_and_a_sampler(self):
+        assert {name for name in vars(JumpMeasure) if not name.startswith("_")} == self.INTERFACE
+
+    @pytest.mark.parametrize("cls", list(_JUMP_KINDS.values()), ids=list(_JUMP_KINDS))
+    def test_family_implements_the_interface(self, cls):
+        """Every family, the zero measure included, defines each method
+        itself rather than inheriting the base class's stub."""
+        inherited = sorted(self.INTERFACE - set(vars(cls)))
+        assert not inherited, f"{cls.__name__} inherits {inherited}"
+
     @pytest.mark.parametrize(
         "jumps",
         [

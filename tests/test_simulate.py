@@ -26,6 +26,7 @@ from qscale.simulate import (
     _grid_bins,
     load_observation,
     make_scheme,
+    path_rng,
     save_observation,
     simulate,
     simulate_window,
@@ -39,7 +40,7 @@ def _s2_quantity(jumps, scheme: SamplingScheme) -> float:
     Should trend to zero along a scheme family for the threshold bias to be
     negligible at the CLT scale.  Closed forms for the families used here.
     """
-    if jumps.is_zero:
+    if isinstance(jumps, NoJumps):
         return 0.0
     assert isinstance(jumps, CompoundPoissonExponential)
     mu, eps = jumps.mu, scheme.eps
@@ -111,6 +112,18 @@ class TestSimulate:
         obs = simulate(m, s, seed=5)
         assert obs.grid == pytest.approx(2.0 + np.arange(101) * 0.01, abs=1e-14)
         assert len(obs.jump_sizes) == 0
+
+    def test_no_jumps_is_drift_plus_brownian_bit_for_bit(self):
+        # the zero measure draws nothing, so the normals start the stream
+        m = LevyModel(x0=0.3, c=1.2, D=0.5, jumps=NoJumps(), q=0.1)
+        scheme = make_scheme(40.0)
+        n, dt = scheme.n, scheme.delta
+        obs = simulate(m, scheme, 17)
+        incr = path_rng(17).normal(0.0, m.sigma * math.sqrt(dt), n)
+        want = m.x0 + m.c * (np.arange(n + 1) * dt)
+        want[1:] += np.cumsum(incr)
+        np.testing.assert_array_equal(obs.grid, want)
+        assert len(obs.jump_times) == 0 and len(obs.jump_sizes) == 0
 
     def test_bit_identical_reruns(self, exp_jump_model):
         s = make_scheme(50.0)
