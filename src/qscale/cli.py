@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 configuration/domain error, 3 numerical failure,
 4 I/O error, including observation files that fail the checks of
 load_observation.  Every run writes a manifest (config hash, versions,
 seeds) so reruns are byte-identical.  SCALE_WORKERS overrides mc.workers;
-either is clamped to the usable cores.
+either is clamped to the usable cores.  A command runs its linear algebra on
+one BLAS thread (``mc.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exceptions import (
     NumericalError,
 )
 from .estimators import build_report, estimate_D, report_from_true_model, write_ci_csv
-from .mc import MC_COLUMNS, McWorkerFailure, resolve_workers, run_monte_carlo
+from .mc import MC_COLUMNS, McWorkerFailure, one_blas_thread, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
 from .series import scale_approx
 from .simulate import load_observation, save_observation, simulate
@@ -220,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        with one_blas_thread():
+            return args.fn(cfg, args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -181,19 +181,26 @@ def estimate_coeffs(
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
     n = params.K + 1
     z, T = obs.jump_sizes, obs.scheme.T
-    vals, d_gamma = h_functionals_at(c, theta.D, theta.gamma, params, z)
-    H = _stacked(*vals)
-    nu = H.sum(axis=1) / T
+    (H_p, H_f, H_F), (d_p, d_f, d_F) = h_functionals_at(c, theta.D, theta.gamma, params, z)
+    # influence kernels Htilde = (H^f, H^F, H_p, H_gamma), shape (2K+4, nz),
+    # filled in place; the kernel stack H is its first 2K+3 rows
+    Htilde = np.empty((2 * n + 2, len(z)))
+    Htilde[:n], Htilde[n : 2 * n], Htilde[2 * n] = H_f, H_F, H_p
+    nu = Htilde[:-1].sum(axis=1) / T
     a_f, a_F, p_hat = nu[:n], nu[n:-1], float(nu[-1])
     if p_hat >= 1.0:
         raise DegenerateEstimateError("p_hat >= 1", raw_value=p_hat)
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
 
+    # Expanding psi_hat(gamma_hat) = q around gamma_0 gives sqrt(T)(gamma_hat -
+    # gamma_0) = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1), k_gamma =
+    # e^{-gamma z} - 1, so H_gamma = -k_gamma / psi' (its sign matters only for
+    # the cross-covariances).
     psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
-    Htilde = _htilde(H, theta.gamma, z, psi_prime)  # (2K+4, nz)
+    Htilde[-1] = -np.expm1(-theta.gamma * z) / psi_prime
     Gamma = np.eye(len(Htilde))
-    Gamma[:-1, -1] = _stacked(*d_gamma).sum(axis=1) / T
+    Gamma[:-1, -1] = np.concatenate([d_f.sum(axis=1), d_F.sum(axis=1), [d_p.sum()]]) / T
     return PipelineEstimates(
         D_raw=D_hat, coeffs=coeffs,
         Sigma=(Htilde @ Htilde.T) / T, Gamma=Gamma, T=T,
@@ -217,23 +224,6 @@ class CovarianceReport:
     Z_hi: np.ndarray
     psd_ok: bool
     min_eig: float
-
-
-def _stacked(H_p, H_f, H_F) -> np.ndarray:
-    """The kernel stack (H^f, H^F, H_p), shape (2K+3, nz)."""
-    return np.vstack([H_f, H_F, H_p[None, :]])
-
-
-def _htilde(H: np.ndarray, gamma: float, z, psi_prime: float) -> np.ndarray:
-    """Influence kernels (H^f, H^F, H_p, H_gamma): the stack H with the gamma row appended.
-
-    Expanding psi_hat(gamma_hat) = q around gamma_0 gives sqrt(T)(gamma_hat -
-    gamma_0) = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1), k_gamma =
-    e^{-gamma z} - 1, so H_gamma = -k_gamma / psi' (its sign matters only for
-    the cross-covariances).
-    """
-    H_gamma = -np.expm1(-gamma * z) / psi_prime
-    return np.vstack([H, H_gamma[None, :]])
 
 
 def covariance_machinery(

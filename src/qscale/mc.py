@@ -9,17 +9,23 @@ O(#jumps).  Replication r therefore matches a direct ``scale simulate`` +
 (and what follows from it) in law: the Gaussian part of the sum is a draw of
 its own.  With D = 0 there is no Gaussian part, and D_hat agrees to rounding.
 Aggregation happens in fixed replication order so reruns are byte-identical;
-workers only change wall time, never results.
+workers only change wall time, never results.  A replication runs its linear
+algebra on one BLAS thread (``one_blas_thread``): its matrices are at most
+(2K+4) x #jumps, too small for threads to pay for their wake-ups.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import stats
 
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
@@ -37,6 +43,7 @@ __all__ = [
     "run_replication",
     "run_monte_carlo",
     "resolve_workers",
+    "one_blas_thread",
 ]
 
 
@@ -87,28 +94,29 @@ def run_replication(
     D_window: float,
 ) -> dict:
     """One simulate -> estimate pass; returns a flat row of scalars/arrays."""
-    sample, sum_sq = simulate_window(model, scheme, seed, D_window)
-    D_hat = realized_D(sample, sum_sq, D_window)
-    try:
-        rep = build_report(sample, model.q, model.c, params, x=x_eval, D_hat=D_hat)
-    except (DegenerateEstimateError, NumericalError) as exc:
-        return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
-    est, cov = rep.est, rep.cov
-    return {
-        "seed": seed,
-        "failed": "",
-        "n_jumps": rep.n_jumps,
-        "D_hat": est.D_raw,
-        "gamma_hat": est.theta.gamma,
-        "p_hat": est.p,
-        "v_gamma_sq": est.v_gamma_sq,
-        "W_hat": np.asarray(cov.W_hat),
-        "Z_hat": np.asarray(cov.Z_hat),
-        "W_lo": np.asarray(cov.W_lo),
-        "W_hi": np.asarray(cov.W_hi),
-        "Z_lo": np.asarray(cov.Z_lo),
-        "Z_hi": np.asarray(cov.Z_hi),
-    }
+    with one_blas_thread():
+        sample, sum_sq = simulate_window(model, scheme, seed, D_window)
+        D_hat = realized_D(sample, sum_sq, D_window)
+        try:
+            rep = build_report(sample, model.q, model.c, params, x=x_eval, D_hat=D_hat)
+        except (DegenerateEstimateError, NumericalError) as exc:
+            return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
+        est, cov = rep.est, rep.cov
+        return {
+            "seed": seed,
+            "failed": "",
+            "n_jumps": rep.n_jumps,
+            "D_hat": est.D_raw,
+            "gamma_hat": est.theta.gamma,
+            "p_hat": est.p,
+            "v_gamma_sq": est.v_gamma_sq,
+            "W_hat": np.asarray(cov.W_hat),
+            "Z_hat": np.asarray(cov.Z_hat),
+            "W_lo": np.asarray(cov.W_lo),
+            "W_hi": np.asarray(cov.W_hi),
+            "Z_lo": np.asarray(cov.Z_lo),
+            "Z_hi": np.asarray(cov.Z_hi),
+        }
 
 
 def resolve_workers(requested: int, env: str | None = None) -> int:
@@ -123,6 +131,51 @@ def resolve_workers(requested: int, env: str | None = None) -> int:
         except ValueError:
             raise ConfigError(f"SCALE_WORKERS must be an integer, got {env!r}") from None
     return max(1, min(requested, len(os.sched_getaffinity(0))))
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and scipy load.
+
+    The wheels ship them as ``<pkg>.libs/lib*openblas*.so*``, with the symbols
+    prefixed ``scipy_`` and suffixed ``64_`` in the ILP64 build.  Loading a
+    path numpy or scipy has already loaded returns that same library.
+    """
+    found = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("lib*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get = getattr(lib, stem.format("get"), None)
+                set_ = getattr(lib, stem.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    found.append((get, set_))
+                    break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS of numpy and scipy on one thread.
+
+    Every matrix the pipeline hands to BLAS/LAPACK is at most (2K+4) x #jumps;
+    at those sizes the other threads, which wake and spin around every call,
+    cost more than they save.  The previous counts are restored on exit;
+    without an OpenBLAS this does nothing.
+    """
+    libs = _openblas_threads()
+    before = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(libs, before):
+            set_(n)
 
 
 @dataclass

@@ -19,7 +19,9 @@ from qscale.levy import (
 )
 from qscale.oracles import nu_functional_exact
 from qscale.series import ScaleApprox, build_B, coeffs_true, h_functionals_at, scale_approx
-from qscale.simulate import JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate
+from qscale.simulate import (
+    JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate, simulate_window,
+)
 from qscale.estimators import (
     PipelineEstimates,
     build_report,
@@ -29,8 +31,7 @@ from qscale.estimators import (
     estimate_D,
     estimate_coeffs,
     estimate_gamma,
-    _htilde,
-    _stacked,
+    realized_D,
     report_from_true_model,
 )
 
@@ -44,14 +45,20 @@ def nu_hat(obs: ObservationSet, H):
     return vals.sum(axis=-1) / obs.scheme.T
 
 
+def htilde(c, theta, params, z, psi_prime):
+    """The influence kernels (H^f, H^F, H_p, H_gamma) stacked row by row, (2K+4, nz)."""
+    H_p, H_f, H_F = h_functionals_at(c, theta.D, theta.gamma, params, z)[0]
+    H_gamma = -np.expm1(-theta.gamma * z) / psi_prime
+    return np.vstack([H_f, H_F, H_p, H_gamma])
+
+
 def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarray:
     """Sigma_K at the true parameters: nu of the outer products of Htilde, by quadrature."""
     theta = model.theta0()
     psi_prime = laplace_exponent_deriv(model, theta.gamma)
 
     def outer(z):
-        H = _stacked(*h_functionals_at(model.c, theta.D, theta.gamma, params, z)[0])
-        h = _htilde(H, theta.gamma, z, psi_prime)
+        h = htilde(model.c, theta, params, z, psi_prime)
         return h[:, None, :] * h[None, :, :]
 
     return nu_functional_exact(model, outer, rtol=1e-9)
@@ -493,11 +500,31 @@ class TestCovarianceMachinery:
 
         # the same blocks from a sweep of their own
         th, z, T = est.theta, obs.jump_sizes, obs.scheme.T
-        vals, d_gamma = orig(model.c, th.D, th.gamma, params20, z)
         psi_prime = model.c + 2 * th.D * th.gamma - np.sum(z * np.exp(-th.gamma * z)) / T
-        Htilde = _htilde(_stacked(*vals), th.gamma, z, psi_prime)
+        Htilde = htilde(model.c, th, params20, z, psi_prime)
         assert np.array_equal(est.Sigma, Htilde @ Htilde.T / T)
-        assert np.array_equal(est.Gamma[:-1, -1], _stacked(*d_gamma).sum(axis=1) / T)
+        d_p, d_f, d_F = orig(model.c, th.D, th.gamma, params20, z)[1]
+        assert np.array_equal(est.Gamma[:-1, -1], np.vstack([d_f, d_F, d_p]).sum(axis=1) / T)
+
+    def test_blocks_equal_separate_stacks_at_T1600(self, exp_jump_model):
+        # the one in-place kernel stack gives the same bits as stacking the
+        # kernel values, the gamma row and the gamma-derivatives separately
+        params = LaguerreParams(1.0, 40)
+        sample, sum_sq = simulate_window(exp_jump_model, make_scheme(1600.0), 3, 1600.0)
+        D_hat = realized_D(sample, sum_sq, 1600.0)
+        gamma_hat = estimate_gamma(sample, exp_jump_model.q, D_hat, exp_jump_model.c)
+        est = estimate_coeffs(sample, exp_jump_model.c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+        th, z, T = est.theta, sample.jump_sizes, sample.scheme.T
+        assert len(z) > 1000
+        psi_prime = empirical_psi_deriv(sample, exp_jump_model.c, th.D, th.gamma)
+        Htilde = htilde(exp_jump_model.c, th, params, z, psi_prime)
+        nu = Htilde[:-1].sum(axis=1) / T
+        assert np.array_equal(np.concatenate([est.coeffs.a_f, est.coeffs.a_F, [est.p]]), nu)
+        assert np.array_equal(est.Sigma, Htilde @ Htilde.T / T)
+        d_p, d_f, d_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params, z)[1]
+        Gamma = np.eye(len(Htilde))
+        Gamma[:-1, -1] = np.vstack([d_f, d_F, d_p]).sum(axis=1) / T
+        assert np.array_equal(est.Gamma, Gamma)
 
     def test_gamma_column_matches_fd_of_kernels(self, exp_jump_model, params20):
         # the analytic column nu_hat(dH/dgamma) against a central difference

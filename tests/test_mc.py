@@ -1,18 +1,24 @@
-"""Monte Carlo helpers: summary statistics, truth curves, worker count."""
+"""Monte Carlo helpers: summary statistics, truth curves, worker count, BLAS threads."""
 
 from __future__ import annotations
 
+import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qscale.cli as cli_mod
 import qscale.mc as mc_mod
 import qscale.series as series_mod
 import qscale.simulate as simulate_mod
-from qscale.exceptions import ConfigError, DomainError
+from qscale.exceptions import ConfigError, DomainError, NumericalError
 from qscale.laguerre import LaguerreParams
-from qscale.mc import _ad_critical_1pct, resolve_workers, run_monte_carlo, true_values
+from qscale.mc import (
+    _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo, true_values,
+)
 from qscale.simulate import make_scheme, simulate_window
 
 
@@ -108,3 +114,106 @@ class TestResolveWorkers:
     def test_non_integer_env_is_config_error(self):
         with pytest.raises(ConfigError):
             resolve_workers(1, "many")
+
+
+def _blas_counts() -> list[int]:
+    return [get() for get, _ in mc_mod._openblas_threads()]
+
+
+class TestOneBlasThread:
+    """Replications and commands run on one OpenBLAS thread; the caller's count comes back."""
+
+    @pytest.fixture
+    def two_threads(self):
+        # an outer count other than 1, whatever the machine's default
+        libs = mc_mod._openblas_threads()
+        before = _blas_counts()
+        for _, set_ in libs:
+            set_(2)
+        yield [2] * len(libs)
+        for (_, set_), n in zip(libs, before):
+            set_(n)
+
+    @pytest.fixture
+    def recording_report(self, monkeypatch):
+        # the failure message carries the counts read inside the replication
+        # back to this process, from a pool worker too
+        def recording(*args, **kwargs):
+            raise NumericalError(json.dumps({"pid": os.getpid(), "threads": _blas_counts()}))
+
+        monkeypatch.setattr(mc_mod, "build_report", recording)
+
+    def test_lookup_finds_every_shipped_openblas(self):
+        import numpy
+        import scipy
+
+        shipped = [
+            path
+            for pkg in (numpy, scipy)
+            for path in (Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs").glob(
+                "lib*openblas*.so*"
+            )
+        ]
+        if not shipped:
+            pytest.skip("numpy and scipy ship no OpenBLAS here")
+        assert len(mc_mod._openblas_threads()) == len(shipped)
+
+    def test_replication_in_process(self, exp_jump_model, params20, two_threads, recording_report):
+        row = mc_mod.run_replication(
+            exp_jump_model, make_scheme(20.0), params20, 1, [1.0], D_window=20.0
+        )
+        assert json.loads(row["failed"])["threads"] == [1] * len(two_threads)
+        assert _blas_counts() == two_threads
+
+    def test_replication_in_pool_worker(
+        self, exp_jump_model, params20, two_threads, recording_report
+    ):
+        res = run_monte_carlo(
+            exp_jump_model, make_scheme(20.0), params20, 4, [1.0], workers=2, D_window=20.0
+        )
+        seen = [json.loads(row["failed"]) for row in res.rows]
+        assert len(seen) == 4
+        assert all(rec["pid"] != os.getpid() for rec in seen)
+        assert all(rec["threads"] == [1] * len(two_threads) for rec in seen)
+        assert _blas_counts() == two_threads
+
+    def test_restored_when_the_replication_raises(
+        self, exp_jump_model, params20, two_threads, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            assert _blas_counts() == [1] * len(two_threads)
+            raise ValueError("broken report")
+
+        monkeypatch.setattr(mc_mod, "build_report", broken)
+        with pytest.raises(ValueError, match="broken report"):
+            mc_mod.run_replication(
+                exp_jump_model, make_scheme(20.0), params20, 1, [1.0], D_window=20.0
+            )
+        assert _blas_counts() == two_threads
+
+    def test_nested_use_restores_outer_count(self, two_threads):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert _blas_counts() == [1] * len(two_threads)
+            assert _blas_counts() == [1] * len(two_threads)
+        assert _blas_counts() == two_threads
+
+    def test_no_openblas_is_a_no_op(self, two_threads, monkeypatch):
+        libs = mc_mod._openblas_threads()
+        monkeypatch.setattr(mc_mod, "_openblas_threads", lambda: ())
+        with one_blas_thread():
+            assert [get() for get, _ in libs] == two_threads
+        assert [get() for get, _ in libs] == two_threads
+
+    def test_cli_command_runs_on_one_thread(self, two_threads, monkeypatch):
+        seen = []
+
+        def recording(cfg, args):
+            seen.append(_blas_counts())
+            return cli_mod.EXIT_OK
+
+        monkeypatch.setattr(cli_mod, "load_config", lambda path: None)
+        monkeypatch.setattr(cli_mod, "cmd_compute", recording)
+        assert cli_mod.main(["compute", "--config", "cfg.json"]) == cli_mod.EXIT_OK
+        assert seen == [[1] * len(two_threads)]
+        assert _blas_counts() == two_threads
