@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import comb, factorial
 
+from qscale import laguerre as laguerre_mod
 from qscale.laguerre import (
     LaguerreParams,
     _laguerre_rows,
@@ -181,8 +183,33 @@ def _psi_panel_reference(p: LaguerreParams, x: np.ndarray, b: float) -> np.ndarr
     return out
 
 
+def _exp_sample() -> np.ndarray:
+    """1,560 Exp(1) jump sizes, about the jumps of one T = 1600 replication."""
+    return np.random.default_rng(20).exponential(1.0, 1560)
+
+
+def _top_order_reference(K: int, alpha: float, b: float, x: float) -> float:
+    """J_K(x; b) = int_0^x e^{b(x-z)} L_K(2 alpha z) e^{-alpha z} dz to 40 digits.
+
+    L_K(2 alpha z) = sum_j C(K, j) (-2 alpha z)^j / j!, and with s = alpha + b
+    int_0^x z^j e^{-s z} dz = gamma(j+1, s x) / s^(j+1), the lower incomplete
+    gamma function, taken in its Kummer form x^(j+1) M(j+1, j+2, -s x) / (j+1)
+    so that any sign of s works.  The alternating sum cancels by up to 1e18
+    at K = 65 on the Exp(1) sample, so it runs at 60 digits.
+    """
+    with mpmath.workdps(60):
+        x, a = mpmath.mpf(x), mpmath.mpf(alpha)
+        s = a + mpmath.mpf(b)
+        terms = (
+            mpmath.binomial(K, j) * (-2 * a) ** j / mpmath.factorial(j)
+            * x ** (j + 1) / (j + 1) * mpmath.hyp1f1(j + 1, j + 2, -s * x)
+            for j in range(K + 1)
+        )
+        return float(mpmath.exp(mpmath.mpf(b) * x) * mpmath.fsum(terms))
+
+
 class TestBackwardSweep:
-    """The b < 0 sweep: its Gauss-Legendre seed sized to each x's offset window."""
+    """The b < 0 sweep: one seed carried across the sorted x, one panel at a time."""
 
     @pytest.mark.parametrize("b", [-1e10, -1e100, -1e300])
     def test_huge_decay_rate(self, b):
@@ -225,6 +252,66 @@ class TestBackwardSweep:
                 tracemalloc.stop()
             sizes.append(out.nbytes)
         assert peaks[1] - peaks[0] < sizes[1], (peaks, sizes)
+
+    @pytest.mark.parametrize("K,b", [(21, -0.143), (21, -3.143), (65, -0.143)])
+    def test_top_order_against_mpmath(self, K, b):
+        # the top order is the seed itself: every panel of the sample feeds it
+        p, x = LaguerreParams(1.0, K), _exp_sample()
+        got = psi_integral_all(p, x, b)[K] / p.sq2a
+        at = np.argsort(x)[np.linspace(0, len(x) - 1, 14).astype(int)]
+        want = np.array([_top_order_reference(K, 1.0, b, xi) for xi in x[at]])
+        assert np.max(np.abs(got[at] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_shuffled_x_give_the_same_bits(self):
+        p = LaguerreParams(1.0, 21)
+        x = np.concatenate([_exp_sample()[:300], [0.0, 0.0, 2.5, 2.5], _exp_sample()[:40]])
+        perm = np.random.default_rng(7).permutation(len(x))
+        want = psi_integral_all(p, x, -0.143)
+        got = np.empty_like(want)
+        got[:, perm] = psi_integral_all(p, x[perm], -0.143)
+        assert np.array_equal(got, want)
+
+    def test_non_finite_x_leave_the_other_columns_alone(self):
+        p, x = LaguerreParams(1.0, 21), _exp_sample()[:300]
+        want = psi_integral_all(p, x, -0.143)
+        # NaN and +inf sort last, so the finite x keep their bits
+        with np.errstate(invalid="ignore"):
+            got = psi_integral_all(p, np.insert(x, [100, 200], [np.nan, np.inf]), -0.143)
+        assert np.all(np.isnan(got[:, [100, 201]]))
+        assert np.array_equal(np.delete(got, [100, 201], axis=1), want)
+        # -inf sorts first and shifts the scan's rounding by one place
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = psi_integral_all(p, np.insert(x, 100, -np.inf), -0.143)
+        got = np.delete(got, 100, axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b", [-0.143, -1e300])
+    def test_empty_and_zero_x(self, b):
+        p = LaguerreParams(1.0, 21)
+        assert psi_integral_all(p, np.empty(0), b).shape == (22, 0)
+        assert np.array_equal(psi_integral_all(p, 0.0, b), np.zeros(22))
+        assert np.array_equal(psi_integral_all(p, np.zeros(3), b), np.zeros((22, 3)))
+
+    def test_many_chunks_agree_with_one(self, monkeypatch):
+        p, x = LaguerreParams(1.0, 21), _exp_sample()
+        want = psi_integral_all(p, x, -0.143)
+        # about five x a chunk: the seed crosses some 300 chunk boundaries
+        monkeypatch.setattr(laguerre_mod, "_CHUNK_PAIRS", 150)
+        got = psi_integral_all(p, x, -0.143)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_recurrence_runs_over_few_points(self, monkeypatch):
+        # a seed of its own per x ran the recurrence over 41,240 points here
+        points = []
+        rows = laguerre_mod._laguerre_rows
+
+        def counted(kmax, t, m0):
+            points.append(np.size(t))
+            return rows(kmax, t, m0)
+
+        monkeypatch.setattr(laguerre_mod, "_laguerre_rows", counted)
+        psi_integral_all(LaguerreParams(1.0, 21), _exp_sample(), -0.143)
+        assert sum(points) <= 16_000, points
 
 
 class TestProjection:

@@ -164,6 +164,14 @@ class TestHFunctionals:
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
         assert H_F[k, 0] == pytest.approx(hF, abs=1e-9)
 
+    def test_continuous_across_gamma_zero(self):
+        # gamma = 0 runs the forward Psi sweep, gamma = 1e-16 the backward one;
+        # a seed of its own per z left 9.4e-14 of sup between them here
+        p, z = LaguerreParams(0.25, 64), np.geomspace(0.1, 120.0, 400)
+        at_zero = h_functionals_at(1.5, 0.3, 0.0, p, z)[0][2]
+        above = h_functionals_at(1.5, 0.3, 1e-16, p, z)[0][2]
+        assert np.max(np.abs(above - at_zero)) <= 2e-14 * np.max(np.abs(at_zero))
+
 
 def _fd_gamma(c, D, gamma, params, z, h=1e-6):
     up = h_functionals_at(c, D, gamma + h, params, z)[0]
