@@ -5,16 +5,17 @@ Every coefficient-level quantity is a threshold functional
 ``nu_hat(H) = (1/T) sum_{recorded jumps} H(size)``; the CLT covariance of the
 stacked estimator (a^f, a^F, p, gamma) is Gamma Sigma Gamma^T with
 ``sigma_ij = nu(Htilde_i Htilde_j)`` and Gamma the identity bordered by the
-column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  After
-``estimate_D`` and ``estimate_gamma``, ``estimate_coeffs`` reads the jump
-sizes once: one sweep of the kernels H and their analytic gamma-derivative
-gives the coefficients, Sigma_hat and Gamma_hat, which travel on
-``PipelineEstimates``.  Nothing downstream reads the sample: pointwise
-variances for W_hat and Z_hat contract that matrix with the gradient rows
-C_K(x), q C*_K(x), and confidence bounds are value +/- z * sqrt(var / T):
-pointwise intervals in x at the fixed asymptotic level ``LEVEL``.
-The oracle report runs the same machinery on population estimates (zero
-Sigma, identity Gamma).
+column ``nu(d/dgamma H)`` (plugged in with estimates throughout).  Each
+kernel is a fixed linear image Htilde = L Y of the K+2 rows
+Y = [Psi_{0..K}(z; -gamma); (1 - e^{-gamma z}) / gamma].  So
+``estimate_coeffs`` reads the jump sizes once, in one Psi sweep: the sums
+of Y give the coefficients and Gamma_hat's column, and the thin QR Y^T = Q R
+gives Sigma_hat = F F^T with F = L R^T / sqrt(T), of rank <= K+2.  Nothing
+downstream reads the sample: the pointwise variances of W_hat and Z_hat
+are squared norms of the gradient rows C_K(x), q C*_K(x) times Gamma_hat F,
+and the bounds are value +/- z * sqrt(var / T) at the asymptotic level
+``LEVEL``.  The oracle report runs the same machinery on population
+estimates (an empty factor and identity Gamma).
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
-from scipy.linalg import solve_triangular
+from scipy import linalg, optimize, special
 
 from .exceptions import DegenerateEstimateError, DomainError
-from .laguerre import LaguerreParams
+from .laguerre import LaguerreParams, psi_db_from, psi_integral_all
 from .levy import LevyModel, ThetaParams, quadratic_bracket
 from .series import (
     CoefficientSet,
@@ -35,6 +35,7 @@ from .series import (
     build_Af,
     build_B,
     coeffs_true,
+    gamma_window,
     h_functionals_at,
     solve_aG,
 )
@@ -130,23 +131,29 @@ def _psi_gap(r, obs, c, D, q):
 @dataclass(frozen=True)
 class PipelineEstimates:
     """theta_hat = (max(D_hat, 0), gamma_hat), the plug-in coefficient set,
-    and the covariance inputs Sigma_hat, Gamma_hat over the horizon T."""
+    and the covariance inputs over the horizon T: Gamma_hat and the factor F
+    of Sigma_hat = F F^T."""
 
     D_raw: float
     coeffs: CoefficientSet
-    Sigma: np.ndarray       # (2K+4, 2K+4), nu_hat of Htilde outer products
+    F: np.ndarray           # (2K+4, r), r <= K+2: L R^T / sqrt(T)
     Gamma: np.ndarray       # (2K+4, 2K+4), identity bordered by nu_hat(dH/dgamma)
     T: float
 
     @staticmethod
     def population(coeffs: CoefficientSet) -> "PipelineEstimates":
-        """The true parameters as estimates: no sampling error, so Sigma is
-        zero and Gamma the identity (an infinite horizon)."""
+        """The true parameters as estimates: no sampling error, so the factor
+        is empty (Sigma zero) and Gamma the identity (an infinite horizon)."""
         dim = 2 * coeffs.params.K + 4
         return PipelineEstimates(
             D_raw=coeffs.theta.D, coeffs=coeffs,
-            Sigma=np.zeros((dim, dim)), Gamma=np.eye(dim), T=math.inf,
+            F=np.zeros((dim, 0)), Gamma=np.eye(dim), T=math.inf,
         )
+
+    @property
+    def Sigma(self) -> np.ndarray:
+        """(2K+4, 2K+4) Sigma_hat, nu_hat of the Htilde outer products."""
+        return self.F @ self.F.T
 
     @property
     def theta(self) -> ThetaParams:
@@ -170,41 +177,46 @@ def estimate_coeffs(
     D_hat: float,
     gamma_hat: float,
 ) -> PipelineEstimates:
-    """(p_hat, a^f_hat, a^F_hat, a^G_hat), Sigma_hat and Gamma_hat from one sample.
+    """(p_hat, a^f_hat, a^F_hat, a^G_hat), Gamma_hat and Sigma_hat's factor from one sample.
 
-    One sweep of the closed-form kernels and their gamma-derivative over the
-    recorded jump sizes gives every average; a^G_hat then solves the
-    triangular system built from a^f_hat.  Raises DegenerateEstimateError
-    when p_hat >= 1 (every downstream formula divides by 1 - p) and
-    IllConditionedError when the triangular system degenerates.
+    One order-(K+1) Psi sweep over the recorded jump sizes gives Y; all else
+    works on (K+2)-vectors and (K+2)-column matrices.  Raises
+    DegenerateEstimateError when p_hat >= 1 (every downstream formula
+    divides by 1 - p) and IllConditionedError when the triangular system
+    for a^G_hat degenerates.
     """
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
-    n = params.K + 1
+    D, gamma, n = theta.D, theta.gamma, params.K + 1
     z, T = obs.jump_sizes, obs.scheme.T
-    (H_p, H_f, H_F), (d_p, d_f, d_F) = h_functionals_at(c, theta.D, theta.gamma, params, z)
-    # influence kernels Htilde = (H^f, H^F, H_p, H_gamma), shape (2K+4, nz),
-    # filled in place; the kernel stack H is its first 2K+3 rows
-    Htilde = np.empty((2 * n + 2, len(z)))
-    Htilde[:n], Htilde[n : 2 * n], Htilde[2 * n] = H_f, H_F, H_p
-    nu = Htilde[:-1].sum(axis=1) / T
+    # Y = [Psi_{0..K}; kg] in the sweep's buffer: only the summed d/db
+    # identity reads its top row Psi_{K+1}
+    Y = psi_integral_all(params, z, -gamma, kmax=n)
+    kg, d_kg = gamma_window(gamma, z)
+    sums = Y.sum(axis=1)
+    d_psi = -psi_db_from(sums, Y[:-1] @ z, params.alpha)  # sum_z d/dgamma Psi_{0..K}
+    Y[-1], sums[-1] = kg, kg.sum()
+    # L: the kernel map on the identity, then H_gamma = gamma kg / psi'(gamma),
+    # from expanding psi_hat(gamma_hat) = q around gamma_0 (its sign matters
+    # only for the cross-covariances)
+    eye = np.eye(n + 1)
+    H_p, H_f, H_F = h_functionals_at(c, D, gamma, params, eye[:-1], eye[-1])
+    L = np.vstack([H_f, H_F, H_p, gamma / empirical_psi_deriv(obs, c, D, gamma) * eye[-1]])
+    H_sums = L[:-1] @ sums
+    nu = H_sums / T
     a_f, a_F, p_hat = nu[:n], nu[n:-1], float(nu[-1])
     if p_hat >= 1.0:
         raise DegenerateEstimateError("p_hat >= 1", raw_value=p_hat)
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
-
-    # Expanding psi_hat(gamma_hat) = q around gamma_0 gives sqrt(T)(gamma_hat -
-    # gamma_0) = -sqrt(T)(nu_hat - nu)(k_gamma) / psi'(gamma) + o_p(1), k_gamma =
-    # e^{-gamma z} - 1, so H_gamma = -k_gamma / psi' (its sign matters only for
-    # the cross-covariances).
-    psi_prime = empirical_psi_deriv(obs, c, theta.D, theta.gamma)
-    Htilde[-1] = -np.expm1(-theta.gamma * z) / psi_prime
-    Gamma = np.eye(len(Htilde))
-    Gamma[:-1, -1] = np.concatenate([d_f.sum(axis=1), d_F.sum(axis=1), [d_p.sum()]]) / T
-    return PipelineEstimates(
-        D_raw=D_hat, coeffs=coeffs,
-        Sigma=(Htilde @ Htilde.T) / T, Gamma=Gamma, T=T,
+    # the summed gamma-derivatives: the same map on shifted summed sources
+    d_p, d_f, d_F = h_functionals_at(
+        c, D, gamma, params, d_psi - D * H_sums[:n], d_kg.sum() - D * H_sums[-1]
     )
+    Gamma = np.eye(len(L))
+    Gamma[:-1, -1] = np.concatenate([d_f, d_F, [d_p]]) / T
+    # Y Y^T = R^T R; Y^T is Fortran-ordered, so the QR overwrites Y in place
+    (_, _), R = linalg.qr(Y.T, mode="raw", overwrite_a=True, check_finite=False)
+    return PipelineEstimates(D_raw=D_hat, coeffs=coeffs, F=L @ R.T / math.sqrt(T), Gamma=Gamma, T=T)
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,6 @@ class CovarianceReport:
     W_hi: np.ndarray
     Z_lo: np.ndarray
     Z_hi: np.ndarray
-    psd_ok: bool
-    min_eig: float
 
 
 def covariance_machinery(
@@ -234,51 +244,38 @@ def covariance_machinery(
 ) -> CovarianceReport:
     """B_hat and pointwise variances / CIs for (W, Z) from the estimates alone.
 
-    Gradients of P, Q, P*, Q* in (p, gamma) are analytic; Sigma_hat and
-    Gamma_hat come with ``est``.
+    Gradients of P, Q, P*, Q* in (p, gamma) are analytic; Gamma_hat and the
+    factor F of Sigma_hat come with ``est``.  With v = rows Gamma_hat F the
+    joint covariance is v v^T, so its diagonal is a sum of squares.
     """
-    coeffs = est.coeffs
+    coeffs, GF, T = est.coeffs, est.Gamma @ est.F, est.T
     params = coeffs.params
     K = params.K
-    dim = 2 * K + 4
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    Sigma, Gamma, T = est.Sigma, est.Gamma, est.T
-
-    eigs = np.linalg.eigvalsh(Sigma)
-    min_eig = float(eigs[0])
-    psd_ok = min_eig >= -1e-10 * max(1.0, float(np.trace(Sigma)))
 
     B = build_B(coeffs.a_G, params.alpha)
     A = build_Af(coeffs.a_f, params.alpha)
-    AinvB = solve_triangular(A, B, lower=True)  # (K+1, 2K+2)
+    AinvB = linalg.solve_triangular(A, B, lower=True)  # (K+1, 2K+2)
 
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
     k = approx.kernels(x)
     W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
-    # gradient rows C_K (W) and q C*_K (Z), mapped through Gamma
-    rows = np.empty((len(x), 2, dim))
+    # gradient rows C_K (W) and q C*_K (Z), mapped through Gamma F
+    v = np.empty((len(x), 2, GF.shape[1]))
     for r, (P, Q, scale) in enumerate([(k.P, k.Q, 1.0), (k.Pstar, k.Qstar, q)]):
-        C = np.empty((len(x), dim))
+        C = np.empty((len(x), 2 * K + 4))
         C[:, : 2 * K + 2] = Q.value.T @ AinvB
         C[:, 2 * K + 2] = P.d_p - coeffs.a_G @ Q.d_p
         C[:, 2 * K + 3] = P.d_gamma - coeffs.a_G @ Q.d_gamma
-        rows[:, r] = scale * (C @ Gamma)
-    joint = np.einsum("xai,xbi->xab", rows @ Sigma, rows)
+        v[:, r] = scale * (C @ GF)
+    joint = v @ v.transpose(0, 2, 1)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 
     zq = float(special.ndtri(0.5 + LEVEL / 2.0))
-    if psd_ok:
-        hw_W = zq * np.sqrt(np.maximum(sigma_W, 0.0) / T)
-        hw_Z = zq * np.sqrt(np.maximum(sigma_Z, 0.0) / T)
-        W_lo, W_hi = W_hat - hw_W, W_hat + hw_W
-        Z_lo, Z_hi = Z_hat - hw_Z, Z_hat + hw_Z
-    else:  # suppress intervals rather than report nonsense
-        nanarr = np.full_like(W_hat, np.nan)
-        W_lo = W_hi = Z_lo = Z_hi = nanarr
-
+    hw_W, hw_Z = zq * np.sqrt(sigma_W / T), zq * np.sqrt(sigma_Z / T)
     return CovarianceReport(
         B=B, x=x, W_hat=W_hat, Z_hat=Z_hat, sigma_W=sigma_W, sigma_Z=sigma_Z, joint=joint,
-        W_lo=W_lo, W_hi=W_hi, Z_lo=Z_lo, Z_hi=Z_hi, psd_ok=psd_ok, min_eig=min_eig,
+        W_lo=W_hat - hw_W, W_hi=W_hat + hw_W, Z_lo=Z_hat - hw_Z, Z_hi=Z_hat + hw_Z,
     )
 
 
@@ -316,8 +313,6 @@ class EstimationReport:
                 "Sigma": est.Sigma.tolist(),
                 "Gamma": est.Gamma.tolist(),
                 "B": cov.B.tolist(),
-                "psd_ok": cov.psd_ok,
-                "min_eig": cov.min_eig,
             },
             "curves": {
                 "x": cov.x.tolist(),
@@ -363,8 +358,6 @@ def build_report(
     flags = {}
     if D_hat < 0:
         flags["negative_D_hat"] = True
-    if not cov.psd_ok:
-        flags["non_psd_sigma"] = True
     return EstimationReport(
         c=c, q=q, est=est, cov=cov, scheme=obs.scheme.to_dict(), seed=obs.seed,
         n_jumps=len(obs.jump_sizes), flags=flags,

@@ -51,6 +51,7 @@ __all__ = [
     "LaguerreParams",
     "laguerre_fn_all",
     "psi_integral_all",
+    "psi_db_from",
     "psi_integral_and_db_all",
     "psi_integral_db_all",
     "ladder",
@@ -303,19 +304,25 @@ def psi_integral_all(
     return J[:, 0] if x_in.ndim == 0 else J
 
 
-def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one sweep.
+def psi_db_from(psi: np.ndarray, x_psi: np.ndarray, alpha: float) -> np.ndarray:
+    """d/db Psi_{alpha,k}(x; b) for k = 0..K from Psi_{0..K+1} and x Psi_{0..K}.
 
     d/db Psi_k = x Psi_k - int_0^x z e^{b(x-z)} phi_k(z) dz, and the three-term
     identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1} expresses the
     z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1} (one order above K).
+    The map is linear, so sums over x of its two inputs give the sum over x
+    of the derivatives.
     """
-    psi = psi_integral_all(params, x, b, kmax=params.K + 1)
-    x = np.asarray(x, dtype=float)
-    k = np.arange(params.K + 1.0).reshape((-1,) + (1,) * x.ndim)
+    k = np.arange(len(psi) - 1.0).reshape((-1,) + (1,) * (psi.ndim - 1))
     zpsi = (2 * k + 1) * psi[:-1] - (k + 1) * psi[1:]
     zpsi[1:] -= k[1:] * psi[:-2]
-    return psi[:-1], x * psi[:-1] - zpsi / (2.0 * params.alpha)
+    return x_psi - zpsi / (2.0 * alpha)
+
+
+def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one order-(K+1) sweep."""
+    psi = psi_integral_all(params, x, b, kmax=params.K + 1)
+    return psi[:-1], psi_db_from(psi, np.asarray(x, dtype=float) * psi[:-1], params.alpha)
 
 
 def psi_integral_db_all(params: LaguerreParams, x, b: float) -> np.ndarray:

@@ -12,7 +12,8 @@ Three routes that never touch the Laguerre expansion:
 
 A last section holds the quadrature cross-checks of the series path, which
 only tests call: the defective density ``ftilde_q`` by quadrature of the
-tilted jump tail, the kernels H_p, H^f_k, H^F_k by nested quadrature
+tilted jump tail, the kernels H_p, H^f_k, H^F_k per jump with their
+gamma-derivatives (``h_functionals_per_jump``) and by nested quadrature
 (``h_functionals_quadrature``), the population coefficients a^f, a^F by
 cubature of those kernels against nu (``coeffs_quadrature``), grid
 projections onto the Laguerre basis (``project_grid``) and the adaptive
@@ -28,12 +29,12 @@ import numpy as np
 from scipy import integrate, special
 
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
-from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
+from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all
 from .levy import (
     CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, NoJumps,
     ThetaParams, laplace_exponent, lundberg_exponent,
 )
-from .series import h_functionals_at
+from .series import gamma_window, h_functionals_at
 
 __all__ = [
     "TalbotResult",
@@ -43,6 +44,7 @@ __all__ = [
     "compound_geometric_series",
     "closed_form_W",
     "ftilde_q",
+    "h_functionals_per_jump",
     "h_functionals_quadrature",
     "coeffs_quadrature",
     "ProjectionResult",
@@ -303,6 +305,20 @@ def ftilde_q(model: LevyModel, theta: ThetaParams, x):
     return float(out[0]) if x_in.ndim == 0 else out
 
 
+def h_functionals_per_jump(c: float, D: float, gamma: float, params: LaguerreParams, z):
+    """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma) per jump size, and their gamma-derivatives.
+
+    Returns the pair (values, d/dgamma values) of such triples, shapes
+    ((nz,), (K+1, nz), (K+1, nz)): ``series.h_functionals_at`` on per-jump
+    sources, the stack the estimators never form.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    psi, d_psi = psi_integral_and_db_all(params, z, -gamma)
+    kg, d_kg = gamma_window(gamma, z)
+    H_p, H_f, H_F = h_functionals_at(c, D, gamma, params, psi, kg)
+    return (H_p, H_f, H_F), h_functionals_at(c, D, gamma, params, -d_psi - D * H_f, d_kg - D * H_p)
+
+
 def h_functionals_quadrature(
     c: float, theta: ThetaParams, params: LaguerreParams, z: float, k: int
 ) -> tuple[float, float, float]:
@@ -346,7 +362,7 @@ def coeffs_quadrature(model: LevyModel, params: LaguerreParams) -> tuple[np.ndar
 
     def integrand(zz):
         z = zz[:, 0]
-        _, H_f, H_F = h_functionals_at(model.c, theta.D, theta.gamma, params, z)[0]
+        _, H_f, H_F = h_functionals_per_jump(model.c, theta.D, theta.gamma, params, z)[0]
         rho = np.zeros_like(z)
         rho[z > 0] = jumps.density(z[z > 0])
         return (np.concatenate([H_f, H_F]) * rho).T

@@ -11,17 +11,18 @@ Laguerre coefficients ``a^G`` satisfy a lower-triangular Toeplitz system
 
 use closed-form kernels built from the convolution integrals Psi_{alpha,k}.
 All four share one form, so a single evaluator (``kernels``) returns them with
-their analytic (p, gamma) gradients; ``eval_*`` / ``grad_*`` project from it.
+their analytic (p, gamma) gradients.  Its ``eval_*`` / ``grad_*`` projections
+stay only as benchmark trace-probe bindings (``PROBE_ONLY``); no code reads them.
 The starred kernels are the exact antiderivatives of the unstarred ones, so
 Z_K = 1 + q * int_0^x W_K holds identically.
 
-Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k,
-which the estimators average over the recorded jumps (through
-``laguerre.ladder``, the first-order recurrence in k that also gives Psi).
-The population a^f, a^F are Taylor coefficients of closed transforms
-(``coeffs_true``).  The quadrature cross-checks of this production path
-(``ftilde_q``, ``h_functionals_quadrature``, ``coeffs_quadrature``) live in
-``oracles``.
+Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k:
+one linear map (``h_functionals_at``) of the K+2 sources Psi_{0..K}(z; -gamma)
+and (1 - e^{-gamma z}) / gamma, as are their gamma-derivatives.  The
+population a^f, a^F are Taylor coefficients of closed transforms
+(``coeffs_true``).  The per-jump kernels (``h_functionals_per_jump``) and the
+quadrature cross-checks of this production path (``ftilde_q``,
+``h_functionals_quadrature``, ``coeffs_quadrature``) live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "CoefficientSet",
     "ScaleApprox",
     "p_value",
+    "gamma_window",
     "h_functionals_at",
     "coeffs_true",
     "scale_approx",
@@ -126,52 +128,33 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
     return x * x * g
 
 
-def _gamma_window_d(gamma: float, z: np.ndarray) -> np.ndarray:
-    """d/dgamma of the window (1 - e^{-gamma z})/gamma = _expm1_ratio(-gamma, z)."""
-    return -_expm1_ratio_db(-gamma, z)
+def gamma_window(gamma: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """The window kg(z) = (1 - e^{-gamma z}) / gamma (z at gamma = 0) and its gamma-derivative."""
+    return _expm1_ratio(-gamma, z), -_expm1_ratio_db(-gamma, z)
 
 
-def h_functionals_at(c: float, D: float, gamma: float, params: LaguerreParams, z):
-    """(H_p, H^f_{0..K}, H^F_{0..K})(z; D, gamma) and their gamma-derivatives.
+def h_functionals_at(c: float, D: float, gamma: float, params: LaguerreParams, psi, kg):
+    """(H_p, H^f_{0..K}, H^F_{0..K}): a linear map of the sources psi and kg.
 
-    Returns the pair (values, d/dgamma values) of such triples, shapes
-    ((nz,), (K+1, nz), (K+1, nz)).  All inner x-integrals are closed forms.
+    psi = Psi_{0..K}(z; -gamma) has shape (K+1, *s) and kg = (1 - e^{-gamma
+    z}) / gamma shape s, for any s: one column per jump, sums over jumps, or
+    the identity, which gives the map's matrix.  H_p = kg / (beta D).
     H^f_k = V_k / D, where V_k = int_0^z e^{-gamma (z-y)} Utilde_k(y) dy solves
-    the ladder (alpha + beta) V_k + (alpha - beta) V_{k-1} = diff(Psi)_k driven
-    by Psi_k(z; -gamma).  Scaled by D, with beta D = c + gamma D and
-    (alpha + beta) D = beta D + alpha D, it yields V / D directly, contracts
+    the ladder (alpha + beta) V_k + (alpha - beta) V_{k-1} = diff(Psi)_k.
+    Scaled by D, with beta D = c + gamma D, it yields V / D directly, contracts
     by |alpha - beta| / (alpha + beta) <= 1 and reduces at D = 0 to the
     bounded-variation kernels (H^f = Psi / c), so no D = 0 branch is needed.
-
-    Both come from one order-(K+1) Psi sweep: the ladders are linear, so their
-    gamma-derivatives run the same ladders on d/dgamma Psi = -d/db Psi at
-    b = -gamma, plus the terms from d (beta D) / d gamma = D.
+    H^F is a per-order multiple of kg less a second ladder on H^f.  As beta D
+    and (alpha + beta) D move by D per unit gamma, the gamma-derivatives are
+    the map on shifted sources, h(d/dgamma Psi - D H^f, d/dgamma kg - D H_p).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     K, alpha = params.K, params.alpha
-    sign_sq2a = params.sq2a * np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)[:, None]
-    kg = _expm1_ratio(-gamma, z)  # (1 - e^{-gamma z}) / gamma
-    psi, d_psi = psi_integral_and_db_all(params, z, -gamma)  # (K+1, nz) each
-    d_psi = -d_psi
-    d_kg = _gamma_window_d(gamma, z)
-
+    sign_sq2a = (params.sq2a * (-1.0) ** np.arange(K + 1)).reshape((-1,) + (1,) * np.ndim(kg))
     bD = c + gamma * D  # beta D
     sD = bD + alpha * D  # (alpha + beta) D
-
-    def v_over_d(u):
-        return ladder(u[0] / sD, np.diff(u, axis=0), sD, alpha * D - bD)
-
-    def s_ladder(u):
-        return ladder(u[0] / alpha, np.diff(u, axis=0) / alpha, 1.0, 1.0)
-
-    H_p = kg / bD
-    H_f = v_over_d(psi)
-    vals = (H_p, H_f, sign_sq2a * kg / (alpha * bD) - s_ladder(H_f))
-    # sD and the off-diagonal move by D and -D per unit gamma: the V-ladder's
-    # source diff(psi) becomes diff(d_psi - D H_f)
-    d_H_f = v_over_d(d_psi - D * H_f)
-    d_kgb = d_kg - D * H_p  # beta D * d/dgamma (kg / beta D)
-    return vals, (d_kgb / bD, d_H_f, sign_sq2a * d_kgb / (alpha * bD) - s_ladder(d_H_f))
+    H_f = ladder(psi[0] / sD, np.diff(psi, axis=0), sD, alpha * D - bD)
+    S_f = ladder(H_f[0] / alpha, np.diff(H_f, axis=0) / alpha, 1.0, 1.0)
+    return kg / bD, H_f, sign_sq2a * kg / (alpha * bD) - S_f
 
 
 # ---------------------------------------------------------------------------

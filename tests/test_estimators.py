@@ -17,8 +17,8 @@ from qscale.levy import (
     laplace_exponent_deriv,
     lundberg_exponent,
 )
-from qscale.oracles import nu_functional_exact
-from qscale.series import ScaleApprox, build_B, coeffs_true, h_functionals_at, scale_approx
+from qscale.oracles import h_functionals_per_jump, nu_functional_exact
+from qscale.series import ScaleApprox, build_B, coeffs_true, scale_approx
 from qscale.simulate import (
     JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate, simulate_window,
 )
@@ -47,7 +47,7 @@ def nu_hat(obs: ObservationSet, H):
 
 def htilde(c, theta, params, z, psi_prime):
     """The influence kernels (H^f, H^F, H_p, H_gamma) stacked row by row, (2K+4, nz)."""
-    H_p, H_f, H_F = h_functionals_at(c, theta.D, theta.gamma, params, z)[0]
+    H_p, H_f, H_F = h_functionals_per_jump(c, theta.D, theta.gamma, params, z)[0]
     H_gamma = -np.expm1(-theta.gamma * z) / psi_prime
     return np.vstack([H_f, H_F, H_p, H_gamma])
 
@@ -62,6 +62,43 @@ def population_covariance(model: LevyModel, params: LaguerreParams) -> np.ndarra
         return h[:, None, :] * h[None, :, :]
 
     return nu_functional_exact(model, outer, rtol=1e-9)
+
+
+def _assert_factored_matches_stack(est: PipelineEstimates, sample: JumpSample, c: float):
+    """a^f, a^F, p_hat, Sigma_hat and Gamma_hat's column within 1e-14 of sup
+    of the same blocks from the per-jump kernel stack."""
+    th, params, z, T = est.theta, est.coeffs.params, sample.jump_sizes, sample.scheme.T
+    n = params.K + 1
+    psi_prime = empirical_psi_deriv(sample, c, th.D, th.gamma)
+    Htilde = htilde(c, th, params, z, psi_prime)
+    nu = Htilde[:-1].sum(axis=1) / T
+    d_p, d_f, d_F = h_functionals_per_jump(c, th.D, th.gamma, params, z)[1]
+    pairs = [
+        (est.coeffs.a_f, nu[:n]),
+        (est.coeffs.a_F, nu[n:-1]),
+        (est.p, nu[-1]),
+        (est.Sigma, Htilde @ Htilde.T / T),
+        (est.Gamma[:-1, -1], np.vstack([d_f, d_F, d_p]).sum(axis=1) / T),
+    ]
+    for got, want in pairs:
+        err = np.max(np.abs(got - want), initial=0.0)
+        assert err <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
+@st.composite
+def _jump_samples(draw):
+    """Up to 30 jump sizes in [0.01, 3] over T = 100, and up to 10 repeats of them."""
+    sizes = draw(st.lists(st.floats(0.01, 3.0), max_size=30))
+    if sizes:
+        sizes += draw(st.lists(st.sampled_from(sizes), max_size=10))
+    scheme = SamplingScheme(n=100, delta=1.0, eps=1e-3)
+    return JumpSample(np.linspace(1.0, 99.0, len(sizes)), np.array(sizes, dtype=float), scheme, 0)
+
+
+def _window_sample(model: LevyModel, T: float = 100.0, seed: int = 21):
+    """A replication's jumps on [0, T] and its D_hat over the whole window."""
+    sample, sum_sq = simulate_window(model, make_scheme(T), seed, T)
+    return sample, realized_D(sample, sum_sq, T)
 
 
 def _estimates(obs: ObservationSet, q: float, c: float, params: LaguerreParams):
@@ -201,7 +238,7 @@ class TestEstimateGamma:
         # p_hat = 1 - q / (gamma (c + D gamma)) < 1.  Off the exact root the two
         # differ by gap / (gamma (c + D gamma)); for c < 0 both sides round
         # c + D gamma, to a relative eps (|c| + D gamma) / (c + D gamma)
-        H_p = h_functionals_at(c, D, got, LaguerreParams(alpha=1.0, K=2), z)[0][0]
+        H_p = h_functionals_per_jump(c, D, got, LaguerreParams(alpha=1.0, K=2), z)[0][0]
         slack = got * (c + D * got)
         cond = (abs(c) + D * got) / (c + D * got)
         tol = 1e-12 + abs(gap) / slack + 16.0 * np.finfo(float).eps * cond
@@ -262,7 +299,7 @@ class TestEstimateCoeffs:
         obs = _obs_from_path(grid, 0.01, [0.495], [zstar])
         est = _estimates(obs, 0.1, 1.5, params20)
         th = est.theta
-        H_p, H_f, H_F = h_functionals_at(1.5, th.D, th.gamma, params20, np.array([zstar]))[0]
+        H_p, H_f, H_F = h_functionals_per_jump(1.5, th.D, th.gamma, params20, np.array([zstar]))[0]
         assert est.p == pytest.approx(H_p[0], rel=1e-12)
         assert est.coeffs.a_f == pytest.approx(H_f[:, 0], rel=1e-12)
 
@@ -340,11 +377,25 @@ class TestCovarianceMachinery:
         assert G[d - 1, d - 1] == 1.0
         assert np.all(G[d - 1, : d - 1] == 0.0)
 
-    def test_sigma_psd(self, exp_jump_model, params20):
-        obs = simulate(exp_jump_model, make_scheme(100.0), seed=9)
-        rep = build_report(obs, 0.1, 1.5, params20, x=[1.0], D_hat=estimate_D(obs))
-        assert rep.cov.psd_ok
-        assert rep.cov.min_eig >= -1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sample=_jump_samples(),
+        K=st.sampled_from([0, 4, 20]),
+        D_hat=st.sampled_from([-0.2, 0.0, 0.5]),
+        q=st.sampled_from([0.0, 0.1]),
+    )
+    def test_variances_are_squared_norms(self, sample, K, D_hat, q):
+        # sigma_W, sigma_Z >= +0.0 (no sign bit) and ordered bounds on any
+        # sample, duplicates and fewer than K+2 jumps included; Sigma_hat's
+        # numerical rank (eigenvalues above 1e-12 of the largest) is <= K+2
+        rep = build_report(sample, q, 1.5, LaguerreParams(1.0, K), x=[0.0, 0.5, 3.0], D_hat=D_hat)
+        cov = rep.cov
+        for var in (cov.sigma_W, cov.sigma_Z):
+            assert np.all(var >= 0.0) and not np.any(np.signbit(var))
+        assert np.all(cov.W_lo <= cov.W_hat) and np.all(cov.W_hat <= cov.W_hi)
+        assert np.all(cov.Z_lo <= cov.Z_hat) and np.all(cov.Z_hat <= cov.Z_hi)
+        eigs = np.linalg.eigvalsh(rep.est.Sigma)
+        assert np.sum(eigs > 1e-12 * eigs[-1]) <= K + 2
 
     def test_joint_covariance_diagonal(self, exp_jump_model, params20):
         # the joint 2x2 blocks carry (sigma_K, sigma*_K) on the diagonal
@@ -377,7 +428,7 @@ class TestCovarianceMachinery:
 
         def component(i):
             def H(z):
-                Hp, Hf, HF = h_functionals_at(exp_jump_model.c, theta.D, theta.gamma, params, z)[0]
+                Hp, Hf, HF = h_functionals_per_jump(exp_jump_model.c, theta.D, theta.gamma, params, z)[0]
                 Hg = -np.expm1(-theta.gamma * z) / psi_p  # note: minus k_gamma
                 stack = np.vstack([Hf, HF, Hp[None, :], Hg[None, :]])
                 return stack[i]
@@ -478,53 +529,46 @@ class TestCovarianceMachinery:
     def test_jump_kernels_swept_once_per_replication(
         self, model_name, params20, request, monkeypatch
     ):
-        # estimate_coeffs sweeps the jump sizes once, and Sigma_hat and
-        # Gamma_hat come out of that sweep; covariance_machinery sweeps none
+        # estimate_coeffs runs one Psi sweep over the jump sizes, and the
+        # kernel map only on (K+2)-column sources; covariance_machinery
+        # applies neither
         import qscale.estimators as est_mod
 
         model = request.getfixturevalue(model_name)
         obs = simulate(model, make_scheme(50.0), seed=14)
-        calls = []
-        orig = est_mod.h_functionals_at
+        sweeps, maps = [], []
+        orig_sweep, orig_map = est_mod.psi_integral_all, est_mod.h_functionals_at
 
-        def counting(c, D, gamma, params, z):
-            calls.append(len(np.atleast_1d(z)))
-            return orig(c, D, gamma, params, z)
+        def counting_sweep(params, x, b, kmax=None):
+            sweeps.append(len(np.atleast_1d(x)))
+            return orig_sweep(params, x, b, kmax)
 
-        monkeypatch.setattr(est_mod, "h_functionals_at", counting)
+        def counting_map(c, D, gamma, params, psi, kg):
+            maps.append(np.shape(kg))
+            return orig_map(c, D, gamma, params, psi, kg)
+
+        monkeypatch.setattr(est_mod, "psi_integral_all", counting_sweep)
+        monkeypatch.setattr(est_mod, "h_functionals_at", counting_map)
         est = _estimates(obs, model.q, model.c, params20)
-        assert calls == [len(obs.jump_sizes)]
-        calls.clear()
-        cov = covariance_machinery(est, model.c, model.q, np.array([1.0, 3.0]))
-        assert calls == []
-
-        # the same blocks from a sweep of their own
-        th, z, T = est.theta, obs.jump_sizes, obs.scheme.T
-        psi_prime = model.c + 2 * th.D * th.gamma - np.sum(z * np.exp(-th.gamma * z)) / T
-        Htilde = htilde(model.c, th, params20, z, psi_prime)
-        assert np.array_equal(est.Sigma, Htilde @ Htilde.T / T)
-        d_p, d_f, d_F = orig(model.c, th.D, th.gamma, params20, z)[1]
-        assert np.array_equal(est.Gamma[:-1, -1], np.vstack([d_f, d_F, d_p]).sum(axis=1) / T)
+        assert sweeps == [len(obs.jump_sizes)]
+        assert maps == [(params20.K + 2,), ()]
+        sweeps.clear()
+        maps.clear()
+        covariance_machinery(est, model.c, model.q, np.array([1.0, 3.0]))
+        assert sweeps == [] and maps == []
+        _assert_factored_matches_stack(est, obs, model.c)
 
     def test_blocks_equal_separate_stacks_at_T1600(self, exp_jump_model):
-        # the one in-place kernel stack gives the same bits as stacking the
-        # kernel values, the gamma row and the gamma-derivatives separately
+        # the factored blocks against stacking the per-jump kernel values,
+        # the gamma row and the gamma-derivatives separately
         params = LaguerreParams(1.0, 40)
         sample, sum_sq = simulate_window(exp_jump_model, make_scheme(1600.0), 3, 1600.0)
         D_hat = realized_D(sample, sum_sq, 1600.0)
         gamma_hat = estimate_gamma(sample, exp_jump_model.q, D_hat, exp_jump_model.c)
         est = estimate_coeffs(sample, exp_jump_model.c, params, D_hat=D_hat, gamma_hat=gamma_hat)
-        th, z, T = est.theta, sample.jump_sizes, sample.scheme.T
-        assert len(z) > 1000
-        psi_prime = empirical_psi_deriv(sample, exp_jump_model.c, th.D, th.gamma)
-        Htilde = htilde(exp_jump_model.c, th, params, z, psi_prime)
-        nu = Htilde[:-1].sum(axis=1) / T
-        assert np.array_equal(np.concatenate([est.coeffs.a_f, est.coeffs.a_F, [est.p]]), nu)
-        assert np.array_equal(est.Sigma, Htilde @ Htilde.T / T)
-        d_p, d_f, d_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params, z)[1]
-        Gamma = np.eye(len(Htilde))
-        Gamma[:-1, -1] = np.vstack([d_f, d_F, d_p]).sum(axis=1) / T
-        assert np.array_equal(est.Gamma, Gamma)
+        assert len(sample.jump_sizes) > 1000
+        _assert_factored_matches_stack(est, sample, exp_jump_model.c)
+        assert np.array_equal(est.Gamma[:-1, :-1], np.eye(2 * params.K + 3))
 
     def test_gamma_column_matches_fd_of_kernels(self, exp_jump_model, params20):
         # the analytic column nu_hat(dH/dgamma) against a central difference
@@ -533,7 +577,7 @@ class TestCovarianceMachinery:
         th, h, z = est.theta, 1e-6, obs.jump_sizes
 
         def nu_stack(gamma):
-            Hp, Hf, HF = h_functionals_at(1.5, th.D, gamma, params20, z)[0]
+            Hp, Hf, HF = h_functionals_per_jump(1.5, th.D, gamma, params20, z)[0]
             return np.vstack([Hf, HF, Hp[None, :]]).sum(axis=1) / obs.scheme.T
 
         fd = (nu_stack(th.gamma + h) - nu_stack(th.gamma - h)) / (2 * h)
@@ -558,6 +602,83 @@ class TestCovarianceMachinery:
         assert aG_pert - cs0.a_G == pytest.approx(lin, abs=1e-10)
 
 
+class TestFactoredEstimates:
+    """estimate_coeffs through Y = [Psi_{0..K}; kg] and Sigma_hat's (K+2)-column factor."""
+
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    @pytest.mark.parametrize(
+        "model_name",
+        ["exp_jump_model", "cramer_lundberg_model", "cp_gamma_model", "gamma_sub_model"],
+    )
+    def test_matches_per_jump_stack(self, model_name, K, request):
+        model = request.getfixturevalue(model_name)
+        sample, D_hat = _window_sample(model)
+        gamma_hat = estimate_gamma(sample, model.q, D_hat, model.c)
+        params = LaguerreParams(1.0, K)
+        est = estimate_coeffs(sample, model.c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+        assert est.F.shape == (2 * K + 4, K + 2)
+        _assert_factored_matches_stack(est, sample, model.c)
+
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    @pytest.mark.parametrize("case", ["D_hat=0", "q=0", "no jumps", "3 jumps"])
+    def test_matches_per_jump_stack_at_the_edges(self, exp_jump_model, case, K):
+        model = exp_jump_model
+        if case in ("no jumps", "3 jumps"):
+            sizes = np.array([] if case == "no jumps" else [0.4, 1.3, 1.3])
+            scheme = SamplingScheme(n=100, delta=1.0, eps=1e-3)
+            sample, D_hat = JumpSample(np.linspace(1.0, 3.0, len(sizes)), sizes, scheme, 0), 0.5
+        else:
+            sample, D_hat = _window_sample(model)
+        if case == "D_hat=0":
+            D_hat = 0.0
+        q = 0.0 if case == "q=0" else model.q
+        gamma_hat = estimate_gamma(sample, q, D_hat, model.c)
+        params = LaguerreParams(1.0, K)
+        est = estimate_coeffs(sample, model.c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+        assert est.F.shape == (2 * K + 4, min(len(sample.jump_sizes), K + 2))
+        if q == 0.0:
+            assert gamma_hat == 0.0 and not np.any(est.F[-1])  # H_gamma = 0
+        _assert_factored_matches_stack(est, sample, model.c)
+
+    def test_no_jump_axis_ladder_and_one_row_block(self, exp_jump_model, monkeypatch):
+        # no ladder bound in series runs over the jumps, and once the Psi sweep
+        # returns, estimate_coeffs allocates less than another (K+1) x #jumps
+        # array: Y lives in the sweep's buffer and its QR overwrites it
+        import tracemalloc
+
+        import qscale.estimators as est_mod
+        import qscale.series as series_mod
+
+        params = LaguerreParams(1.0, 40)
+        sample, D_hat = _window_sample(exp_jump_model, T=1600.0)
+        nz = len(sample.jump_sizes)
+        gamma_hat = estimate_gamma(sample, exp_jump_model.q, D_hat, exp_jump_model.c)
+        shapes, held = [], []
+        ladder, sweep = series_mod.ladder, est_mod.psi_integral_all
+
+        def counted(y0, d, diag, off, out=None):
+            shapes.append(np.shape(d))
+            return ladder(y0, d, diag, off, out)
+
+        def sweep_then_reset_peak(params, x, b, kmax=None):
+            out = sweep(params, x, b, kmax)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(series_mod, "ladder", counted)
+        monkeypatch.setattr(est_mod, "psi_integral_all", sweep_then_reset_peak)
+        tracemalloc.start()
+        try:
+            estimate_coeffs(sample, exp_jump_model.c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nz > 1000 and shapes and all(nz not in shape for shape in shapes), shapes
+        assert len(held) == 1
+        assert peak - held[0] < (params.K + 1) * nz * 8, (peak - held[0], nz)
+
+
 class TestOracleModeReport:
     def test_reproduces_series_curves(self, exp_jump_model, params20):
         xs = np.linspace(0, 5, 21)
@@ -577,7 +698,6 @@ class TestOracleModeReport:
         for block in (rep.est.Sigma, cov.joint, cov.sigma_W, cov.sigma_Z):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
         assert np.array_equal(rep.est.Gamma, np.eye(2 * params20.K + 4))
-        assert cov.psd_ok and cov.min_eig == 0.0
         for lo, mid, hi in ((cov.W_lo, cov.W_hat, cov.W_hi), (cov.Z_lo, cov.Z_hat, cov.Z_hi)):
             assert lo.tobytes() == mid.tobytes() == hi.tobytes()
 
@@ -594,6 +714,18 @@ class TestOracleModeReport:
         monkeypatch.setattr(series_mod, "kernels", counting)
         report_from_true_model(exp_jump_model, params20, np.linspace(0, 5, 21))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["estimate", "oracle"])
+    def test_covariance_keys(self, exp_jump_model, params20, oracle):
+        # Sigma_hat = F F^T is PSD by construction, so no PSD check is reported
+        if oracle:
+            rep = report_from_true_model(exp_jump_model, params20, [1.0, 3.0])
+        else:
+            obs = simulate(exp_jump_model, make_scheme(100.0), seed=12)
+            rep = build_report(obs, 0.1, 1.5, params20, x=[1.0, 3.0], D_hat=estimate_D(obs))
+        d = rep.to_json_dict()
+        assert set(d["covariance"]) == {"Sigma", "Gamma", "B"}
+        assert "non_psd_sigma" not in d["flags"]
 
     def test_report_json_round_trips(self, exp_jump_model, params20, tmp_path):
         import json

@@ -32,6 +32,7 @@ from qscale.oracles import (
     coeffs_quadrature,
     compound_geometric_grid,
     ftilde_q,
+    h_functionals_per_jump,
     h_functionals_quadrature,
     laplace_invert_scale,
 )
@@ -39,12 +40,11 @@ from qscale.series import (
     _exp_atoms,
     _expm1_ratio,
     _expm1_ratio_db,
-    _gamma_window_d,
     build_Af,
     coeffs_true,
     eval_P,
     eval_Q_all,
-    h_functionals_at,
+    gamma_window,
     p_value,
     scale_approx,
     solve_aG,
@@ -122,13 +122,13 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         beta = th.beta(exp_jump_model.c)
         z = np.array([0.5, 2.0, 7.0])
-        H_p, _, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
+        H_p, _, _ = h_functionals_per_jump(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
         want = (1 - np.exp(-th.gamma * z)) / (beta * exp_jump_model.D * th.gamma)
         assert H_p == pytest.approx(want, rel=1e-12)
 
     def test_all_zero_at_origin(self, exp_jump_model, params20):
         th = exp_jump_model.theta0()
-        H_p, H_f, H_F = h_functionals_at(
+        H_p, H_f, H_F = h_functionals_per_jump(
             exp_jump_model.c, th.D, th.gamma, params20, np.array([0.0])
         )[0]
         assert H_p == pytest.approx([0.0], abs=1e-14)
@@ -138,7 +138,7 @@ class TestHFunctionals:
         th = exp_jump_model.theta0()
         rng = np.random.default_rng(3)
         z = rng.uniform(0.01, 10.0, size=40)
-        H_p, H_f, _ = h_functionals_at(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
+        H_p, H_f, _ = h_functionals_per_jump(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
         bound = np.sqrt(2 * params20.alpha) * np.abs(H_p)
         assert np.all(np.abs(H_f) <= bound[None, :] * (1 + 1e-10))
 
@@ -146,7 +146,7 @@ class TestHFunctionals:
     def test_matches_nested_quadrature_diffusive(self, exp_jump_model, z, k):
         th = exp_jump_model.theta0()
         p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals_at(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))[0]
+        H_p, H_f, H_F = h_functionals_per_jump(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))[0]
         hp, hf, hF = h_functionals_quadrature(exp_jump_model.c, th, p, z, k)
         assert H_p[0] == pytest.approx(hp, rel=1e-9)
         assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
@@ -156,7 +156,7 @@ class TestHFunctionals:
     def test_matches_nested_quadrature_bv(self, cramer_lundberg_model, z, k):
         th = cramer_lundberg_model.theta0()
         p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals_at(
+        H_p, H_f, H_F = h_functionals_per_jump(
             cramer_lundberg_model.c, th.D, th.gamma, p, np.array([z])
         )[0]
         hp, hf, hF = h_functionals_quadrature(cramer_lundberg_model.c, th, p, z, k)
@@ -168,14 +168,14 @@ class TestHFunctionals:
         # gamma = 0 runs the forward Psi sweep, gamma = 1e-16 the backward one;
         # a seed of its own per z left 9.4e-14 of sup between them here
         p, z = LaguerreParams(0.25, 64), np.geomspace(0.1, 120.0, 400)
-        at_zero = h_functionals_at(1.5, 0.3, 0.0, p, z)[0][2]
-        above = h_functionals_at(1.5, 0.3, 1e-16, p, z)[0][2]
+        at_zero = h_functionals_per_jump(1.5, 0.3, 0.0, p, z)[0][2]
+        above = h_functionals_per_jump(1.5, 0.3, 1e-16, p, z)[0][2]
         assert np.max(np.abs(above - at_zero)) <= 2e-14 * np.max(np.abs(at_zero))
 
 
 def _fd_gamma(c, D, gamma, params, z, h=1e-6):
-    up = h_functionals_at(c, D, gamma + h, params, z)[0]
-    dn = h_functionals_at(c, D, gamma - h, params, z)[0]
+    up = h_functionals_per_jump(c, D, gamma + h, params, z)[0]
+    dn = h_functionals_per_jump(c, D, gamma - h, params, z)[0]
     return [(a - b) / (2 * h) for a, b in zip(up, dn)]
 
 
@@ -184,7 +184,7 @@ class TestHFunctionalsGammaDerivative:
     @pytest.mark.parametrize("gamma", [0.0625, 0.0, 1e-12])
     def test_matches_central_fd(self, params20, D, gamma):
         z = np.linspace(0.05, 8.0, 40)
-        vals, d_gamma = h_functionals_at(1.5, D, gamma, params20, z)
+        vals, d_gamma = h_functionals_per_jump(1.5, D, gamma, params20, z)
         for v, d, fd in zip(vals, d_gamma, _fd_gamma(1.5, D, gamma, params20, z)):
             scale = max(np.max(np.abs(v)), np.max(np.abs(d)))
             assert np.max(np.abs(d - fd)) <= 1e-7 * scale
@@ -193,7 +193,7 @@ class TestHFunctionalsGammaDerivative:
     def test_matches_fd_of_nested_quadrature(self, D, gamma):
         z, k, h = 2.0, 3, 1e-4
         p = LaguerreParams(1.0, 12)
-        _, (d_Hp, d_Hf, d_HF) = h_functionals_at(1.5, D, gamma, p, np.array([z]))
+        _, (d_Hp, d_Hf, d_HF) = h_functionals_per_jump(1.5, D, gamma, p, np.array([z]))
         up = h_functionals_quadrature(1.5, ThetaParams(D, gamma + h), p, z, k)
         dn = h_functionals_quadrature(1.5, ThetaParams(D, gamma - h), p, z, k)
         fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
@@ -209,8 +209,8 @@ class TestHFunctionalsSmallD:
     def test_tends_to_bounded_variation_kernels(self, params20, D, gamma):
         z = np.linspace(0.0, 8.0, 41)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            got = h_functionals_at(1.5, D, gamma, params20, z)
-            want = h_functionals_at(1.5, 0.0, gamma, params20, z)
+            got = h_functionals_per_jump(1.5, D, gamma, params20, z)
+            want = h_functionals_per_jump(1.5, 0.0, gamma, params20, z)
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
@@ -264,7 +264,7 @@ class TestExpm1RatioDb:
     @pytest.mark.parametrize("gamma", [2e-10, 1e-8, 1e-3, 0.5, 0.0])
     def test_gamma_window_derivative(self, gamma):
         z = np.array([0.5, 1.0, 3.0])
-        got = _gamma_window_d(gamma, z)
+        got = gamma_window(gamma, z)[1]
         want = -np.array([_expm1_ratio_db_reference(-gamma, zz) for zz in z])
         assert got == pytest.approx(want, rel=1e-14, abs=0)
         # and it is the derivative of the window itself
