@@ -32,7 +32,7 @@ from .levy import (
     lundberg_exponent,
 )
 from .oracles import (
-    closed_form_W, compound_geometric_grid, laplace_invert_scale, nu_functional_exact,
+    compound_geometric_grid, laplace_invert_scale, nu_functional_exact, residue_scale,
 )
 from .series import CoefficientSet, ScaleApprox, coeffs_true, scale_approx
 from .simulate import ObservationSet, SamplingScheme, make_scheme
@@ -47,7 +47,7 @@ __all__ = [
     "GammaSubordinator", "LevyModel", "ThetaParams",
     "laplace_exponent", "laplace_exponent_deriv", "lundberg_exponent", "check_npc",
     "nu_functional_exact",
-    "closed_form_W", "compound_geometric_grid", "laplace_invert_scale",
+    "residue_scale", "compound_geometric_grid", "laplace_invert_scale",
     "CoefficientSet", "ScaleApprox", "coeffs_true", "scale_approx",
     "SamplingScheme", "ObservationSet", "make_scheme",
     "EstimationReport", "build_report",

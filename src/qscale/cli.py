@@ -77,7 +77,9 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
     summary = {}
     if args.oracle:
         res = [laplace_invert_scale(cfg.model, float(xx)) if xx > 0 else None for xx in x]
-        w_or = np.array([r.value if r else 0.0 for r in res])
+        # at x = 0 the limit W(0+): 1/c for bounded variation (D = 0), else 0
+        w0 = 1.0 / cfg.model.c if cfg.model.D == 0 else 0.0
+        w_or = np.array([r.value if r else w0 for r in res])
         err = np.array([r.error_estimate if r else 0.0 for r in res])
         header += ["W_oracle", "oracle_err_est"]
         cols += [w_or, err]

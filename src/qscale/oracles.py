@@ -6,17 +6,17 @@ Three routes that never touch the Laguerre expansion:
   1/(psi - q) at the model's q, contour shifted right of the Lundberg root so
   every singularity of the (analytically continued) transform is enclosed;
 * the compound geometric distribution built directly on a grid by marching
-  the defective renewal equation (geometric-series summation as cross-check);
-* closed forms for the Brownian-with-drift and Cramer-Lundberg-exponential
-  special cases.
+  the defective renewal equation;
+* ``residue_scale``: W and Z exact to rounding wherever psi is rational
+  (no jumps, exponential jumps, gamma jumps of integer shape), as a sum of
+  residues over the roots of psi - q.
 
 A last section holds the quadrature cross-checks of the series path, which
 only tests call: the defective density ``ftilde_q`` by quadrature of the
 tilted jump tail, the kernels H_p, H^f_k, H^F_k per jump with their
-gamma-derivatives (``h_functionals_per_jump``) and by nested quadrature
-(``h_functionals_quadrature``), the population coefficients a^f, a^F by
-cubature of those kernels against nu (``coeffs_quadrature``), grid
-projections onto the Laguerre basis (``project_grid``) and the adaptive
+gamma-derivatives (``h_functionals_per_jump``), the population coefficients
+a^f, a^F by cubature of those kernels against nu (``coeffs_quadrature``),
+grid projections onto the Laguerre basis (``project_grid``) and the adaptive
 quadrature of nu(H) (``nu_functional_exact``).
 """
 
@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import integrate, special
 
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
-from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all, psi_integral_and_db_all
+from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_and_db_all
 from .levy import (
     CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, NoJumps,
-    ThetaParams, laplace_exponent, lundberg_exponent,
+    ThetaParams, laplace_exponent, laplace_exponent_deriv, lundberg_exponent,
 )
 from .series import gamma_window, h_functionals_at
 
@@ -41,11 +42,9 @@ __all__ = [
     "laplace_invert_scale",
     "GridDistribution",
     "compound_geometric_grid",
-    "compound_geometric_series",
-    "closed_form_W",
+    "residue_scale",
     "ftilde_q",
     "h_functionals_per_jump",
-    "h_functionals_quadrature",
     "coeffs_quadrature",
     "ProjectionResult",
     "project_grid",
@@ -195,60 +194,49 @@ def compound_geometric_grid(f_vals: np.ndarray, p: float, h: float) -> GridDistr
     return GridDistribution(h=h, atom=1.0 - p, density=g, tail=Gbar)
 
 
-def compound_geometric_series(f_vals: np.ndarray, p: float, h: float) -> np.ndarray:
-    """Gbar by direct geometric-series summation (cross-check of the DRE march).
-
-    Truncates when p^k < 1e-12.  Convolution powers are accumulated with
-    trapezoid-weighted discrete convolution.
-    """
-    f_vals = np.asarray(f_vals, dtype=float)
-    n = len(f_vals)
-    f_mass = float(np.trapezoid(f_vals, dx=h))
-    f = f_vals / f_mass
-    # trapezoid weights fold the half-weight endpoints into the kernel
-    w = np.full(n, 1.0)
-    w[0] = w[-1] = 0.5
-    fk = f.copy()
-    dens = np.zeros(n)
-    coeff = 1.0 - p
-    pk = p
-    while pk >= 1e-12:
-        dens += coeff * pk * fk
-        pk *= p
-        fk = h * np.convolve(w * fk, w * f)[:n]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (dens[1:] + dens[:-1]))])
-    return p - cum  # Gbar(x) = p - int_0^x g
+def _rational_exp_functional(jumps) -> tuple[Polynomial, Polynomial]:
+    """Polynomials (N, d) with nu(e^{-theta z} - 1) = N(theta) / d(theta), where it is rational."""
+    if isinstance(jumps, NoJumps):
+        return Polynomial([0.0]), Polynomial([1.0])
+    if isinstance(jumps, CompoundPoissonExponential):
+        return Polynomial([0.0, -jumps.rate]), Polynomial([jumps.mu, 1.0])
+    if isinstance(jumps, CompoundPoissonGamma) and float(jumps.shape).is_integer():
+        d = Polynomial([1.0, jumps.scale]) ** int(jumps.shape)
+        return jumps.rate * (1.0 - d), d
+    raise DomainError(f"psi is not rational for {jumps!r}")
 
 
-def closed_form_W(model_kind: str, params: dict, q: float, x) -> np.ndarray:
-    """Exact W^(q) for the two special cases with elementary transforms.
+def residue_scale(model: LevyModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (W^(q), Z^(q)) at x >= 0, q = model.q, for a rational psi: a residue sum.
 
-    model_kind 'brownian-drift': params {c, D}; the p = 0 compound-geometric
-    form with roots gamma = Phi(q) and -beta.
-    model_kind 'cramer-lundberg-exponential': params {c, rate, jump_mean};
-    psi - q is rational with two real roots, inverted by partial fractions.
+    With nu(e^{-theta z} - 1) = N / d, the transform 1/(psi - q) is d / P with
+    P = (D theta^2 + c theta - q) d + N, of higher degree than d; at each
+    simple root r_i of P the residue d(r_i) / P'(r_i) is 1/psi'(r_i), so
+
+        W(x) = sum_i e^{r_i x} / psi'(r_i),
+        Z(x) = 1 + q sum_i (e^{r_i x} - 1) / (r_i psi'(r_i))   (Z = 1 at q = 0)
+
+    (Kuznetsov, Kyprianou & Rivero 2012, Levy Matters II; Egami & Yamazaki
+    2014, J. Comput. Appl. Math. 264).  psi is rational for ``NoJumps``,
+    compound Poisson exponential and compound Poisson gamma with integer
+    shape; the roots are the companion-matrix eigenvalues, each polished by
+    one Newton step on P.  Raises DomainError for any other family and for
+    a repeated root (two roots closer than 1e-6 of the largest |root|).
     """
     x = np.asarray(x, dtype=float)
-    if model_kind == "brownian-drift":
-        c, D = params["c"], params["D"]
-        if D <= 0:
-            raise DomainError("brownian-drift oracle requires D > 0")
-        disc = np.sqrt(c * c + 4.0 * D * q)
-        gamma = (-c + disc) / (2.0 * D)
-        beta = (c + disc) / (2.0 * D)
-        return (np.exp(gamma * x) - np.exp(-beta * x)) / (D * (beta + gamma))
-    if model_kind == "cramer-lundberg-exponential":
-        c, lam = params["c"], params["rate"]
-        mu = 1.0 / params["jump_mean"]
-        # c s^2 + (c mu - lam - q) s - q mu = 0
-        bcoef = c * mu - lam - q
-        disc = np.sqrt(bcoef * bcoef + 4.0 * c * q * mu)
-        s_plus = (-bcoef + disc) / (2.0 * c)
-        s_minus = (-bcoef - disc) / (2.0 * c)
-        return ((mu + s_plus) * np.exp(s_plus * x) - (mu + s_minus) * np.exp(s_minus * x)) / (
-            c * (s_plus - s_minus)
-        )
-    raise DomainError(f"unsupported closed-form kind {model_kind!r}")
+    N, d = _rational_exp_functional(model.jumps)
+    P = Polynomial([-model.q, model.c, model.D]) * d + N
+    r = P.roots().astype(complex)
+    gap = np.abs(np.subtract.outer(r, r)) + np.diag(np.full(len(r), np.inf))
+    if np.min(gap) <= 1e-6 * np.max(np.abs(r)):
+        raise DomainError(f"psi - q has a repeated root among {r}")
+    r -= P(r) / P.deriv()(r)
+    res = 1.0 / laplace_exponent_deriv(model, r)
+    rx = np.multiply.outer(x, r)
+    W = (np.exp(rx) @ res).real
+    if model.q == 0.0:
+        return W, np.ones_like(W)
+    return W, 1.0 + model.q * (np.expm1(rx) @ (res / r)).real
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +305,6 @@ def h_functionals_per_jump(c: float, D: float, gamma: float, params: LaguerrePar
     kg, d_kg = gamma_window(gamma, z)
     H_p, H_f, H_F = h_functionals_at(c, D, gamma, params, psi, kg)
     return (H_p, H_f, H_F), h_functionals_at(c, D, gamma, params, -d_psi - D * H_f, d_kg - D * H_p)
-
-
-def h_functionals_quadrature(
-    c: float, theta: ThetaParams, params: LaguerreParams, z: float, k: int
-) -> tuple[float, float, float]:
-    """Nested-quadrature evaluation of (H_p, H^f_k, H^F_k)(z; theta).
-
-    Slow cross-check of the recurrence path (one z, one order at a time).
-    """
-    gamma, D = theta.gamma, theta.D
-    phi = lambda x: laguerre_fn_all(params, x, kmax=k)[k]
-    psi0 = lambda x: psi_integral_all(params, x, 0.0, kmax=k)[k]
-    if D == 0:
-        H_p, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)), 0.0, z)
-        H_f, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * phi(x), 0.0, z, limit=200)
-        H_F, _ = integrate.quad(lambda x: np.exp(-gamma * (z - x)) * psi0(x), 0.0, z, limit=200)
-        return H_p / c, H_f / c, H_F / c
-    beta = theta.beta(c)
-
-    def outer(inner_fn):
-        def dy(y):
-            val, _ = integrate.quad(
-                lambda x: np.exp(-beta * (x - y)) * inner_fn(x), y, np.inf, limit=200
-            )
-            return np.exp(-gamma * (z - y)) * val
-
-        val, _ = integrate.quad(dy, 0.0, z, limit=200)
-        return val / D
-
-    return outer(lambda x: 1.0), outer(phi), outer(psi0)
 
 
 def coeffs_quadrature(model: LevyModel, params: LaguerreParams) -> tuple[np.ndarray, np.ndarray]:

@@ -20,9 +20,9 @@ Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k:
 one linear map (``h_functionals_at``) of the K+2 sources Psi_{0..K}(z; -gamma)
 and (1 - e^{-gamma z}) / gamma, as are their gamma-derivatives.  The
 population a^f, a^F are Taylor coefficients of closed transforms
-(``coeffs_true``).  The per-jump kernels (``h_functionals_per_jump``) and the
-quadrature cross-checks of this production path (``ftilde_q``,
-``h_functionals_quadrature``, ``coeffs_quadrature``) live in ``oracles``.
+(``coeffs_true``); for an empirical measure they are the kernels' sample
+means, the estimators' exact reference.  The per-jump kernels and the
+quadrature cross-checks of this production path live in ``oracles``.
 """
 
 from __future__ import annotations

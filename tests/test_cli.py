@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from qscale.cli import main
+from qscale.levy import LevyModel, NoJumps
+from qscale.oracles import residue_scale
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -46,10 +48,9 @@ class TestCompute:
         )
         assert main(["compute", "--config", str(cfg)]) == 0
         cols = read_csv_columns(tmp_path / "out" / "w_curve.csv")
-        from qscale.oracles import closed_form_W
-
-        want = closed_form_W("brownian-drift", {"c": 1.5, "D": 0.5}, 0.1, cols["x"])
-        assert np.max(np.abs(cols["W_K"] - want)) <= 1e-12
+        model = LevyModel(x0=0.0, c=1.5, D=0.5, jumps=NoJumps(), q=0.1)
+        want = residue_scale(model, cols["x"])[0]
+        assert np.max(np.abs(cols["W_K"] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_oracle_columns_and_summary(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", laguerre={"alpha": 1.0, "K": 40})
@@ -58,6 +59,26 @@ class TestCompute:
         assert set(cols) == {"x", "W_K", "Z_K", "W_oracle", "oracle_err_est"}
         summary = json.loads((tmp_path / "out" / "oracle_summary.json").read_text())
         assert summary["sup_error"] <= 1e-2
+
+    @pytest.mark.parametrize("D, w0", [(0.0, 1.0 / 1.5), (0.5, 0.0)])
+    def test_oracle_at_origin_is_the_limit(self, tmp_path, D, w0):
+        # the inversion needs x > 0; at x = 0 the column holds W(0+): 1/c
+        # for bounded variation (D = 0), else 0
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={
+                "x0": 0.0, "c": 1.5, "D": D, "q": 0.1,
+                "jumps": {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+            },
+            laguerre={"alpha": 1.0, "K": 40},
+        )
+        assert main(["compute", "--config", str(cfg), "--oracle"]) == 0
+        cols = read_csv_columns(tmp_path / "out" / "w_curve.csv")
+        assert cols["x"][0] == 0.0 and cols["W_oracle"][0] == w0
+        assert cols["W_K"][0] == pytest.approx(w0, abs=1e-12)
+        summary = json.loads((tmp_path / "out" / "oracle_summary.json").read_text())
+        pos = cols["x"] > 0
+        assert summary["sup_error"] == np.max(np.abs(cols["W_K"][pos] - cols["W_oracle"][pos]))
 
     def test_empty_x_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", x_grid={"min": 0, "max": 5, "points": 0})

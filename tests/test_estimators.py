@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -85,14 +85,20 @@ def _assert_factored_matches_stack(est: PipelineEstimates, sample: JumpSample, c
         assert err <= 1e-14 * np.max(np.abs(want), initial=0.0)
 
 
+def _sample(sizes) -> JumpSample:
+    """The jump sizes at times spread over [1, 99] of a T = 100 scheme."""
+    scheme = SamplingScheme(n=100, delta=1.0, eps=1e-3)
+    return JumpSample(np.linspace(1.0, 99.0, len(sizes)), np.array(sizes, dtype=float), scheme, 0)
+
+
 @st.composite
 def _jump_samples(draw):
-    """Up to 30 jump sizes in [0.01, 3] over T = 100, and up to 10 repeats of them."""
+    """Up to 30 jump sizes in [0.01, 3] over T = 100, and up to 10 repeats of
+    them: sum(z) / T <= 1.2, below the premium rate c = 1.5 used with them."""
     sizes = draw(st.lists(st.floats(0.01, 3.0), max_size=30))
     if sizes:
         sizes += draw(st.lists(st.sampled_from(sizes), max_size=10))
-    scheme = SamplingScheme(n=100, delta=1.0, eps=1e-3)
-    return JumpSample(np.linspace(1.0, 99.0, len(sizes)), np.array(sizes, dtype=float), scheme, 0)
+    return _sample(sizes)
 
 
 def _window_sample(model: LevyModel, T: float = 100.0, seed: int = 21):
@@ -302,6 +308,30 @@ class TestEstimateCoeffs:
         H_p, H_f, H_F = h_functionals_per_jump(1.5, th.D, th.gamma, params20, np.array([zstar]))[0]
         assert est.p == pytest.approx(H_p[0], rel=1e-12)
         assert est.coeffs.a_f == pytest.approx(H_f[:, 0], rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sample=_jump_samples(),
+        K=st.sampled_from([0, 20, 64]),
+        D_hat=st.sampled_from([-0.2, 0.0, 0.5]),
+        q=st.sampled_from([0.0, 0.1]),
+    )
+    @example(sample=_sample([]), K=20, D_hat=0.5, q=0.1)
+    @example(sample=_sample([0.4, 1.3, 1.3]), K=64, D_hat=0.0, q=0.0)
+    def test_matches_empirical_transform(self, empirical_coeffs, sample, K, D_hat, q):
+        # (p_hat, a^f_hat, a^F_hat) are the population coefficients of the
+        # sample's empirical measure: the transform, with no kernel ladder.
+        # One jump's kernels are O(1) numbers, each within 5.3e-14 of the
+        # transform's for z in [0.01, 3]; when every jump is small the sup sits
+        # far below the jump rate n / T, so the scale is the larger of the two
+        c, params, z, T = 1.5, LaguerreParams(1.0, K), sample.jump_sizes, sample.scheme.T
+        gamma_hat = estimate_gamma(sample, q, D_hat, c)
+        est = estimate_coeffs(sample, c, params, D_hat=D_hat, gamma_hat=gamma_hat)
+        want = empirical_coeffs(c, est.theta, params, z, T)
+        got = (est.p, est.coeffs.a_f, est.coeffs.a_F)
+        scale = max(len(z) / T, *(np.max(np.abs(w)) for w in want))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * scale
 
     def test_degenerate_p_raises(self, params20):
         # a huge atom forces p_hat >= 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +98,6 @@ class TestLaplaceExponent:
     )
     @pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-6, 1.0])
     def test_exp_functional_full_relative_accuracy(self, jumps, theta):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             t = mpmath.mpf(theta)
             if isinstance(jumps, CompoundPoissonGamma):

@@ -1,4 +1,4 @@
-"""Talbot inversion, compound-geometric grid oracle, closed forms."""
+"""Talbot inversion, compound-geometric grid oracle, residue sums for rational psi."""
 
 from __future__ import annotations
 
@@ -7,34 +7,41 @@ import pytest
 
 from qscale.exceptions import DomainError, GridTooCoarseError, NumericalError
 from qscale.laguerre import LaguerreParams
-from qscale.levy import CompoundPoissonExponential, LevyModel, NoJumps, laplace_exponent_deriv
+from qscale.levy import (
+    CompoundPoissonExponential,
+    CompoundPoissonGamma,
+    GammaSubordinator,
+    LevyModel,
+    NoJumps,
+    laplace_exponent_deriv,
+)
 from qscale.oracles import (
-    closed_form_W,
     coeffs_quadrature,
     compound_geometric_grid,
-    compound_geometric_series,
     ftilde_q,
     laplace_invert_scale,
+    residue_scale,
 )
-from qscale.series import coeffs_true, p_value, scale_approx
+from qscale.series import p_value, scale_approx
+
+
+def _talbot(model, xs):
+    return np.array([laplace_invert_scale(model, float(x)).value for x in xs])
 
 
 class TestTalbot:
+    # against the exact residue sums the inversion is off by 1.6e-11 and
+    # 1.2e-11 of sup on these two models
     def test_brownian_closed_form(self, brownian_model):
         xs = np.linspace(0.1, 10, 25)
-        want = closed_form_W("brownian-drift", {"c": 1.5, "D": 0.5}, 0.1, xs)
-        got = np.array([laplace_invert_scale(brownian_model, float(x)).value for x in xs])
-        assert np.max(np.abs(got - want)) <= 1e-6
+        want = residue_scale(brownian_model, xs)[0]
+        assert np.max(np.abs(_talbot(brownian_model, xs) - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_cramer_lundberg_partial_fractions(self, cramer_lundberg_model):
         xs = np.linspace(0.1, 10, 25)
-        want = closed_form_W(
-            "cramer-lundberg-exponential", {"c": 1.5, "rate": 1.0, "jump_mean": 1.0}, 0.1, xs
-        )
-        got = np.array(
-            [laplace_invert_scale(cramer_lundberg_model, float(x)).value for x in xs]
-        )
-        assert np.max(np.abs(got - want)) <= 1e-6
+        want = residue_scale(cramer_lundberg_model, xs)[0]
+        got = _talbot(cramer_lundberg_model, xs)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_small_x_tends_to_zero(self, exp_jump_model):
         # W(0+) = 0 for unbounded-variation paths (D > 0)
@@ -84,14 +91,6 @@ class TestCompoundGeometricGrid:
         e2 = np.max(np.abs(gd2.tail - p * np.exp(-mu * (1 - p) * xs2)))
         assert 0.05 <= e2 / e1 <= 0.65
 
-    def test_series_cross_check(self):
-        h = 0.01
-        xs = np.arange(0, 40 + h / 2, h)
-        f = np.exp(-xs)
-        gd = compound_geometric_grid(f, 0.5, h)
-        ser = compound_geometric_series(f, 0.5, h)
-        assert np.max(np.abs(ser - gd.tail)) <= 1e-4
-
     def test_tiny_p_limit(self):
         # p -> 0: the tail vanishes and the atom carries all the mass
         h = 0.01
@@ -116,26 +115,55 @@ class TestCompoundGeometricGrid:
 
 
 class TestClosedFormW:
+    """``residue_scale``: one residue sum over the roots of psi - q for every rational psi."""
+
+    XS = np.linspace(0, 10, 41)
+
     def test_brownian_q0(self):
         c, D = 1.5, 0.5
-        xs = np.linspace(0, 10, 21)
-        want = (1.0 - np.exp(-c * xs / D)) / c
-        assert closed_form_W("brownian-drift", {"c": c, "D": D}, 0.0, xs) == pytest.approx(
-            want, rel=1e-12
-        )
+        W, Z = residue_scale(LevyModel(x0=0, c=c, D=D, jumps=NoJumps(), q=0.0), self.XS)
+        want = (1.0 - np.exp(-c * self.XS / D)) / c
+        assert W == pytest.approx(want, rel=1e-12)
+        assert np.all(Z == 1.0)
 
     def test_zero_at_origin_diffusive(self):
-        assert closed_form_W("brownian-drift", {"c": 1.5, "D": 0.5}, 0.3, 0.0) == 0.0
+        # W(0) = sum_i 1/psi'(r_i) = 0 when D > 0, to rounding
+        for model in (
+            LevyModel(x0=0, c=1.5, D=0.5, jumps=NoJumps(), q=0.3),
+            LevyModel(x0=0, c=1.5, D=0.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.0),
+            LevyModel(x0=0, c=2.0, D=0.3, jumps=CompoundPoissonGamma(1.0, 3.0, 0.4), q=0.05),
+        ):
+            W = residue_scale(model, self.XS)[0]
+            assert abs(W[0]) <= 1e-15 * np.max(np.abs(W))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LevyModel(x0=0, c=1.5, D=0.0, jumps=NoJumps(), q=0.1),
+            LevyModel(x0=0, c=1.5, D=0.0, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1),
+            LevyModel(x0=0, c=2.0, D=0.0, jumps=CompoundPoissonGamma(1.0, 2.0, 0.4), q=0.0),
+        ],
+        ids=["drift", "cramer-lundberg", "gamma-shape2-q0"],
+    )
+    def test_inverse_premium_at_origin_bounded_variation(self, model):
+        assert residue_scale(model, 0.0)[0] == pytest.approx(1.0 / model.c, rel=1e-15)
+
+    def test_z_is_one_plus_q_integral_of_w(self, exp_jump_model):
+        # 40-node Gauss-Legendre on [0, x] is exact to rounding for these exponentials
+        t, w = np.polynomial.legendre.leggauss(40)
+        xs = np.array([0.5, 2.0, 7.0])
+        nodes = np.outer(xs, t + 1.0) / 2.0
+        integral = xs / 2.0 * (residue_scale(exp_jump_model, nodes)[0] @ w)
+        want = 1.0 + exp_jump_model.q * integral
+        assert residue_scale(exp_jump_model, xs)[1] == pytest.approx(want, rel=1e-14)
 
     def test_cl_exponential_ruin_probability(self):
         # 1 - psi'(0+) W^{(0)}(x) = (lam/(c mu)) e^{-(mu - lam/c) x}; validate
         # against the compound geometric grid before trusting it
         c, lam, mu = 1.5, 1.0, 1.0
         m = LevyModel(x0=0, c=c, D=0.0, jumps=CompoundPoissonExponential(lam, 1 / mu), q=0.0)
-        xs = np.linspace(0, 10, 41)
-        W = closed_form_W(
-            "cramer-lundberg-exponential", {"c": c, "rate": lam, "jump_mean": 1 / mu}, 0.0, xs
-        )
+        xs = self.XS
+        W = residue_scale(m, xs)[0]
         ruin = 1.0 - laplace_exponent_deriv(m, 0.0) * W
         want = lam / (c * mu) * np.exp(-(mu - lam / c) * xs)
         assert ruin == pytest.approx(want, rel=1e-10)
@@ -149,25 +177,30 @@ class TestClosedFormW:
         assert np.max(np.abs(oracle.tail_at(xs) - ruin)) <= 1e-4
 
     def test_unsupported_kind(self):
-        with pytest.raises(DomainError):
-            closed_form_W("stable", {}, 0.1, 1.0)
+        # psi is not rational for the gamma subordinator or a non-integer gamma shape
+        for jumps in (GammaSubordinator(0.5, 1.0), CompoundPoissonGamma(1.0, 0.3, 1.0)):
+            with pytest.raises(DomainError, match="not rational"):
+                residue_scale(LevyModel(x0=0, c=2.0, D=0.3, jumps=jumps, q=0.1), 1.0)
+
+    def test_repeated_root_rejected(self):
+        # with D = 1/2, c = 3/2, Gamma(2, 1/8) sizes at rate lam = 21/4 and
+        # q = 279/4, psi - q = psi' = 0 at theta = -12: a double pole of the
+        # transform, which has no simple-pole residue sum
+        jumps = CompoundPoissonGamma(5.25, 2.0, 0.125)
+        with pytest.raises(DomainError, match="repeated root"):
+            residue_scale(LevyModel(x0=0, c=1.5, D=0.5, jumps=jumps, q=69.75), 1.0)
 
 
 class TestThreeWayAgreement:
     def test_cramer_lundberg_all_routes(self, cramer_lundberg_model):
         xs = np.linspace(0.1, 10, 34)
-        w_closed = closed_form_W(
-            "cramer-lundberg-exponential", {"c": 1.5, "rate": 1.0, "jump_mean": 1.0}, 0.1, xs
-        )
-        w_talbot = np.array(
-            [laplace_invert_scale(cramer_lundberg_model, float(x)).value for x in xs]
-        )
-        ap = scale_approx(cramer_lundberg_model, LaguerreParams(1.0, 40))
-        w_K = ap.w(xs)
-        scale = np.max(np.abs(w_closed))
-        assert np.max(np.abs(w_talbot - w_closed)) <= 2e-2 * scale
-        assert np.max(np.abs(w_K - w_closed)) <= 2e-2 * scale
-        assert np.max(np.abs(w_K - w_talbot)) <= 2e-2 * scale
+        w_exact = residue_scale(cramer_lundberg_model, xs)[0]
+        w_talbot = _talbot(cramer_lundberg_model, xs)
+        w_K = scale_approx(cramer_lundberg_model, LaguerreParams(1.0, 40)).w(xs)
+        scale = np.max(np.abs(w_exact))
+        assert np.max(np.abs(w_talbot - w_exact)) <= 1e-9 * scale
+        assert np.max(np.abs(w_K - w_exact)) <= 1e-14 * scale
+        assert np.max(np.abs(w_K - w_talbot)) <= 1e-9 * scale
 
 
 class TestCoeffsQuadrature:

@@ -33,8 +33,8 @@ from qscale.oracles import (
     compound_geometric_grid,
     ftilde_q,
     h_functionals_per_jump,
-    h_functionals_quadrature,
     laplace_invert_scale,
+    residue_scale,
 )
 from qscale.series import (
     _exp_atoms,
@@ -142,27 +142,22 @@ class TestHFunctionals:
         bound = np.sqrt(2 * params20.alpha) * np.abs(H_p)
         assert np.all(np.abs(H_f) <= bound[None, :] * (1 + 1e-10))
 
-    @pytest.mark.parametrize("z,k", [(0.5, 0), (2.0, 3), (4.0, 11)])
-    def test_matches_nested_quadrature_diffusive(self, exp_jump_model, z, k):
-        th = exp_jump_model.theta0()
-        p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals_per_jump(exp_jump_model.c, th.D, th.gamma, p, np.array([z]))[0]
-        hp, hf, hF = h_functionals_quadrature(exp_jump_model.c, th, p, z, k)
-        assert H_p[0] == pytest.approx(hp, rel=1e-9)
-        assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
-        assert H_F[k, 0] == pytest.approx(hF, abs=1e-9)
+    @staticmethod
+    def _assert_matches_transform(model, empirical_coeffs, z):
+        # the kernels at a jump z are T times the coefficients of delta_z / T
+        th, p, T = model.theta0(), LaguerreParams(1.0, 12), 1000.0
+        want = h_functionals_per_jump(model.c, th.D, th.gamma, p, np.array([z]))[0]
+        got = empirical_coeffs(model.c, th, p, [z], T)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(T * np.ravel(g) - np.ravel(w))) <= 1e-12 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("z,k", [(0.7, 2), (3.0, 9)])
-    def test_matches_nested_quadrature_bv(self, cramer_lundberg_model, z, k):
-        th = cramer_lundberg_model.theta0()
-        p = LaguerreParams(1.0, 12)
-        H_p, H_f, H_F = h_functionals_per_jump(
-            cramer_lundberg_model.c, th.D, th.gamma, p, np.array([z])
-        )[0]
-        hp, hf, hF = h_functionals_quadrature(cramer_lundberg_model.c, th, p, z, k)
-        assert H_p[0] == pytest.approx(hp, rel=1e-9)
-        assert H_f[k, 0] == pytest.approx(hf, abs=1e-9)
-        assert H_F[k, 0] == pytest.approx(hF, abs=1e-9)
+    @pytest.mark.parametrize("z", [0.5, 2.0, 4.0])
+    def test_matches_empirical_transform_diffusive(self, exp_jump_model, empirical_coeffs, z):
+        self._assert_matches_transform(exp_jump_model, empirical_coeffs, z)
+
+    @pytest.mark.parametrize("z", [0.7, 3.0])
+    def test_matches_empirical_transform_bv(self, cramer_lundberg_model, empirical_coeffs, z):
+        self._assert_matches_transform(cramer_lundberg_model, empirical_coeffs, z)
 
     def test_continuous_across_gamma_zero(self):
         # gamma = 0 runs the forward Psi sweep, gamma = 1e-16 the backward one;
@@ -190,15 +185,17 @@ class TestHFunctionalsGammaDerivative:
             assert np.max(np.abs(d - fd)) <= 1e-7 * scale
 
     @pytest.mark.parametrize("D,gamma", [(0.5, 0.0625), (0.0, 0.0711)])
-    def test_matches_fd_of_nested_quadrature(self, D, gamma):
-        z, k, h = 2.0, 3, 1e-4
+    def test_matches_fd_of_empirical_transform(self, empirical_coeffs, D, gamma):
+        # every order k: |d/dgamma H - FD| within 1e-7 of max_H |d/dgamma H_k|
+        z, h, T = 2.0, 1e-4, 1000.0
         p = LaguerreParams(1.0, 12)
-        _, (d_Hp, d_Hf, d_HF) = h_functionals_per_jump(1.5, D, gamma, p, np.array([z]))
-        up = h_functionals_quadrature(1.5, ThetaParams(D, gamma + h), p, z, k)
-        dn = h_functionals_quadrature(1.5, ThetaParams(D, gamma - h), p, z, k)
-        fd = [(a - b) / (2 * h) for a, b in zip(up, dn)]
-        got = [d_Hp[0], d_Hf[k, 0], d_HF[k, 0]]
-        assert got == pytest.approx(fd, abs=1e-7 * max(abs(g) for g in got))
+        _, d_gamma = h_functionals_per_jump(1.5, D, gamma, p, np.array([z]))
+        up = empirical_coeffs(1.5, ThetaParams(D, gamma + h), p, [z], T)
+        dn = empirical_coeffs(1.5, ThetaParams(D, gamma - h), p, [z], T)
+        got = np.broadcast_arrays(*(np.ravel(d) for d in d_gamma))
+        fd = np.broadcast_arrays(*(T * np.ravel(a - b) / (2 * h) for a, b in zip(up, dn)))
+        scale = np.max(np.abs(got), axis=0)
+        assert np.all(np.max(np.abs(np.subtract(got, fd)), axis=0) <= 1e-7 * scale)
 
 
 class TestHFunctionalsSmallD:
@@ -712,3 +709,40 @@ class TestScaleApprox:
             wk = ap.w(xs)
             running_sup = np.maximum.accumulate(np.abs(wk))
             assert np.all(wk >= -0.02 * np.maximum(running_sup, 1e-10))
+
+
+_ACCEPTANCE = LevyModel(0.0, 1.5, 0.5, CompoundPoissonExponential(1.0, 1.0), q=0.1)
+_GAMMA_SHAPE2 = LevyModel(0.0, 2.0, 0.0, CompoundPoissonGamma(1.0, 2.0, 0.4), q=0.05)
+_GAMMA_SHAPE3 = LevyModel(0.0, 2.0, 0.3, CompoundPoissonGamma(1.0, 3.0, 0.4), q=0.05)
+
+
+class TestUniformConvergence:
+    """W_K -> W and Z_K -> Z uniformly, against the exact residue sums on 41
+    points of [0, 10]: sup errors relative to sup |W| and sup |Z|, within a
+    few times those measured (alpha = 1)."""
+
+    @pytest.mark.parametrize(
+        "model,K,w_tol,z_tol",
+        [
+            (_ACCEPTANCE, 20, 5e-8, 3e-9),       # measured 1.8e-8, 9.6e-10
+            (_ACCEPTANCE, 40, 1e-12, 5e-14),     # 2.3e-13, 1.0e-14
+            (_ACCEPTANCE, 64, 3e-15, 2e-15),     # 5.6e-16, 4.0e-16
+            (_GAMMA_SHAPE2, 20, 4e-7, 1e-9),     # 1.2e-7, 2.0e-10
+            (_GAMMA_SHAPE2, 40, 2e-12, 5e-15),   # 6.5e-13, 1.1e-15
+            (_GAMMA_SHAPE2, 64, 1e-14, 1e-15),   # 1.9e-15, 1.5e-16
+            (_GAMMA_SHAPE3, 20, 2e-5, 2e-7),     # 4.6e-6, 5.3e-8
+            (_GAMMA_SHAPE3, 40, 5e-8, 5e-10),    # 1.4e-8, 1.4e-10
+            (_GAMMA_SHAPE3, 64, 5e-11, 5e-13),   # 1.4e-11, 1.4e-13
+        ],
+        ids=[
+            f"{m}-K{K}"
+            for m in ("acceptance", "gamma-shape2-D0", "gamma-shape3")
+            for K in (20, 40, 64)
+        ],
+    )
+    def test_sup_error_against_residues(self, model, K, w_tol, z_tol):
+        xs = np.linspace(0.0, 10.0, 41)
+        W, Z = residue_scale(model, xs)
+        ap = scale_approx(model, LaguerreParams(1.0, K))
+        assert np.max(np.abs(ap.w(xs) - W)) <= w_tol * np.max(np.abs(W))
+        assert np.max(np.abs(ap.z(xs) - Z)) <= z_tol * np.max(np.abs(Z))
