@@ -208,12 +208,10 @@ def estimate_coeffs(
         raise DegenerateEstimateError("p_hat >= 1", raw_value=p_hat)
     a_G = solve_aG(build_Af(a_f, params.alpha), a_F)
     coeffs = CoefficientSet(p_hat, a_f, a_F, a_G, params, theta)
-    # the summed gamma-derivatives: the same map on shifted summed sources
-    d_p, d_f, d_F = h_functionals_at(
-        c, D, gamma, params, d_psi - D * H_sums[:n], d_kg.sum() - D * H_sums[-1]
-    )
+    # the summed gamma-derivatives: the same map, L, on shifted summed sources
+    d_sources = np.append(d_psi - D * H_sums[:n], d_kg.sum() - D * H_sums[-1])
     Gamma = np.eye(len(L))
-    Gamma[:-1, -1] = np.concatenate([d_f, d_F, [d_p]]) / T
+    Gamma[:-1, -1] = L[:-1] @ d_sources / T
     # Y Y^T = R^T R; Y^T is Fortran-ordered, so the QR overwrites Y in place
     (_, _), R = linalg.qr(Y.T, mode="raw", overwrite_a=True, check_finite=False)
     return PipelineEstimates(D_raw=D_hat, coeffs=coeffs, F=L @ R.T / math.sqrt(T), Gamma=Gamma, T=T)
@@ -258,15 +256,16 @@ def covariance_machinery(
     AinvB = linalg.solve_triangular(A, B, lower=True)  # (K+1, 2K+2)
 
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
-    k = approx.kernels(x)
+    # the kernels contracted with [a^G | A^{-1} B]: row 0 gives the curves
+    k = approx.kernels(x, AinvB)
     W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
     # gradient rows C_K (W) and q C*_K (Z), mapped through Gamma F
     v = np.empty((len(x), 2, GF.shape[1]))
     for r, (P, Q, scale) in enumerate([(k.P, k.Q, 1.0), (k.Pstar, k.Qstar, q)]):
         C = np.empty((len(x), 2 * K + 4))
-        C[:, : 2 * K + 2] = Q.value.T @ AinvB
-        C[:, 2 * K + 2] = P.d_p - coeffs.a_G @ Q.d_p
-        C[:, 2 * K + 3] = P.d_gamma - coeffs.a_G @ Q.d_gamma
+        C[:, : 2 * K + 2] = Q.value[1:].T
+        C[:, 2 * K + 2] = P.d_p - Q.d_p[0]
+        C[:, 2 * K + 3] = P.d_gamma - Q.d_gamma[0]
         v[:, r] = scale * (C @ GF)
     joint = v @ v.transpose(0, 2, 1)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]

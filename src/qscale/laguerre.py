@@ -18,6 +18,11 @@ where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  One ``ladder`` runs every recurrence
 amplifying errors by |off / diag| per step, so each caller runs it where that
 is at most 1: for Psi forward (diag = s, off = 2a - s) when b >= 0 and
 backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  The
+forward branch is shared: ``forward_sources`` forms its seed and sources from
+one Laguerre recurrence, which ``psi_integral_all`` ladders in place and the
+kernel evaluator of ``series`` contracts with the ladder's adjoint on its
+weights (``contract``), taking the Laguerre functions' weighted sum from the
+same recurrence.  The
 backward sweep is seeded at the top order by one seed shared across the x
 sorted by a stable argsort: the seed at an x is the seed at the x before it,
 decayed by e^{b gap} <= 1, plus the integral over the short panel between
@@ -50,6 +55,8 @@ from .exceptions import DomainError
 __all__ = [
     "LaguerreParams",
     "laguerre_fn_all",
+    "forward_sources",
+    "contract",
     "psi_integral_all",
     "psi_db_from",
     "psi_integral_and_db_all",
@@ -116,6 +123,42 @@ def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.nd
     kmax = params.K if kmax is None else kmax
     x = np.asarray(x, dtype=float)
     return params.sq2a * _weighted_laguerre_all(kmax, params.alpha, x)
+
+
+def contract(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """weights^T rows over the first axis: shape (r, *rows.shape[1:]) for (n, r) weights.
+
+    Column 0 goes through ``einsum`` (no BLAS), the others through one
+    matrix product: a BLAS product rounds a column by its position, so this
+    way column 0 has the same bits whatever columns come after it.
+    """
+    out = np.empty((weights.shape[1],) + rows.shape[1:])
+    out[0] = np.einsum("k,k...->...", weights[:, 0], rows)
+    if weights.shape[1] > 1:
+        out[1:] = np.tensordot(weights[:, 1:], rows, axes=(0, 0))
+    return out
+
+
+def forward_sources(kmax: int, alpha: float, x, b: float, weights=None):
+    """The forward ladder of J_{0..kmax}(x; b), b >= 0, in one buffer, from one Laguerre recurrence.
+
+    Returns (S, WM): S of shape (kmax+1, *x.shape) holds J_0 = e^{bx} (1 -
+    e^{-sx}) / s, s = alpha + b, in row 0 and the sources d_k = M_{k-1} - M_k
+    in rows k = 1..kmax, so ``ladder(S[0], S[1:], s, 2 alpha - s, out=S)``
+    overwrites it with J.  With (n, r) weights, n <= kmax + 1, WM =
+    ``contract(weights, M_{0..n-1})`` is taken from the same rows before they
+    become sources (the Laguerre functions phi_k = sqrt(2 alpha) M_k);
+    otherwise WM is None.
+    """
+    x = np.asarray(x, dtype=float)
+    S = _weighted_laguerre_all(kmax, alpha, x)
+    WM = None if weights is None else contract(weights, S[: len(weights)])
+    rows = S.reshape(kmax + 1, -1)  # a view, with 1-d rows also for a scalar x
+    for k in range(kmax, 0, -1):
+        np.subtract(rows[k - 1], rows[k], out=rows[k])
+    s = alpha + b
+    S[0] = np.exp(b * x) * (-np.expm1(-s * x)) / s
+    return S, WM
 
 
 # The backward seed neglects kernel and basis tails below e^{-_TAIL}.
@@ -293,10 +336,10 @@ def psi_integral_all(
     x_in = np.asarray(x, dtype=float)
     x = np.atleast_1d(x_in)
     if b >= 0.0:
-        # forward: amplification |a-b|/(a+b) <= 1; sources -(M_k - M_{k-1})
+        # forward: amplification |a-b|/(a+b) <= 1, in the sources' buffer
         s = a + b
-        d = -np.diff(_weighted_laguerre_all(kmax, a, x), axis=0)
-        J = ladder(np.exp(b * x) * (-np.expm1(-s * x)) / s, d, s, 2.0 * a - s)
+        J, _ = forward_sources(kmax, a, x, b)
+        ladder(J[0], J[1:], s, 2.0 * a - s, out=J)
     else:
         # backward: contraction |a+b|/(a-b) < 1; quadrature seed at the top
         J = _backward_sweep(kmax, a, x.ravel(), b).reshape((kmax + 1,) + x.shape)

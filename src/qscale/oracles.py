@@ -206,8 +206,40 @@ def _rational_exp_functional(jumps) -> tuple[Polynomial, Polynomial]:
     raise DomainError(f"psi is not rational for {jumps!r}")
 
 
+# the root -c/D-ish of a small D is split off when it is this many times the
+# bound on the other roots
+_SPLIT_RATIO = 1e4
+
+
+def _split_large_root(P: Polynomial):
+    """(u, R) with P = (1 - u theta) R: u = 1/rho for the root rho of largest modulus,
+    when it is far beyond the others, else (None, P).
+
+    With a small leading coefficient p_n (a small D), rho ~ -p_{n-1}/p_n and the
+    others lie within Cauchy's bound of the polynomial without it.  Companion
+    eigenvalues are accurate to eps times the largest |root| only, and
+    p_{n-1}/p_n overflows below D ~ 1e-308, so u is Newton's root near 0 of
+    the reversed polynomial and R the deflation p_j + u r_{j-1}, stable from
+    the constant term up for the largest root.
+    """
+    p = P.coef
+    n = len(p) - 1
+    bound = 1.0 + np.max(np.abs(p[:-2]), initial=0.0) / abs(p[-2]) if n > 1 else 1.0
+    if not abs(p[-1]) * bound * _SPLIT_RATIO < abs(p[-2]):
+        return None, P
+    rev = Polynomial(p[::-1])
+    u = -p[-1] / p[-2]
+    for _ in range(3):
+        u -= rev(u) / rev.deriv()(u)
+    r = np.empty(n)
+    r[0] = p[0]
+    for j in range(1, n):
+        r[j] = p[j] + u * r[j - 1]
+    return u, Polynomial(r)
+
+
 def residue_scale(model: LevyModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (W^(q), Z^(q)) at x >= 0, q = model.q, for a rational psi: a residue sum.
+    """Exact (W^(q), Z^(q)) at x, q = model.q, for a rational psi: a residue sum.
 
     With nu(e^{-theta z} - 1) = N / d, the transform 1/(psi - q) is d / P with
     P = (D theta^2 + c theta - q) d + N, of higher degree than d; at each
@@ -216,27 +248,44 @@ def residue_scale(model: LevyModel, x) -> tuple[np.ndarray, np.ndarray]:
         W(x) = sum_i e^{r_i x} / psi'(r_i),
         Z(x) = 1 + q sum_i (e^{r_i x} - 1) / (r_i psi'(r_i))   (Z = 1 at q = 0)
 
-    (Kuznetsov, Kyprianou & Rivero 2012, Levy Matters II; Egami & Yamazaki
-    2014, J. Comput. Appl. Math. 264).  psi is rational for ``NoJumps``,
-    compound Poisson exponential and compound Poisson gamma with integer
-    shape; the roots are the companion-matrix eigenvalues, each polished by
-    one Newton step on P.  Raises DomainError for any other family and for
-    a repeated root (two roots closer than 1e-6 of the largest |root|).
+    for x >= 0, and W = 0, Z = 1 for x < 0 (Kuznetsov, Kyprianou & Rivero
+    2012, Levy Matters II; Egami & Yamazaki 2014, J. Comput. Appl. Math. 264).
+    psi is rational for ``NoJumps``, compound Poisson exponential and
+    compound Poisson gamma with integer shape; the roots are companion-matrix
+    eigenvalues, each polished by one Newton step on P.  A small D puts one
+    root near -c/D, beyond the others by up to ~1e308 or past the doubles:
+    it is carried as its reciprocal u (``_split_large_root``), with
+    e^{r x} = e^{x/u} and psi'(r) = -rev_P'(u) / rev_d(u) from the reversed
+    polynomials.  Raises DomainError for any other family and for a repeated
+    root (two roots closer than 1e-6 of the larger modulus).
     """
     x = np.asarray(x, dtype=float)
+    below = x < 0.0
+    x = np.where(below, 0.0, x)
     N, d = _rational_exp_functional(model.jumps)
     P = Polynomial([-model.q, model.c, model.D]) * d + N
-    r = P.roots().astype(complex)
+    u, R = _split_large_root(P)
+    r = R.roots().astype(complex)
+    size = np.abs(r)
     gap = np.abs(np.subtract.outer(r, r)) + np.diag(np.full(len(r), np.inf))
-    if np.min(gap) <= 1e-6 * np.max(np.abs(r)):
+    if np.any(gap <= 1e-6 * np.maximum.outer(size, size)):
         raise DomainError(f"psi - q has a repeated root among {r}")
     r -= P(r) / P.deriv()(r)
     res = 1.0 / laplace_exponent_deriv(model, r)
     rx = np.multiply.outer(x, r)
     W = (np.exp(rx) @ res).real
-    if model.q == 0.0:
-        return W, np.ones_like(W)
-    return W, 1.0 + model.q * (np.expm1(rx) @ (res / r)).real
+    Zsum = (np.expm1(rx) @ (res / r)).real if model.q != 0.0 else 0.0
+    if u is not None:
+        res_u = -Polynomial(d.coef[::-1])(u) / Polynomial(P.coef[::-1]).deriv()(u)
+        # r x = x/u with u < 0, -inf past the doubles (u may underflow to 0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ux = np.where(x > 0.0, -x / abs(u), 0.0)
+        W = W + np.exp(ux) * res_u
+        if model.q != 0.0:
+            Zsum = Zsum + u * np.expm1(ux) * res_u
+    W = np.where(below, 0.0, W)
+    Z = np.where(below, 1.0, 1.0 + model.q * Zsum)
+    return W, Z
 
 
 # ---------------------------------------------------------------------------

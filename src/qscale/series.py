@@ -11,10 +11,16 @@ Laguerre coefficients ``a^G`` satisfy a lower-triangular Toeplitz system
 
 use closed-form kernels built from the convolution integrals Psi_{alpha,k}.
 All four share one form, so a single evaluator (``kernels``) returns them with
-their analytic (p, gamma) gradients.  Its ``eval_*`` / ``grad_*`` projections
-stay only as benchmark trace-probe bindings (``PROBE_ONLY``); no code reads them.
-The starred kernels are the exact antiderivatives of the unstarred ones, so
-Z_K = 1 + q * int_0^x W_K holds identically.
+their analytic (p, gamma) gradients.  Every caller wants Q and Q* only through
+fixed weights (a^G for W_K and Z_K, [a^G | A^{-1} B] for the CLT gradients),
+so ``kernels`` takes the (K+1, r) weight matrix U and returns U^T Q and
+U^T Q*: no (K+1)-row kernel stack is formed on the x side.  Its ``eval_*`` /
+``grad_*`` projections are identity-weight wrappers kept only as benchmark
+trace-probe bindings (``PROBE_ONLY``); no code reads them.  For x < 0 every
+kernel is 0, so W_K = 0 and Z_K = 1 there (the convention of Kuznetsov,
+Kyprianou & Rivero 2012, Levy Matters II).  The starred kernels are the exact
+antiderivatives of the unstarred ones, so Z_K = 1 + q * int_0^x W_K holds
+identically.
 
 Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k:
 one linear map (``h_functionals_at``) of the K+2 sources Psi_{0..K}(z; -gamma)
@@ -36,7 +42,7 @@ import numpy as np
 from scipy import linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
-from .laguerre import LaguerreParams, ladder, laguerre_fn_all, psi_integral_and_db_all
+from .laguerre import LaguerreParams, contract, forward_sources, ladder, psi_integral_all
 from .levy import LevyModel, ThetaParams
 
 __all__ = [
@@ -299,7 +305,7 @@ class Kernel(NamedTuple):
 
 
 class Kernels(NamedTuple):
-    """P, P* of shape x.shape and Q, Q* of shape (K+1, *x.shape) at one (p, gamma)."""
+    """P, P* of shape x.shape, and U^T Q, U^T Q* of shape (r, *x.shape) for (K+1, r) weights U."""
 
     P: Kernel
     Q: Kernel
@@ -307,62 +313,110 @@ class Kernels(NamedTuple):
     Qstar: Kernel
 
 
-def _combine(atom, p: float, gamma: float, D: float, c: float, *rows) -> list[Kernel]:
-    """The shared form of every kernel, with its (p, gamma) gradient, split into rows.
+def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
+    """The shared form of every kernel, with its (p, gamma) gradient.
 
     value = (f(gamma) - f(-beta)) / N, beta = c/D + gamma, with the D-scaled
     N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D); ``atom(b)`` returns
-    (f(b), df/db) for a stack of atoms.  Since d beta / d gamma = 1, the
-    gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 D value / (c + 2 gamma D);
-    the p-derivative is value / (1-p).  D = 0 is the limit, not a branch: the
-    atom at -beta, not formed there or where c/D overflows, is its own limit
-    for x > 0, and it sets W(0) = 0 wherever it is formed.
+    a list of pairs (f(b), df/db), one per kernel.  Since d beta / d gamma
+    = 1, the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 D value /
+    (c + 2 gamma D); the p-derivative is value / (1-p).  D = 0 is the limit,
+    not a branch: the atom at -beta, not formed there or where c/D
+    overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever it
+    is formed.
     """
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
-    f, df = atom(gamma)
+    parts = atom(gamma)
     beta = float(c) / float(D) + gamma if D > 0 else math.inf
     if math.isfinite(beta):
-        f_b, df_b = atom(-beta)
-        f, df = f - f_b, df + df_b
+        parts = [(f - f_b, df + df_b) for (f, df), (f_b, df_b) in zip(parts, atom(-beta))]
     s = c + 2.0 * gamma * D  # (beta + gamma) D
     N = (1.0 - p) * s
-    value = f / N
-    d_gamma = df / N - 2.0 * D * value / s
-    return [Kernel(value[r], value[r] / (1.0 - p), d_gamma[r]) for r in rows]
+    kernels = []
+    for f, df in parts:
+        value = f / N
+        kernels.append(Kernel(value, value / (1.0 - p), df / N - 2.0 * D * value / s))
+    return kernels
 
 
-def _exp_atoms(x, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (P, P*) of the atoms e^{bx}, (e^{bx} - 1)/b and their b-derivatives."""
+def _exp_atoms(x, b: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(f, df/db) of the P-atom e^{bx} and the P*-atom (e^{bx} - 1)/b."""
     x = np.asarray(x, dtype=float)
     e = np.exp(_times(b, x))
-    return np.stack([e, _expm1_ratio(b, x)]), np.stack([x * e, _expm1_ratio_db(b, x)])
+    return [(e, x * e), (_expm1_ratio(b, x), _expm1_ratio_db(b, x))]
 
 
 def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
     """[P, P*]: the kernels that need no Laguerre basis."""
-    return _combine(partial(_exp_atoms, x), p, gamma, D, c, 0, 1)
+    return _combine(partial(_exp_atoms, x), p, gamma, D, c)
 
 
-def kernels(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float) -> Kernels:
-    """P, Q_{alpha,0..K}, P*, Q*_{alpha,0..K} at x with their (p, gamma) gradients.
+def _db_weights(U: np.ndarray) -> np.ndarray:
+    """[U; 0 | V], shape (K+2, 2r): U^T d/db Psi_{0..K} = x U^T Psi - V^T Psi_{0..K+1} / (2 alpha).
 
-    The Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b); each b
-    takes Psi and d/db Psi from one order-(K+1) sweep.
+    ``psi_db_from``'s three-term identity moved onto the weights:
+    V_j = (2j+1) U_j - j U_{j-1} - (j+1) U_{j+1}, with U_{-1} = U_{K+1} = U_{K+2} = 0.
+    """
+    n, r = U.shape
+    W = np.zeros((n + 1, 2 * r))
+    W[:n, :r] = U
+    j = np.arange(n + 1.0)[:, None]
+    V = W[:, r:]
+    V[:n] = (2.0 * j[:n] + 1.0) * U
+    V[1:] -= j[1:] * U
+    V[:-2] -= j[1:-1] * U[1:]
+    return W
+
+
+def kernels(
+    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U
+) -> Kernels:
+    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x with their (p, gamma) gradients.
+
+    U holds the caller's (K+1, r) weights: a^G for W_K and Z_K, [a^G | A^{-1} B]
+    for the CLT gradients, the identity for the rows themselves.  The
+    Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and each
+    b contracts Psi_{0..K+1} with [U; 0 | V] (``_db_weights``), which gives
+    U^T Psi and U^T d/db Psi together.  One Laguerre recurrence over x gives
+    U^T phi and the sources of the forward sweep at b = gamma >= 0
+    (``forward_sources``), whose ladder runs as its adjoint on the weights;
+    at b = -beta the backward sweep's rows are contracted after it.  Every
+    kernel vanishes at x < 0, where W^(q) = 0 and Z^(q) = 1.
     """
     x = np.asarray(x, dtype=float)
-    phi = laguerre_fn_all(params, x)
+    U = np.asarray(U, dtype=float)
+    K, a, r = params.K, params.alpha, U.shape[1]
+    below = x < 0.0
+    x = np.where(below, 0.0, x)
+    W = _db_weights(U)
+    # phi at b = gamma's recurrence; a gamma < 0 (never a Lundberg exponent)
+    # takes the backward sweep and discards these sources
+    S, U_M = forward_sources(K + 1, a, x, max(gamma, 0.0), U)
+    U_phi = params.sq2a * U_M
+    psi_fwd = None
+    if gamma >= 0.0:
+        s = a + gamma
+        # the adjoint of diag J_k + off J_{k-1} = S_k (J_0 = S_0) on W: errors
+        # grow by the same |off / diag| <= 1 per step, from the top order down
+        lam = np.empty_like(W)
+        lam[:0:-1] = ladder(W[-1] / s, W[-2:0:-1], s, 2.0 * a - s)
+        lam[0] = W[0] - (2.0 * a - s) * lam[1]
+        psi_fwd = params.sq2a * contract(lam, S)
+    del S  # not held through the backward sweep
 
     def atom(b):
-        e, d_e = _exp_atoms(x, b)
-        psi, d_psi = psi_integral_and_db_all(params, x, b)
-        return (
-            np.concatenate([e, phi + b * psi, psi]),
-            np.concatenate([d_e, psi + b * d_psi, d_psi]),
-        )
+        psi_w = psi_fwd if b >= 0.0 else contract(W, psi_integral_all(params, x, b, K + 1))
+        U_psi = psi_w[:r]
+        U_db = x * U_psi - psi_w[r:] / (2.0 * a)
+        return [*_exp_atoms(x, b), (U_phi + b * U_psi, U_psi + b * U_db), (U_psi, U_db)]
 
-    n = params.K + 1
-    return Kernels(*_combine(atom, p, gamma, D, c, 0, slice(2, n + 2), 1, slice(n + 2, None)))
+    P, Pstar, Q, Qstar = _combine(atom, p, gamma, D, c)
+    if np.any(below):
+        P, Pstar, Q, Qstar = (
+            Kernel(*(np.where(below, 0.0, part) for part in kern)) for kern in (P, Pstar, Q, Qstar)
+        )
+    return Kernels(P, Q, Pstar, Qstar)
 
 
 def eval_P(x, p: float, gamma: float, D: float, c: float):
@@ -375,14 +429,18 @@ def eval_Pstar(x, p: float, gamma: float, D: float, c: float):
     return _exp_kernels(x, p, gamma, D, c)[1].value
 
 
+def _identity_kernels(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
+    return kernels(params, x, p, gamma, D, c, np.eye(params.K + 1))
+
+
 def eval_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """Q_{alpha,k}(x) for k = 0..K; the kernel applied to each basis function."""
-    return kernels(params, x, p, gamma, D, c).Q.value
+    return _identity_kernels(params, x, p, gamma, D, c).Q.value
 
 
 def eval_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """int_0^x Q_{alpha,k}; exact antiderivative of eval_Q_all."""
-    return kernels(params, x, p, gamma, D, c).Qstar.value
+    return _identity_kernels(params, x, p, gamma, D, c).Qstar.value
 
 
 def grad_P(x, p: float, gamma: float, D: float, c: float):
@@ -397,12 +455,12 @@ def grad_Pstar(x, p: float, gamma: float, D: float, c: float):
 
 def grad_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q_k, d/dgamma Q_k) for k = 0..K."""
-    return kernels(params, x, p, gamma, D, c).Q[1:]
+    return _identity_kernels(params, x, p, gamma, D, c).Q[1:]
 
 
 def grad_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q*_k, d/dgamma Q*_k) for k = 0..K."""
-    return kernels(params, x, p, gamma, D, c).Qstar[1:]
+    return _identity_kernels(params, x, p, gamma, D, c).Qstar[1:]
 
 
 @dataclass(frozen=True)
@@ -416,18 +474,19 @@ class ScaleApprox:
     q: float
     coeffs: CoefficientSet
 
-    def kernels(self, x) -> Kernels:
+    def kernels(self, x, extra=None) -> Kernels:
+        """The kernels at x contracted with [a^G | extra]: column 0 gives W_K and Z_K."""
         cs = self.coeffs
-        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c)
+        U = cs.a_G[:, None] if extra is None else np.column_stack([cs.a_G, extra])
+        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, U)
 
     def w_from(self, k: Kernels):
-        """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from the kernels at x."""
-        return k.P.value - np.tensordot(self.coeffs.a_G, k.Q.value, axes=(0, 0))
+        """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from ``kernels(x, ...)``."""
+        return k.P.value - k.Q.value[0]
 
     def z_from(self, k: Kernels):
-        """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G) from the kernels at x."""
-        Qs_aG = np.tensordot(self.coeffs.a_G, k.Qstar.value, axes=(0, 0))
-        return 1.0 + self.q * (k.Pstar.value - Qs_aG)
+        """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G) from ``kernels(x, ...)``."""
+        return 1.0 + self.q * (k.Pstar.value - k.Qstar.value[0])
 
     def w(self, x):
         return self.w_from(self.kernels(x))

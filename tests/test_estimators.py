@@ -397,6 +397,19 @@ class TestCovarianceMachinery:
             assert hi == pytest.approx(hat + hw, rel=1e-15, abs=0)
             assert lo == pytest.approx(hat - hw, rel=1e-15, abs=0)
 
+    def test_intervals_collapse_below_zero(self, exp_jump_model, params20):
+        # W^(q) = 0 and Z^(q) = 1 on x < 0, known without sampling error
+        obs = simulate(exp_jump_model, make_scheme(100.0), seed=8)
+        x = [-np.inf, -1.0, -1e-300, 0.0, 1.0]
+        rep = build_report(obs, 0.1, 1.5, params20, x=x, D_hat=estimate_D(obs))
+        cov = rep.cov
+        for bound in (cov.W_hat, cov.W_lo, cov.W_hi):
+            assert np.array_equal(bound[:3], np.zeros(3))
+        for bound in (cov.Z_hat, cov.Z_lo, cov.Z_hi):
+            assert np.array_equal(bound[:3], np.ones(3))
+        assert not np.any(cov.joint[:3])
+        assert cov.W_lo[-1] < cov.W_hat[-1] < cov.W_hi[-1]
+
     def test_gamma_block_structure(self, exp_jump_model, params20):
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=8)
         rep = build_report(obs, 0.1, 1.5, params20, x=[1.0], D_hat=estimate_D(obs))
@@ -529,22 +542,29 @@ class TestCovarianceMachinery:
     @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
     def test_one_kernel_sweep_per_exponent(self, model_name, params20, request, monkeypatch):
         # the x-side kernels and gradients take Psi at b = gamma (and b = -beta
-        # when D > 0) from one sweep each; W_hat, Z_hat match the evaluators
-        import qscale.laguerre as lag_mod
+        # when D > 0) from one sweep each, the forward one through its
+        # sources; W_hat, Z_hat match the evaluators
+        import qscale.series as series_mod
 
         model = request.getfixturevalue(model_name)
         cs0 = coeffs_true(model, params20)
         est = PipelineEstimates.population(cs0)
         x = np.linspace(0.0, 6.0, 7)
         bs = []
-        orig = lag_mod.psi_integral_all
+        fwd, bwd = series_mod.forward_sources, series_mod.psi_integral_all
 
-        def counting(params, xx, b, kmax=None):
+        def counting_fwd(kmax, alpha, xx, b, weights=None):
             if np.shape(xx) == x.shape and np.array_equal(xx, x):
                 bs.append(b)
-            return orig(params, xx, b, kmax)
+            return fwd(kmax, alpha, xx, b, weights)
 
-        monkeypatch.setattr(lag_mod, "psi_integral_all", counting)
+        def counting_bwd(params, xx, b, kmax=None):
+            if np.shape(xx) == x.shape and np.array_equal(xx, x):
+                bs.append(b)
+            return bwd(params, xx, b, kmax)
+
+        monkeypatch.setattr(series_mod, "forward_sources", counting_fwd)
+        monkeypatch.setattr(series_mod, "psi_integral_all", counting_bwd)
         cov = covariance_machinery(est, model.c, model.q, x)
         theta = cs0.theta
         if theta.D > 0:
@@ -560,8 +580,8 @@ class TestCovarianceMachinery:
         self, model_name, params20, request, monkeypatch
     ):
         # estimate_coeffs runs one Psi sweep over the jump sizes, and the
-        # kernel map only on (K+2)-column sources; covariance_machinery
-        # applies neither
+        # kernel map once, on the (K+2)-column identity (Gamma_hat's column
+        # comes from the map's matrix); covariance_machinery applies neither
         import qscale.estimators as est_mod
 
         model = request.getfixturevalue(model_name)
@@ -581,7 +601,7 @@ class TestCovarianceMachinery:
         monkeypatch.setattr(est_mod, "h_functionals_at", counting_map)
         est = _estimates(obs, model.q, model.c, params20)
         assert sweeps == [len(obs.jump_sizes)]
-        assert maps == [(params20.K + 2,), ()]
+        assert maps == [(params20.K + 2,)]
         sweeps.clear()
         maps.clear()
         covariance_machinery(est, model.c, model.q, np.array([1.0, 3.0]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,45 @@ from qscale.series import p_value, scale_approx
 
 def _talbot(model, xs):
     return np.array([laplace_invert_scale(model, float(x)).value for x in xs])
+
+
+def _mp_residue_scale(model, xs):
+    """(W, Z) from 40-digit ``mpmath.polyroots`` residues of (psi - q) d, with
+    nu(e^{-theta z} - 1) = N / d written out per family."""
+    jumps = model.jumps
+    with mpmath.workdps(40):
+        mp = mpmath.mpf
+        if isinstance(jumps, NoJumps):
+            N, d = [mp(0)], [mp(1)]
+        elif isinstance(jumps, CompoundPoissonExponential):
+            N, d = [mp(0), -mp(jumps.rate)], [mp(jumps.mu), mp(1)]
+        else:  # compound Poisson gamma of integer shape: d = (1 + scale theta)^shape
+            n = int(jumps.shape)
+            d = [mpmath.binomial(n, j) * mp(jumps.scale) ** j for j in range(n + 1)]
+            N = [mp(jumps.rate) * ((j == 0) - dj) for j, dj in enumerate(d)]
+        P = [mp(0)] * (len(d) + 2)
+        for i, a in enumerate([-mp(model.q), mp(model.c), mp(model.D)]):
+            for j, b in enumerate(d):
+                P[i + j] += a * b
+        for i, a in enumerate(N):
+            P[i] += a
+        while P[-1] == 0:
+            P.pop()
+        # extra precision spans the ~1e310 spread of the roots at tiny D
+        roots = mpmath.polyroots(P[::-1], maxsteps=500, extraprec=2200)
+
+        def ev(coef, t):
+            return mpmath.fsum(ci * t**i for i, ci in enumerate(coef))
+
+        dP = [i * P[i] for i in range(1, len(P))]
+        res = [ev(d, r) / ev(dP, r) for r in roots]  # 1/psi'(r)
+        W, Z = [], []
+        for x in map(mp, xs):
+            W.append(mpmath.re(mpmath.fsum(mpmath.exp(r * x) * s for r, s in zip(roots, res))))
+            Z.append(mpmath.re(1 + mp(model.q) * mpmath.fsum(
+                mpmath.expm1(r * x) / r * s for r, s in zip(roots, res)
+            )))
+    return np.array(W, dtype=float), np.array(Z, dtype=float)
 
 
 class TestTalbot:
@@ -181,6 +221,23 @@ class TestClosedFormW:
         for jumps in (GammaSubordinator(0.5, 1.0), CompoundPoissonGamma(1.0, 0.3, 1.0)):
             with pytest.raises(DomainError, match="not rational"):
                 residue_scale(LevyModel(x0=0, c=2.0, D=0.3, jumps=jumps, q=0.1), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("D", [1e-12, 1e-300, 1e-310, 0.5])
+    @pytest.mark.parametrize(
+        "jumps",
+        [CompoundPoissonExponential(1.0, 1.0), NoJumps(), CompoundPoissonGamma(1.0, 3.0, 0.4)],
+        ids=["exponential", "none", "gamma-shape3"],
+    )
+    def test_small_D_against_mpmath_residues(self, jumps, D):
+        # the root near -c/D is far beyond the others (past the doubles at
+        # 1e-310); at D = 1e-12 and 1e-300 the closeness test once took the
+        # distinct roots -0.42 and 0.157 for a repeated one
+        model = LevyModel(x0=0, c=1.5, D=D, jumps=jumps, q=0.1)
+        W, Z = residue_scale(model, self.XS)
+        W_ref, Z_ref = _mp_residue_scale(model, self.XS)
+        assert np.max(np.abs(W - W_ref)) <= 2e-15 * np.max(np.abs(W_ref))
+        assert np.max(np.abs(Z - Z_ref)) <= 2e-15 * np.max(np.abs(Z_ref))
 
     def test_repeated_root_rejected(self):
         # with D = 1/2, c = 3/2, Gamma(2, 1/8) sizes at rate lam = 21/4 and

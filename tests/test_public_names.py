@@ -22,7 +22,7 @@ NOT_PRODUCTION = {"oracles.py", "__init__.py"}
 PROBE_ONLY = {
     "eval_P", "eval_Q_all", "eval_Pstar", "eval_Qstar_all",
     "grad_P", "grad_Q_all", "grad_Pstar", "grad_Qstar_all",
-    "psi_integral_db_all", "laplace_exponent_deriv",
+    "psi_integral_db_all", "laplace_exponent_deriv", "laguerre_fn_all",
 }
 
 

@@ -45,6 +45,7 @@ from qscale.series import (
     eval_P,
     eval_Q_all,
     gamma_window,
+    kernels,
     p_value,
     scale_approx,
     solve_aG,
@@ -746,3 +747,125 @@ class TestUniformConvergence:
         ap = scale_approx(model, LaguerreParams(1.0, K))
         assert np.max(np.abs(ap.w(xs) - W)) <= w_tol * np.max(np.abs(W))
         assert np.max(np.abs(ap.z(xs) - Z)) <= z_tol * np.max(np.abs(Z))
+
+
+_X_SHAPES = {
+    "scalar": np.float64(2.5),
+    "empty": np.empty(0),
+    "one point": np.array([1.3]),
+    "grid": np.linspace(0.0, 10.0, 201),
+}
+
+
+class TestContractedKernels:
+    """``kernels`` with (K+1, r) weights U against U^T times its identity-weight rows."""
+
+    @pytest.mark.parametrize("x_case", list(_X_SHAPES))
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("D", [0.0, 1e-300, 0.5])
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    def test_weights_contract_the_rows(self, K, D, gamma, x_case):
+        params, x, c, p = LaguerreParams(1.0, K), _X_SHAPES[x_case], 1.5, 0.3
+        rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1))
+        assert rows.Q.value.shape == rows.Qstar.d_gamma.shape == (K + 1,) + np.shape(x)
+        rng = np.random.default_rng(K)
+        for U in [np.eye(K + 1)] + [rng.normal(size=(K + 1, r)) for r in (1, 3, K + 1)]:
+            got = kernels(params, x, p, gamma, D, c, U)
+            for name in ("P", "Pstar"):
+                for part, want in zip(getattr(got, name), getattr(rows, name)):
+                    assert np.array_equal(part, want)
+
+            def mag(a):
+                # the rounding scale of U^T a: sup over x of |U|^T |a|
+                return np.max(np.tensordot(np.abs(U), np.abs(a), axes=(0, 0)), initial=0.0)
+
+            for name in ("Q", "Qstar"):
+                for i, (part, full) in enumerate(zip(getattr(got, name), getattr(rows, name))):
+                    want = np.tensordot(U, full, axes=(0, 0))
+                    assert part.shape == want.shape == (U.shape[1],) + np.shape(x)
+                    # the forward ladder and its adjoint round apart over K steps; a
+                    # gamma-derivative also carries the three-term identity's
+                    # (2k+1)-weighted Psi rows, ~ (K+1) |U|^T |Q*|
+                    scale = mag(full) + (i == 2) * (K + 1) * mag(rows.Qstar.value)
+                    assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_one_laguerre_recurrence_over_x(self, model, monkeypatch):
+        # phi and the forward sweep's sources share one recurrence over the x;
+        # the backward sweep (D > 0) runs its own over the x and its seed nodes
+        import qscale.laguerre as laguerre_mod
+
+        approx = scale_approx(model, LaguerreParams(1.0, 64))
+        x = np.linspace(0.0, 10.0, 201)
+        points = []
+        rows = laguerre_mod._laguerre_rows
+
+        def counted(kmax, t, m0):
+            points.append(np.size(t))
+            return rows(kmax, t, m0)
+
+        monkeypatch.setattr(laguerre_mod, "_laguerre_rows", counted)
+        approx.kernels(x)
+        assert points.count(x.size) == 1, points
+        assert len(points) == (2 if model.D > 0 else 1), points
+
+    def test_no_row_stack_beyond_the_sweep(self, monkeypatch):
+        # W_K at K = 64 on 201 points allocates less than one (2K+4) x 201
+        # array beyond the backward sweep's own peak
+        import tracemalloc
+
+        import qscale.laguerre as laguerre_mod
+
+        K, x = 64, np.linspace(0.0, 10.0, 201)
+        approx = scale_approx(_ACCEPTANCE, LaguerreParams(1.0, K))
+        approx.w(x)
+        sweep_peaks = []
+        sweep = laguerre_mod._backward_sweep
+
+        def measured(kmax, alpha, xx, b):
+            # the sweep's peak over what is held when it starts
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = sweep(kmax, alpha, xx, b)
+            sweep_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(laguerre_mod, "_backward_sweep", measured)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            approx.w(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(sweep_peaks) == 1
+        assert peak - sweep_peaks[0] < (2 * K + 4) * x.size * 8, (peak, sweep_peaks)
+
+
+class TestNegativeX:
+    """W^(q) = 0 and Z^(q) = 1 on x < 0, with zero gradients."""
+
+    XS = np.array([-np.inf, -1.0, -1e-300, 0.0, 1e-300])
+
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_scale_approx(self, model):
+        approx = scale_approx(model, LaguerreParams(1.0, 20))
+        k = approx.kernels(self.XS, np.ones((21, 2)))
+        W, Z = approx.w_from(k), approx.z_from(k)
+        assert np.array_equal(W[:3], np.zeros(3)) and np.array_equal(Z[:3], np.ones(3))
+        assert all(not np.any(part[..., :3]) for kern in k for part in kern)
+        assert np.array_equal(approx.w(self.XS[:3]), np.zeros(3))
+        assert np.array_equal(approx.z(-1.0), np.float64(1.0))
+        # at and just above 0 the values of the parent formula
+        assert np.all(np.isfinite(W)) and np.all(np.isfinite(Z))
+        assert W[4] == pytest.approx(W[3], abs=1e-15) and Z[3] == 1.0
+        if model.D > 0:
+            assert W[3] == 0.0
+
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2, _GAMMA_SHAPE3])
+    def test_residue_scale(self, model):
+        W, Z = residue_scale(model, self.XS)
+        assert np.array_equal(W[:3], np.zeros(3)) and np.array_equal(Z[:3], np.ones(3))
+        assert W[3] == pytest.approx(0.0 if model.D > 0 else 1.0 / model.c, abs=1e-15)
+        assert W[4] == pytest.approx(W[3], abs=1e-15) and Z[3] == 1.0
