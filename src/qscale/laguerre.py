@@ -17,25 +17,20 @@ where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  One ``ladder`` runs every recurrence
 ``diag y_k + off y_{k-1} = d_k`` in k (Psi here, the H-kernels in ``series``),
 amplifying errors by |off / diag| per step, so each caller runs it where that
 is at most 1: for Psi forward (diag = s, off = 2a - s) when b >= 0 and
-backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  The
-forward branch is shared: ``forward_sources`` forms its seed and sources from
-one Laguerre recurrence, which ``psi_integral_all`` ladders in place and the
-kernel evaluator of ``series`` contracts with the ladder's adjoint on its
-weights (``contract``), taking the Laguerre functions' weighted sum from the
-same recurrence.  The
-backward sweep is seeded at the top order by one seed shared across the x
-sorted by a stable argsort: the seed at an x is the seed at the x before it,
-decayed by e^{b gap} <= 1, plus the integral over the short panel between
-them.  Each panel is taken by Gauss-Legendre in the offset t = x - z, cut
-where the kernel e^{bt} or the basis function drops below e^{-45}, with the
-smaller node count of two rules (see ``_seed_panels``); a log-depth
-scan runs the recurrence over x, and the contraction of the ladder then damps
-the (~1e-15) seed error further.  So the value at one x depends at the
-rounding level on the other x of the same call.  The sweep runs over chunks
-of a bounded number of (x, node) and (x, order) pairs, so its memory does not
-grow with the number of x beyond the output.  This keeps orders up to k = 64
-stable in double precision, which a monomial expansion of L_k cannot do
-(binomial cancellation).
+backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  Both
+start from the rows M_{0..K}(x) of one Laguerre recurrence: ``forward_sources``
+turns them into the forward seed and sources in place, and ``backward_seed``
+takes the backward sweep's top-order seed from them.  ``psi_integral_all``
+ladders in place; the kernel evaluator of ``series`` contracts with each
+ladder's adjoint on its weights (``contract``).  The backward seed is shared
+across the x sorted by a stable argsort (the seed at an x is the one at the
+x before it, decayed by e^{b gap} <= 1, plus the integral over the panel
+between them), and a Taylor rule built from the rows at x takes each panel
+with no quadrature nodes.  The ladder's contraction damps the (~1e-15) seed
+error further; the value at one x depends at the rounding level on the
+other x of the same call.  This keeps orders up to k = 64 stable in double
+precision, which a monomial expansion of L_k cannot do (binomial
+cancellation).
 
 The degenerate regime b ~ -alpha (s ~ 0) needs no special casing: it falls in
 the backward branch, which never divides by s.
@@ -48,14 +43,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError
 
 __all__ = [
     "LaguerreParams",
     "laguerre_fn_all",
+    "weighted_laguerre_all",
     "forward_sources",
+    "backward_seed",
     "contract",
     "psi_integral_all",
     "psi_db_from",
@@ -110,9 +106,10 @@ def _laguerre_rows(kmax: int, t, m0):
         yield cur
 
 
-def _weighted_laguerre_all(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """M_k(x) = L_k(2 alpha x) e^{-alpha x} for k = 0..kmax; shape (kmax+1, *x.shape)."""
-    out = np.empty((kmax + 1,) + x.shape, dtype=float)
+def weighted_laguerre_all(kmax: int, alpha: float, x, out: np.ndarray | None = None) -> np.ndarray:
+    """M_k(x) = L_k(2 alpha x) e^{-alpha x} for k = 0..kmax; shape (kmax+1, *x.shape), into out if given."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape) if out is None else out
     for k, row in enumerate(_laguerre_rows(kmax, 2.0 * alpha * x, np.exp(-alpha * x))):
         out[k] = row
     return out
@@ -121,8 +118,7 @@ def _weighted_laguerre_all(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray
 def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.ndarray:
     """phi_{alpha,k}(x) for k = 0..kmax (default params.K); shape (kmax+1, *x.shape)."""
     kmax = params.K if kmax is None else kmax
-    x = np.asarray(x, dtype=float)
-    return params.sq2a * _weighted_laguerre_all(kmax, params.alpha, x)
+    return params.sq2a * weighted_laguerre_all(kmax, params.alpha, x)
 
 
 def contract(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -139,91 +135,80 @@ def contract(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_sources(kmax: int, alpha: float, x, b: float, weights=None):
-    """The forward ladder of J_{0..kmax}(x; b), b >= 0, in one buffer, from one Laguerre recurrence.
+def forward_sources(rows: np.ndarray, alpha: float, x, b: float) -> np.ndarray:
+    """The forward ladder of J_{0..kmax}(x; b), b >= 0, formed in place from the rows M_{0..kmax}(x).
 
-    Returns (S, WM): S of shape (kmax+1, *x.shape) holds J_0 = e^{bx} (1 -
-    e^{-sx}) / s, s = alpha + b, in row 0 and the sources d_k = M_{k-1} - M_k
-    in rows k = 1..kmax, so ``ladder(S[0], S[1:], s, 2 alpha - s, out=S)``
-    overwrites it with J.  With (n, r) weights, n <= kmax + 1, WM =
-    ``contract(weights, M_{0..n-1})`` is taken from the same rows before they
-    become sources (the Laguerre functions phi_k = sqrt(2 alpha) M_k);
-    otherwise WM is None.
+    Returns rows, now holding J_0 = e^{bx} (1 - e^{-sx}) / s, s = alpha + b,
+    in row 0 and the sources d_k = M_{k-1} - M_k in rows k = 1..kmax, so
+    ``ladder(S[0], S[1:], s, 2 alpha - s, out=S)`` overwrites it with J.
     """
-    x = np.asarray(x, dtype=float)
-    S = _weighted_laguerre_all(kmax, alpha, x)
-    WM = None if weights is None else contract(weights, S[: len(weights)])
-    rows = S.reshape(kmax + 1, -1)  # a view, with 1-d rows also for a scalar x
-    for k in range(kmax, 0, -1):
-        np.subtract(rows[k - 1], rows[k], out=rows[k])
+    flat = rows.reshape(len(rows), -1)  # a view, with 1-d rows also for a scalar x
+    for k in range(len(rows) - 1, 0, -1):
+        np.subtract(flat[k - 1], flat[k], out=flat[k])
     s = alpha + b
-    S[0] = np.exp(b * x) * (-np.expm1(-s * x)) / s
-    return S, WM
+    rows[0] = np.exp(b * x) * (-np.expm1(-s * x)) / s
+    return rows
 
 
 # The backward seed neglects kernel and basis tails below e^{-_TAIL}.
 _TAIL = 45.0
-# Window-rule node counts are rounded up to a multiple of this, so few rules are cached.
-_NODE_STEP = 8
-# A seed panel's quadrature error bound, relative to its integrand (``_seed_panels``).
+# Terms of the seed's Taylor rule, and its remainder bound relative to the
+# integrand's (``_taylor_rule``).
+_TAYLOR_TERMS = 16
 _PANEL_TOL = 1e-17
-# Work units per chunk of the backward sweep, one per (x, node) and per
-# (x, order) pair plus one per x: bounds its temporaries.
+# Work units per chunk of the backward sweep, one per (point, row) pair: the
+# points are the x and the seed's auxiliary stations, the rows the kmax + 1
+# orders and the rule's terms.  Bounds its temporaries.
 _CHUNK_PAIRS = 1 << 16
 
 
-@lru_cache(maxsize=128)
-def _gauss_legendre(n: int) -> np.ndarray:
-    """Rows (1 + nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1]; read-only."""
-    u, wts = special.roots_legendre(n)
-    rule = np.stack([1.0 + u, wts])
-    rule.flags.writeable = False
-    return rule
+@lru_cache(maxsize=64)
+def _taylor_rule(kmax: int, alpha: float, b: float) -> tuple[np.ndarray, float, float]:
+    """The seed's Taylor rule at b < 0: its rows, the scale rho and its reach in rho h.
 
+    A station z = x - t0 expands f(t) = e^{bt} M_kmax(x - t) over [t0, t0 + h].
+    Since L_k' = -sum_{j<k} L_j (Abramowitz & Stegun 22.8.6), d/dt M(x - t) =
+    alpha (I + 2N) M(x - t) with N the strictly lower all-ones matrix, so
+    f^(j)(t0) = e^{b t0} e^T G^j M(z), e = e_kmax, G = (alpha + b) I + 2 alpha N,
+    and
 
-@lru_cache(maxsize=16)
-def _panel_reach(nmax: int) -> np.ndarray:
-    """For n = 1..nmax, the largest y with y^{2n} / (2n)! <= _PANEL_TOL; read-only."""
-    two_n = 2.0 * np.arange(1, nmax + 1)
-    reach = np.exp((math.log(_PANEL_TOL) + special.gammaln(two_n + 1.0)) / two_n)
-    reach.flags.writeable = False
-    return reach
+        int_0^h f(t0 + u) du = e^{b t0} h sum_j [e^T Gh^j M(z) / (j+1)!] (rho h)^j
 
-
-def _seed_panels(kmax: int, alpha: float, x: np.ndarray, x_prev: float, b: float):
-    """Per sorted x: gap, start t0, half-length h and node count n of its seed panel.
-
-    The panel of x_i is [x_{i-1}, x_i], with x_prev before the first x and
-    any x below 0 counted as 0.  It is taken in the offset t = x_i - z and
-    cut where the kernel or the basis function drops below e^{-45}.  The
-    kernel cut is t = 45/|b| (none for |b| <= 1e-12).  Since |L_K(s)| <=
-    sum_j C(K, j) s^j / j! <= 5^K e^{s/4}, |M_K(z)| <= 5^K e^{-alpha z / 2},
-    so z beyond (2/alpha)(45 + K ln 5) adds below (2/alpha) e^{-45}: the
-    basis cut is t >= x - (2/alpha)(45 + K ln 5).  On [t0, t0 + 2h] the
-    integrand is e^{bt} M_kmax(x - t), and n Gauss-Legendre nodes integrate
-    degree 2n - 1 exactly (Trefethen 2008, SIAM Rev. 50), so n is the
-    smaller of two rules:
-
-    * long panels: e^{-alpha x} e^{(alpha + b) t} times a polynomial of
-      degree kmax in t; mapped to [-1, 1] the exponential is e^{kappa u}
-      with |kappa| <= (alpha + |b|) h, whose Chebyshev coefficients
-      2 I_j(kappa) fall below eps relative to e^kappa before
-      j = 2 kappa + 24, so n = ceil((kmax + 1)/2) + ceil((alpha + |b|) h)
-      + 12, rounded up to a multiple of 8;
-    * short panels: the integrand's derivatives grow at most like Lambda^j
-      with Lambda = alpha (4 kmax + 3) + |b|, so the Taylor remainder past
-      degree 2n - 1 is below (2 h Lambda)^{2n} / (2n)! <= 1e-17 of it; that
-      n is one search in the table ``_panel_reach``.
+    with Gh = G / rho and rho = |alpha + b| + 2 alpha max(kmax, 1) >= ||G||_inf,
+    so nothing overflows for |b| up to 1e300.  The rows are e^T Gh^j / (j+1)!
+    for j < n = _TAYLOR_TERMS (read-only).  As |M_k(z)| <= 1 for z >= 0
+    (|L_k(s)| <= e^{s/2}, A&S 22.14.12) and e^{bt} <= 1, |f^(n)| <= rho^n
+    ||e^T Gh^n||_1, so the remainder is below h (rho h)^n ||e^T Gh^n||_1 /
+    (n+1)!; the reach is the rho h that puts it at _PANEL_TOL h.  The norm
+    is taken of the computed row plus its rounding, at most n (kmax + 2) eps
+    times e^T |Gh|^n 1 = sum_m C(n, m) C(kmax, m) |u|^(n-m) v^m.
     """
-    gap = np.diff(np.maximum(x, 0.0), prepend=max(x_prev, 0.0))
-    w = np.minimum(gap, _TAIL / -b) if b < -1e-12 else gap
-    t0 = np.maximum(x - 2.0 * (_TAIL + kmax * math.log(5.0)) / alpha, 0.0)
-    h = 0.5 * np.fmax(w - t0, 0.0)  # a NaN x gets an empty panel and a NaN seed
-    n = (kmax + 2) // 2 + np.ceil((alpha - b) * h).astype(np.int64) + 12
-    n = -(-n // _NODE_STEP) * _NODE_STEP
-    lam = alpha * (4 * kmax + 3) - b
-    short = np.searchsorted(_panel_reach(int(n.max())), 2.0 * h * lam) + 1
-    return gap, t0, h, np.minimum(n, short)
+    n = _TAYLOR_TERMS
+    rho = abs(alpha + b) + 2.0 * alpha * max(kmax, 1)
+    u, v = (alpha + b) / rho, 2.0 * alpha / rho
+    rows = np.empty((n, kmax + 1))
+    row = np.zeros(kmax + 1)
+    row[-1] = 1.0
+    for j in range(n):
+        rows[j] = row
+        # row Gh = u row_i + v sum_{k>i} row_k; after the loop, e^T Gh^n
+        row = (u - v) * row + v * np.cumsum(row[::-1])[::-1]
+    rows /= np.cumprod(np.arange(1.0, n + 1.0))[:, None]
+    rows.flags.writeable = False
+    abs_row = sum(math.comb(n, m) * math.comb(kmax, m) * abs(u) ** (n - m) * v**m for m in range(n + 1))
+    bound = float(np.abs(row).sum()) + n * (kmax + 2) * np.finfo(float).eps * abs_row
+    # a zero bound (kmax = 0 at b = -alpha: a constant integrand) leaves the reach finite
+    reach = math.exp((math.log(_PANEL_TOL) + math.lgamma(n + 2) - math.log(max(bound, 1e-300))) / n)
+    return rows, rho, reach
+
+
+def _taylor_values(taylor: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j (taylor_j . M) y^j per column M of rows: one matrix product, then Horner in y."""
+    terms = taylor @ rows
+    acc = terms[-1]
+    for term in terms[-2::-1]:
+        acc = acc * y + term
+    return acc
 
 
 def _affine_scan(a: np.ndarray, p: np.ndarray) -> None:
@@ -240,73 +225,72 @@ def _affine_scan(a: np.ndarray, p: np.ndarray) -> None:
         d *= 2
 
 
-def _panel_nodes(x: np.ndarray, t0: np.ndarray, h: np.ndarray, n: np.ndarray, b: float):
-    """z at the x then at every panel's nodes, end to end, and the nodes' w e^{bt}.
+def backward_seed(rows: np.ndarray, alpha: float, x: np.ndarray, b: float) -> np.ndarray:
+    """J_kmax(x; b) = int_0^x e^{b(x-z)} M_kmax(z) dz for b < 0, x 1-d, from rows = M_{0..kmax}(x).
 
-    The rules are gathered with one concatenation of the distinct node counts
-    and one index, not one rule per x.
+    Over x sorted by a stable argsort the seed obeys J(x_i) = e^{b (x_i -
+    x_{i-1})} J(x_{i-1}) + P_i, with P_i the integral over the panel
+    [x_{i-1}, x_i] (x below 0 counted as 0).  The panel is taken in the
+    offset t = x_i - z and cut where the kernel or the basis function drops
+    below e^{-45}: the kernel cut is t = 45/|b| (none for |b| <= 1e-12);
+    since |L_K(s)| <= sum_j C(K, j) s^j / j! <= 5^K e^{s/4}, z beyond
+    (2/alpha)(45 + K ln 5) adds below (2/alpha) e^{-45}, so the basis cut is
+    t >= x - (2/alpha)(45 + K ln 5).  What is left is split into the fewest
+    equal steps within the reach of the Taylor rule (``_taylor_rule``), each
+    expanded at its station z = x_i - t; the station at t = 0 is x_i itself,
+    whose rows the caller has, and the others (in the offset, so they stay
+    distinct however far below the spacing of doubles at x the panel is)
+    take one Laguerre recurrence per block.  A log-depth scan
+    (``_affine_scan``) runs the recurrence over x; every factor is in [0, 1],
+    so errors do not grow along it.  A seed is thus a sum over the panels of
+    every smaller x, and depends at the rounding level on the other x.  The
+    sorted x are taken in chunks of at most ``_CHUNK_PAIRS`` (point, row)
+    pairs, so the temporaries stay bounded whatever len(x) is; a chunk
+    carries the last seed of the one before through the scan's products.
     """
-    counts = np.flatnonzero(np.bincount(n))
-    rules = np.concatenate([_gauss_legendre(c) for c in counts.tolist()], axis=1)
-    # the c-node rule starts at column first[c] of rules, x i's nodes at starts[i]
-    first = np.zeros(counts[-1] + 1, dtype=np.int64)
-    first[counts] = np.cumsum(counts) - counts
-    starts = np.cumsum(n) - n
-    one_u, wts = rules[:, np.repeat(first[n] - starts, n) + np.arange(starts[-1] + n[-1])]
-    owner = np.repeat(np.arange(len(x)), n)
-    t = t0[owner] + h[owner] * one_u
-    # an x below 0 has an empty panel, placed at z = 0 where M is finite
-    return np.concatenate([x, np.maximum(x, 0.0)[owner] - t]), wts * np.exp(b * t)
-
-
-def _backward_sweep(kmax: int, alpha: float, x: np.ndarray, b: float) -> np.ndarray:
-    """J_k(x; b) for k = 0..kmax and b < 0, x 1-d; shape (kmax+1, len(x)).
-
-    The backward ladder is seeded at kmax by J_kmax(x; b) =
-    int_0^x e^{b(x-z)} M_kmax(z) dz.  Over x sorted by a stable argsort that
-    seed obeys J(x_i) = e^{b (x_i - x_{i-1})} J(x_{i-1}) + P_i, with P_i the
-    integral over the panel [x_{i-1}, x_i], taken by Gauss-Legendre in the
-    offset t = x_i - z (``_seed_panels``), so its nodes stay distinct however
-    far below the spacing of doubles at x the panel is.  A log-depth scan
-    (``_affine_scan``) runs that recurrence; every factor is in [0, 1], so
-    errors do not grow along it.  A seed is thus a sum over the panels of
-    every smaller x of the call, and a value at x depends at the rounding
-    level on the other x.  The sorted x are swept in chunks of at most
-    ``_CHUNK_PAIRS`` (x, node) and (x, order) pairs, so the temporaries stay
-    bounded whatever len(x) is; a chunk carries the last seed of the one
-    before through the scan's products.  In a chunk the x and all their
-    nodes share one flat array and one Laguerre recurrence: every row at the
-    x (the ladder's sources), only the top row at the nodes.
-    """
-    J = np.empty((kmax + 1, len(x)))
+    kmax = len(rows) - 1
+    taylor, rho, reach = _taylor_rule(kmax, alpha, b)
+    unit = kmax + 2 + len(taylor)
+    cap = max(_CHUNK_PAIRS // unit, 1)
+    z_cut = 2.0 * (_TAIL + kmax * math.log(5.0)) / alpha
+    seed = np.empty(len(x))
     order = np.argsort(x, kind="stable")
-    s = alpha + b
     lo, seed_before = 0, 0.0
     while lo < len(x):
-        # every x costs its nodes plus kmax + 2, so a chunk takes at most
-        # _CHUNK_PAIRS // (kmax + 3) x, and ends before the cost passes _CHUNK_PAIRS
-        cols = order[lo : lo + max(_CHUNK_PAIRS // (kmax + 3), 1)]
-        panels = _seed_panels(kmax, alpha, x[cols], x[order[lo - 1]] if lo else 0.0, b)
-        cost = np.cumsum(panels[-1] + (kmax + 2))
+        cols = order[lo : lo + cap]
+        xs = np.maximum(x[cols], 0.0)
+        gap = np.diff(xs, prepend=max(x[order[lo - 1]], 0.0) if lo else 0.0)
+        t0 = np.maximum(xs - z_cut, 0.0)
+        w = np.minimum(gap, _TAIL / -b) if b < -1e-12 else gap
+        y = np.fmax(w - t0, 0.0) * rho  # a NaN x gets an empty panel and a NaN seed
+        n = np.ceil(y / reach).astype(np.int64)
+        # x and auxiliary stations cost a unit each; a chunk ends before the
+        # cost passes _CHUNK_PAIRS
+        cost = np.cumsum((1 + n - (t0 == 0.0) * (n > 0)) * unit)
         m = max(int(np.searchsorted(cost, _CHUNK_PAIRS, side="right")), 1)
-        cols, (gap, t0, h, n) = cols[:m], (a[:m] for a in panels)
-        z, wk = _panel_nodes(x[cols], t0, h, n, b)
-        # row kmax - k takes M_k, then M_{k-1} - M_k once row k is formed: the
-        # ladder's sources from the top down, which it overwrites in place
-        y = np.empty((kmax + 1, m))
-        for k, row in enumerate(_laguerre_rows(kmax, 2.0 * alpha * z, np.exp(-alpha * z))):
-            y[kmax - k] = row[:m]
-            if k:
-                y[kmax - k + 1] -= row[:m]
-        seed = h * np.add.reduceat(wk * row[m:], np.cumsum(n) - n)
+        cols, xs, gap, t0, y, n = cols[:m], xs[:m], gap[:m], t0[:m], y[:m], n[:m]
+        y /= np.maximum(n, 1)
+        h = y / rho
+        # x_i's s-th station sits at t = t0_i + s h_i
+        owner = np.repeat(np.arange(m), n)
+        t = t0[owner] + (np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)) * h[owner]
+        value = np.empty(len(owner))
+        at_x = t == 0.0
+        value[at_x] = _taylor_values(taylor, rows[:, cols[owner[at_x]]], y[owner[at_x]])
+        aux = np.flatnonzero(~at_x)
+        for blo in range(0, len(aux), cap):
+            blk = aux[blo : blo + cap]
+            z = xs[owner[blk]] - t[blk]
+            value[blk] = _taylor_values(taylor, weighted_laguerre_all(kmax, alpha, z), y[owner[blk]])
+        panel = h * np.bincount(owner, value * np.exp(b * t), minlength=m)
+        panel[np.isinf(xs)] = np.nan  # as a +inf x's rows are
         decay = np.exp(b * gap)
-        _affine_scan(decay, seed)
-        seed += decay * seed_before
+        _affine_scan(decay, panel)
+        panel += decay * seed_before
         # the scan rounds by position, so equal x (gap 0) take the first one's seed
-        seed = seed[np.maximum.accumulate(np.where(gap != 0.0, np.arange(m), 0))]
-        J[:, cols] = ladder(seed, y[1:], 2.0 * alpha - s, s, out=y)[::-1]
-        lo, seed_before = lo + m, seed[-1]
-    return J
+        seed[cols] = panel[np.maximum.accumulate(np.where(gap != 0.0, np.arange(m), 0))]
+        lo, seed_before = lo + m, seed[cols[-1]]
+    return seed
 
 
 def ladder(
@@ -335,14 +319,24 @@ def psi_integral_all(
     a = params.alpha
     x_in = np.asarray(x, dtype=float)
     x = np.atleast_1d(x_in)
+    s = a + b
     if b >= 0.0:
-        # forward: amplification |a-b|/(a+b) <= 1, in the sources' buffer
-        s = a + b
-        J, _ = forward_sources(kmax, a, x, b)
+        # forward: amplification |a-b|/(a+b) <= 1, in the rows' buffer
+        J = forward_sources(weighted_laguerre_all(kmax, a, x), a, x, b)
         ladder(J[0], J[1:], s, 2.0 * a - s, out=J)
     else:
-        # backward: contraction |a+b|/(a-b) < 1; quadrature seed at the top
-        J = _backward_sweep(kmax, a, x.ravel(), b).reshape((kmax + 1,) + x.shape)
+        # backward: contraction |a+b|/(a-b) < 1 from the top order's seed, on
+        # the reversed sources M_k - M_{k+1} in the rows' buffer; the rows are
+        # formed a chunk of x at a time, so only the seed and its argsort grow with x
+        J = np.empty((kmax + 1,) + x.shape)
+        rows, xf = J.reshape(kmax + 1, -1), x.ravel()
+        step = max(_CHUNK_PAIRS // (kmax + 1), 1)
+        for lo in range(0, len(xf), step):
+            weighted_laguerre_all(kmax, a, xf[lo : lo + step], out=rows[:, lo : lo + step])
+        seed = backward_seed(rows, a, xf, b)
+        for k in range(kmax):
+            rows[k] -= rows[k + 1]
+        ladder(seed, rows[-2::-1], 2.0 * a - s, s, out=rows[::-1])
     J *= params.sq2a
     return J[:, 0] if x_in.ndim == 0 else J
 

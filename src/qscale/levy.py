@@ -84,6 +84,22 @@ class JumpMeasure:
         raise NotImplementedError
 
 
+def _log1p(z):
+    """log(1 + z), to full relative accuracy also for complex z.
+
+    numpy's complex log1p is the plain log(1 + z), which loses about eps/|z|
+    near 0.  Complex z with |z| < 1/2 take 2 atanh(z / (2 + z)) instead,
+    exact there; beyond, the plain form is exact, and the atanh form is not
+    near the branch point z = -1.  Real z keep np.log1p.
+    """
+    out = np.log1p(z)
+    if np.iscomplexobj(z):
+        z, out = np.asarray(z), np.asarray(out)
+        near0 = np.abs(z) < 0.5
+        out[near0] = 2.0 * np.arctanh(z[near0] / (2.0 + z[near0]))
+    return out
+
+
 def _poisson_times(mean: float, T: float, rng: np.random.Generator) -> np.ndarray:
     """A Poisson(mean) count of uniform times on [0, T], sorted."""
     count = int(rng.poisson(mean))
@@ -177,7 +193,7 @@ class CompoundPoissonGamma(JumpMeasure):
 
     def exp_functional(self, theta):
         # (1 + s theta)^(-a) - 1, in full relative accuracy as theta -> 0
-        return self.rate * np.expm1(-self.shape * np.log1p(self.scale * theta))
+        return self.rate * np.expm1(-self.shape * _log1p(self.scale * theta))
 
     def exp_moment(self, theta):
         a, s = self.shape, self.scale
@@ -208,7 +224,7 @@ class GammaSubordinator(JumpMeasure):
         return self.shape / self.rate
 
     def exp_functional(self, theta):
-        return -self.shape * np.log1p(theta / self.rate)
+        return -self.shape * _log1p(theta / self.rate)
 
     def exp_moment(self, theta):
         return self.shape / (self.rate + theta)

@@ -42,7 +42,14 @@ import numpy as np
 from scipy import linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
-from .laguerre import LaguerreParams, contract, forward_sources, ladder, psi_integral_all
+from .laguerre import (
+    LaguerreParams,
+    backward_seed,
+    contract,
+    forward_sources,
+    ladder,
+    weighted_laguerre_all,
+)
 from .levy import LevyModel, ThetaParams
 
 __all__ = [
@@ -313,6 +320,11 @@ class Kernels(NamedTuple):
     Qstar: Kernel
 
 
+def _atom_beta(c: float, D: float, gamma: float) -> float:
+    """beta = c/D + gamma, whose atom at -beta the kernels subtract; inf at D = 0 (no atom)."""
+    return float(c) / float(D) + gamma if D > 0 else math.inf
+
+
 def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
     """The shared form of every kernel, with its (p, gamma) gradient.
 
@@ -328,7 +340,7 @@ def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
     parts = atom(gamma)
-    beta = float(c) / float(D) + gamma if D > 0 else math.inf
+    beta = _atom_beta(c, D, gamma)
     if math.isfinite(beta):
         parts = [(f - f_b, df + df_b) for (f, df), (f_b, df_b) in zip(parts, atom(-beta))]
     s = c + 2.0 * gamma * D  # (beta + gamma) D
@@ -379,10 +391,11 @@ def kernels(
     Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and each
     b contracts Psi_{0..K+1} with [U; 0 | V] (``_db_weights``), which gives
     U^T Psi and U^T d/db Psi together.  One Laguerre recurrence over x gives
-    U^T phi and the sources of the forward sweep at b = gamma >= 0
-    (``forward_sources``), whose ladder runs as its adjoint on the weights;
-    at b = -beta the backward sweep's rows are contracted after it.  Every
-    kernel vanishes at x < 0, where W^(q) = 0 and Z^(q) = 1.
+    U^T phi, the backward seed at b = -beta (``backward_seed``) and then, in
+    the same buffer, the sources of both sweeps (``forward_sources``).  Each
+    sweep's ladder runs as its adjoint on the weights: forward at b = gamma
+    >= 0, backward from the seed at b < 0.  Every kernel vanishes at x < 0,
+    where W^(q) = 0 and Z^(q) = 1.
     """
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -390,23 +403,32 @@ def kernels(
     below = x < 0.0
     x = np.where(below, 0.0, x)
     W = _db_weights(U)
-    # phi at b = gamma's recurrence; a gamma < 0 (never a Lundberg exponent)
-    # takes the backward sweep and discards these sources
-    S, U_M = forward_sources(K + 1, a, x, max(gamma, 0.0), U)
-    U_phi = params.sq2a * U_M
-    psi_fwd = None
-    if gamma >= 0.0:
-        s = a + gamma
-        # the adjoint of diag J_k + off J_{k-1} = S_k (J_0 = S_0) on W: errors
-        # grow by the same |off / diag| <= 1 per step, from the top order down
-        lam = np.empty_like(W)
-        lam[:0:-1] = ladder(W[-1] / s, W[-2:0:-1], s, 2.0 * a - s)
-        lam[0] = W[0] - (2.0 * a - s) * lam[1]
-        psi_fwd = params.sq2a * contract(lam, S)
-    del S  # not held through the backward sweep
+    M = weighted_laguerre_all(K + 1, a, x)
+    U_phi = params.sq2a * contract(U, M[: K + 1])
+    # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too
+    seeds = {
+        b: backward_seed(M.reshape(K + 2, -1), a, x.ravel(), b).reshape(x.shape)
+        for b in (gamma, -_atom_beta(c, D, gamma))
+        if -math.inf < b < 0.0
+    }
+    S = forward_sources(M, a, x, max(gamma, 0.0))  # in M's buffer
 
     def atom(b):
-        psi_w = psi_fwd if b >= 0.0 else contract(W, psi_integral_all(params, x, b, K + 1))
+        s = a + b
+        lam = np.empty_like(W)
+        if b >= 0.0:
+            # the adjoint of s J_k + (2a - s) J_{k-1} = S_k (J_0 = S_0) on W:
+            # errors grow by the same |off / diag| <= 1 per step, from the top order down
+            lam[:0:-1] = ladder(W[-1] / s, W[-2:0:-1], s, 2.0 * a - s)
+            lam[0] = W[0] - (2.0 * a - s) * lam[1]
+            psi_w = contract(lam, S)
+        else:
+            # the adjoint of (2a - s) J_k + s J_{k+1} = S_{k+1} (J_{K+1} = seed),
+            # from order 0 up
+            lam[:-1] = ladder(W[0] / (2.0 * a - s), W[1:-1], 2.0 * a - s, s)
+            lam[-1] = W[-1] - s * lam[-2]
+            psi_w = contract(lam[:-1], S[1:]) + np.multiply.outer(lam[-1], seeds[b])
+        psi_w *= params.sq2a
         U_psi = psi_w[:r]
         U_db = x * U_psi - psi_w[r:] / (2.0 * a)
         return [*_exp_atoms(x, b), (U_phi + b * U_psi, U_psi + b * U_db), (U_psi, U_db)]

@@ -541,9 +541,9 @@ class TestCovarianceMachinery:
 
     @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
     def test_one_kernel_sweep_per_exponent(self, model_name, params20, request, monkeypatch):
-        # the x-side kernels and gradients take Psi at b = gamma (and b = -beta
-        # when D > 0) from one sweep each, the forward one through its
-        # sources; W_hat, Z_hat match the evaluators
+        # the x-side kernels and gradients take Psi at b = -beta (when D > 0)
+        # from one backward seed and at b = gamma from the forward sources,
+        # in that order; W_hat, Z_hat match the evaluators
         import qscale.series as series_mod
 
         model = request.getfixturevalue(model_name)
@@ -551,24 +551,21 @@ class TestCovarianceMachinery:
         est = PipelineEstimates.population(cs0)
         x = np.linspace(0.0, 6.0, 7)
         bs = []
-        fwd, bwd = series_mod.forward_sources, series_mod.psi_integral_all
 
-        def counting_fwd(kmax, alpha, xx, b, weights=None):
-            if np.shape(xx) == x.shape and np.array_equal(xx, x):
-                bs.append(b)
-            return fwd(kmax, alpha, xx, b, weights)
+        def counting(sweep):
+            def counted(rows, alpha, xx, b):
+                if np.shape(xx) == x.shape and np.array_equal(xx, x):
+                    bs.append(b)
+                return sweep(rows, alpha, xx, b)
 
-        def counting_bwd(params, xx, b, kmax=None):
-            if np.shape(xx) == x.shape and np.array_equal(xx, x):
-                bs.append(b)
-            return bwd(params, xx, b, kmax)
+            return counted
 
-        monkeypatch.setattr(series_mod, "forward_sources", counting_fwd)
-        monkeypatch.setattr(series_mod, "psi_integral_all", counting_bwd)
+        for name in ("forward_sources", "backward_seed"):
+            monkeypatch.setattr(series_mod, name, counting(getattr(series_mod, name)))
         cov = covariance_machinery(est, model.c, model.q, x)
         theta = cs0.theta
         if theta.D > 0:
-            assert bs == [theta.gamma, -theta.beta(model.c)]
+            assert bs == [-theta.beta(model.c), theta.gamma]
         else:
             assert bs == [theta.gamma]
         approx = ScaleApprox(c=model.c, q=model.q, coeffs=cs0)

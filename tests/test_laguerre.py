@@ -194,10 +194,14 @@ def _top_order_reference(K: int, alpha: float, b: float, x: float) -> float:
     L_K(2 alpha z) = sum_j C(K, j) (-2 alpha z)^j / j!, and with s = alpha + b
     int_0^x z^j e^{-s z} dz = gamma(j+1, s x) / s^(j+1), the lower incomplete
     gamma function, taken in its Kummer form x^(j+1) M(j+1, j+2, -s x) / (j+1)
-    so that any sign of s works.  The alternating sum cancels by up to 1e18
-    at K = 65 on the Exp(1) sample, so it runs at 60 digits.
+    so that any sign of s works.  The alternating sum cancels by up to
+    L_K(-2 alpha x) e^{max(0, -s x)} (1e18 at K = 65 on the Exp(1) sample,
+    1e215 at K = 256, x = 120), so it runs at 40 digits more than that, and
+    at least 60.
     """
-    with mpmath.workdps(60):
+    with mpmath.workdps(15):
+        lost = mpmath.log10(mpmath.laguerre(K, 0, -2 * alpha * x)) + max(0.0, -(alpha + b) * x) / math.log(10)
+    with mpmath.workdps(max(60, int(lost) + 40)):
         x, a = mpmath.mpf(x), mpmath.mpf(alpha)
         s = a + mpmath.mpf(b)
         terms = (
@@ -262,6 +266,28 @@ class TestBackwardSweep:
         want = np.array([_top_order_reference(K, 1.0, b, xi) for xi in x[at]])
         assert np.max(np.abs(got[at] - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("K,tol", [(20, 1e-14), (64, 5e-14), (256, 5e-13)])
+    @pytest.mark.parametrize("b", [-0.143, -3.15])
+    def test_top_order_across_auxiliary_stations(self, K, tol, b):
+        # every gap is longer than the seed rule's reach, so each panel is
+        # split at stations; the sup of |J_K| is 0.01-0.06 here against an
+        # integrand bounded by 1, which sets the tolerance's growth with K
+        # (the Gauss-Legendre seed was off by 9e-14, 3e-13 and 8e-13)
+        p, x = LaguerreParams(1.0, K), np.array([0.5, 7.0, 30.0, 120.0])
+        got = psi_integral_all(p, x, b)[K] / p.sq2a
+        want = np.array([_top_order_reference(K, 1.0, b, xi) for xi in x])
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("K", [20, 40, 64])
+    @pytest.mark.parametrize("b", [-3.15, -5.2])
+    def test_top_order_on_the_benchmark_grid(self, K, b):
+        # the atoms b = -beta of the benchmark's curves, on its 201-point grid
+        p, x = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 201)
+        got = psi_integral_all(p, x, b)[K] / p.sq2a
+        at = np.arange(0, 201, 8)
+        want = np.array([_top_order_reference(K, 1.0, b, xi) for xi in x[at]])
+        assert np.max(np.abs(got[at] - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_shuffled_x_give_the_same_bits(self):
         p = LaguerreParams(1.0, 21)
         x = np.concatenate([_exp_sample()[:300], [0.0, 0.0, 2.5, 2.5], _exp_sample()[:40]])
@@ -311,7 +337,7 @@ class TestBackwardSweep:
 
         monkeypatch.setattr(laguerre_mod, "_laguerre_rows", counted)
         psi_integral_all(LaguerreParams(1.0, 21), _exp_sample(), -0.143)
-        assert sum(points) <= 16_000, points
+        assert sum(points) <= 2_000, points
 
 
 class TestProjection:

@@ -27,6 +27,7 @@ from qscale.levy import (
     lundberg_exponent,
     quadratic_bracket,
 )
+from qscale.levy import _log1p
 from qscale.oracles import nu_functional_exact
 
 
@@ -316,6 +317,41 @@ class TestJumpMeasureInvariants:
         want2, _ = quad(lambda z: z * z * float(jumps.density(z)), 0, 0.4)
         assert got1 == pytest.approx(want1, rel=1e-9)
         assert got2 == pytest.approx(want2, rel=1e-9)
+
+
+class TestComplexLog1p:
+    """log1p for the complex nodes of the coefficient transform and of Talbot's contour."""
+
+    ANGLES = np.random.default_rng(3).uniform(-np.pi, np.pi, 364)
+    Z = np.concatenate([np.logspace(-300, 3, 304), np.logspace(-15, -1, 60)]) * np.exp(1j * ANGLES)
+    Z[304:] -= 1.0  # and near the branch point z = -1
+
+    def test_matches_mpmath_from_1e_300_to_1e3(self):
+        # numpy's complex log1p, the plain log(1 + z), is off by up to 100%
+        # here, and 2 atanh(z / (2 + z)) alone by 7e-5 near z = -1
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.log1p(mpmath.mpc(z.real, z.imag))) for z in self.Z])
+        err = np.abs(_log1p(self.Z) - want) / np.abs(want)
+        assert np.max(err) <= 2 * np.finfo(float).eps
+
+    def test_real_input_keeps_numpy_log1p(self):
+        x = np.concatenate([-np.geomspace(0.999, 1e-300, 50), [0.0], np.geomspace(1e-300, 1e300, 50)])
+        assert np.array_equal(_log1p(x), np.log1p(x))
+        assert _log1p(0.25) == np.log1p(0.25)
+
+    @pytest.mark.parametrize(
+        "jumps, exact",
+        [
+            (CompoundPoissonGamma(0.9, 1.5, 0.8), lambda t: 0.9 * mpmath.expm1(-1.5 * mpmath.log1p(0.8 * t))),
+            (GammaSubordinator(0.7, 1.1), lambda t: -0.7 * mpmath.log1p(t / 1.1)),
+        ],
+    )
+    def test_exp_functional_near_zero(self, jumps, exact):
+        # at 1e-12 + 1e-13j the plain log(1 + z) was off by 8.8e-5 relative
+        for theta in (1e-12 + 1e-13j, -3e-9 + 2e-8j, 0.004 - 0.003j):
+            with mpmath.workdps(40):
+                want = complex(exact(mpmath.mpc(theta.real, theta.imag)))
+            assert abs(jumps.exp_functional(theta) - want) <= 1e-15 * abs(want)
 
 
 class TestThetaParams:
