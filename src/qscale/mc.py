@@ -9,9 +9,13 @@ O(#jumps).  Replication r therefore matches a direct ``scale simulate`` +
 (and what follows from it) in law: the Gaussian part of the sum is a draw of
 its own.  With D = 0 there is no Gaussian part, and D_hat agrees to rounding.
 Aggregation happens in fixed replication order so reruns are byte-identical;
-workers only change wall time, never results.  A replication runs its linear
-algebra on one BLAS thread (``one_blas_thread``): its matrices are at most
-(2K+4) x #jumps, too small for threads to pay for their wake-ups.
+workers only change wall time, never results.  A replication whose estimate
+raises keeps its slot with the message; the summary counts such failures by
+exception class in ``failures_by_cause``.  The summary's normality screen is
+the only user of ``scipy.stats`` and imports it when it runs.  A replication
+runs its linear algebra on one BLAS thread (``one_blas_thread``): its
+matrices are at most (2K+4) x #jumps, too small for threads to pay for their
+wake-ups.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import contextlib
 import ctypes
 import functools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import stats
 
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
@@ -93,14 +97,19 @@ def run_replication(
     *,
     D_window: float,
 ) -> dict:
-    """One simulate -> estimate pass; returns a flat row of scalars/arrays."""
+    """One simulate -> estimate pass; returns a flat row of scalars/arrays.
+
+    A failed estimate gives a row with the message in ``failed`` and the
+    exception's class name in ``cause``.
+    """
     with one_blas_thread():
         sample, sum_sq = simulate_window(model, scheme, seed, D_window)
         D_hat = realized_D(sample, sum_sq, D_window)
         try:
             rep = build_report(sample, model.q, model.c, params, x=x_eval, D_hat=D_hat)
         except (DegenerateEstimateError, NumericalError) as exc:
-            return {"seed": seed, "failed": str(exc), "n_jumps": len(sample.jump_sizes)}
+            return {"seed": seed, "failed": str(exc), "cause": type(exc).__name__,
+                    "n_jumps": len(sample.jump_sizes)}
         est, cov = rep.est, rep.cov
         return {
             "seed": seed,
@@ -238,9 +247,11 @@ def run_monte_carlo(
         raise McWorkerFailure(exc, partial_rows=rows) from exc
 
     ok = [row for row in rows if not row["failed"]]
+    causes = Counter(row["cause"] for row in rows if row["failed"])
     summary: dict = {
         "replications": replications,
         "failures": replications - len(ok),
+        "failures_by_cause": dict(sorted(causes.items())),
         "T": scheme.T,
         "level": LEVEL,
         "x_eval": x_eval.tolist(),
@@ -278,6 +289,8 @@ def run_monte_carlo(
         gam = np.array([row["gamma_hat"] for row in ok])
         v2 = np.array([row["v_gamma_sq"] for row in ok])
         if truth.gamma > 0 and np.all(v2 > 0) and len(ok) >= 20:
+            from scipy import stats  # the slowest scipy import; only this summary uses it
+
             zscores = sqT * (gam - truth.gamma) / np.sqrt(v2)
             ad_stat = float(stats.anderson(zscores, dist="norm", method="interpolate").statistic)
             crit_1pct = _ad_critical_1pct(len(zscores))

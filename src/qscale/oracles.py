@@ -17,7 +17,9 @@ tilted jump tail, the kernels H_p, H^f_k, H^F_k per jump with their
 gamma-derivatives (``h_functionals_per_jump``), the population coefficients
 a^f, a^F by cubature of those kernels against nu (``coeffs_quadrature``),
 grid projections onto the Laguerre basis (``project_grid``) and the adaptive
-quadrature of nu(H) (``nu_functional_exact``).
+quadrature of nu(H) (``nu_functional_exact``).  Its functions import
+``scipy.integrate`` when called, so a command, which needs only the Talbot
+inversion, never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import integrate, special
+from scipy import special
 
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
 from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_and_db_all
@@ -325,6 +327,8 @@ def ftilde_q(model: LevyModel, theta: ThetaParams, x):
         return float(out[0]) if x_in.ndim == 0 else out
     beta = theta.beta(model.c)
 
+    from scipy import integrate
+
     def one(xx):
         if xx <= 0:
             return 0.0
@@ -364,6 +368,8 @@ def coeffs_quadrature(model: LevyModel, params: LaguerreParams) -> tuple[np.ndar
     The map z = (1 - t) / t of [0, inf) can round a node to z = 0, where
     H = 0 and an infinite-activity density is infinite; that node adds 0.
     """
+    from scipy import integrate
+
     jumps, theta = model.jumps, model.theta0()
     n = params.K + 1
 
@@ -405,6 +411,8 @@ def project_grid(
     fvals = np.asarray(fvals, dtype=float)
     if xgrid.shape != fvals.shape:
         raise ValueError("xgrid and fvals must have matching shapes")
+    from scipy import integrate
+
     phi = laguerre_fn_all(params, xgrid, kmax=k)[k]
     value = float(integrate.simpson(fvals * phi, x=xgrid))
     return ProjectionResult(value=value, tail_bound=params.sq2a * abs(tail_mass))
@@ -421,6 +429,8 @@ def nu_functional_exact(
     estimators.  H may be vector-valued (returns an array per point).
     Non-convergence raises NumericalError carrying the achieved estimate.
     """
+    from scipy import integrate
+
     jumps = model.jumps
 
     def integrand(z):

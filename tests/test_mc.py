@@ -1,4 +1,5 @@
-"""Monte Carlo helpers: summary statistics, truth curves, worker count, BLAS threads."""
+"""Monte Carlo helpers: summary statistics, failure counts, truth curves, worker count,
+BLAS threads."""
 
 from __future__ import annotations
 
@@ -14,10 +15,12 @@ import qscale.cli as cli_mod
 import qscale.mc as mc_mod
 import qscale.series as series_mod
 import qscale.simulate as simulate_mod
-from qscale.exceptions import ConfigError, DomainError, NumericalError
+from qscale.exceptions import (
+    ConfigError, DegenerateEstimateError, DomainError, IllConditionedError, NumericalError,
+)
 from qscale.laguerre import LaguerreParams
 from qscale.mc import (
-    _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo, true_values,
+    MC_COLUMNS, _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo, true_values,
 )
 from qscale.simulate import make_scheme, simulate_window
 
@@ -217,3 +220,67 @@ class TestOneBlasThread:
         assert cli_mod.main(["compute", "--config", "cfg.json"]) == cli_mod.EXIT_OK
         assert seen == [[1] * len(two_threads)]
         assert _blas_counts() == two_threads
+
+
+class TestFailuresByCause:
+    """mc_summary.json counts failed replications by exception class; replications.csv
+    keeps its columns."""
+
+    # replication seeds are 11 + rep
+    FAILING = {
+        12: lambda: DegenerateEstimateError("chosen failure", raw_value=1.5),
+        14: lambda: NumericalError("chosen failure"),
+        15: lambda: DegenerateEstimateError("chosen failure", raw_value=2.0),
+        16: lambda: IllConditionedError("chosen failure"),
+    }
+
+    @staticmethod
+    def _run_mc(tmp_path: Path, name: str, replications: int) -> Path:
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "model": {
+                "x0": 0.0, "c": 1.5, "D": 0.5, "q": 0.1,
+                "jumps": {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+            },
+            "laguerre": {"alpha": 1.0, "K": 10},
+            "scheme": {"T": 20, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11},
+            "mc": {"replications": replications, "workers": 1},
+            "output": {"directory": str(out)},
+            "x_grid": {"min": 0.0, "max": 5.0, "points": 3},
+        }))
+        assert cli_mod.main(["mc", "--config", str(cfg)]) == cli_mod.EXIT_OK
+        return out
+
+    @pytest.fixture
+    def chosen_failures(self, monkeypatch):
+        real = mc_mod.build_report
+
+        def report(sample, *args, **kwargs):
+            if sample.seed in self.FAILING:
+                raise self.FAILING[sample.seed]()
+            return real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(mc_mod, "build_report", report)
+
+    def test_counts_by_class(self, tmp_path, chosen_failures):
+        out = self._run_mc(tmp_path, "a", 8)
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert summary["failures"] == 4
+        causes = summary["failures_by_cause"]
+        assert causes == {"DegenerateEstimateError": 2, "IllConditionedError": 1, "NumericalError": 1}
+        assert list(causes) == sorted(causes)
+        lines = (out / "replications.csv").read_text().splitlines()
+        assert lines[0].split(",") == MC_COLUMNS
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "1", "0", "1", "1", "1", "0", "0"]
+
+    def test_reruns_byte_identical(self, tmp_path, chosen_failures):
+        a, b = self._run_mc(tmp_path, "a", 8), self._run_mc(tmp_path, "b", 8)
+        for name in ("mc_summary.json", "replications.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_empty_when_nothing_fails(self, tmp_path):
+        out = self._run_mc(tmp_path, "a", 2)
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert summary["failures"] == 0
+        assert summary["failures_by_cause"] == {}
