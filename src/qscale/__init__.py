@@ -31,9 +31,7 @@ from .levy import (
     laplace_exponent_deriv,
     lundberg_exponent,
 )
-from .oracles import (
-    compound_geometric_grid, laplace_invert_scale, nu_functional_exact, residue_scale,
-)
+from .oracles import laplace_invert_scale
 from .series import CoefficientSet, ScaleApprox, coeffs_true, scale_approx
 from .simulate import ObservationSet, SamplingScheme, make_scheme
 from .estimators import EstimationReport, build_report
@@ -46,8 +44,7 @@ __all__ = [
     "JumpMeasure", "NoJumps", "CompoundPoissonExponential", "CompoundPoissonGamma",
     "GammaSubordinator", "LevyModel", "ThetaParams",
     "laplace_exponent", "laplace_exponent_deriv", "lundberg_exponent", "check_npc",
-    "nu_functional_exact",
-    "residue_scale", "compound_geometric_grid", "laplace_invert_scale",
+    "laplace_invert_scale",
     "CoefficientSet", "ScaleApprox", "coeffs_true", "scale_approx",
     "SamplingScheme", "ObservationSet", "make_scheme",
     "EstimationReport", "build_report",

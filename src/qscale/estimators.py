@@ -15,7 +15,9 @@ downstream reads the sample: the pointwise variances of W_hat and Z_hat
 are squared norms of the gradient rows C_K(x), q C*_K(x) times Gamma_hat F,
 and the bounds are value +/- z * sqrt(var / T) at the asymptotic level
 ``LEVEL``.  The oracle report runs the same machinery on population
-estimates (an empty factor and identity Gamma).
+estimates (an empty factor and identity Gamma).  The module runs on numpy
+alone: gamma_hat's root comes from ``levy.brent_root``, the thin QR from
+row blocks (``_thin_r``), and the normal quantile of ``LEVEL`` is a constant.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize, special
 
 from .exceptions import DegenerateEstimateError, DomainError
 from .laguerre import LaguerreParams, psi_db_from, psi_integral_all
-from .levy import LevyModel, ThetaParams, quadratic_bracket
+from .levy import LevyModel, ThetaParams, brent_root, quadratic_bracket
 from .series import (
     CoefficientSet,
     ScaleApprox,
@@ -59,8 +60,12 @@ __all__ = [
     "write_ci_csv",
 ]
 
-# asymptotic coverage of every pointwise interval the reports give
+# asymptotic coverage of every pointwise interval the reports give, and the
+# standard normal quantile at 0.5 + LEVEL / 2 that sets their half-widths
 LEVEL = 0.95
+_Z_LEVEL = 1.959963984540054
+# bytes of one row block of the thin QR (see _thin_r)
+_QR_BLOCK_BYTES = 2**19
 
 
 def estimate_D(obs: ObservationSet, window: float = 1.0) -> float:
@@ -105,10 +110,11 @@ def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
     e^{-rz} - 1 >= -1 it is bounded below by D r^2 + c r - lambda_hat, with
     lambda_hat the recorded jump count over T.  ``quadratic_bracket`` turns
     that bound into a bracket [0, r_hi] with psi_hat(r_hi) >= q, so the one
-    root on (0, inf) is always found.  The bracket is infinite when
-    D = max(D_hat, 0) is 0 and c <= 0, where psi_hat <= 0 < q on [0, inf),
-    and when its end overflows (D = 0 and c within a few 1e-308 of 0); then
-    DegenerateEstimateError is raised with the raw D_hat.
+    root on (0, inf) is always found, by ``levy.brent_root`` to the relative
+    accuracy of the Lundberg root, small q included.  The bracket is
+    infinite when D = max(D_hat, 0) is 0 and c <= 0, where psi_hat <= 0 < q
+    on [0, inf), and when its end overflows (D = 0 and c within a few
+    1e-308 of 0); then DegenerateEstimateError is raised with the raw D_hat.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -118,14 +124,7 @@ def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
     hi = quadratic_bracket(D, c, q + len(obs.jump_sizes) / obs.scheme.T)
     if math.isinf(hi):
         raise DegenerateEstimateError(f"psi_hat = q has no finite root at c = {c}", raw_value=D_hat)
-    # a module-level objective with args: a closure over obs would share a
-    # reference cycle with scipy's NaN guard and keep the grid alive until gc
-    root = optimize.brentq(_psi_gap, 0.0, hi, args=(obs, c, D, q), xtol=1e-14, rtol=8.9e-16)
-    return float(root)
-
-
-def _psi_gap(r, obs, c, D, q):
-    return empirical_psi(obs, c, D, r) - q
+    return brent_root(lambda r: empirical_psi(obs, c, D, r) - q, 0.0, hi)
 
 
 @dataclass(frozen=True)
@@ -212,9 +211,26 @@ def estimate_coeffs(
     d_sources = np.append(d_psi - D * H_sums[:n], d_kg.sum() - D * H_sums[-1])
     Gamma = np.eye(len(L))
     Gamma[:-1, -1] = L[:-1] @ d_sources / T
-    # Y Y^T = R^T R; Y^T is Fortran-ordered, so the QR overwrites Y in place
-    (_, _), R = linalg.qr(Y.T, mode="raw", overwrite_a=True, check_finite=False)
+    R = _thin_r(Y.T)  # Y Y^T = R^T R
     return PipelineEstimates(D_raw=D_hat, coeffs=coeffs, F=L @ R.T / math.sqrt(T), Gamma=Gamma, T=T)
+
+
+def _thin_r(M: np.ndarray) -> np.ndarray:
+    """R of the thin QR M = Q R of a tall matrix, so that M^T M = R^T R.
+
+    M is factored by blocks of rows (TSQR; Demmel, Grigori, Hoemmen & Langou
+    2012, SIAM J. Sci. Comput. 34), as backward stable as one QR of M: blocks
+    of at most about 512 KB and at least 4 n rows, where LAPACK's level-2
+    panel steps stay in cache, then the stacked n-row R factors in turn.
+    numpy's QR factors a copy of its input; with at least three blocks that
+    copy is at most about a third of M.
+    """
+    m, n = M.shape
+    blocks = max(3, -(-m * n * 8 // _QR_BLOCK_BYTES))
+    rows = max(4 * n, -(-m // blocks))
+    if m <= rows:
+        return np.linalg.qr(M, mode="r")
+    return _thin_r(np.vstack([np.linalg.qr(M[i : i + rows], mode="r") for i in range(0, m, rows)]))
 
 
 @dataclass(frozen=True)
@@ -253,7 +269,7 @@ def covariance_machinery(
 
     B = build_B(coeffs.a_G, params.alpha)
     A = build_Af(coeffs.a_f, params.alpha)
-    AinvB = linalg.solve_triangular(A, B, lower=True)  # (K+1, 2K+2)
+    AinvB = solve_aG(A, B)  # (K+1, 2K+2)
 
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
     # the kernels contracted with [a^G | A^{-1} B]: row 0 gives the curves
@@ -270,8 +286,7 @@ def covariance_machinery(
     joint = v @ v.transpose(0, 2, 1)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 
-    zq = float(special.ndtri(0.5 + LEVEL / 2.0))
-    hw_W, hw_Z = zq * np.sqrt(sigma_W / T), zq * np.sqrt(sigma_Z / T)
+    hw_W, hw_Z = _Z_LEVEL * np.sqrt(sigma_W / T), _Z_LEVEL * np.sqrt(sigma_Z / T)
     return CovarianceReport(
         B=B, x=x, W_hat=W_hat, Z_hat=Z_hat, sigma_W=sigma_W, sigma_Z=sigma_Z, joint=joint,
         W_lo=W_hat - hw_W, W_hi=W_hat + hw_W, Z_lo=Z_hat - hw_Z, Z_hi=Z_hat + hw_Z,

@@ -7,6 +7,9 @@ model through its Laplace exponent
     psi(theta) = c*theta + D*theta^2 + nu(e^{-theta z} - 1),    D = sigma^2/2,
 
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
+``brent_root`` finds that root and the estimator's gamma_hat, by the
+iteration of scipy's ``brentq`` run in Python, so that no command needs
+``scipy.optimize``.
 
 A jump measure is one class per parametric family: its closed-form
 functionals (density, mean, exponential functional and moment), its sampler
@@ -14,6 +17,8 @@ functionals (density, mean, exponential functional and moment), its sampler
 is the zero measure, ``NoJumps``, a family like the others.
 The generic quadrature of nu(H), ``nu_functional_exact``, is a cross-check
 and lives in ``oracles``; the JSON ``model`` block is parsed in ``config``.
+Only the gamma-subordinator sampler needs a special function beyond
+``math`` (E1), and it imports ``scipy.special`` when it runs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import optimize, special
 
 from .exceptions import DomainError, NumericalError
 
@@ -38,13 +42,17 @@ __all__ = [
     "laplace_exponent",
     "laplace_exponent_deriv",
     "lundberg_exponent",
+    "brent_root",
     "quadratic_bracket",
     "check_npc",
 ]
 
-# Brent tolerances for the Lundberg root (see lundberg_exponent).
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+# Brent tolerances of every root (see brent_root): the relative tolerance
+# 4 eps, the tightest the iteration can meet, and an absolute one far below
+# any root, so small roots keep full relative accuracy.
+_ROOT_RTOL = 4.0 * math.ulp(1.0)
 _ROOT_XTOL = 1e-300
+_ROOT_MAXITER = 100
 
 
 class JumpMeasure:
@@ -186,7 +194,7 @@ class CompoundPoissonGamma(JumpMeasure):
     def density(self, z):
         z = np.asarray(z, dtype=float)
         a, s = self.shape, self.scale
-        return self.rate * z ** (a - 1.0) * np.exp(-z / s) / (special.gamma(a) * s**a)
+        return self.rate * z ** (a - 1.0) * np.exp(-z / s) / (math.gamma(a) * s**a)
 
     def mean(self) -> float:
         return self.rate * self.shape * self.scale
@@ -238,6 +246,8 @@ class GammaSubordinator(JumpMeasure):
         probability d / z.  The shape only scales nu, so the size law does
         not depend on it.
         """
+        from scipy import special  # E1 is the one special function a command needs
+
         cut = scheme.eps / 10.0
         e1 = special.exp1(self.rate * cut)
         times = _poisson_times(self.shape * e1 * scheme.T, scheme.T, rng)
@@ -340,10 +350,9 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
     Under NPC, psi is strictly convex with psi(0) = 0 and psi'(0+) > 0, so for
     q > 0 the root is unique and positive.  psi(theta) - D theta^2 is convex
     with slope c - nu(z) at 0, so psi(theta) >= D theta^2 + (c - nu(z)) theta
-    and ``quadratic_bracket`` gives a closed-form bracket end.  Brent's method
-    then runs to the relative tolerance 4 eps, the tightest scipy allows,
-    with an absolute tolerance far below any root, so small q keeps full
-    relative accuracy.  Residual check |psi(Phi) - q| <= 1e-12 * max(1, q).
+    and ``quadratic_bracket`` gives a closed-form bracket end.  ``brent_root``
+    then runs to full relative accuracy, small q included.  Residual check
+    |psi(Phi) - q| <= 1e-12 * max(1, q).
 
     Raises DomainError if NPC fails, NumericalError if the residual check fails.
     """
@@ -354,18 +363,71 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
         return 0.0
 
     hi = quadratic_bracket(model.D, check_npc(model), q)
-    root = optimize.brentq(
-        _lundberg_gap, 0.0, hi, args=(model, q), xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
-    )
+    root = brent_root(lambda theta: laplace_exponent(model, theta) - q, 0.0, hi)
     resid = abs(laplace_exponent(model, root) - q)
     tol = 1e-12 * max(1.0, q)
     if resid > tol:
         raise NumericalError(f"Lundberg root residual above {tol:.1e}", residual=resid)
-    return float(root)
+    return root
 
 
-def _lundberg_gap(theta, model: LevyModel, q: float):
-    return laplace_exponent(model, theta) - q
+def brent_root(f, a: float, b: float) -> float:
+    """The root of f on the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The iteration of scipy's ``brentq`` (``brentq.c``) step for step: the
+    same f evaluations and the same root to the bit, at its default 100
+    iterations.  It stops when half the bracket is below
+    (_ROOT_XTOL + _ROOT_RTOL |x|) / 2, that is (1e-300 + 4 eps |x|) / 2, so
+    every root, however small, comes to about 4 eps relative.  Raises
+    DomainError when f(a) and f(b) have one sign, NumericalError on a NaN
+    value of f or when 100 iterations do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"f({a!r}) and f({b!r}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero den gives brentq.c an infinite or NaN step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError(f"root finder: no convergence in {_ROOT_MAXITER} iterations")
 
 
 def quadratic_bracket(D: float, b: float, a: float) -> float:

@@ -11,11 +11,11 @@ its own.  With D = 0 there is no Gaussian part, and D_hat agrees to rounding.
 Aggregation happens in fixed replication order so reruns are byte-identical;
 workers only change wall time, never results.  A replication whose estimate
 raises keeps its slot with the message; the summary counts such failures by
-exception class in ``failures_by_cause``.  The summary's normality screen is
-the only user of ``scipy.stats`` and imports it when it runs.  A replication
-runs its linear algebra on one BLAS thread (``one_blas_thread``): its
-matrices are at most (2K+4) x #jumps, too small for threads to pay for their
-wake-ups.
+exception class in ``failures_by_cause``.  A replication runs on numpy
+alone; the summary's normality screen is the only user of ``scipy.stats``
+and imports it when it runs.  A replication runs its linear algebra on one
+BLAS thread (``one_blas_thread``): its matrices are at most (2K+4) x #jumps,
+too small for threads to pay for their wake-ups.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ gamma-derivatives (``h_functionals_per_jump``), the population coefficients
 a^f, a^F by cubature of those kernels against nu (``coeffs_quadrature``),
 grid projections onto the Laguerre basis (``project_grid``) and the adaptive
 quadrature of nu(H) (``nu_functional_exact``).  Its functions import
-``scipy.integrate`` when called, so a command, which needs only the Talbot
-inversion, never loads it.
+``scipy.integrate`` and ``scipy.special`` when called, so a command, which
+needs only the Talbot inversion, loads neither.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import special
 
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
 from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_and_db_all
@@ -296,6 +295,8 @@ def residue_scale(model: LevyModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _tilted_tail(model: LevyModel, gamma: float, y):
     """g(y) = int_y^inf e^{-gamma (z - y)} nu(dz), closed form per family."""
+    from scipy import special
+
     jumps = model.jumps
     y = np.asarray(y, dtype=float)
     if isinstance(jumps, NoJumps):

@@ -39,7 +39,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .exceptions import DomainError, IllConditionedError, NumericalError
 from .laguerre import (
@@ -200,7 +199,8 @@ def _lower_toeplitz(v: np.ndarray, alpha: float) -> np.ndarray:
     v_{-1} = 0; zero above the diagonal.
     """
     col = -np.diff(np.asarray(v, dtype=float), prepend=0.0) / np.sqrt(2.0 * alpha)
-    return linalg.toeplitz(col, np.zeros(len(col)))
+    k = np.arange(len(col))
+    return np.tril(col[k[:, None] - k])  # above the diagonal k - l < 0 wraps; tril zeroes it
 
 
 def build_Af(a_f: np.ndarray, alpha: float) -> np.ndarray:
@@ -213,24 +213,26 @@ def build_B(a_G: np.ndarray, alpha: float) -> np.ndarray:
     return np.hstack([_lower_toeplitz(a_G, alpha), -np.eye(len(a_G))])
 
 
-def solve_aG(A: np.ndarray, a_F: np.ndarray) -> np.ndarray:
-    """Forward substitution for the lower-triangular system A a_G = a_F.
+def solve_aG(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^{-1} rhs for the lower-triangular A = A^f: a_G from a_F, or A^{-1} B.
 
-    Raises NumericalError on a non-finite entry of A or a_F,
-    IllConditionedError when a diagonal entry is below 1e-10 in magnitude
-    (signals p f_q mass concentration), and NumericalError if the final
-    residual exceeds 1e-12 * |a_F|_inf.
+    ``rhs`` is a vector or a matrix of right-hand sides.  numpy has no
+    triangular solve, so this is its LU solve, which on a triangular A costs
+    a few more flops and is as backward stable.  Raises NumericalError on a
+    non-finite entry of A or rhs, IllConditionedError when a diagonal entry
+    of A is below 1e-10 in magnitude (signals p f_q mass concentration), and
+    NumericalError if the residual exceeds 1e-12 * |rhs|_inf.
     """
     A = np.asarray(A, dtype=float)
-    a_F = np.asarray(a_F, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(a_F))):
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
         raise NumericalError("triangular system has non-finite entries")
     min_diag = np.min(np.abs(np.diag(A)))
     if min_diag < _DIAG_FLOOR:
         raise IllConditionedError(f"triangular system near-singular: min |diag| = {min_diag:.3e}")
-    x = linalg.solve_triangular(A, a_F, lower=True, check_finite=False)
-    scale = max(float(np.max(np.abs(a_F))), 1e-300)
-    resid = float(np.max(np.abs(A @ x - a_F)))
+    x = np.linalg.solve(A, rhs)
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    resid = float(np.max(np.abs(A @ x - rhs)))
     if resid > _SOLVE_RTOL * scale:
         raise NumericalError("triangular solve residual above tolerance", residual=resid)
     return x

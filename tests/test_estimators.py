@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 
 from qscale.exceptions import DegenerateEstimateError
 from qscale.laguerre import LaguerreParams
 from qscale.levy import (
+    _ROOT_RTOL,
+    _ROOT_XTOL,
     CompoundPoissonExponential,
     LevyModel,
     NoJumps,
     laplace_exponent_deriv,
     lundberg_exponent,
+    quadratic_bracket,
 )
 from qscale.oracles import h_functionals_per_jump, nu_functional_exact
 from qscale.series import ScaleApprox, build_B, coeffs_true, scale_approx
@@ -23,6 +27,8 @@ from qscale.simulate import (
     JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate, simulate_window,
 )
 from qscale.estimators import (
+    _Z_LEVEL,
+    LEVEL,
     PipelineEstimates,
     build_report,
     covariance_machinery,
@@ -263,6 +269,35 @@ class TestEstimateGamma:
             gap = empirical_psi(obs, c, D, got) - 0.1
             assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got)
 
+    @pytest.mark.parametrize("q", [0.1, 1e-8, 1e-12])
+    def test_full_relative_accuracy_at_small_q(self, exp_jump_model, q):
+        # gamma_hat ~ q / psi_hat'(0) shrinks with q; an absolute tolerance
+        # would leave it 1e-8 off relative at q = 1e-8
+        sample, D_hat = _window_sample(exp_jump_model, T=400.0)
+        got = estimate_gamma(sample, q, D_hat, exp_jump_model.c)
+        with mpmath.workdps(50):
+            z = [mpmath.mpf(float(v)) for v in sample.jump_sizes]
+            c, D, T = exp_jump_model.c, mpmath.mpf(max(D_hat, 0.0)), sample.scheme.T
+
+            def psi_gap(r):
+                return c * r + D * r * r + mpmath.fsum(mpmath.expm1(-r * zj) for zj in z) / T - q
+
+            want = mpmath.findroot(psi_gap, mpmath.mpf(got))
+            assert float(abs(got - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("q", [1e-8, 0.1, 2.0])
+    def test_root_matches_scipy_brentq(self, exp_jump_model, q):
+        # the port of brentq takes the same steps: the same gamma_hat to the bit
+        for seed in range(10):
+            sample, D_hat = _window_sample(exp_jump_model, T=1600.0, seed=seed)
+            c, D = exp_jump_model.c, max(D_hat, 0.0)
+            hi = quadratic_bracket(D, c, q + len(sample.jump_sizes) / sample.scheme.T)
+            want = optimize.brentq(
+                lambda r: empirical_psi(sample, c, D, r) - q, 0.0, hi,
+                xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
+            )
+            assert estimate_gamma(sample, q, D_hat, c) == want
+
     @pytest.mark.parametrize("c", [1.5, 0.5], ids=["bracket", "bracket-past-minimum"])
     def test_releases_observation_without_gc(self, exp_jump_model, c):
         # no reference cycle may keep the observation (and its grid) alive
@@ -396,6 +431,9 @@ class TestCovarianceMachinery:
             assert np.all(hw > 1e-6 * np.abs(hat))  # a wrong level moves the bounds
             assert hi == pytest.approx(hat + hw, rel=1e-15, abs=0)
             assert lo == pytest.approx(hat - hw, rel=1e-15, abs=0)
+
+    def test_level_quantile_is_the_normal_quantile(self):
+        assert _Z_LEVEL == float(special.ndtri(0.5 + LEVEL / 2.0))
 
     def test_intervals_collapse_below_zero(self, exp_jump_model, params20):
         # W^(q) = 0 and Z^(q) = 1 on x < 0, known without sampling error
@@ -690,7 +728,8 @@ class TestFactoredEstimates:
     def test_no_jump_axis_ladder_and_one_row_block(self, exp_jump_model, monkeypatch):
         # no ladder bound in series runs over the jumps, and once the Psi sweep
         # returns, estimate_coeffs allocates less than another (K+1) x #jumps
-        # array: Y lives in the sweep's buffer and its QR overwrites it
+        # array: Y stays in the sweep's buffer, and the blocked QR copies at
+        # most about a third of it at a time
         import tracemalloc
 
         import qscale.estimators as est_mod

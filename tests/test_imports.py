@@ -1,10 +1,14 @@
-"""Start-up imports: a command loads only the scipy subpackages it runs.
+"""Start-up imports: the commands run on numpy alone.
 
-``scipy.stats`` (the MC normality screen) and ``scipy.integrate`` (the
-quadrature cross-checks in ``oracles``) are the slowest scipy imports, and
-no ``scale compute`` needs either.  The check runs in a fresh interpreter,
-since this process has loaded both through other tests; it asserts what is
-in ``sys.modules``, not a time.
+``scale compute``, ``scale simulate``, ``scale estimate`` and a Monte Carlo
+replication load none of ``scipy.linalg``, ``scipy.special``,
+``scipy.optimize``, ``scipy.stats`` and ``scipy.integrate``: the root
+finder, the triangular solve and the thin QR are numpy code, and the one
+normal quantile is a constant.  Two callers load a subpackage when they run:
+the gamma-subordinator sampler (``scipy.special`` for E1) and the MC
+summary's normality screen (``scipy.stats``, which imports the others).
+The check runs in a fresh interpreter, since this process has loaded them
+all through other tests; it asserts what is in ``sys.modules``, not a time.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ SCRIPT = r"""
 import json
 import sys
 
-LAZY = ("scipy.stats", "scipy.integrate")
+SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate")
 
 
 def loaded():
-    return sorted(name for name in LAZY if name in sys.modules)
+    return sorted(name for name in SUBPACKAGES if name in sys.modules)
 
 
 seen = {}
@@ -33,16 +37,29 @@ import qscale
 import qscale.cli
 seen["import"] = loaded()
 
-cfg_path, out = sys.argv[1], sys.argv[2]
-seen["compute_exit"] = qscale.cli.main(["compute", "--oracle", "--config", cfg_path, "--out", out])
+exp_cfg, gamma_cfg, out = sys.argv[1:4]
+main = qscale.cli.main
+seen["exits"] = [main(["compute", "--oracle", "--config", exp_cfg, "--out", out + "/compute"])]
 seen["compute"] = loaded()
+seen["exits"].append(main(["simulate", "--config", exp_cfg, "--out", out + "/data"]))
+seen["exits"].append(
+    main(["estimate", "--config", exp_cfg, "--data", out + "/data", "--out", out + "/estimate"])
+)
+seen["simulate_estimate"] = loaded()
 
 from qscale.laguerre import LaguerreParams
 from qscale.levy import CompoundPoissonExponential, LevyModel
-from qscale.mc import run_monte_carlo
+from qscale.mc import run_monte_carlo, run_replication
 from qscale.simulate import make_scheme
 
 model = LevyModel(x0=0.0, c=1.5, D=0.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1)
+row = run_replication(model, make_scheme(100.0), LaguerreParams(1.0, 20), 3, [1.0], D_window=100.0)
+seen["replication_ok"] = row["failed"] == ""
+seen["replication"] = loaded()
+
+seen["exits"].append(main(["simulate", "--config", gamma_cfg, "--out", out + "/gamma"]))
+seen["gamma_simulate"] = loaded()
+
 res = run_monte_carlo(model, make_scheme(10.0), LaguerreParams(1.0, 10), 20, [1.0], D_window=10.0)
 seen["mc_normality"] = "gamma_normality" in res.summary
 seen["mc"] = loaded()
@@ -50,31 +67,39 @@ print(json.dumps(seen))
 """
 
 
-def test_stats_and_integrate_load_only_where_called(tmp_path):
-    cfg = {
-        "model": {
-            "x0": 0.0, "c": 1.5, "D": 0.5, "q": 0.1,
-            "jumps": {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
-        },
+def _config(path: Path, jumps: dict) -> Path:
+    path.write_text(json.dumps({
+        "model": {"x0": 0.0, "c": 1.5, "D": 0.5, "q": 0.1, "jumps": jumps},
         "laguerre": {"alpha": 1.0, "K": 20},
+        "scheme": {"T": 20, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 11},
         "x_grid": {"min": 0.0, "max": 5.0, "points": 11},
-        "output": {"directory": str(tmp_path / "out")},
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+        "output": {"directory": str(path.parent / "out")},
+    }))
+    return path
+
+
+def test_commands_load_no_scipy_subpackage(tmp_path):
+    exp_cfg = _config(
+        tmp_path / "exp.json",
+        {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+    )
+    gamma_cfg = _config(tmp_path / "gamma.json", {"kind": "gamma-subordinator", "shape": 0.5, "rate": 1.0})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(cfg_path), str(tmp_path / "out")],
+        [sys.executable, "-c", SCRIPT, str(exp_cfg), str(gamma_cfg), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["compute_exit"] == 0
-    assert (tmp_path / "out" / "oracle_summary.json").is_file()
-    assert seen["compute"] == []
-    # the normality screen is the one caller of scipy.stats, and it loads it
-    # (scipy.stats itself imports scipy.integrate)
+    assert seen["exits"] == [0, 0, 0, 0]
+    assert (tmp_path / "out" / "compute" / "oracle_summary.json").is_file()
+    assert (tmp_path / "out" / "estimate" / "report.json").is_file()
+    assert seen["replication_ok"]
+    for stage in ("import", "compute", "simulate_estimate", "replication"):
+        assert seen[stage] == [], stage
+    # the two lazy users: E1 in the gamma-subordinator sampler, and the
+    # normality screen (scipy.stats itself imports the other subpackages)
+    assert seen["gamma_simulate"] == ["scipy.special"]
     assert seen["mc_normality"]
     assert "scipy.stats" in seen["mc"]

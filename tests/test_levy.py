@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 from scipy.integrate import quad
 
 from qscale.config import _JUMP_KINDS, model_from_dict
-from qscale.exceptions import ConfigError, DomainError
+from qscale.exceptions import ConfigError, DomainError, NumericalError
 from qscale.levy import (
+    _ROOT_RTOL,
+    _ROOT_XTOL,
     CompoundPoissonExponential,
     CompoundPoissonGamma,
     GammaSubordinator,
     JumpMeasure,
     LevyModel,
     NoJumps,
+    brent_root,
     check_npc,
     laplace_exponent,
     laplace_exponent_deriv,
@@ -176,6 +179,59 @@ class TestLundbergExponent:
         assert lundberg_exponent(m, 0.1) == pytest.approx(1e9, rel=1e-14, abs=0)
 
 
+class TestBrentRoot:
+    """``brent_root`` is scipy's ``brentq`` run in Python: the same root, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["cubic", "expm1", "tanh", "atan"]),
+        root=st.floats(-50.0, 50.0),
+        scale=st.floats(1e-6, 1e3),
+        left=st.floats(1e-6, 100.0),
+        right=st.floats(1e-6, 100.0),
+    )
+    def test_matches_scipy_brentq(self, family, root, scale, left, right):
+        # smooth and increasing, one sign change on the bracket
+        f = {
+            "cubic": lambda x: scale * (x - root) + (x - root) ** 3,
+            "expm1": lambda x: math.expm1(min(scale, 7.0) * (x - root)),  # no overflow
+            "tanh": lambda x: math.tanh(scale * (x - root)),
+            "atan": lambda x: math.atan(scale * (x - root)),
+        }[family]
+        lo, hi = root - left, root + right
+        try:
+            want = optimize.brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+        except RuntimeError:  # 100 iterations short of a root near 1e-300
+            with pytest.raises(NumericalError, match="no convergence"):
+                brent_root(f, lo, hi)
+            return
+        assert brent_root(f, lo, hi) == want
+
+    @pytest.mark.parametrize(
+        "name", ["exp_jump_model", "cramer_lundberg_model", "gamma_sub_model", "cp_gamma_model"]
+    )
+    @pytest.mark.parametrize("q", [1e-12, 1e-6, 0.1, 10.0])
+    def test_lundberg_root_matches_scipy_brentq(self, request, name, q):
+        model = request.getfixturevalue(name)
+        hi = quadratic_bracket(model.D, check_npc(model), q)
+        want = optimize.brentq(
+            lambda t: laplace_exponent(model, t) - q, 0.0, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
+        )
+        assert lundberg_exponent(model, q) == want
+
+    def test_root_at_an_end(self):
+        assert brent_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert brent_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+    def test_same_signs_raise(self):
+        with pytest.raises(DomainError):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            brent_root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+
 class TestQuadraticBracket:
     @pytest.mark.parametrize(
         "D, b, a", [(0.5, 1.5, 0.1), (0.0, 0.3, 2.6), (1.0, 0.0, 4.0), (2.0, -3.0, 0.5)],
@@ -317,6 +373,15 @@ class TestJumpMeasureInvariants:
         want2, _ = quad(lambda z: z * z * float(jumps.density(z)), 0, 0.4)
         assert got1 == pytest.approx(want1, rel=1e-9)
         assert got2 == pytest.approx(want2, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.0, 7.5, 40.0])
+def test_gamma_density_normalizer_matches_special_gamma(shape):
+    # the density divides by math.gamma, which agrees with scipy's to rounding
+    jumps = CompoundPoissonGamma(rate=1.3, shape=shape, scale=0.4)
+    z = np.linspace(0.01, 30.0, 61)
+    want = 1.3 * z ** (shape - 1.0) * np.exp(-z / 0.4) / (special.gamma(shape) * 0.4**shape)
+    np.testing.assert_allclose(jumps.density(z), want, rtol=1e-15, atol=0)
 
 
 class TestComplexLog1p:
