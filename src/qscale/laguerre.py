@@ -18,11 +18,13 @@ where ``J_k = Psi_{alpha,k} / sqrt(2a)``.  One ``ladder`` runs every recurrence
 amplifying errors by |off / diag| per step, so each caller runs it where that
 is at most 1: for Psi forward (diag = s, off = 2a - s) when b >= 0 and
 backward on the reversed sources (diag = 2a - s, off = s) when b < 0.  Both
-start from the rows M_{0..K}(x) of one Laguerre recurrence: ``forward_sources``
-turns them into the forward seed and sources in place, and ``backward_seed``
-takes the backward sweep's top-order seed from them.  ``psi_integral_all``
-ladders in place; the kernel evaluator of ``series`` contracts with each
-ladder's adjoint on its weights (``contract``).  The backward seed is shared
+start from the rows M_k(x) = L_k(2 alpha x) e^{-alpha x}, k = 0..K, of one
+three-term recurrence, which ``weighted_laguerre_all`` forms row by row inside
+its (K+1, *x.shape) result: ``forward_sources`` turns them into the forward
+seed and sources in place, and ``backward_seed`` takes the backward sweep's
+top-order seed from them.  ``psi_integral_all`` ladders in that same array;
+the kernel evaluator of ``series`` contracts with each ladder's adjoint on
+its weights (``contract``).  The backward seed is shared
 across the x sorted by a stable argsort (the seed at an x is the one at the
 x before it, decayed by e^{b gap} <= 1, plus the integral over the panel
 between them), and a Taylor rule built from the rows at x takes each panel
@@ -79,40 +81,28 @@ class LaguerreParams:
         return float(np.sqrt(2.0 * self.alpha))
 
 
-def _laguerre_rows(kmax: int, t, m0):
-    """m0 * L_k(t) for k = 0..kmax, one row at a time.
+def weighted_laguerre_all(kmax: int, alpha: float, x) -> np.ndarray:
+    """M_k(x) = L_k(2 alpha x) e^{-alpha x} for k = 0..kmax; shape (kmax+1, *x.shape).
 
-    (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}; the recurrence is linear, so a
-    factor m0 carried from the first row (e^{-alpha x} for the Laguerre
-    functions) keeps the rows overflow-free.  From k = 1 on the rows rotate
-    through three buffers updated in place, so row k is overwritten while row
-    k + 2 is formed: copy what must outlive that.
+    (k+1) L_{k+1}(t) = (2k+1-t) L_k(t) - k L_{k-1}(t); the recurrence is
+    linear, so the factor e^{-alpha x} carried from row 0 keeps the rows
+    overflow-free.  Row k+1 is formed in place in the result from rows k and
+    k-1, with k M_{k-1} in one scratch row.
     """
-    yield m0
-    if kmax == 0:
-        return
-    prev = np.full(np.shape(t), m0, dtype=float)
-    cur = np.subtract(1.0, t, out=np.empty_like(prev))
-    cur *= prev
-    yield cur
-    buf = np.empty_like(cur)
-    for k in range(1, kmax):
-        np.subtract(2 * k + 1, t, out=buf)
-        buf *= cur
-        prev *= k
-        buf -= prev
-        buf /= k + 1
-        prev, cur, buf = cur, buf, prev
-        yield cur
-
-
-def weighted_laguerre_all(kmax: int, alpha: float, x, out: np.ndarray | None = None) -> np.ndarray:
-    """M_k(x) = L_k(2 alpha x) e^{-alpha x} for k = 0..kmax; shape (kmax+1, *x.shape), into out if given."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape) if out is None else out
-    for k, row in enumerate(_laguerre_rows(kmax, 2.0 * alpha * x, np.exp(-alpha * x))):
-        out[k] = row
-    return out
+    t = 2.0 * alpha * x
+    M = np.empty((kmax + 1,) + x.shape)
+    M[0] = np.exp(-alpha * x)
+    scratch = np.empty(x.shape)
+    for k in range(kmax):
+        row = M[k + 1, ...]  # a view, also for a scalar x
+        np.subtract(2 * k + 1, t, out=row)
+        row *= M[k]
+        if k:
+            np.multiply(M[k - 1], k, out=scratch)
+            row -= scratch
+            row /= k + 1
+    return M
 
 
 def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.ndarray:
@@ -156,7 +146,7 @@ _TAIL = 45.0
 # integrand's (``_taylor_rule``).
 _TAYLOR_TERMS = 16
 _PANEL_TOL = 1e-17
-# Work units per chunk of the backward sweep, one per (point, row) pair: the
+# Work units per chunk of the backward seed, one per (point, row) pair: the
 # points are the x and the seed's auxiliary stations, the rows the kmax + 1
 # orders and the rule's terms.  Bounds its temporaries.
 _CHUNK_PAIRS = 1 << 16
@@ -326,13 +316,9 @@ def psi_integral_all(
         ladder(J[0], J[1:], s, 2.0 * a - s, out=J)
     else:
         # backward: contraction |a+b|/(a-b) < 1 from the top order's seed, on
-        # the reversed sources M_k - M_{k+1} in the rows' buffer; the rows are
-        # formed a chunk of x at a time, so only the seed and its argsort grow with x
-        J = np.empty((kmax + 1,) + x.shape)
+        # the reversed sources M_k - M_{k+1}, in the rows' buffer
+        J = weighted_laguerre_all(kmax, a, x)
         rows, xf = J.reshape(kmax + 1, -1), x.ravel()
-        step = max(_CHUNK_PAIRS // (kmax + 1), 1)
-        for lo in range(0, len(xf), step):
-            weighted_laguerre_all(kmax, a, xf[lo : lo + step], out=rows[:, lo : lo + step])
         seed = backward_seed(rows, a, xf, b)
         for k in range(kmax):
             rows[k] -= rows[k + 1]

@@ -14,21 +14,29 @@ from scipy.integrate import quad
 from scipy.special import comb, factorial
 
 from qscale import laguerre as laguerre_mod
+from qscale import series as series_mod
 from qscale.laguerre import (
     LaguerreParams,
-    _laguerre_rows,
     ladder,
     laguerre_fn_all,
     psi_integral_all,
     psi_integral_db_all,
+    weighted_laguerre_all,
 )
 from qscale.oracles import project_grid
 
 
+def laguerre_rows(kmax: int, t, m0) -> list:
+    """m0 L_k(t) for k = 0..kmax by (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1}, a new array a row."""
+    rows = [m0, (1.0 - t) * m0][: kmax + 1]
+    for k in range(1, kmax):
+        rows.append(((2 * k + 1 - t) * rows[k] - k * rows[k - 1]) / (k + 1))
+    return rows
+
+
 def laguerre_poly(k: int, x):
     """L_k(x): the last row of the three-term recurrence."""
-    *_, row = _laguerre_rows(k, x, 1.0)
-    return row
+    return laguerre_rows(k, x, 1.0)[-1]
 
 
 def binomial_sum_laguerre(k: int, x: float) -> float:
@@ -56,6 +64,36 @@ class TestLaguerrePoly:
         got = laguerre_poly(4, xs)
         want = [laguerre_poly(4, float(x)) for x in xs]
         assert got == pytest.approx(want)
+
+
+# scalar, 1-d and 2-d x, each holding 0, 1e-300 and 400
+_ROW_XS = [
+    0.0,
+    1e-300,
+    400.0,
+    np.array([0.0, 1e-300, 2.5, 400.0]),
+    np.array([[0.0, 1e-300, 17.0], [0.3, 150.0, 400.0]]),
+]
+
+
+class TestWeightedLaguerreAll:
+    @pytest.mark.parametrize("K", [0, 1, 2, 20, 65, 257])
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_rows_are_the_reference_recurrence_bit_for_bit(self, K, alpha):
+        rng = np.random.default_rng(K)
+        for x in [*_ROW_XS, rng.uniform(0.0, 400.0, 200)]:
+            x = np.asarray(x)
+            got = weighted_laguerre_all(K, alpha, x)
+            want = np.array(laguerre_rows(K, 2.0 * alpha * x, np.exp(-alpha * x)))
+            assert got.shape == want.shape == (K + 1,) + x.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 20, 65, 257])
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_every_row_is_one_at_the_origin(self, K, alpha):
+        # W(0) = 0 at D > 0 rests on these exact ones
+        assert np.all(weighted_laguerre_all(K, alpha, 0.0) == 1.0)
+        assert np.all(weighted_laguerre_all(K, alpha, np.zeros((2, 3))) == 1.0)
 
 
 class TestLaguerreFn:
@@ -329,13 +367,14 @@ class TestBackwardSweep:
     def test_recurrence_runs_over_few_points(self, monkeypatch):
         # a seed of its own per x ran the recurrence over 41,240 points here
         points = []
-        rows = laguerre_mod._laguerre_rows
+        rows = laguerre_mod.weighted_laguerre_all
 
-        def counted(kmax, t, m0):
-            points.append(np.size(t))
-            return rows(kmax, t, m0)
+        def counted(kmax, alpha, x):
+            points.append(np.size(x))
+            return rows(kmax, alpha, x)
 
-        monkeypatch.setattr(laguerre_mod, "_laguerre_rows", counted)
+        monkeypatch.setattr(laguerre_mod, "weighted_laguerre_all", counted)
+        monkeypatch.setattr(series_mod, "weighted_laguerre_all", counted)
         psi_integral_all(LaguerreParams(1.0, 21), _exp_sample(), -0.143)
         assert sum(points) <= 2_000, points
 

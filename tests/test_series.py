@@ -823,13 +823,14 @@ class TestContractedKernels:
         approx = scale_approx(model, LaguerreParams(1.0, 64))
         x = np.linspace(0.0, 10.0, 201)
         points = []
-        rows = laguerre_mod._laguerre_rows
+        rows = laguerre_mod.weighted_laguerre_all
 
-        def counted(kmax, t, m0):
-            points.append(np.size(t))
-            return rows(kmax, t, m0)
+        def counted(kmax, alpha, x):
+            points.append(np.size(x))
+            return rows(kmax, alpha, x)
 
-        monkeypatch.setattr(laguerre_mod, "_laguerre_rows", counted)
+        monkeypatch.setattr(laguerre_mod, "weighted_laguerre_all", counted)
+        monkeypatch.setattr(series_mod, "weighted_laguerre_all", counted)
         approx.kernels(x)
         assert points == [x.size], points
 
