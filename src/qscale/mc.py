@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
@@ -144,37 +143,36 @@ def resolve_workers(requested: int, env: str | None = None) -> int:
 
 @functools.cache
 def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS that numpy and scipy load.
+    """(get, set) thread-count functions of the OpenBLAS that numpy loads.
 
-    The wheels ship them as ``<pkg>.libs/lib*openblas*.so*``, with the symbols
-    prefixed ``scipy_`` and suffixed ``64_`` in the ILP64 build.  Loading a
-    path numpy or scipy has already loaded returns that same library.
+    The wheel ships it as ``numpy.libs/lib*openblas*.so*``, with the symbols
+    prefixed ``scipy_`` and suffixed ``64_`` in the ILP64 build.  Loading the
+    path numpy has already loaded returns that same library.  scipy's wheel
+    ships an OpenBLAS of its own, which no command calls; it stays unloaded.
     """
     found = []
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libs.glob("lib*openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-                get = getattr(lib, stem.format("get"), None)
-                set_ = getattr(lib, stem.format("set"), None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    found.append((get, set_))
-                    break
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, stem.format("get"), None)
+            set_ = getattr(lib, stem.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                found.append((get, set_))
+                break
     return tuple(found)
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the body with every OpenBLAS of numpy and scipy on one thread.
+    """Run the body with numpy's OpenBLAS on one thread.
 
-    Every matrix the pipeline hands to BLAS/LAPACK is at most (2K+4) x #jumps;
-    at those sizes the other threads, which wake and spin around every call,
-    cost more than they save.  The previous counts are restored on exit;
-    without an OpenBLAS this does nothing.
+    The pipeline's linear algebra is numpy's, and every matrix it hands to
+    BLAS/LAPACK is at most (2K+4) x #jumps; at those sizes the other threads,
+    which wake and spin around every call, cost more than they save.  The
+    previous count is restored on exit; without an OpenBLAS this does nothing.
     """
     libs = _openblas_threads()
     before = [get() for get, _ in libs]

@@ -9,6 +9,8 @@ the gamma-subordinator sampler (``scipy.special`` for E1) and the MC
 summary's normality screen (``scipy.stats``, which imports the others).
 The check runs in a fresh interpreter, since this process has loaded them
 all through other tests; it asserts what is in ``sys.modules``, not a time.
+On Linux a second check reads ``/proc/self/maps``: ``scale compute`` and a
+replication map no library from ``scipy.libs``, whose OpenBLAS nothing calls.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,3 +107,44 @@ def test_commands_load_no_scipy_subpackage(tmp_path):
     assert seen["gamma_simulate"] == ["scipy.special"]
     assert seen["mc_normality"]
     assert "scipy.stats" in seen["mc"]
+
+
+MAPS_SCRIPT = r"""
+import json
+import sys
+
+stage, cfg, out = sys.argv[1:4]
+if stage == "compute":
+    import qscale.cli
+
+    assert qscale.cli.main(["compute", "--config", cfg, "--out", out]) == 0
+else:
+    from qscale.laguerre import LaguerreParams
+    from qscale.levy import CompoundPoissonExponential, LevyModel
+    from qscale.mc import run_replication
+    from qscale.simulate import make_scheme
+
+    model = LevyModel(x0=0.0, c=1.5, D=0.5, jumps=CompoundPoissonExponential(1.0, 1.0), q=0.1)
+    row = run_replication(model, make_scheme(100.0), LaguerreParams(1.0, 20), 3, [1.0], D_window=100.0)
+    assert row["failed"] == "", row["failed"]
+with open("/proc/self/maps") as maps:
+    print(json.dumps(sorted({line.split()[-1] for line in maps if ".libs/" in line})))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("stage", ["compute", "replication"])
+def test_commands_map_no_scipy_library(tmp_path, stage):
+    cfg = _config(
+        tmp_path / "exp.json",
+        {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAPS_SCRIPT, stage, str(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    mapped = json.loads(proc.stdout.splitlines()[-1])
+    assert not [path for path in mapped if "/scipy.libs/" in path], mapped
