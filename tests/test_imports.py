@@ -82,20 +82,25 @@ def _config(path: Path, jumps: dict) -> Path:
     return path
 
 
+def _fresh_interpreter(script: str, *args) -> str:
+    """Run script in a new interpreter that imports qscale from SRC; its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_commands_load_no_scipy_subpackage(tmp_path):
     exp_cfg = _config(
         tmp_path / "exp.json",
         {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
     )
     gamma_cfg = _config(tmp_path / "gamma.json", {"kind": "gamma-subordinator", "shape": 0.5, "rate": 1.0})
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(exp_cfg), str(gamma_cfg), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = json.loads(_fresh_interpreter(SCRIPT, exp_cfg, gamma_cfg, tmp_path / "out"))
     assert seen["exits"] == [0, 0, 0, 0]
     assert (tmp_path / "out" / "compute" / "oracle_summary.json").is_file()
     assert (tmp_path / "out" / "estimate" / "report.json").is_file()
@@ -139,12 +144,5 @@ def test_commands_map_no_scipy_library(tmp_path, stage):
         tmp_path / "exp.json",
         {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", MAPS_SCRIPT, stage, str(cfg), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    mapped = json.loads(proc.stdout.splitlines()[-1])
+    mapped = json.loads(_fresh_interpreter(MAPS_SCRIPT, stage, cfg, tmp_path / "out"))
     assert not [path for path in mapped if "/scipy.libs/" in path], mapped
