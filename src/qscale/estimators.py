@@ -13,11 +13,13 @@ of Y give the coefficients and Gamma_hat's column, and the thin QR Y^T = Q R
 gives Sigma_hat = F F^T with F = L R^T / sqrt(T), of rank <= K+2.  Nothing
 downstream reads the sample: the pointwise variances of W_hat and Z_hat
 are squared norms of the gradient rows C_K(x), q C*_K(x) times Gamma_hat F,
-and the bounds are value +/- z * sqrt(var / T) at the asymptotic level
-``LEVEL``.  The oracle report runs the same machinery on population
-estimates (an empty factor and identity Gamma).  The module runs on numpy
-alone: gamma_hat's root comes from ``levy.brent_root``, the thin QR from
-row blocks (``_thin_r``), and the normal quantile of ``LEVEL`` is a constant.
+applied through the kernel weights without forming C_K (see
+``covariance_machinery``), and the bounds are value +/- z * sqrt(var / T)
+at the asymptotic level ``LEVEL``.  The oracle report runs the same
+machinery on population estimates (an empty factor and identity Gamma).
+The module runs on numpy alone: gamma_hat's root comes from
+``levy.brent_root``, the thin QR from row blocks (``_thin_r``), and the
+normal quantile of ``LEVEL`` is a constant.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class PipelineEstimates:
     @property
     def v_gamma_sq(self) -> float:
         """Asymptotic variance of sqrt(T) (gamma_hat - gamma_0)."""
-        return float(self.Sigma[-1, -1])
+        return float(self.F[-1] @ self.F[-1])
 
 
 def estimate_coeffs(
@@ -258,31 +260,30 @@ def covariance_machinery(
 ) -> CovarianceReport:
     """B_hat and pointwise variances / CIs for (W, Z) from the estimates alone.
 
-    Gradients of P, Q, P*, Q* in (p, gamma) are analytic; Gamma_hat and the
-    factor F of Sigma_hat come with ``est``.  With v = rows Gamma_hat F the
-    joint covariance is v v^T, so its diagonal is a sum of squares.
+    The gradient row of W_K in (a^f, a^F, p, gamma) is C_K(x) =
+    [Q^T A^{-1} B, d/dp (P - Q a^G), d/dgamma (P - Q a^G)], and q C*_K(x)
+    that of Z_K; Gamma_hat and the factor F of Sigma_hat come with ``est``.
+    With v = rows Gamma_hat F the joint covariance is v v^T, so its
+    diagonal is a sum of squares.  v is formed without C: the kernels are
+    contracted once with [a^G | A^{-1} B (Gamma F)_{0..2K+1}], so column 0
+    gives the curves and the rest the (a^f, a^F) part of v, and C's p and
+    gamma columns C_pg multiply the last two rows of Gamma F.  The
+    p-derivative of a kernel is its value over 1 - p.
     """
     coeffs, GF, T = est.coeffs, est.Gamma @ est.F, est.T
     params = coeffs.params
-    K = params.K
+    n = 2 * params.K + 2
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     B = build_B(coeffs.a_G, params.alpha)
     A = build_Af(coeffs.a_f, params.alpha)
-    AinvB = solve_aG(A, B)  # (K+1, 2K+2)
-
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
-    # the kernels contracted with [a^G | A^{-1} B]: row 0 gives the curves
-    k = approx.kernels(x, AinvB)
+    k = approx.kernels(x, solve_aG(A, B @ GF[:n]))
     W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
-    # gradient rows C_K (W) and q C*_K (Z), mapped through Gamma F
     v = np.empty((len(x), 2, GF.shape[1]))
     for r, (P, Q, scale) in enumerate([(k.P, k.Q, 1.0), (k.Pstar, k.Qstar, q)]):
-        C = np.empty((len(x), 2 * K + 4))
-        C[:, : 2 * K + 2] = Q.value[1:].T
-        C[:, 2 * K + 2] = P.d_p - Q.d_p[0]
-        C[:, 2 * K + 3] = P.d_gamma - Q.d_gamma[0]
-        v[:, r] = scale * (C @ GF)
+        C_pg = np.column_stack([(P.value - Q.value[0]) / (1.0 - est.p), P.d_gamma - Q.d_gamma[0]])
+        v[:, r] = scale * (Q.value[1:].T + C_pg @ GF[n:])
     joint = v @ v.transpose(0, 2, 1)
     sigma_W, sigma_Z = joint[:, 0, 0], joint[:, 1, 1]
 

@@ -304,8 +304,7 @@ class LevyModel:
 class ThetaParams:
     """The (D, gamma) parameter pair the coefficient functionals depend on.
 
-    gamma is the Lundberg exponent Phi(q).  beta = c/D + gamma when D > 0 and
-    beta = gamma when D = 0; it needs the premium rate, hence the method.
+    gamma is the Lundberg exponent Phi(q).
     """
 
     D: float
@@ -316,11 +315,6 @@ class ThetaParams:
             raise DomainError(f"D must be >= 0, got {self.D}")
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-
-    def beta(self, c: float) -> float:
-        if self.D > 0:
-            return c / self.D + self.gamma
-        return self.gamma
 
 
 def laplace_exponent(model: LevyModel, theta):

@@ -326,7 +326,7 @@ def ftilde_q(model: LevyModel, theta: ThetaParams, x):
     if theta.D == 0:
         out = _tilted_tail(model, gamma, x_arr) / model.c
         return float(out[0]) if x_in.ndim == 0 else out
-    beta = theta.beta(model.c)
+    beta = model.c / theta.D + gamma
 
     from scipy import integrate
 

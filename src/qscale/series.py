@@ -11,8 +11,9 @@ Laguerre coefficients ``a^G`` satisfy a lower-triangular Toeplitz system
 
 use closed-form kernels built from the convolution integrals Psi_{alpha,k}.
 All four share one form, so a single evaluator (``kernels``) returns them with
-their analytic (p, gamma) gradients.  Every caller wants Q and Q* only through
-fixed weights (a^G for W_K and Z_K, [a^G | A^{-1} B] for the CLT gradients),
+their analytic gamma-derivatives (the p-derivative of a kernel is its value
+over 1 - p).  Every caller wants Q and Q* only through fixed weights (a^G for
+W_K and Z_K, [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances),
 so ``kernels`` takes the (K+1, r) weight matrix U and returns U^T Q and
 U^T Q*: no (K+1)-row kernel stack is formed on the x side.  Its ``eval_*`` /
 ``grad_*`` projections are identity-weight wrappers kept only as benchmark
@@ -214,9 +215,11 @@ def build_B(a_G: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def solve_aG(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^{-1} rhs for the lower-triangular A = A^f: a_G from a_F, or A^{-1} B.
+    """A^{-1} rhs for the lower-triangular A = A^f: a_G from a_F, or the CLT
+    weights A^{-1} B (Gamma F)_{0..2K+1}.
 
-    ``rhs`` is a vector or a matrix of right-hand sides.  numpy has no
+    ``rhs`` is a vector or a matrix of right-hand sides, possibly with no
+    columns (the empty factor of the oracle report).  numpy has no
     triangular solve, so this is its LU solve, which on a triangular A costs
     a few more flops and is as backward stable.  Raises NumericalError on a
     non-finite entry of A or rhs, IllConditionedError when a diagonal entry
@@ -231,8 +234,8 @@ def solve_aG(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if min_diag < _DIAG_FLOOR:
         raise IllConditionedError(f"triangular system near-singular: min |diag| = {min_diag:.3e}")
     x = np.linalg.solve(A, rhs)
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    resid = float(np.max(np.abs(A @ x - rhs)))
+    scale = float(np.max(np.abs(rhs), initial=1e-300))
+    resid = float(np.max(np.abs(A @ x - rhs), initial=0.0))
     if resid > _SOLVE_RTOL * scale:
         raise NumericalError("triangular solve residual above tolerance", residual=resid)
     return x
@@ -309,10 +312,9 @@ def _transform_coeffs(
 # ---------------------------------------------------------------------------
 
 class Kernel(NamedTuple):
-    """Kernel values and their partial derivatives in p and gamma."""
+    """Kernel values and their partial derivatives in gamma; d/dp is value / (1 - p)."""
 
     value: np.ndarray
-    d_p: np.ndarray
     d_gamma: np.ndarray
 
 
@@ -331,13 +333,14 @@ def _atom_beta(c: float, D: float, gamma: float) -> float:
 
 
 def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
-    """The shared form of every kernel, with its (p, gamma) gradient.
+    """The shared form of every kernel, with its gamma-derivative.
 
     value = (f(gamma) - f(-beta)) / N, beta = c/D + gamma, with the D-scaled
     N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D); ``atom(b)`` returns
     a list of pairs (f(b), df/db), one per kernel.  Since d beta / d gamma
     = 1, the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 D value /
-    (c + 2 gamma D); the p-derivative is value / (1-p).  D = 0 is the limit,
+    (c + 2 gamma D); the p-derivative, value / (1-p), is left to the caller,
+    which divides the combination it needs once.  D = 0 is the limit,
     not a branch: the atom at -beta, not formed there or where c/D
     overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever it
     is formed.
@@ -353,7 +356,7 @@ def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
     kernels = []
     for f, df in parts:
         value = f / N
-        kernels.append(Kernel(value, value / (1.0 - p), df / N - 2.0 * D * value / s))
+        kernels.append(Kernel(value, df / N - 2.0 * D * value / s))
     return kernels
 
 
@@ -389,18 +392,18 @@ def _db_weights(U: np.ndarray) -> np.ndarray:
 def kernels(
     params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U
 ) -> Kernels:
-    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x with their (p, gamma) gradients.
+    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x with their gamma-derivatives.
 
-    U holds the caller's (K+1, r) weights: a^G for W_K and Z_K, [a^G | A^{-1} B]
-    for the CLT gradients, the identity for the rows themselves.  The
-    Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and each
-    b contracts Psi_{0..K+1} with [U; 0 | V] (``_db_weights``), which gives
-    U^T Psi and U^T d/db Psi together.  One Laguerre recurrence over x gives
-    U^T phi, the backward seed at b = -beta (``backward_seed``) and then, in
-    the same buffer, the sources of both sweeps (``forward_sources``).  Each
-    sweep's ladder runs as its adjoint on the weights: forward at b = gamma
-    >= 0, backward from the seed at b < 0.  Every kernel vanishes at x < 0,
-    where W^(q) = 0 and Z^(q) = 1.
+    U holds the caller's (K+1, r) weights: a^G for W_K and Z_K,
+    [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances, the identity
+    for the rows themselves.  The Q-atoms are phi_k + b Psi_k(x; b) and the
+    Q*-atoms Psi_k(x; b), and each b contracts Psi_{0..K+1} with [U; 0 | V]
+    (``_db_weights``), which gives U^T Psi and U^T d/db Psi together.  One
+    Laguerre recurrence over x gives U^T phi, the backward seed at b = -beta
+    (``backward_seed``) and then, in the same buffer, the sources of both
+    sweeps (``forward_sources``).  Each sweep's ladder runs as its adjoint on
+    the weights: forward at b = gamma >= 0, backward from the seed at b < 0.
+    Every kernel vanishes at x < 0, where W^(q) = 0 and Z^(q) = 1.
     """
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -470,24 +473,29 @@ def eval_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, 
     return _identity_kernels(params, x, p, gamma, D, c).Qstar.value
 
 
+def _gradient(kern: Kernel, p: float):
+    """(d/dp, d/dgamma) of a kernel: the p-derivative is value / (1 - p)."""
+    return kern.value / (1.0 - p), kern.d_gamma
+
+
 def grad_P(x, p: float, gamma: float, D: float, c: float):
     """(d/dp P, d/dgamma P)."""
-    return _exp_kernels(x, p, gamma, D, c)[0][1:]
+    return _gradient(_exp_kernels(x, p, gamma, D, c)[0], p)
 
 
 def grad_Pstar(x, p: float, gamma: float, D: float, c: float):
     """(d/dp P*, d/dgamma P*)."""
-    return _exp_kernels(x, p, gamma, D, c)[1][1:]
+    return _gradient(_exp_kernels(x, p, gamma, D, c)[1], p)
 
 
 def grad_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q_k, d/dgamma Q_k) for k = 0..K."""
-    return _identity_kernels(params, x, p, gamma, D, c).Q[1:]
+    return _gradient(_identity_kernels(params, x, p, gamma, D, c).Q, p)
 
 
 def grad_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q*_k, d/dgamma Q*_k) for k = 0..K."""
-    return _identity_kernels(params, x, p, gamma, D, c).Qstar[1:]
+    return _gradient(_identity_kernels(params, x, p, gamma, D, c).Qstar, p)
 
 
 @dataclass(frozen=True)
@@ -502,7 +510,10 @@ class ScaleApprox:
     coeffs: CoefficientSet
 
     def kernels(self, x, extra=None) -> Kernels:
-        """The kernels at x contracted with [a^G | extra]: column 0 gives W_K and Z_K."""
+        """The kernels at x contracted with [a^G | extra]: column 0 gives W_K and Z_K.
+
+        The covariance machinery passes extra = A^{-1} B (Gamma F)_{0..2K+1}.
+        """
         cs = self.coeffs
         U = cs.a_G[:, None] if extra is None else np.column_stack([cs.a_G, extra])
         return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, U)

@@ -22,7 +22,7 @@ from qscale.levy import (
     quadratic_bracket,
 )
 from qscale.oracles import h_functionals_per_jump, nu_functional_exact
-from qscale.series import ScaleApprox, build_B, coeffs_true, scale_approx
+from qscale.series import ScaleApprox, build_Af, build_B, coeffs_true, kernels, scale_approx
 from qscale.simulate import (
     JumpSample, ObservationSet, SamplingScheme, make_scheme, simulate, simulate_window,
 )
@@ -412,6 +412,24 @@ def _gradient_cases(cs0):
     return [(D, g) for D in (cs0.theta.D, 0.0) for g in (cs0.theta.gamma, 0.0)]
 
 
+def _assert_curve_gradients_match_fd(cs0, starred: bool):
+    """d/dp and d/dgamma of P - Q a^G (P* - Q* a^G when starred) at x = 2 from
+    one ``kernels`` call with U = a^G against central differences of that call."""
+    x, c, h = np.array([2.0]), 1.5, 1e-6
+    for D, gamma in _gradient_cases(cs0):
+
+        def curve(p, g):
+            k = kernels(cs0.params, x, p, g, D, c, cs0.a_G[:, None])
+            P, Q = (k.Pstar, k.Qstar) if starred else (k.P, k.Q)
+            return P.value[0] - Q.value[0, 0], P.d_gamma[0] - Q.d_gamma[0, 0]
+
+        value, d_gamma = curve(cs0.p, gamma)
+        dp_fd = (curve(cs0.p + h, gamma)[0] - curve(cs0.p - h, gamma)[0]) / (2 * h)
+        dg_fd = (curve(cs0.p, gamma + h)[0] - curve(cs0.p, gamma - h)[0]) / (2 * h)
+        assert value / (1.0 - cs0.p) == pytest.approx(dp_fd, rel=1e-6)
+        assert d_gamma == pytest.approx(dg_fd, rel=1e-6)
+
+
 class TestCovarianceMachinery:
     def test_no_jumps_degenerate(self, brownian_model, params20):
         obs = simulate(brownian_model, make_scheme(20.0), seed=7)
@@ -477,6 +495,27 @@ class TestCovarianceMachinery:
         assert np.all(cov.Z_lo <= cov.Z_hat) and np.all(cov.Z_hat <= cov.Z_hi)
         eigs = np.linalg.eigvalsh(rep.est.Sigma)
         assert np.sum(eigs > 1e-12 * eigs[-1]) <= K + 2
+        # the chain applied through the kernel weights against C Gamma_hat F
+        # formed from the identity-weight rows, C_K = [Q^T A^{-1} B,
+        # (P - Q a^G) / (1 - p), d/dgamma (P - Q a^G)] and q C*_K likewise
+        cs, th, GF = rep.est.coeffs, rep.est.theta, rep.est.Gamma @ rep.est.F
+        rows = kernels(cs.params, cov.x, cs.p, th.gamma, th.D, 1.5, np.eye(K + 1))
+        AinvB = np.linalg.solve(build_Af(cs.a_f, 1.0), build_B(cs.a_G, 1.0))
+        v, mag = [], []
+        for P, Q, scale in ((rows.P, rows.Q, 1.0), (rows.Pstar, rows.Qstar, q)):
+            C = scale * np.column_stack([
+                Q.value.T @ AinvB,
+                (P.value - cs.a_G @ Q.value) / (1.0 - cs.p),
+                P.d_gamma - cs.a_G @ Q.d_gamma,
+            ])
+            v.append(C @ GF)
+            mag.append(np.abs(C) @ np.abs(GF))
+        v, mag = np.stack(v, axis=1), np.stack(mag, axis=1)
+        # rounding scale |C| |Gamma_hat F| per factor; seen up to 4.3e-16 of it
+        want, bound = v @ v.transpose(0, 2, 1), mag @ mag.transpose(0, 2, 1)
+        assert np.all(np.abs(cov.joint - want) <= 1e-14 * bound)
+        for var, i in ((cov.sigma_W, 0), (cov.sigma_Z, 1)):
+            assert np.all(np.abs(var - want[:, i, i]) <= 1e-14 * bound[:, i, i])
 
     def test_joint_covariance_diagonal(self, exp_jump_model, params20):
         # the joint 2x2 blocks carry (sigma_K, sigma*_K) on the diagonal
@@ -488,8 +527,6 @@ class TestCovarianceMachinery:
         assert joint[:, 0, 1] == pytest.approx(joint[:, 1, 0], rel=1e-12)
 
     def test_triangular_residual_on_estimates(self, exp_jump_model, params20):
-        from qscale.series import build_Af
-
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=10)
         est = _estimates(obs, 0.1, 1.5, params20)
         A = build_Af(est.coeffs.a_f, params20.alpha)
@@ -533,49 +570,13 @@ class TestCovarianceMachinery:
         assert Sigma[-1, -1] == pytest.approx(nu_k2 / psi_p**2, rel=1e-9)
 
     def test_gradient_rows_match_fd(self, exp_jump_model, params20):
-        # C_K collapses the delta method: perturbing (p, gamma) in the
-        # evaluator matches the last two gradient entries, for D > 0 and
-        # D = 0, at gamma = 0 and gamma > 0
-        cs0 = coeffs_true(exp_jump_model, params20)
-        x = np.array([2.0])
-        covariance_machinery(PipelineEstimates.population(cs0), 1.5, 0.1, x)
-        from qscale.series import eval_P, eval_Q_all, grad_P, grad_Q_all
-
-        h = 1e-6
-        for D, gamma in _gradient_cases(cs0):
-
-            def w_at(p, g):
-                P = eval_P(x, p, g, D, 1.5)
-                Q = eval_Q_all(params20, x, p, g, D, 1.5)
-                return (P - cs0.a_G @ Q)[0]
-
-            dp_fd = (w_at(cs0.p + h, gamma) - w_at(cs0.p - h, gamma)) / (2 * h)
-            dg_fd = (w_at(cs0.p, gamma + h) - w_at(cs0.p, gamma - h)) / (2 * h)
-            dQ_dp, dQ_dg = grad_Q_all(params20, x, cs0.p, gamma, D, 1.5)
-            dP_dp, dP_dg = grad_P(x, cs0.p, gamma, D, 1.5)
-            assert dP_dp[0] - cs0.a_G @ dQ_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
-            assert dP_dg[0] - cs0.a_G @ dQ_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
+        # the p and gamma entries of C_K: perturbing (p, gamma) in the kernel
+        # call of covariance_machinery matches (P - Q a^G) / (1 - p) and its
+        # d_gamma, for D > 0 and D = 0, at gamma = 0 and gamma > 0
+        _assert_curve_gradients_match_fd(coeffs_true(exp_jump_model, params20), starred=False)
 
     def test_starred_gradients_match_fd(self, exp_jump_model, params20):
-        from qscale.series import eval_Pstar, eval_Qstar_all, grad_Pstar, grad_Qstar_all
-
-        cs0 = coeffs_true(exp_jump_model, params20)
-        x = np.array([2.0])
-        p0 = cs0.p
-        h = 1e-6
-        for D0, g0 in _gradient_cases(cs0):
-
-            def z_at(p, gamma):
-                Ps = eval_Pstar(x, p, gamma, D0, 1.5)
-                Qs = eval_Qstar_all(params20, x, p, gamma, D0, 1.5)
-                return (Ps - cs0.a_G @ Qs)[0]
-
-            dp_fd = (z_at(p0 + h, g0) - z_at(p0 - h, g0)) / (2 * h)
-            dg_fd = (z_at(p0, g0 + h) - z_at(p0, g0 - h)) / (2 * h)
-            dQs_dp, dQs_dg = grad_Qstar_all(params20, x, p0, g0, D0, 1.5)
-            dPs_dp, dPs_dg = grad_Pstar(x, p0, g0, D0, 1.5)
-            assert dPs_dp[0] - cs0.a_G @ dQs_dp[:, 0] == pytest.approx(dp_fd, rel=1e-6)
-            assert dPs_dg[0] - cs0.a_G @ dQs_dg[:, 0] == pytest.approx(dg_fd, rel=1e-6)
+        _assert_curve_gradients_match_fd(coeffs_true(exp_jump_model, params20), starred=True)
 
     @pytest.mark.parametrize("model_name", ["exp_jump_model", "cramer_lundberg_model"])
     def test_one_kernel_sweep_per_exponent(self, model_name, params20, request, monkeypatch):
@@ -603,7 +604,7 @@ class TestCovarianceMachinery:
         cov = covariance_machinery(est, model.c, model.q, x)
         theta = cs0.theta
         if theta.D > 0:
-            assert bs == [-theta.beta(model.c), theta.gamma]
+            assert bs == [-(model.c / theta.D + theta.gamma), theta.gamma]
         else:
             assert bs == [theta.gamma]
         approx = ScaleApprox(c=model.c, q=model.q, coeffs=cs0)
@@ -671,7 +672,7 @@ class TestCovarianceMachinery:
 
     def test_build_B_linearizes_triangular_solve(self, exp_jump_model):
         # -A^{-1} B (delta_f, delta_F) reproduces the change in a^G
-        from qscale.series import build_Af, solve_aG
+        from qscale.series import solve_aG
         from scipy.linalg import solve_triangular
 
         params = LaguerreParams(1.0, 6)
@@ -788,18 +789,25 @@ class TestOracleModeReport:
             assert lo.tobytes() == mid.tobytes() == hi.tobytes()
 
     def test_one_kernel_evaluation(self, exp_jump_model, params20, monkeypatch):
+        # one kernels call per report, contracted with a^G and the columns of
+        # A^{-1} B (Gamma F)_{0..2K+1}: none in oracle mode, F's on a sample
         import qscale.series as series_mod
 
-        calls = []
+        widths = []
         orig = series_mod.kernels
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
+        def counting(params, x, p, gamma, D, c, U):
+            widths.append(np.shape(U)[1])
+            return orig(params, x, p, gamma, D, c, U)
 
         monkeypatch.setattr(series_mod, "kernels", counting)
-        report_from_true_model(exp_jump_model, params20, np.linspace(0, 5, 21))
-        assert len(calls) == 1
+        x = np.linspace(0, 5, 21)
+        report_from_true_model(exp_jump_model, params20, x)
+        assert widths == [1]
+        widths.clear()
+        obs = simulate(exp_jump_model, make_scheme(100.0), seed=12)
+        rep = build_report(obs, 0.1, 1.5, params20, x=x, D_hat=estimate_D(obs))
+        assert widths == [1 + rep.est.F.shape[1]] and rep.est.F.shape[1] == params20.K + 2
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["estimate", "oracle"])
     def test_covariance_keys(self, exp_jump_model, params20, oracle):

@@ -420,17 +420,6 @@ class TestComplexLog1p:
 
 
 class TestThetaParams:
-    @given(D=st.floats(0.0, 5.0), gamma=st.floats(0.0, 5.0), c=st.floats(0.01, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_beta_dominates_gamma(self, D, gamma, c):
-        from qscale.levy import ThetaParams
-
-        th = ThetaParams(D=D, gamma=gamma)
-        beta = th.beta(c)
-        assert beta >= gamma
-        if D > 0:
-            assert beta > 0
-
     def test_negative_inputs_rejected(self):
         from qscale.levy import ThetaParams
 

@@ -40,6 +40,7 @@ from qscale.series import (
     _exp_atoms,
     _expm1_ratio,
     _expm1_ratio_db,
+    Kernel,
     build_Af,
     coeffs_true,
     eval_P,
@@ -67,7 +68,7 @@ class TestFtildeQ:
 
     def test_matches_nested_quadrature(self, exp_jump_model):
         th = exp_jump_model.theta0()
-        beta = th.beta(exp_jump_model.c)
+        beta = exp_jump_model.c / th.D + th.gamma
         x = 1.0
 
         def inner(y):
@@ -121,7 +122,7 @@ class TestPValue:
 class TestHFunctionals:
     def test_hp_closed_form(self, exp_jump_model, params20):
         th = exp_jump_model.theta0()
-        beta = th.beta(exp_jump_model.c)
+        beta = exp_jump_model.c / th.D + th.gamma
         z = np.array([0.5, 2.0, 7.0])
         H_p, _, _ = h_functionals_per_jump(exp_jump_model.c, th.D, th.gamma, params20, z)[0]
         want = (1 - np.exp(-th.gamma * z)) / (beta * exp_jump_model.D * th.gamma)
@@ -621,7 +622,7 @@ class TestEvaluators:
     def test_Q_matches_kernel_quadrature(self, exp_jump_model, params20):
         th = exp_jump_model.theta0()
         cs = coeffs_true(exp_jump_model, params20)
-        beta = th.beta(exp_jump_model.c)
+        beta = exp_jump_model.c / th.D + th.gamma
         gamma, D, c, p = th.gamma, th.D, exp_jump_model.c, cs.p
         x = 2.7
         Q = eval_Q_all(params20, np.array([x]), p, gamma, D, c)
@@ -804,13 +805,14 @@ class TestContractedKernels:
                 return np.max(np.tensordot(np.abs(U), np.abs(a), axes=(0, 0)), initial=0.0)
 
             for name in ("Q", "Qstar"):
-                for i, (part, full) in enumerate(zip(getattr(got, name), getattr(rows, name))):
+                parts = zip(Kernel._fields, getattr(got, name), getattr(rows, name))
+                for field, part, full in parts:
                     want = np.tensordot(U, full, axes=(0, 0))
                     assert part.shape == want.shape == (U.shape[1],) + np.shape(x)
                     # the forward ladder and its adjoint round apart over K steps; a
                     # gamma-derivative also carries the three-term identity's
                     # (2k+1)-weighted Psi rows, ~ (K+1) |U|^T |Q*|
-                    scale = mag(full) + (i == 2) * (K + 1) * mag(rows.Qstar.value)
+                    scale = mag(full) + (field == "d_gamma") * (K + 1) * mag(rows.Qstar.value)
                     assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
