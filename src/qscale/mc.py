@@ -34,15 +34,14 @@ import numpy as np
 from .exceptions import ConfigError, DegenerateEstimateError, NumericalError
 from .laguerre import LaguerreParams
 from .levy import LevyModel
-from .series import scale_approx
 from .simulate import SamplingScheme, replication_seed, simulate_window, window_steps
-from .estimators import LEVEL, build_report, realized_D
+from .estimators import (
+    LEVEL, EstimationReport, build_report, realized_D, report_from_true_model,
+)
 
 __all__ = [
     "MCResult",
     "McWorkerFailure",
-    "TrueValues",
-    "true_values",
     "run_replication",
     "run_monte_carlo",
     "resolve_workers",
@@ -61,30 +60,6 @@ class McWorkerFailure(NumericalError):
 MC_COLUMNS = [
     "rep", "seed", "n_jumps", "D_hat", "gamma_hat", "p_hat", "v_gamma_sq", "failed",
 ]
-
-
-@dataclass(frozen=True)
-class TrueValues:
-    """Population targets the summaries compare against (fixed K estimand)."""
-
-    D: float
-    gamma: float
-    p: float
-    W_K: np.ndarray  # W_K at x_eval with true parameters
-    Z_K: np.ndarray
-
-
-def true_values(model: LevyModel, params: LaguerreParams, x_eval) -> TrueValues:
-    x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    approx = scale_approx(model, params)
-    k = approx.kernels(x_eval)
-    return TrueValues(
-        D=model.D,
-        gamma=approx.coeffs.theta.gamma,
-        p=approx.coeffs.p,
-        W_K=approx.w_from(k),
-        Z_K=approx.z_from(k),
-    )
 
 
 def run_replication(
@@ -190,7 +165,7 @@ class MCResult:
     rows: list[dict]          # in replication order, "rep" set; failures keep their slot
     summary: dict
     x_eval: np.ndarray
-    truth: TrueValues
+    truth: EstimationReport   # the oracle-mode report: true (D, gamma, p), W_K and Z_K at x_eval
 
 
 def _collect(rows: list[dict], results) -> None:
@@ -228,7 +203,8 @@ def run_monte_carlo(
     """
     window_steps(scheme, D_window)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    truth = true_values(model, params, x_eval)
+    truth = report_from_true_model(model, params, x_eval)
+    est, W_K, Z_K = truth.est, truth.cov.W_hat, truth.cov.Z_hat
     run = functools.partial(
         run_replication, model, scheme, params, x_eval=x_eval, D_window=D_window
     )
@@ -257,7 +233,7 @@ def run_monte_carlo(
     }
     if ok:
         sqT = np.sqrt(scheme.T)
-        for name, target in (("D_hat", truth.D), ("gamma_hat", truth.gamma), ("p_hat", truth.p)):
+        for name, target in (("D_hat", est.D_raw), ("gamma_hat", est.theta.gamma), ("p_hat", est.p)):
             vals = np.array([row[name] for row in ok])
             se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             summary[name] = {
@@ -273,23 +249,20 @@ def run_monte_carlo(
         W_hi = np.stack([row["W_hi"] for row in ok])
         Z_lo = np.stack([row["Z_lo"] for row in ok])
         Z_hi = np.stack([row["Z_hi"] for row in ok])
-        summary["coverage_W"] = np.mean(
-            (W_lo <= truth.W_K[None, :]) & (truth.W_K[None, :] <= W_hi), axis=0
-        ).tolist()
-        summary["coverage_Z"] = np.mean(
-            (Z_lo <= truth.Z_K[None, :]) & (truth.Z_K[None, :] <= Z_hi), axis=0
-        ).tolist()
+        summary["coverage_W"] = np.mean((W_lo <= W_K) & (W_K <= W_hi), axis=0).tolist()
+        summary["coverage_Z"] = np.mean((Z_lo <= Z_K) & (Z_K <= Z_hi), axis=0).tolist()
         W_hat = np.stack([row["W_hat"] for row in ok])
         summary["W_sup_err"] = {
-            "median": float(np.median(np.max(np.abs(W_hat - truth.W_K[None, :]), axis=1))),
+            "median": float(np.median(np.max(np.abs(W_hat - W_K), axis=1))),
         }
         # standardized gamma errors: sqrt(T) (gamma_hat - gamma_0) / v_hat
         gam = np.array([row["gamma_hat"] for row in ok])
         v2 = np.array([row["v_gamma_sq"] for row in ok])
-        if truth.gamma > 0 and np.all(v2 > 0) and len(ok) >= 20:
+        gamma0 = est.theta.gamma
+        if gamma0 > 0 and np.all(v2 > 0) and len(ok) >= 20:
             from scipy import stats  # the slowest scipy import; only this summary uses it
 
-            zscores = sqT * (gam - truth.gamma) / np.sqrt(v2)
+            zscores = sqT * (gam - gamma0) / np.sqrt(v2)
             ad_stat = float(stats.anderson(zscores, dist="norm", method="interpolate").statistic)
             crit_1pct = _ad_critical_1pct(len(zscores))
             summary["gamma_normality"] = {
@@ -300,7 +273,7 @@ def run_monte_carlo(
                 "z_var": float(zscores.var(ddof=1)),
             }
             summary["gamma_scaled_var"] = {
-                "empirical": float((sqT * (gam - truth.gamma)).var(ddof=1)),
+                "empirical": float((sqT * (gam - gamma0)).var(ddof=1)),
                 "mean_plugin_v2": float(v2.mean()),
             }
     return MCResult(rows=rows, summary=summary, x_eval=x_eval, truth=truth)

@@ -11,19 +11,19 @@ Three routes that never touch the Laguerre expansion:
   (no jumps, exponential jumps, gamma jumps of integer shape), as a sum of
   residues over the roots of psi - q.
 
-A last section holds the quadrature cross-checks of the series path, which
-only tests call: the defective density ``ftilde_q`` by quadrature of the
-tilted jump tail, the kernels H_p, H^f_k, H^F_k per jump with their
-gamma-derivatives (``h_functionals_per_jump``), the population coefficients
-a^f, a^F by cubature of those kernels against nu (``coeffs_quadrature``),
-grid projections onto the Laguerre basis (``project_grid``) and the adaptive
+A last section holds the cross-checks of the series path, which only tests
+call: the defective density ``ftilde_q`` by quadrature of the tilted jump
+tail, the kernels H_p, H^f_k, H^F_k per jump with their gamma-derivatives
+(``h_functionals_per_jump``), the population coefficients a^f, a^F exact to
+1e-25 by an mpmath Weeks sum (``coeffs_reference``) and the adaptive
 quadrature of nu(H) (``nu_functional_exact``).  Its functions import
-``scipy.integrate`` and ``scipy.special`` when called, so a command, which
-needs only the Talbot inversion, loads neither.
+``scipy.integrate``, ``scipy.special`` and ``mpmath`` when called, so a
+command, which needs only the Talbot inversion, loads none of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .exceptions import DomainError, GridTooCoarseError, NumericalError
-from .laguerre import LaguerreParams, laguerre_fn_all, psi_integral_and_db_all
+from .laguerre import LaguerreParams, psi_integral_and_db_all
 from .levy import (
     CompoundPoissonExponential, CompoundPoissonGamma, GammaSubordinator, LevyModel, NoJumps,
     ThetaParams, laplace_exponent, laplace_exponent_deriv, lundberg_exponent,
@@ -46,9 +46,7 @@ __all__ = [
     "residue_scale",
     "ftilde_q",
     "h_functionals_per_jump",
-    "coeffs_quadrature",
-    "ProjectionResult",
-    "project_grid",
+    "coeffs_reference",
     "nu_functional_exact",
 ]
 
@@ -168,22 +166,21 @@ def compound_geometric_grid(f_vals: np.ndarray, p: float, h: float) -> GridDistr
     Fbar = 1.0 - cum / f_mass
     f = f_vals / f_mass
 
-    # March Gbar_i = p Fbar_i + p h [ f_0 Gbar_i / 2 + sum_{0<j<i} f_j Gbar_{i-j}
-    #                                + f_i Gbar_0 / 2 ]
-    Gbar = np.empty(n)
-    Gbar[0] = p
+    # March u_i = s_i + p h [ f_0 u_i / 2 + sum_{0<j<i} f_j u_{i-j} + f_i u_0 / 2 ]
+    # for Gbar (s = p Fbar, u_0 = p) and for the density of the a.c. part,
+    # g = p (1-p) f + p f * g (s = p (1-p) f)
     lead = 1.0 - 0.5 * p * h * f[0]
-    f_rev = f[::-1]
-    for i in range(1, n):
-        mid = np.dot(f[1:i], Gbar[i - 1 : 0 : -1]) if i >= 2 else 0.0
-        Gbar[i] = (p * Fbar[i] + p * h * (mid + 0.5 * f[i] * Gbar[0])) / lead
 
-    # Density of the a.c. part: g = p (1-p) f + p f * g, same marching kernel
-    g = np.empty(n)
-    g[0] = p * (1.0 - p) * f[0] / lead
-    for i in range(1, n):
-        mid = np.dot(f[1:i], g[i - 1 : 0 : -1]) if i >= 2 else 0.0
-        g[i] = (p * (1.0 - p) * f[i] + p * h * (mid + 0.5 * f[i] * g[0])) / lead
+    def march(source, first):
+        u = np.empty(n)
+        u[0] = first
+        for i in range(1, n):
+            mid = np.dot(f[1:i], u[i - 1 : 0 : -1]) if i >= 2 else 0.0
+            u[i] = (source[i] + p * h * (mid + 0.5 * f[i] * u[0])) / lead
+        return u
+
+    Gbar = march(p * Fbar, p)
+    g = march(p * (1.0 - p) * f, p * (1.0 - p) * f[0] / lead)
     g_mass = float(np.trapezoid(g, dx=h))
     if abs(g_mass - p) > 1e-4:
         raise GridTooCoarseError(
@@ -290,7 +287,7 @@ def residue_scale(model: LevyModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature cross-checks of the series path
+# Cross-checks of the series path
 # ---------------------------------------------------------------------------
 
 def _tilted_tail(model: LevyModel, gamma: float, y):
@@ -361,62 +358,77 @@ def h_functionals_per_jump(c: float, D: float, gamma: float, params: LaguerrePar
     return (H_p, H_f, H_F), h_functionals_at(c, D, gamma, params, -d_psi - D * H_f, d_kg - D * H_p)
 
 
-def coeffs_quadrature(model: LevyModel, params: LaguerreParams) -> tuple[np.ndarray, np.ndarray]:
-    """a^f, a^F at theta0 by adaptive Gauss-Kronrod cubature of the H-kernels against nu.
+# the Weeks sum of ``coeffs_reference``: its radius, nodes and digits beyond r^-K
+_REF_RADIUS = 0.5
+_REF_NODES = 128
+_REF_DIGITS = 35
 
-    Reference for ``series.coeffs_true`` on the families without a closed
-    form.  Each rule evaluation hands all of its nodes to one kernel sweep.
-    The map z = (1 - t) / t of [0, inf) can round a node to z = 0, where
-    H = 0 and an infinite-activity density is infinite; that node adds 0.
+
+def _mp_jump_functionals(jumps):
+    """(nu_e, mean): nu(e^{-theta z} - 1) of an mpmath theta, and nu(z), per family in mpmath."""
+    import mpmath
+
+    mp = mpmath.mpf
+    if isinstance(jumps, NoJumps):
+        return (lambda t: mp(0)), mp(0)
+    if isinstance(jumps, CompoundPoissonExponential):
+        lam, mu = mp(jumps.rate), mp(jumps.mu)
+        return (lambda t: -lam * t / (mu + t)), lam / mu
+    if isinstance(jumps, CompoundPoissonGamma):
+        lam, a, s = mp(jumps.rate), mp(jumps.shape), mp(jumps.scale)
+        return (lambda t: lam * mpmath.expm1(-a * mpmath.log1p(s * t))), lam * a * s
+    if isinstance(jumps, GammaSubordinator):
+        a, b = mp(jumps.shape), mp(jumps.rate)
+        return (lambda t: -a * mpmath.log1p(t / b)), a / b
+    raise DomainError(f"no mpmath exponential functional for {type(jumps).__name__}")
+
+
+def coeffs_reference(model: LevyModel, params: LaguerreParams) -> tuple[np.ndarray, np.ndarray]:
+    """a^f, a^F at theta0: Weeks' sum of their generating functions, in mpmath.
+
+    The generating functions are those of ``series._transform_coeffs``,
+    sqrt(2 alpha) / (1 - w) times Fhat(theta(w)) for p f_q and times
+    (p - Fhat) / theta for its tail, with theta(w) = alpha (1 + w) / (1 - w)
+    and p in closed form at the same theta.  The sum runs on |w| = 1/2 with
+    N = 128 nodes half a step off the real axis (Weideman 1999, SIAM J. Sci.
+    Comput. 21), at 35 + K log10(2) digits.  Take the function's L2 norm as
+    the coefficients' scale: every |a_k| is at most it, and the generating
+    functions are at most twice it on |w| = 1/2.  So the aliasing
+    sum_m a_{k+mN} r^{mN} is below 2^-128 = 2.9e-39 of the scale, and the
+    rounding of the generating functions, amplified by r^-k <= 2^K, is near
+    1e-35 of it: both are below 1e-25 of the scale at every K.  The sum
+    checks the double-precision rule of ``coeffs_true`` (its radius, node
+    count, roundoff and aliasing) at each family's own singularities; the
+    generating-function identity itself is checked by the closed forms and
+    the empirical transform.
     """
-    from scipy import integrate
+    import mpmath
 
-    jumps, theta = model.jumps, model.theta0()
-    n = params.K + 1
-
-    def integrand(zz):
-        z = zz[:, 0]
-        _, H_f, H_F = h_functionals_per_jump(model.c, theta.D, theta.gamma, params, z)[0]
-        rho = np.zeros_like(z)
-        rho[z > 0] = jumps.density(z[z > 0])
-        return (np.concatenate([H_f, H_F]) * rho).T
-
-    res = integrate.cubature(
-        integrand, [0.0], [np.inf], rtol=1e-12, atol=1e-14, max_subdivisions=200
-    )
-    est, err = res.estimate, float(np.max(res.error))
-    scale = max(float(np.max(np.abs(est))), 1.0)
-    if res.status != "converged" or err > 1e-6 * scale:
-        raise NumericalError("coefficient quadrature did not converge", residual=err)
-    return est[:n], est[n:]
-
-
-class ProjectionResult(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def project_grid(
-    xgrid: np.ndarray,
-    fvals: np.ndarray,
-    params: LaguerreParams,
-    k: int,
-    tail_mass: float = 0.0,
-) -> ProjectionResult:
-    """<f, phi_{alpha,k}> by composite Simpson on a uniform grid.
-
-    `tail_mass` is the caller's estimate of int_{x_max}^inf |f|; the reported
-    tail bound is sqrt(2 alpha) * tail_mass (the basis sup bound).
-    """
-    xgrid = np.asarray(xgrid, dtype=float)
-    fvals = np.asarray(fvals, dtype=float)
-    if xgrid.shape != fvals.shape:
-        raise ValueError("xgrid and fvals must have matching shapes")
-    from scipy import integrate
-
-    phi = laguerre_fn_all(params, xgrid, kmax=k)[k]
-    value = float(integrate.simpson(fvals * phi, x=xgrid))
-    return ProjectionResult(value=value, tail_bound=params.sq2a * abs(tail_mass))
+    K, theta = params.K, model.theta0()
+    with mpmath.workdps(_REF_DIGITS + math.ceil(K * math.log10(1.0 / _REF_RADIUS))):
+        mp = mpmath.mpf
+        nu_e, mean = _mp_jump_functionals(model.jumps)
+        alpha, c, D, gamma = mp(params.alpha), mp(model.c), mp(theta.D), mp(theta.gamma)
+        nu_g = nu_e(gamma)
+        p = -nu_g / (gamma * (c + D * gamma)) if gamma else mean / c
+        sq2a, r, N = mpmath.sqrt(2 * alpha), mp(_REF_RADIUS), _REF_NODES
+        sums = [[mp(0)] * (K + 1), [mp(0)] * (K + 1)]
+        # both functions are real on the real axis and the nodes come in
+        # conjugate pairs, so the upper half-circle's real parts make the sum
+        for j in range(N // 2):
+            unit = mpmath.expjpi(mp(2 * j + 1) / N)
+            w = r * unit
+            s = alpha * (1 + w) / (1 - w)
+            F = (nu_g - nu_e(s)) / ((s - gamma) * (D * s + c + gamma * D))
+            # the terms gen(w) (w / r)^-k of both generating functions, k = 0..K
+            terms = [sq2a / (1 - w) * F, sq2a / (1 - w) * (p - F) / s]
+            for k in range(K + 1):
+                for out, term in zip(sums, terms):
+                    out[k] += term.real
+                terms = [term * mpmath.conj(unit) for term in terms]
+        return tuple(
+            np.array([float(v / (N // 2 * r**k)) for k, v in enumerate(out)]) for out in sums
+        )
 
 
 def nu_functional_exact(

@@ -202,7 +202,7 @@ def test_w_sup_error_sqrtT_rate(mc_t400, mc_t1600):
 
 def test_criterion_7_normality_and_coverage(mc_t1600_clt):
     s = mc_t1600_clt.summary
-    gamma0 = mc_t1600_clt.truth.gamma
+    gamma0 = mc_t1600_clt.truth.est.theta.gamma
     g = ACC_MODEL
     nu_k2 = 1 / (1 + 2 * gamma0) - 2 / (1 + gamma0) + 1
     psi_p = g.c + 2 * g.D * gamma0 - g.jumps.exp_moment(gamma0)

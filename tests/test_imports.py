@@ -2,7 +2,8 @@
 
 ``scale compute``, ``scale simulate``, ``scale estimate`` and a Monte Carlo
 replication load none of ``scipy.linalg``, ``scipy.special``,
-``scipy.optimize``, ``scipy.stats`` and ``scipy.integrate``: the root
+``scipy.optimize``, ``scipy.stats`` and ``scipy.integrate``, nor ``mpmath``,
+which only the coefficient reference of ``qscale.oracles`` imports: the root
 finder, the triangular solve and the thin QR are numpy code, and the one
 normal quantile is a constant.  Two callers load a subpackage when they run:
 the gamma-subordinator sampler (``scipy.special`` for E1) and the MC
@@ -29,11 +30,13 @@ SCRIPT = r"""
 import json
 import sys
 
-SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate")
+MODULES = (
+    "scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate", "mpmath",
+)
 
 
 def loaded():
-    return sorted(name for name in SUBPACKAGES if name in sys.modules)
+    return sorted(name for name in MODULES if name in sys.modules)
 
 
 seen = {}

@@ -1,5 +1,4 @@
-"""Monte Carlo helpers: summary statistics, failure counts, truth curves, worker count,
-BLAS threads."""
+"""Monte Carlo helpers: summary statistics, failure counts, worker count, BLAS threads."""
 
 from __future__ import annotations
 
@@ -13,14 +12,12 @@ import pytest
 
 import qscale.cli as cli_mod
 import qscale.mc as mc_mod
-import qscale.series as series_mod
 import qscale.simulate as simulate_mod
 from qscale.exceptions import (
     ConfigError, DegenerateEstimateError, DomainError, IllConditionedError, NumericalError,
 )
-from qscale.laguerre import LaguerreParams
 from qscale.mc import (
-    MC_COLUMNS, _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo, true_values,
+    MC_COLUMNS, _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo,
 )
 from qscale.simulate import make_scheme, simulate_window
 
@@ -29,23 +26,6 @@ from qscale.simulate import make_scheme, simulate_window
 def test_ad_critical_value_1pct(n, want):
     # Stephens (1974) case-3 value 1.035 / (1 + 0.75/n + 2.25/n^2), 3 decimals
     assert _ad_critical_1pct(n) == want
-
-
-def test_true_values_one_kernel_evaluation(exp_jump_model, monkeypatch):
-    calls = []
-    orig = series_mod.kernels
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(series_mod, "kernels", counting)
-    x = np.array([1.0, 3.0])
-    truth = true_values(exp_jump_model, LaguerreParams(1.0, 20), x)
-    assert len(calls) == 1
-    approx = series_mod.scale_approx(exp_jump_model, LaguerreParams(1.0, 20))
-    assert np.array_equal(truth.W_K, approx.w(x))
-    assert np.array_equal(truth.Z_K, approx.z(x))
 
 
 class TestGridFreeReplications:

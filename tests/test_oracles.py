@@ -6,18 +6,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from qscale.exceptions import DomainError, GridTooCoarseError, NumericalError
+from qscale.exceptions import DomainError, GridTooCoarseError
 from qscale.laguerre import LaguerreParams
 from qscale.levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
     GammaSubordinator,
+    JumpMeasure,
     LevyModel,
     NoJumps,
     laplace_exponent_deriv,
 )
 from qscale.oracles import (
-    coeffs_quadrature,
+    coeffs_reference,
     compound_geometric_grid,
     ftilde_q,
     laplace_invert_scale,
@@ -260,15 +261,21 @@ class TestThreeWayAgreement:
         assert np.max(np.abs(w_K - w_talbot)) <= 1e-9 * scale
 
 
-class TestCoeffsQuadrature:
-    def test_unconverged_quadrature_raises(self, gamma_sub_model, params20, monkeypatch):
-        from scipy import integrate
+class _UnitJumps(JumpMeasure):
+    """Unit jumps at rate 1/2: a family the reference has no mpmath form for."""
 
-        real = integrate.cubature
+    def mean(self) -> float:
+        return 0.5
 
-        def starved(*args, **kwargs):
-            return real(*args, **{**kwargs, "max_subdivisions": 1})
+    def exp_functional(self, theta):
+        return 0.5 * np.expm1(-theta)
 
-        monkeypatch.setattr(integrate, "cubature", starved)
-        with pytest.raises(NumericalError, match="did not converge"):
-            coeffs_quadrature(gamma_sub_model, params20)
+    def exp_moment(self, theta):
+        return 0.5 * np.exp(-theta)
+
+
+class TestCoeffsReference:
+    def test_unlisted_family_raises(self):
+        model = LevyModel(0.0, 1.5, 0.5, _UnitJumps(), q=0.1)
+        with pytest.raises(DomainError, match="no mpmath"):
+            coeffs_reference(model, LaguerreParams(1.0, 5))
