@@ -17,9 +17,9 @@ applied through the kernel weights without forming C_K (see
 ``covariance_machinery``), and the bounds are value +/- z * sqrt(var / T)
 at the asymptotic level ``LEVEL``.  The oracle report runs the same
 machinery on population estimates (an empty factor and identity Gamma).
-The module runs on numpy alone: gamma_hat's root comes from
-``levy.brent_root``, the thin QR from row blocks (``_thin_r``), and the
-normal quantile of ``LEVEL`` is a constant.
+The module runs on numpy alone: gamma_hat's root comes from Newton's
+method (``levy.convex_root``), the thin QR from row blocks (``_thin_r``),
+and the normal quantile of ``LEVEL`` is a constant.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import DegenerateEstimateError, DomainError
 from .laguerre import LaguerreParams, psi_db_from, psi_integral_all
-from .levy import LevyModel, ThetaParams, brent_root, quadratic_bracket
+from .levy import LevyModel, ThetaParams, convex_root, quadratic_bracket
 from .series import (
     CoefficientSet,
     ScaleApprox,
@@ -108,15 +108,17 @@ def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
     """M-estimator of the Lundberg exponent: gamma_hat solves psi_hat(r) = q.
 
     Returns 0 exactly when q = 0 (the indicator in the definition).  The
-    empirical psi_hat is convex with psi_hat(0) = 0 < q, and since
-    e^{-rz} - 1 >= -1 it is bounded below by D r^2 + c r - lambda_hat, with
-    lambda_hat the recorded jump count over T.  ``quadratic_bracket`` turns
-    that bound into a bracket [0, r_hi] with psi_hat(r_hi) >= q, so the one
-    root on (0, inf) is always found, by ``levy.brent_root`` to the relative
-    accuracy of the Lundberg root, small q included.  The bracket is
-    infinite when D = max(D_hat, 0) is 0 and c <= 0, where psi_hat <= 0 < q
-    on [0, inf), and when its end overflows (D = 0 and c within a few
-    1e-308 of 0); then DegenerateEstimateError is raised with the raw D_hat.
+    empirical psi_hat is convex, psi_hat'' = 2 D + nu_hat(z^2 e^{-rz}) >= 0,
+    with psi_hat(0) = 0 < q, and since e^{-rz} - 1 >= -1 it is bounded below
+    by D r^2 + c r - lambda_hat, with lambda_hat the recorded jump count over
+    T.  ``quadratic_bracket`` turns that bound into an end r_hi with
+    psi_hat(r_hi) > q, so psi_hat - q has one root on (0, inf), and Newton's
+    method from r_hi (``levy.convex_root``, with ``empirical_psi_deriv``)
+    falls monotonically onto it, to the relative accuracy of the Lundberg
+    root, small q included.  The end is infinite when D = max(D_hat, 0) is 0
+    and c <= 0, where psi_hat <= 0 < q on [0, inf), and when it overflows
+    (D = 0 and c within a few 1e-308 of 0); then DegenerateEstimateError is
+    raised with the raw D_hat.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -126,7 +128,11 @@ def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
     hi = quadratic_bracket(D, c, q + len(obs.jump_sizes) / obs.scheme.T)
     if math.isinf(hi):
         raise DegenerateEstimateError(f"psi_hat = q has no finite root at c = {c}", raw_value=D_hat)
-    return brent_root(lambda r: empirical_psi(obs, c, D, r) - q, 0.0, hi)
+    return convex_root(
+        lambda r: empirical_psi(obs, c, D, r) - q,
+        lambda r: empirical_psi_deriv(obs, c, D, r),
+        hi,
+    )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ model through its Laplace exponent
     psi(theta) = c*theta + D*theta^2 + nu(e^{-theta z} - 1),    D = sigma^2/2,
 
 its derivative, and the Lundberg root ``Phi(q) = sup{theta >= 0: psi(theta) = q}``.
-``brent_root`` finds that root and the estimator's gamma_hat, by the
-iteration of scipy's ``brentq`` run in Python, so that no command needs
-``scipy.optimize``.
+``convex_root`` finds that root and the estimator's gamma_hat, both roots of
+a convex function, by Newton's method from the right.
 
 A jump measure is one class per parametric family: its closed-form
 functionals (density, mean, exponential functional and moment), its sampler
@@ -42,16 +41,13 @@ __all__ = [
     "laplace_exponent",
     "laplace_exponent_deriv",
     "lundberg_exponent",
-    "brent_root",
+    "convex_root",
     "quadratic_bracket",
     "check_npc",
 ]
 
-# Brent tolerances of every root (see brent_root): the relative tolerance
-# 4 eps, the tightest the iteration can meet, and an absolute one far below
-# any root, so small roots keep full relative accuracy.
-_ROOT_RTOL = 4.0 * math.ulp(1.0)
-_ROOT_XTOL = 1e-300
+# cap on the Newton steps of every root (see convex_root); Phi(q) and
+# gamma_hat take 3 and 5 to 8 on average
 _ROOT_MAXITER = 100
 
 
@@ -341,11 +337,14 @@ def check_npc(model: LevyModel) -> float:
 def lundberg_exponent(model: LevyModel, q: float) -> float:
     """Lundberg exponent Phi(q) = sup{theta >= 0 : psi(theta) = q}.
 
-    Under NPC, psi is strictly convex with psi(0) = 0 and psi'(0+) > 0, so for
-    q > 0 the root is unique and positive.  psi(theta) - D theta^2 is convex
-    with slope c - nu(z) at 0, so psi(theta) >= D theta^2 + (c - nu(z)) theta
-    and ``quadratic_bracket`` gives a closed-form bracket end.  ``brent_root``
-    then runs to full relative accuracy, small q included.  Residual check
+    psi'' = 2 D + nu(z^2 e^{-theta z}) >= 0, so psi is convex; under NPC
+    psi(0) = 0 and psi'(0+) > 0, so for q > 0 the root is unique and
+    positive.  psi(theta) - D theta^2 is convex with slope c - nu(z) at 0, so
+    psi(theta) >= D theta^2 + (c - nu(z)) theta and ``quadratic_bracket``
+    gives a closed-form end hi with psi(hi) > q.  Newton's method on the
+    convex psi - q from hi (``convex_root``, with psi' from
+    ``laplace_exponent_deriv``) falls monotonically onto the root, to full
+    relative accuracy, small q included.  Residual check
     |psi(Phi) - q| <= 1e-12 * max(1, q).
 
     Raises DomainError if NPC fails, NumericalError if the residual check fails.
@@ -357,7 +356,11 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
         return 0.0
 
     hi = quadratic_bracket(model.D, check_npc(model), q)
-    root = brent_root(lambda theta: laplace_exponent(model, theta) - q, 0.0, hi)
+    root = convex_root(
+        lambda theta: laplace_exponent(model, theta) - q,
+        lambda theta: laplace_exponent_deriv(model, theta),
+        hi,
+    )
     resid = abs(laplace_exponent(model, root) - q)
     tol = 1e-12 * max(1.0, q)
     if resid > tol:
@@ -365,62 +368,36 @@ def lundberg_exponent(model: LevyModel, q: float) -> float:
     return root
 
 
-def brent_root(f, a: float, b: float) -> float:
-    """The root of f on the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+def convex_root(f, df, hi: float) -> float:
+    """The root of a convex f with f(0) < 0 < f(hi), by Newton's method from hi.
 
-    The iteration of scipy's ``brentq`` (``brentq.c``) step for step: the
-    same f evaluations and the same root to the bit, at its default 100
-    iterations.  It stops when half the bracket is below
-    (_ROOT_XTOL + _ROOT_RTOL |x|) / 2, that is (1e-300 + 4 eps |x|) / 2, so
-    every root, however small, comes to about 4 eps relative.  Raises
-    DomainError when f(a) and f(b) have one sign, NumericalError on a NaN
-    value of f or when 100 iterations do not converge.
+    A convex f lies above its tangents, so from any x with f(x) > 0 the
+    Newton step x - f(x) / f'(x) lands in [root, x): the iterates fall
+    monotonically onto the one root in (0, hi), at the quadratic rate near
+    it.  The loop stops at the first x with f(x) <= 0, which only rounding
+    reaches, or when a step no longer moves x down.  Raises DomainError
+    unless f(hi) > 0, NumericalError on a NaN value of f or f' or when
+    _ROOT_MAXITER steps do not converge.
     """
 
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalError(f"root finder: f({x!r}) is NaN")
-        return fx
+    def value(g, x: float) -> float:
+        gx = float(g(x))
+        if math.isnan(gx):
+            raise NumericalError(f"root finder: NaN at {x!r}")
+        return gx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise DomainError(f"f({a!r}) and f({b!r}) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    x = float(hi)
+    fx = value(f, x)
+    if not fx > 0.0:
+        raise DomainError(f"root finder: f({hi!r}) = {fx!r} must be > 0")
     for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # a zero den gives brentq.c an infinite or NaN step, which bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
+        slope = value(df, x)
+        nxt = x - fx / slope if slope > 0.0 else x
+        if not nxt < x:
+            return x
+        x, fx = nxt, value(f, nxt)
+        if fx <= 0.0:
+            return x
     raise NumericalError(f"root finder: no convergence in {_ROOT_MAXITER} iterations")
 
 

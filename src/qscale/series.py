@@ -260,11 +260,14 @@ def coeffs_true(model: LevyModel, params: LaguerreParams) -> CoefficientSet:
 # Weeks' rule, every size from K: r = 10^(-1/K) caps the roundoff gain r^(-k)
 # at 10; aliasing adds a_{k+N} r^N, so N (1 - r) >= 80 gives r^N <= e^(-80)
 # and e^(-40) for the N/2 sub-rule of the error check, which the floor of 256
-# keeps a real rule at small K.  N is the least multiple of 64 that meets both:
+# keeps a real rule at small K.  At K <= 6 that floor floors r too, at
+# 1 - 80/256 = 0.6875 (r^N <= e^(-80), gain r^(-K) <= 10).  Without it, the
+# circle r = 0.1 of K = 1 passed near the removable point theta = gamma, and
+# a one-ulp move of gamma moved a^F by 1.3e-14 of sup (7.7e-16 with the
+# floor, exponential jumps).  N is the least multiple of 64 that meets both:
 # even for the sub-rule, and with a power of two in it for the FFT (a power
 # of two above that costs up to 1.8 times the time, for no accuracy).  Nodes
-# sit half a step off the real axis, where the removable point theta = gamma
-# lies.
+# sit half a step off the real axis, where the removable point lies.
 _WEEKS_MIN_NODES = 256
 _WEEKS_ALIAS = 80.0
 _WEEKS_RTOL = 1e-10
@@ -286,7 +289,7 @@ def _transform_coeffs(
     differs from the N-node rule by more than 1e-10 of the coefficients' sup.
     """
     K, alpha = params.K, params.alpha
-    r = 10.0 ** (-1.0 / max(K, 1))
+    r = max(10.0 ** (-1.0 / max(K, 1)), 1.0 - _WEEKS_ALIAS / _WEEKS_MIN_NODES)
     N = 64 * math.ceil(max(_WEEKS_MIN_NODES, _WEEKS_ALIAS / (1.0 - r)) / 64)
     w = r * np.exp(1j * math.pi * (2 * np.arange(N) + 1) / N)
     s = alpha * (1.0 + w) / (1.0 - w)

@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import special
 
 from qscale.exceptions import DegenerateEstimateError
 from qscale.laguerre import LaguerreParams
 from qscale.levy import (
-    _ROOT_RTOL,
-    _ROOT_XTOL,
     CompoundPoissonExponential,
     LevyModel,
     NoJumps,
     laplace_exponent_deriv,
     lundberg_exponent,
-    quadratic_bracket,
 )
 from qscale.oracles import h_functionals_per_jump, nu_functional_exact
 from qscale.series import ScaleApprox, build_Af, build_B, coeffs_true, kernels, scale_approx
@@ -259,7 +256,7 @@ class TestEstimateGamma:
     @pytest.mark.parametrize("c, D", [(0.5, 0.0), (0.5, 0.5), (0.3, 0.2)])
     def test_root_past_psi_minimum(self, exp_jump_model, c, D):
         # c < nu_hat(z): psi_hat first falls below 0, then crosses q once;
-        # the bracket [0, r_max] finds that root to Brent's tolerance
+        # Newton's method from the bracket end r_max falls onto that root
         for seed in range(8):
             obs = simulate(exp_jump_model, make_scheme(30.0), seed=seed)
             assert c < np.sum(obs.jump_sizes) / obs.scheme.T
@@ -284,19 +281,6 @@ class TestEstimateGamma:
 
             want = mpmath.findroot(psi_gap, mpmath.mpf(got))
             assert float(abs(got - want) / want) <= 1e-15
-
-    @pytest.mark.parametrize("q", [1e-8, 0.1, 2.0])
-    def test_root_matches_scipy_brentq(self, exp_jump_model, q):
-        # the port of brentq takes the same steps: the same gamma_hat to the bit
-        for seed in range(10):
-            sample, D_hat = _window_sample(exp_jump_model, T=1600.0, seed=seed)
-            c, D = exp_jump_model.c, max(D_hat, 0.0)
-            hi = quadratic_bracket(D, c, q + len(sample.jump_sizes) / sample.scheme.T)
-            want = optimize.brentq(
-                lambda r: empirical_psi(sample, c, D, r) - q, 0.0, hi,
-                xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
-            )
-            assert estimate_gamma(sample, q, D_hat, c) == want
 
     @pytest.mark.parametrize("c", [1.5, 0.5], ids=["bracket", "bracket-past-minimum"])
     def test_releases_observation_without_gc(self, exp_jump_model, c):

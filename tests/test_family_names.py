@@ -11,12 +11,10 @@ case.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-import qscale
 from qscale.config import _JUMP_KINDS
+from source_rules import SOURCES, parse
 
-SOURCES = sorted(Path(qscale.__file__).parent.glob("*.py"))
 MAY_NAME_FAMILIES = {"levy.py", "config.py", "oracles.py", "__init__.py"}
 FORBIDDEN = {cls.__name__ for cls in _JUMP_KINDS.values()} | {"is_zero"}
 
@@ -28,7 +26,7 @@ def family_references(sources: dict[str, str]) -> list[str]:
     for file, text in sources.items():
         if file in MAY_NAME_FAMILIES:
             continue
-        for node in ast.walk(ast.parse(text, file)):
+        for node in ast.walk(parse(text, file)):
             if isinstance(node, ast.Name):
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
@@ -59,5 +57,5 @@ def test_detector_flags_family_names_and_is_zero():
 
 
 def test_no_family_names_outside_levy_config_oracles():
-    hits = family_references({path.name: path.read_text() for path in SOURCES})
+    hits = family_references(SOURCES)
     assert not hits, "jump families named outside levy/config/oracles:\n" + "\n".join(hits)

@@ -9,29 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import special
 from scipy.integrate import quad
 
 from qscale.config import _JUMP_KINDS, model_from_dict
 from qscale.exceptions import ConfigError, DomainError, NumericalError
 from qscale.levy import (
-    _ROOT_RTOL,
-    _ROOT_XTOL,
     CompoundPoissonExponential,
     CompoundPoissonGamma,
     GammaSubordinator,
     JumpMeasure,
     LevyModel,
     NoJumps,
-    brent_root,
     check_npc,
+    convex_root,
     laplace_exponent,
     laplace_exponent_deriv,
     lundberg_exponent,
     quadratic_bracket,
 )
 from qscale.levy import _log1p
-from qscale.oracles import nu_functional_exact
+from qscale.oracles import _mp_jump_functionals, nu_functional_exact
 
 
 def _tail(jumps, x):
@@ -179,57 +177,56 @@ class TestLundbergExponent:
         assert lundberg_exponent(m, 0.1) == pytest.approx(1e9, rel=1e-14, abs=0)
 
 
-class TestBrentRoot:
-    """``brent_root`` is scipy's ``brentq`` run in Python: the same root, to the bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        family=st.sampled_from(["cubic", "expm1", "tanh", "atan"]),
-        root=st.floats(-50.0, 50.0),
-        scale=st.floats(1e-6, 1e3),
-        left=st.floats(1e-6, 100.0),
-        right=st.floats(1e-6, 100.0),
-    )
-    def test_matches_scipy_brentq(self, family, root, scale, left, right):
-        # smooth and increasing, one sign change on the bracket
-        f = {
-            "cubic": lambda x: scale * (x - root) + (x - root) ** 3,
-            "expm1": lambda x: math.expm1(min(scale, 7.0) * (x - root)),  # no overflow
-            "tanh": lambda x: math.tanh(scale * (x - root)),
-            "atan": lambda x: math.atan(scale * (x - root)),
-        }[family]
-        lo, hi = root - left, root + right
-        try:
-            want = optimize.brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
-        except RuntimeError:  # 100 iterations short of a root near 1e-300
-            with pytest.raises(NumericalError, match="no convergence"):
-                brent_root(f, lo, hi)
-            return
-        assert brent_root(f, lo, hi) == want
+class TestConvexRoot:
+    """``convex_root``: Newton's method from the right end of a convex f with f(0) < 0."""
 
     @pytest.mark.parametrize(
-        "name", ["exp_jump_model", "cramer_lundberg_model", "gamma_sub_model", "cp_gamma_model"]
+        "f, df, hi, root",
+        [
+            (lambda x: math.expm1(x) - 1.0, math.exp, 5.0, math.log(2.0)),
+            (lambda x: x * x - 1e-20, lambda x: 2.0 * x, 3.0, 1e-10),
+            (lambda x: 1e-10 * x - 0.1, lambda x: 1e-10, 2e9, 1e9),
+            (lambda x: x**8 + x - 2.0, lambda x: 8.0 * x**7 + 1.0, 40.0, 1.0),
+        ],
+        ids=["exp", "tiny-quadratic-root", "linear", "steep"],
     )
-    @pytest.mark.parametrize("q", [1e-12, 1e-6, 0.1, 10.0])
-    def test_lundberg_root_matches_scipy_brentq(self, request, name, q):
-        model = request.getfixturevalue(name)
-        hi = quadratic_bracket(model.D, check_npc(model), q)
-        want = optimize.brentq(
-            lambda t: laplace_exponent(model, t) - q, 0.0, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL
-        )
-        assert lundberg_exponent(model, q) == want
+    def test_iterates_fall_onto_the_root(self, f, df, hi, root):
+        seen = []
 
-    def test_root_at_an_end(self):
-        assert brent_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
-        assert brent_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+        def logged(x):
+            seen.append(x)
+            return f(x)
 
-    def test_same_signs_raise(self):
+        got = convex_root(logged, df, hi)
+        assert seen[0] == hi and all(b < a for a, b in zip(seen, seen[1:]))
+        # every iterate but a last one that rounding puts at or below the root
+        assert all(f(x) > 0.0 for x in seen[:-1])
+        assert got == seen[-1]
+        assert got == pytest.approx(root, rel=4 * np.finfo(float).eps, abs=0)
+
+    @pytest.mark.parametrize("end_value", [0.0, -1.0])
+    def test_nonpositive_end_raises(self, end_value):
         with pytest.raises(DomainError):
-            brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            convex_root(lambda x: end_value, lambda x: 1.0, 1.0)
 
-    def test_nan_raises(self):
+    @pytest.mark.parametrize(
+        "f, df",
+        [
+            (lambda x: math.nan, lambda x: 1.0),
+            (lambda x: x - 0.5, lambda x: math.nan),
+            (lambda x: math.nan if x < 1.0 else x * x - 0.25, lambda x: 2.0 * x),
+        ],
+        ids=["f-at-end", "slope", "f-at-iterate"],
+    )
+    def test_nan_raises(self, f, df):
         with pytest.raises(NumericalError, match="NaN"):
-            brent_root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+            convex_root(f, df, 2.0)
+
+    def test_step_cap_raises(self):
+        # x^1000 - 1 from 2: each step shrinks x by about 1/1000, so the
+        # root at 1 is some 700 steps away
+        with pytest.raises(NumericalError, match="no convergence"):
+            convex_root(lambda x: x**1000 - 1.0, lambda x: 1000.0 * x**999, 2.0)
 
 
 class TestQuadraticBracket:
@@ -260,7 +257,8 @@ def _positive_root(a2: float, a1: float, a0: float) -> float:
 
 
 class TestLundbergAccuracy:
-    """Phi(q) against psi(theta) = q solved as a quadratic, to 1e-14 relative."""
+    """Phi(q) against psi(theta) = q solved as a quadratic, to 1e-14 relative,
+    and against a 50-digit root for every family."""
 
     QS = [1e-12, 1e-8, 1e-6, 1e-4, 0.1, 10.0]
 
@@ -279,6 +277,28 @@ class TestLundbergAccuracy:
         lam, mu = jumps.rate, jumps.mu
         want = _positive_root(c, c * mu - lam - q, -q * mu)
         assert lundberg_exponent(cramer_lundberg_model, q) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("D", [0.0, 0.3, 1e-300])
+    @pytest.mark.parametrize(
+        "jumps",
+        [
+            NoJumps(),
+            CompoundPoissonExponential(1.0, 1.0),
+            CompoundPoissonGamma(1.0, 0.3, 1.0),
+            GammaSubordinator(0.5, 1.0),
+        ],
+        ids=lambda j: type(j).__name__,
+    )
+    def test_matches_mpmath_root(self, jumps, D):
+        # measured worst: 5.4e-16 (exponential jumps, D = 0.3, q = 1e-4)
+        nu_e, _ = _mp_jump_functionals(jumps)
+        for q in 10.0 ** np.arange(-12, 5):
+            got = lundberg_exponent(LevyModel(x0=0, c=1.5, D=D, jumps=jumps, q=q), q)
+            with mpmath.workdps(50):
+                want = mpmath.findroot(
+                    lambda t: 1.5 * t + mpmath.mpf(D) * t * t + nu_e(t) - q, mpmath.mpf(got)
+                )
+                assert float(abs(got - want) / want) <= 1e-15, q
 
 
 class TestCheckNpc:

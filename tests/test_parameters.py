@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-import qscale
-
-SOURCES = sorted(Path(qscale.__file__).parent.glob("*.py"))
+from source_rules import SOURCES, parse
 
 
 def _is_stub(fn: ast.FunctionDef) -> bool:
@@ -26,7 +23,7 @@ def _is_stub(fn: ast.FunctionDef) -> bool:
 def unread_parameters(source: str, filename: str = "<string>") -> list[str]:
     """``file:line function(parameter)`` for each parameter its function never reads."""
     found = []
-    for fn in ast.walk(ast.parse(source, filename)):
+    for fn in ast.walk(parse(source, filename)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_stub(fn):
             continue
         a = fn.args
@@ -53,7 +50,5 @@ def test_detector_flags_only_unread_parameters():
 
 
 def test_every_parameter_is_read():
-    unread = [
-        hit for path in SOURCES for hit in unread_parameters(path.read_text(), path.name)
-    ]
+    unread = [hit for name, text in SOURCES.items() for hit in unread_parameters(text, name)]
     assert not unread, "parameters no body reads:\n" + "\n".join(unread)

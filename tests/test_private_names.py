@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-import qscale
-
-SOURCES = sorted(Path(qscale.__file__).parent.glob("*.py"))
+from source_rules import SOURCES, parse, referenced
 
 
 def _is_private(name: str) -> bool:
@@ -26,23 +23,10 @@ def _defined(tree: ast.Module) -> list[tuple[str, int]]:
     return [(name, line) for name, line in found if _is_private(name)]
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    """Names read, attributes read and names imported anywhere in the tree."""
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
-
-
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """``file:line name`` for each private module-level name no source reads."""
-    trees = {name: ast.parse(text, name) for name, text in sources.items()}
-    refs = set().union(*(_referenced(tree) for tree in trees.values()))
+    trees = {name: parse(text, name) for name, text in sources.items()}
+    refs = set().union(*(referenced(tree) for tree in trees.values()))
     return [
         f"{file}:{line} {name}"
         for file, tree in trees.items()
@@ -67,6 +51,5 @@ def test_detector_flags_only_unreferenced_private_names():
 
 
 def test_every_private_name_is_referenced():
-    sources = {path.name: path.read_text() for path in SOURCES}
-    dead = unreferenced_private_names(sources)
+    dead = unreferenced_private_names(SOURCES)
     assert not dead, "private names nothing in src/qscale reads:\n" + "\n".join(dead)

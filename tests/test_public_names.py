@@ -10,11 +10,9 @@ nothing calls, and goes.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-import qscale
+from source_rules import SOURCES, parse, referenced
 
-SOURCES = sorted(Path(qscale.__file__).parent.glob("*.py"))
 NOT_PRODUCTION = {"oracles.py", "__init__.py"}
 
 # Bound only by the benchmark's tracing probes (perfbench/tracing.py PROBES).
@@ -22,7 +20,7 @@ NOT_PRODUCTION = {"oracles.py", "__init__.py"}
 PROBE_ONLY = {
     "eval_P", "eval_Q_all", "eval_Pstar", "eval_Qstar_all",
     "grad_P", "grad_Q_all", "grad_Pstar", "grad_Qstar_all",
-    "psi_integral_db_all", "laplace_exponent_deriv", "laguerre_fn_all",
+    "psi_integral_db_all", "laguerre_fn_all",
 }
 
 
@@ -36,27 +34,14 @@ def _defined(tree: ast.Module) -> list[tuple[str, int]]:
     ]
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    """Names read, attributes read and names imported anywhere in the tree."""
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
-
-
 def unread_public_functions(sources: dict[str, str]) -> list[str]:
     """``file:line name`` for each public function of a production module
     that no production module reads."""
     trees = {
-        name: ast.parse(text, name) for name, text in sources.items()
+        name: parse(text, name) for name, text in sources.items()
         if name not in NOT_PRODUCTION
     }
-    refs = set().union(*(_referenced(tree) for tree in trees.values()))
+    refs = set().union(*(referenced(tree) for tree in trees.values()))
     return [
         f"{file}:{line} {name}"
         for file, tree in trees.items()
@@ -83,8 +68,7 @@ def test_detector_flags_only_unread_public_functions():
 
 
 def test_every_public_function_is_read():
-    sources = {path.name: path.read_text() for path in SOURCES}
-    unread = unread_public_functions(sources)
+    unread = unread_public_functions(SOURCES)
     names = {hit.rpartition(" ")[2] for hit in unread}
     dead = [hit for hit in unread if hit.rpartition(" ")[2] not in PROBE_ONLY]
     assert not dead, "public functions no production module reads:\n" + "\n".join(dead)
