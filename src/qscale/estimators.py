@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateEstimateError, DomainError
-from .laguerre import LaguerreParams, psi_db_from, psi_integral_all
+from .laguerre import LaguerreParams, psi_integral_all, t_multiplier
 from .levy import LevyModel, ThetaParams, convex_root, quadratic_bracket
 from .series import (
     CoefficientSet,
@@ -109,23 +109,26 @@ def estimate_gamma(obs: JumpSample, q: float, D_hat: float, c: float) -> float:
 
     Returns 0 exactly when q = 0 (the indicator in the definition).  The
     empirical psi_hat is convex, psi_hat'' = 2 D + nu_hat(z^2 e^{-rz}) >= 0,
-    with psi_hat(0) = 0 < q, and since e^{-rz} - 1 >= -1 it is bounded below
-    by D r^2 + c r - lambda_hat, with lambda_hat the recorded jump count over
-    T.  ``quadratic_bracket`` turns that bound into an end r_hi with
-    psi_hat(r_hi) > q, so psi_hat - q has one root on (0, inf), and Newton's
-    method from r_hi (``levy.convex_root``, with ``empirical_psi_deriv``)
-    falls monotonically onto it, to the relative accuracy of the Lundberg
-    root, small q included.  The end is infinite when D = max(D_hat, 0) is 0
-    and c <= 0, where psi_hat <= 0 < q on [0, inf), and when it overflows
-    (D = 0 and c within a few 1e-308 of 0); then DegenerateEstimateError is
-    raised with the raw D_hat.
+    with psi_hat(0) = 0 < q, above D r^2 + c r - lambda_hat (e^{-rz} - 1 >= -1;
+    lambda_hat the recorded jump count over T) and above D r^2 + (c -
+    nu_hat(z)) r (psi_hat - D r^2 is convex with slope c - nu_hat(z) at 0).
+    ``quadratic_bracket`` turns each bound into an end r with psi_hat(r) >
+    q; the smaller, r_hi, is the second at small q when c > nu_hat(z).  So
+    psi_hat - q has one root on (0, inf), and Newton's method from r_hi
+    (``levy.convex_root``, with ``empirical_psi_deriv``) falls monotonically
+    onto it, to the relative accuracy of the Lundberg root, small q
+    included.  Both ends are infinite when D = max(D_hat, 0) is 0 and c <= 0,
+    where psi_hat <= 0 < q on [0, inf), or when they overflow (D = 0 and c
+    within a few 1e-308 of 0); then DegenerateEstimateError is raised with
+    the raw D_hat.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
     if q == 0.0:
         return 0.0
     D = max(D_hat, 0.0)
-    hi = quadratic_bracket(D, c, q + len(obs.jump_sizes) / obs.scheme.T)
+    z, T = obs.jump_sizes, obs.scheme.T
+    hi = min(quadratic_bracket(D, c, q + len(z) / T), quadratic_bracket(D, c - z.sum() / T, q))
     if math.isinf(hi):
         raise DegenerateEstimateError(f"psi_hat = q has no finite root at c = {c}", raw_value=D_hat)
     return convex_root(
@@ -195,12 +198,12 @@ def estimate_coeffs(
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
     D, gamma, n = theta.D, theta.gamma, params.K + 1
     z, T = obs.jump_sizes, obs.scheme.T
-    # Y = [Psi_{0..K}; kg] in the sweep's buffer: only the summed d/db
-    # identity reads its top row Psi_{K+1}
+    # Y = [Psi_{0..K}; kg] in the sweep's buffer: only the summed d/dgamma
+    # Psi_{0..K} = Z^T sums / (2 alpha) - Psi_{0..K} z reads its top row Psi_{K+1}
     Y = psi_integral_all(params, z, -gamma, kmax=n)
     kg, d_kg = gamma_window(gamma, z)
     sums = Y.sum(axis=1)
-    d_psi = -psi_db_from(sums, Y[:-1] @ z, params.alpha)  # sum_z d/dgamma Psi_{0..K}
+    d_psi = t_multiplier(n).T @ sums / (2.0 * params.alpha) - Y[:-1] @ z
     Y[-1], sums[-1] = kg, kg.sum()
     # L: the kernel map on the identity, then H_gamma = gamma kg / psi'(gamma),
     # from expanding psi_hat(gamma_hat) = q around gamma_0 (its sign matters

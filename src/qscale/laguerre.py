@@ -52,11 +52,11 @@ __all__ = [
     "LaguerreParams",
     "laguerre_fn_all",
     "weighted_laguerre_all",
+    "t_multiplier",
     "forward_sources",
     "backward_seed",
     "contract",
     "psi_integral_all",
-    "psi_db_from",
     "psi_integral_and_db_all",
     "psi_integral_db_all",
     "ladder",
@@ -109,6 +109,21 @@ def laguerre_fn_all(params: LaguerreParams, x, kmax: int | None = None) -> np.nd
     """phi_{alpha,k}(x) for k = 0..kmax (default params.K); shape (kmax+1, *x.shape)."""
     kmax = params.K if kmax is None else kmax
     return params.sq2a * weighted_laguerre_all(kmax, params.alpha, x)
+
+
+@lru_cache(maxsize=64)
+def t_multiplier(n: int) -> np.ndarray:
+    """The (n+1, n) matrix Z with Z^T M_{0..n}(x) = t M_{0..n-1}(x), t = 2 alpha x (read-only).
+
+    It is the three-term identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1}.
+    Being linear in the rows, it carries over to any linear image of them:
+    the z-weighted Psi integrals that d/db Psi needs, their sums over jumps,
+    and, as Z U, the weights U applied to them.
+    """
+    k = np.arange(n + 1.0)
+    Z = (np.diag(2 * k + 1) - np.diag(k[1:], -1) - np.diag(k[1:], 1))[:, :n]
+    Z.flags.writeable = False
+    return Z
 
 
 def contract(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -327,25 +342,14 @@ def psi_integral_all(
     return J[:, 0] if x_in.ndim == 0 else J
 
 
-def psi_db_from(psi: np.ndarray, x_psi: np.ndarray, alpha: float) -> np.ndarray:
-    """d/db Psi_{alpha,k}(x; b) for k = 0..K from Psi_{0..K+1} and x Psi_{0..K}.
-
-    d/db Psi_k = x Psi_k - int_0^x z e^{b(x-z)} phi_k(z) dz, and the three-term
-    identity t L_k = (2k+1) L_k - (k+1) L_{k+1} - k L_{k-1} expresses the
-    z-weighted integral through Psi_{k-1}, Psi_k, Psi_{k+1} (one order above K).
-    The map is linear, so sums over x of its two inputs give the sum over x
-    of the derivatives.
-    """
-    k = np.arange(len(psi) - 1.0).reshape((-1,) + (1,) * (psi.ndim - 1))
-    zpsi = (2 * k + 1) * psi[:-1] - (k + 1) * psi[1:]
-    zpsi[1:] -= k[1:] * psi[:-2]
-    return x_psi - zpsi / (2.0 * alpha)
-
-
 def psi_integral_and_db_all(params: LaguerreParams, x, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one order-(K+1) sweep."""
+    """(Psi_{alpha,k}(x; b), d/db Psi_{alpha,k}(x; b)) for k = 0..K from one order-(K+1) sweep.
+
+    d/db Psi_k = x Psi_k - (Z^T Psi_{0..K+1})_k / (2 alpha), Z = ``t_multiplier(K + 1)``.
+    """
     psi = psi_integral_all(params, x, b, kmax=params.K + 1)
-    return psi[:-1], psi_db_from(psi, np.asarray(x, dtype=float) * psi[:-1], params.alpha)
+    z_psi = np.tensordot(t_multiplier(params.K + 1), psi, axes=(0, 0)) / (2.0 * params.alpha)
+    return psi[:-1], np.asarray(x, dtype=float) * psi[:-1] - z_psi
 
 
 def psi_integral_db_all(params: LaguerreParams, x, b: float) -> np.ndarray:

@@ -48,6 +48,7 @@ from .laguerre import (
     contract,
     forward_sources,
     ladder,
+    t_multiplier,
     weighted_laguerre_all,
 )
 from .levy import LevyModel, ThetaParams
@@ -375,23 +376,6 @@ def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
     return _combine(partial(_exp_atoms, x), p, gamma, D, c)
 
 
-def _db_weights(U: np.ndarray) -> np.ndarray:
-    """[U; 0 | V], shape (K+2, 2r): U^T d/db Psi_{0..K} = x U^T Psi - V^T Psi_{0..K+1} / (2 alpha).
-
-    ``psi_db_from``'s three-term identity moved onto the weights:
-    V_j = (2j+1) U_j - j U_{j-1} - (j+1) U_{j+1}, with U_{-1} = U_{K+1} = U_{K+2} = 0.
-    """
-    n, r = U.shape
-    W = np.zeros((n + 1, 2 * r))
-    W[:n, :r] = U
-    j = np.arange(n + 1.0)[:, None]
-    V = W[:, r:]
-    V[:n] = (2.0 * j[:n] + 1.0) * U
-    V[1:] -= j[1:] * U
-    V[:-2] -= j[1:-1] * U[1:]
-    return W
-
-
 def kernels(
     params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U
 ) -> Kernels:
@@ -400,8 +384,8 @@ def kernels(
     U holds the caller's (K+1, r) weights: a^G for W_K and Z_K,
     [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances, the identity
     for the rows themselves.  The Q-atoms are phi_k + b Psi_k(x; b) and the
-    Q*-atoms Psi_k(x; b), and each b contracts Psi_{0..K+1} with [U; 0 | V]
-    (``_db_weights``), which gives U^T Psi and U^T d/db Psi together.  One
+    Q*-atoms Psi_k(x; b), and each b contracts Psi_{0..K+1} with [U; 0 | Z U]
+    (Z = ``t_multiplier(K + 1)``), which gives U^T Psi and U^T d/db Psi together.  One
     Laguerre recurrence over x gives U^T phi, the backward seed at b = -beta
     (``backward_seed``) and then, in the same buffer, the sources of both
     sweeps (``forward_sources``).  Each sweep's ladder runs as its adjoint on
@@ -413,7 +397,9 @@ def kernels(
     K, a, r = params.K, params.alpha, U.shape[1]
     below = x < 0.0
     x = np.where(below, 0.0, x)
-    W = _db_weights(U)
+    W = np.zeros((K + 2, 2 * r))
+    W[: K + 1, :r] = U
+    W[:, r:] = t_multiplier(K + 1) @ U
     M = weighted_laguerre_all(K + 1, a, x)
     U_phi = params.sq2a * contract(U, M[: K + 1])
     # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too

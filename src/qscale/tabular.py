@@ -9,7 +9,9 @@ a time: it converts each block of a column to Python numbers in one
 in blocks of ``BLOCK_ROWS``, never holding the whole text in memory.  The
 bytes written are the same as formatting each cell with ``fmt_float``.
 ``write_json`` is the one JSON format of every JSON file: two-space indent,
-sorted keys and a final newline.
+sorted keys and a final newline.  Both writers unlink a file already at the
+path and create a new one, so a linked output is replaced, not written
+through; on ext4 this also skips the flush that truncating one costs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def write_csv(path, header: list[str], columns: list) -> None:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("all columns must have the same length")
+    Path(path).unlink(missing_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, n, BLOCK_ROWS):
@@ -61,4 +64,6 @@ def write_csv(path, header: list[str], columns: list) -> None:
 
 def write_json(path, obj) -> None:
     """Write `obj` to `path` as JSON with sorted keys, so reruns are byte-identical."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

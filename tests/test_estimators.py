@@ -15,6 +15,7 @@ from qscale.levy import (
     CompoundPoissonExponential,
     LevyModel,
     NoJumps,
+    convex_root,
     laplace_exponent_deriv,
     lundberg_exponent,
 )
@@ -265,6 +266,31 @@ class TestEstimateGamma:
             assert slope > 0.0
             gap = empirical_psi(obs, c, D, got) - 0.1
             assert abs(gap) <= 2.0 * slope * (1e-14 + 8.9e-16 * got)
+
+    @pytest.mark.parametrize(
+        "c, D", [(1.5, 0.5), (0.5, 0.5), (0.5, 0.0)],
+        ids=["c>nu_hat(z)", "c<=nu_hat(z),D>0", "c<=nu_hat(z),D=0"],
+    )
+    def test_bracket_end_holds_the_root(self, exp_jump_model, monkeypatch, c, D):
+        # Newton starts from an end with psi_hat > q; for c > nu_hat(z) that is
+        # the end of psi_hat >= D r^2 + (c - nu_hat(z)) r, below 2 q / (c - nu_hat(z))
+        import qscale.estimators as estimators_mod
+
+        ends = []
+
+        def spy(f, df, hi):
+            ends.append(hi)
+            return convex_root(f, df, hi)
+
+        monkeypatch.setattr(estimators_mod, "convex_root", spy)
+        obs = simulate(exp_jump_model, make_scheme(30.0), seed=0)
+        nu_z = np.sum(obs.jump_sizes) / obs.scheme.T
+        assert (c > nu_z) == (c == 1.5)
+        for q in (2.0, 0.1, 1e-8):
+            estimate_gamma(obs, q, D, c)
+            assert empirical_psi(obs, c, D, ends[-1]) > q
+            if c > nu_z:
+                assert ends[-1] <= 2.0 * q / (c - nu_z)
 
     @pytest.mark.parametrize("q", [0.1, 1e-8, 1e-12])
     def test_full_relative_accuracy_at_small_q(self, exp_jump_model, q):

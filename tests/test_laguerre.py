@@ -21,6 +21,7 @@ from qscale.laguerre import (
     laguerre_fn_all,
     psi_integral_all,
     psi_integral_db_all,
+    t_multiplier,
     weighted_laguerre_all,
 )
 
@@ -93,6 +94,22 @@ class TestWeightedLaguerreAll:
         # W(0) = 0 at D > 0 rests on these exact ones
         assert np.all(weighted_laguerre_all(K, alpha, 0.0) == 1.0)
         assert np.all(weighted_laguerre_all(K, alpha, np.zeros((2, 3))) == 1.0)
+
+
+class TestTMultiplier:
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 64, 65, 257])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_multiplies_the_rows_by_t(self, n, alpha):
+        # Z^T M_{0..n}(x) = 2 alpha x M_{0..n-1}(x); a row of Z^T weights three
+        # rows of M by at most 4n+2 in all, which sets the rounding scale
+        Z = t_multiplier(n)
+        assert Z.shape == (n + 1, n) and not Z.flags.writeable
+        assert t_multiplier(n) is Z
+        rng = np.random.default_rng(n)
+        x = np.concatenate([[0.0, 1e-300, 400.0], rng.uniform(0.0, (4 * n + 2) / alpha, 200)])
+        M = weighted_laguerre_all(n, alpha, x)
+        err = np.max(np.abs(Z.T @ M - 2.0 * alpha * x * M[:-1]), initial=0.0)
+        assert err <= 2.0 * np.finfo(float).eps * (4 * n + 2) * np.max(np.abs(M))
 
 
 class TestLaguerreFn:

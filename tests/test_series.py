@@ -777,7 +777,18 @@ class TestContractedKernels:
     @pytest.mark.parametrize("D", [0.0, 1e-300, 0.5])
     @pytest.mark.parametrize("K", [0, 20, 64])
     def test_weights_contract_the_rows(self, K, D, gamma, x_case):
-        params, x, c, p = LaguerreParams(1.0, K), _X_SHAPES[x_case], 1.5, 0.3
+        self.check_weights_contract_the_rows(1.0, K, D, gamma, x_case)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("x_case", list(_X_SHAPES))
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("D", [0.0, 1e-300, 0.5])
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    def test_weights_contract_the_rows_off_unit_alpha(self, K, D, gamma, x_case, alpha):
+        self.check_weights_contract_the_rows(alpha, K, D, gamma, x_case)
+
+    def check_weights_contract_the_rows(self, alpha, K, D, gamma, x_case):
+        params, x, c, p = LaguerreParams(alpha, K), _X_SHAPES[x_case], 1.5, 0.3
         rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1))
         assert rows.Q.value.shape == rows.Qstar.d_gamma.shape == (K + 1,) + np.shape(x)
         rng = np.random.default_rng(K)
@@ -797,9 +808,9 @@ class TestContractedKernels:
                     want = np.tensordot(U, full, axes=(0, 0))
                     assert part.shape == want.shape == (U.shape[1],) + np.shape(x)
                     # the forward ladder and its adjoint round apart over K steps; a
-                    # gamma-derivative also carries the three-term identity's
-                    # (2k+1)-weighted Psi rows, ~ (K+1) |U|^T |Q*|
-                    scale = mag(full) + (field == "d_gamma") * (K + 1) * mag(rows.Qstar.value)
+                    # gamma-derivative also carries the three-term identity's Psi
+                    # rows, weighted by (2k+1) / (2 alpha): ~ (K+1) / alpha |U|^T |Q*|
+                    scale = mag(full) + (field == "d_gamma") * (K + 1) / alpha * mag(rows.Qstar.value)
                     assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
@@ -864,7 +875,15 @@ class TestNegativeX:
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
     def test_scale_approx(self, model):
-        approx = scale_approx(model, LaguerreParams(1.0, 20))
+        self.check_scale_approx(model, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_scale_approx_off_unit_alpha(self, model, alpha):
+        self.check_scale_approx(model, alpha)
+
+    def check_scale_approx(self, model, alpha):
+        approx = scale_approx(model, LaguerreParams(alpha, 20))
         k = approx.kernels(self.XS, np.ones((21, 2)))
         W, Z = approx.w_from(k), approx.z_from(k)
         assert np.array_equal(W[:3], np.zeros(3)) and np.array_equal(Z[:3], np.ones(3))

@@ -416,6 +416,8 @@ class TestSidecarFuzz:
                 target = target[part]
             target[last] = value
         mutated = small_triple / "mutated.json"
+        # a new file per example: rewriting the last one in place costs more
+        mutated.unlink(missing_ok=True)
         mutated.write_text(json.dumps(sidecar))
         try:
             obs = load_observation(small_triple / "grid.csv", small_triple / "jumps.csv", mutated)
@@ -456,6 +458,7 @@ class TestObservationCsvFuzz:
     def test_loads_or_raises_data_error(self, small_triple, which, edits):
         paths = {"grid.csv": small_triple / "grid.csv", "jumps.csv": small_triple / "jumps.csv"}
         mutated = small_triple / f"mutated-{which}"
+        mutated.unlink(missing_ok=True)  # as in TestSidecarFuzz
         mutated.write_bytes(_edit_bytes(paths[which].read_bytes(), edits))
         paths[which] = mutated
         try:

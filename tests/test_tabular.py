@@ -140,3 +140,19 @@ def test_json_sorted_two_space_indent_final_newline(tmp_path):
         '{\n  "a": {\n    "c": true,\n    "d": null\n  },\n'
         '  "b": [\n    1.5,\n    -0.0\n  ]\n}\n'
     )
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, v: write_csv(path, ["v"], [[v]]),
+    lambda path, v: write_json(path, {"v": v}),
+], ids=["csv", "json"])
+def test_writers_replace_a_linked_output(tmp_path, write):
+    # the writers create a new file: a hard link to the old output keeps its bytes
+    path, link = tmp_path / "out", tmp_path / "link"
+    write(path, 1)
+    old = path.read_bytes()
+    link.hardlink_to(path)
+    write(path, 2)
+    assert link.read_bytes() == old != path.read_bytes()
+    write(tmp_path / "fresh", 2)
+    assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
