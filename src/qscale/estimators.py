@@ -276,8 +276,9 @@ def covariance_machinery(
     diagonal is a sum of squares.  v is formed without C: the kernels are
     contracted once with [a^G | A^{-1} B (Gamma F)_{0..2K+1}], so column 0
     gives the curves and the rest the (a^f, a^F) part of v, and C's p and
-    gamma columns C_pg multiply the last two rows of Gamma F.  The
-    p-derivative of a kernel is its value over 1 - p.
+    gamma columns C_pg multiply the last two rows of Gamma F.  Only a^G's
+    column is differentiated in gamma.  The p-derivative of a kernel is its
+    value over 1 - p.
     """
     coeffs, GF, T = est.coeffs, est.Gamma @ est.F, est.T
     params = coeffs.params
@@ -287,7 +288,7 @@ def covariance_machinery(
     B = build_B(coeffs.a_G, params.alpha)
     A = build_Af(coeffs.a_f, params.alpha)
     approx = ScaleApprox(c=c, q=q, coeffs=coeffs)
-    k = approx.kernels(x, solve_aG(A, B @ GF[:n]))
+    k = approx.kernels(x, solve_aG(A, B @ GF[:n]), coeffs.a_G[:, None])
     W_hat, Z_hat = approx.w_from(k), approx.z_from(k)
     v = np.empty((len(x), 2, GF.shape[1]))
     for r, (P, Q, scale) in enumerate([(k.P, k.Q, 1.0), (k.Pstar, k.Qstar, q)]):

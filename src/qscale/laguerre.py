@@ -23,8 +23,9 @@ three-term recurrence, which ``weighted_laguerre_all`` forms row by row inside
 its (K+1, *x.shape) result: ``forward_sources`` turns them into the forward
 seed and sources in place, and ``backward_seed`` takes the backward sweep's
 top-order seed from them.  ``psi_integral_all`` ladders in that same array;
-the kernel evaluator of ``series`` contracts with each ladder's adjoint on
-its weights (``contract``).  The backward seed is shared
+the kernel evaluator of ``series`` runs each sweep's adjoint on its weights,
+both in one ``ladder`` call with per-column coefficients, and contracts the
+result with the sources (``contract``).  The backward seed is shared
 across the x sorted by a stable argsort (the seed at an x is the one at the
 x before it, decayed by e^{b gap} <= 1, plus the integral over the panel
 between them), and a Taylor rule built from the rows at x takes each panel
@@ -131,10 +132,12 @@ def contract(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     Column 0 goes through ``einsum`` (no BLAS), the others through one
     matrix product: a BLAS product rounds a column by its position, so this
-    way column 0 has the same bits whatever columns come after it.
+    way column 0 has the same bits whatever columns come after it.  It is
+    read as a contiguous copy, since for a single output einsum sums a
+    strided vector in another order than a contiguous one.
     """
     out = np.empty((weights.shape[1],) + rows.shape[1:])
-    out[0] = np.einsum("k,k...->...", weights[:, 0], rows)
+    out[0] = np.einsum("k,k...->...", np.ascontiguousarray(weights[:, 0]), rows)
     if weights.shape[1] > 1:
         out[1:] = np.tensordot(weights[:, 1:], rows, axes=(0, 0))
     return out
@@ -147,9 +150,8 @@ def forward_sources(rows: np.ndarray, alpha: float, x, b: float) -> np.ndarray:
     in row 0 and the sources d_k = M_{k-1} - M_k in rows k = 1..kmax, so
     ``ladder(S[0], S[1:], s, 2 alpha - s, out=S)`` overwrites it with J.
     """
-    flat = rows.reshape(len(rows), -1)  # a view, with 1-d rows also for a scalar x
-    for k in range(len(rows) - 1, 0, -1):
-        np.subtract(flat[k - 1], flat[k], out=flat[k])
+    # numpy reads the overlapping input as it was before the write
+    np.subtract(rows[:-1], rows[1:], out=rows[1:])
     s = alpha + b
     rows[0] = np.exp(b * x) * (-np.expm1(-s * x)) / s
     return rows
@@ -298,21 +300,28 @@ def backward_seed(rows: np.ndarray, alpha: float, x: np.ndarray, b: float) -> np
     return seed
 
 
-def ladder(
-    y0, d: np.ndarray, diag: float, off: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def ladder(y0, d: np.ndarray, diag, off, out: np.ndarray | None = None) -> np.ndarray:
     """y_0 = y0 and y_k = (-off y_{k-1} + d_k) / diag for k = 1..len(d).
 
     The first-order recurrence diag y_k + off y_{k-1} = d_k, with d[k-1]
-    holding d_k; shape (len(d)+1, *y0.shape).  Errors grow by |off / diag|
-    per step, so a backward sweep passes its sources reversed.  ``out`` may
-    be d's own buffer one row up (d is out[1:]): row k of d is read before
-    row k of out is written.
+    holding d_k; shape (len(d)+1, *y0.shape).  diag and off are scalars or
+    arrays that broadcast over y0's shape, one coefficient per column, so
+    ladders of different coefficients run side by side in one call; each
+    column has the bits of a scalar ladder on it alone.  Errors grow by
+    |off / diag| per step, so a backward sweep passes its sources reversed.
+    Each step goes through one scratch row and makes no temporaries.
+    ``out`` may be d's own buffer one row up (d is out[1:]): row k of d is
+    read before row k of out is written.
     """
     y = np.empty((len(d) + 1,) + np.shape(y0)) if out is None else out
     y[0] = y0
+    neg_off = np.negative(off)
+    scratch = np.empty(y.shape[1:])
     for k in range(1, len(y)):
-        y[k] = (-off * y[k - 1] + d[k - 1]) / diag
+        # y[k, ...] is a view also for a 1-d y, where y[k] is a copy
+        np.multiply(neg_off, y[k - 1, ...], out=scratch)
+        scratch += d[k - 1]
+        np.divide(scratch, diag, out=y[k, ...])
     return y
 
 
@@ -335,8 +344,7 @@ def psi_integral_all(
         J = weighted_laguerre_all(kmax, a, x)
         rows, xf = J.reshape(kmax + 1, -1), x.ravel()
         seed = backward_seed(rows, a, xf, b)
-        for k in range(kmax):
-            rows[k] -= rows[k + 1]
+        np.subtract(rows[:-1], rows[1:], out=rows[:-1])
         ladder(seed, rows[-2::-1], 2.0 * a - s, s, out=rows[::-1])
     J *= params.sq2a
     return J[:, 0] if x_in.ndim == 0 else J

@@ -11,17 +11,19 @@ Laguerre coefficients ``a^G`` satisfy a lower-triangular Toeplitz system
 
 use closed-form kernels built from the convolution integrals Psi_{alpha,k}.
 All four share one form, so a single evaluator (``kernels``) returns them with
-their analytic gamma-derivatives (the p-derivative of a kernel is its value
-over 1 - p).  Every caller wants Q and Q* only through fixed weights (a^G for
-W_K and Z_K, [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances),
-so ``kernels`` takes the (K+1, r) weight matrix U and returns U^T Q and
-U^T Q*: no (K+1)-row kernel stack is formed on the x side.  Its ``eval_*`` /
-``grad_*`` projections are identity-weight wrappers kept only as benchmark
-trace-probe bindings (``PROBE_ONLY``); no code reads them.  For x < 0 every
-kernel is 0, so W_K = 0 and Z_K = 1 there (the convention of Kuznetsov,
-Kyprianou & Rivero 2012, Levy Matters II).  The starred kernels are the exact
-antiderivatives of the unstarred ones, so Z_K = 1 + q * int_0^x W_K holds
-identically.
+the analytic gamma-derivatives its caller reads (the p-derivative of a kernel
+is its value over 1 - p).  Every caller wants Q and Q* only through fixed
+weights (a^G for W_K and Z_K, [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the
+CLT variances), so ``kernels`` takes the (K+1, r) weight matrix U and returns
+U^T Q and U^T Q*: no (K+1)-row kernel stack is formed on the x side.  A
+second weight matrix V names the columns whose gamma-derivatives are read:
+a^G for the CLT variances, none for the curves, which form no derivative.
+Its ``eval_*`` / ``grad_*`` projections are identity-weight wrappers kept
+only as benchmark trace-probe bindings (``PROBE_ONLY``); no code reads them.
+For x < 0 every kernel is 0, so W_K = 0 and Z_K = 1 there (the convention of
+Kuznetsov, Kyprianou & Rivero 2012, Levy Matters II).  The starred kernels
+are the exact antiderivatives of the unstarred ones, so Z_K = 1 + q *
+int_0^x W_K holds identically.
 
 Coefficients: p, a^f_k, a^F_k are nu-integrals of kernels H_p, H^f_k, H^F_k:
 one linear map (``h_functionals_at``) of the K+2 sources Psi_{0..K}(z; -gamma)
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -316,14 +317,19 @@ def _transform_coeffs(
 # ---------------------------------------------------------------------------
 
 class Kernel(NamedTuple):
-    """Kernel values and their partial derivatives in gamma; d/dp is value / (1 - p)."""
+    """Kernel values and the gamma-derivatives the caller reads; d/dp is value / (1 - p)."""
 
     value: np.ndarray
     d_gamma: np.ndarray
 
 
 class Kernels(NamedTuple):
-    """P, P* of shape x.shape, and U^T Q, U^T Q* of shape (r, *x.shape) for (K+1, r) weights U."""
+    """P, P* of shape x.shape, and U^T Q, U^T Q* of shape (r, *x.shape) for (K+1, r) weights U.
+
+    For (K+1, g) derivative weights V, P.d_gamma and Pstar.d_gamma have
+    shape x.shape and Q.d_gamma, Qstar.d_gamma are d/dgamma V^T Q, V^T Q*,
+    shape (g, *x.shape).  With g = 0 every d_gamma is empty, shape (0, *x.shape).
+    """
 
     P: Kernel
     Q: Kernel
@@ -336,101 +342,131 @@ def _atom_beta(c: float, D: float, gamma: float) -> float:
     return float(c) / float(D) + gamma if D > 0 else math.inf
 
 
-def _combine(atom, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
-    """The shared form of every kernel, with its gamma-derivative.
+def _combine(atom, p: float, gamma: float, D: float, c: float) -> tuple[list, list]:
+    """The shared form of every kernel: its values and the gamma-derivatives read.
 
     value = (f(gamma) - f(-beta)) / N, beta = c/D + gamma, with the D-scaled
-    N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D); ``atom(b)`` returns
-    a list of pairs (f(b), df/db), one per kernel.  Since d beta / d gamma
-    = 1, the gamma-derivative is (f'(gamma) + f'(-beta)) / N - 2 D value /
-    (c + 2 gamma D); the p-derivative, value / (1-p), is left to the caller,
-    which divides the combination it needs once.  D = 0 is the limit,
-    not a branch: the atom at -beta, not formed there or where c/D
-    overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever it
-    is formed.
+    N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D).  ``atom(b)`` returns
+    (fs, grads): one f(b) per kernel, and one pair (f_V(b), d/db f_V(b)) per
+    kernel for the columns whose derivative is read, or no pairs.  Since
+    d beta / d gamma = 1, the gamma-derivative is (f_V'(gamma) + f_V'(-beta))
+    / N - 2 D value_V / (c + 2 gamma D); the p-derivative, value / (1-p), is
+    left to the caller, which divides the combination it needs once.  D = 0
+    is the limit, not a branch: the atom at -beta, not formed there or where
+    c/D overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever
+    it is formed.
     """
-    if p >= 1.0:
-        raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
-    parts = atom(gamma)
+    parts, grads = atom(gamma)
     beta = _atom_beta(c, D, gamma)
     if math.isfinite(beta):
-        parts = [(f - f_b, df + df_b) for (f, df), (f_b, df_b) in zip(parts, atom(-beta))]
+        parts_b, grads_b = atom(-beta)
+        parts = [f - f_b for f, f_b in zip(parts, parts_b)]
+        grads = [(f - f_b, df + df_b) for (f, df), (f_b, df_b) in zip(grads, grads_b)]
     s = c + 2.0 * gamma * D  # (beta + gamma) D
     N = (1.0 - p) * s
-    kernels = []
-    for f, df in parts:
-        value = f / N
-        kernels.append(Kernel(value, df / N - 2.0 * D * value / s))
-    return kernels
+    values = [f / N for f in parts]
+    return values, [df / N - 2.0 * D * (f / N) / s for f, df in grads]
+
+
+def _exp_values(x: np.ndarray, b: float) -> list[np.ndarray]:
+    """The P-atom e^{bx} and the P*-atom (e^{bx} - 1)/b."""
+    return [np.exp(_times(b, x)), _expm1_ratio(b, x)]
 
 
 def _exp_atoms(x, b: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(f, df/db) of the P-atom e^{bx} and the P*-atom (e^{bx} - 1)/b."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(_times(b, x))
-    return [(e, x * e), (_expm1_ratio(b, x), _expm1_ratio_db(b, x))]
-
-
-def _exp_kernels(x, p: float, gamma: float, D: float, c: float) -> list[Kernel]:
-    """[P, P*]: the kernels that need no Laguerre basis."""
-    return _combine(partial(_exp_atoms, x), p, gamma, D, c)
+    e, ratio = _exp_values(x, b)
+    return [(e, x * e), (ratio, _expm1_ratio_db(b, x))]
 
 
 def kernels(
-    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U
+    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U, V
 ) -> Kernels:
-    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x with their gamma-derivatives.
+    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x, and the gamma-derivatives for V.
 
-    U holds the caller's (K+1, r) weights: a^G for W_K and Z_K,
+    U holds the caller's (K+1, r) value weights: a^G for W_K and Z_K,
     [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances, the identity
-    for the rows themselves.  The Q-atoms are phi_k + b Psi_k(x; b) and the
-    Q*-atoms Psi_k(x; b), and each b contracts Psi_{0..K+1} with [U; 0 | Z U]
-    (Z = ``t_multiplier(K + 1)``), which gives U^T Psi and U^T d/db Psi together.  One
-    Laguerre recurrence over x gives U^T phi, the backward seed at b = -beta
-    (``backward_seed``) and then, in the same buffer, the sources of both
-    sweeps (``forward_sources``).  Each sweep's ladder runs as its adjoint on
-    the weights: forward at b = gamma >= 0, backward from the seed at b < 0.
-    Every kernel vanishes at x < 0, where W^(q) = 0 and Z^(q) = 1.
+    for the rows themselves.  V holds the (K+1, g) weights whose
+    gamma-derivatives the caller reads: a^G for the CLT variances, none for
+    the curves.  With g = 0 no derivative is formed, P's and P*'s included.
+    The Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and
+    each b contracts Psi_{0..K+1} with [U | V | Z V] (rows K+1 of U and V
+    zero, Z = ``t_multiplier(K + 1)``), which gives U^T Psi, V^T Psi and
+    V^T d/db Psi together.  One Laguerre recurrence over x gives [U | V]^T
+    phi, the backward seed at b = -beta (``backward_seed``) and then, in the
+    same buffer, the sources of both sweeps (``forward_sources``).  Each
+    sweep's ladder runs as its adjoint on the weights, forward at b = gamma
+    >= 0 and backward from the seed at b < 0, and one ``ladder`` call runs
+    both atoms' adjoints side by side.  Every kernel vanishes at x < 0,
+    where W^(q) = 0 and Z^(q) = 1.
     """
+    if p >= 1.0:
+        raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
     x = np.asarray(x, dtype=float)
-    U = np.asarray(U, dtype=float)
-    K, a, r = params.K, params.alpha, U.shape[1]
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+    K, a, r, g = params.K, params.alpha, U.shape[1], V.shape[1]
     below = x < 0.0
     x = np.where(below, 0.0, x)
-    W = np.zeros((K + 2, 2 * r))
+    W = np.zeros((K + 2, r + 2 * g))
     W[: K + 1, :r] = U
-    W[:, r:] = t_multiplier(K + 1) @ U
+    if g:
+        W[: K + 1, r : r + g] = V
+        W[:, r + g :] = t_multiplier(K + 1) @ V
     M = weighted_laguerre_all(K + 1, a, x)
-    U_phi = params.sq2a * contract(U, M[: K + 1])
-    # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too
+    # U's and V's columns are contracted apart, so no value depends on V
+    phi = [params.sq2a * contract(w, M[: K + 1]) for w in ((U, V) if g else (U,))]
+    beta = _atom_beta(c, D, gamma)
+    bs = [gamma, -beta] if math.isfinite(beta) else [gamma]
+    # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too,
+    # and below -c/(2D) the atom at -beta > 0 the forward one: at most one
+    # atom is forward, and S[0] is its J_0
     seeds = {
         b: backward_seed(M.reshape(K + 2, -1), a, x.ravel(), b).reshape(x.shape)
-        for b in (gamma, -_atom_beta(c, D, gamma))
+        for b in bs
         if -math.inf < b < 0.0
     }
-    S = forward_sources(M, a, x, max(gamma, 0.0))  # in M's buffer
+    S = forward_sources(M, a, x, max(*bs, 0.0))  # in M's buffer
 
-    def atom(b):
-        s = a + b
+    # each atom's ladder adjoint on W, (diag, off) per column: at b >= 0 that
+    # of s J_k + (2a - s) J_{k-1} = S_k (J_0 = S_0) from the top order down,
+    # at b < 0 that of (2a - s) J_k + s J_{k+1} = S_{k+1} (J_{K+1} = seed)
+    # from order 0 up; errors grow by the same |off / diag| <= 1 per step
+    coef = [(a + b, 2.0 * a - (a + b)) if b >= 0.0 else (2.0 * a - (a + b), a + b) for b in bs]
+    diag, off = (np.repeat(col, W.shape[1]) for col in zip(*coef))
+    first = np.concatenate([W[-1] if b >= 0.0 else W[0] for b in bs])
+    d = np.hstack([W[-2:0:-1] if b >= 0.0 else W[1:-1] for b in bs])
+    lams = ladder(first / diag, d, diag, off).reshape(K + 1, len(bs), -1)
+    cols = (slice(None, r), slice(r, None)) if g else (slice(None),)
+    psi_w = {}
+    for b, (_, of), lam_b in zip(bs, coef, lams.swapaxes(0, 1)):
         lam = np.empty_like(W)
         if b >= 0.0:
-            # the adjoint of s J_k + (2a - s) J_{k-1} = S_k (J_0 = S_0) on W:
-            # errors grow by the same |off / diag| <= 1 per step, from the top order down
-            lam[:0:-1] = ladder(W[-1] / s, W[-2:0:-1], s, 2.0 * a - s)
-            lam[0] = W[0] - (2.0 * a - s) * lam[1]
-            psi_w = contract(lam, S)
+            lam[:0:-1] = lam_b
+            lam[0] = W[0] - of * lam[1]
+            psi = [contract(lam[:, j], S) for j in cols]
         else:
-            # the adjoint of (2a - s) J_k + s J_{k+1} = S_{k+1} (J_{K+1} = seed),
-            # from order 0 up
-            lam[:-1] = ladder(W[0] / (2.0 * a - s), W[1:-1], 2.0 * a - s, s)
-            lam[-1] = W[-1] - s * lam[-2]
-            psi_w = contract(lam[:-1], S[1:]) + np.multiply.outer(lam[-1], seeds[b])
-        psi_w *= params.sq2a
-        U_psi = psi_w[:r]
-        U_db = x * U_psi - psi_w[r:] / (2.0 * a)
-        return [*_exp_atoms(x, b), (U_phi + b * U_psi, U_psi + b * U_db), (U_psi, U_db)]
+            lam[:-1] = lam_b
+            lam[-1] = W[-1] - of * lam[-2]
+            psi = [
+                contract(lam[:-1, j], S[1:]) + np.multiply.outer(lam[-1, j], seeds[b])
+                for j in cols
+            ]
+        psi_w[b] = [params.sq2a * part for part in psi]
 
-    P, Pstar, Q, Qstar = _combine(atom, p, gamma, D, c)
+    def atom(b):
+        U_psi = psi_w[b][0]
+        Q_U = phi[0] + b * U_psi
+        if not g:
+            return [*_exp_values(x, b), Q_U, U_psi], []
+        V_psi, ZV_psi = np.split(psi_w[b][1], 2)
+        V_db = x * V_psi - ZV_psi / (2.0 * a)
+        grads = [*_exp_atoms(x, b), (phi[1] + b * V_psi, V_psi + b * V_db), (V_psi, V_db)]
+        return [grads[0][0], grads[1][0], Q_U, U_psi], grads
+
+    values, d_gamma = _combine(atom, p, gamma, D, c)
+    d_gamma = d_gamma or [np.empty((0,) + x.shape)] * 4
+    P, Pstar, Q, Qstar = (Kernel(*pair) for pair in zip(values, d_gamma))
     if np.any(below):
         P, Pstar, Q, Qstar = (
             Kernel(*(np.where(below, 0.0, part) for part in kern)) for kern in (P, Pstar, Q, Qstar)
@@ -438,28 +474,37 @@ def kernels(
     return Kernels(P, Q, Pstar, Qstar)
 
 
+# P and P* need no Laguerre basis: their projections run the evaluator at K = 0
+_NO_BASIS = LaguerreParams(1.0, 0)
+
+
+def _identity_kernels(
+    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, gradient: bool
+) -> Kernels:
+    """``kernels`` on the identity weights U, whose U^T Q are the rows Q_{0..K}
+    themselves; V is the identity for a gradient and empty for a value."""
+    eye = np.eye(params.K + 1)
+    return kernels(params, x, p, gamma, D, c, eye, eye if gradient else eye[:, :0])
+
+
 def eval_P(x, p: float, gamma: float, D: float, c: float):
     """Leading term of W_K (the p f_q = 0 part of the compound-geometric form)."""
-    return _exp_kernels(x, p, gamma, D, c)[0].value
+    return _identity_kernels(_NO_BASIS, x, p, gamma, D, c, False).P.value
 
 
 def eval_Pstar(x, p: float, gamma: float, D: float, c: float):
     """int_0^x P; exact antiderivative of eval_P."""
-    return _exp_kernels(x, p, gamma, D, c)[1].value
-
-
-def _identity_kernels(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
-    return kernels(params, x, p, gamma, D, c, np.eye(params.K + 1))
+    return _identity_kernels(_NO_BASIS, x, p, gamma, D, c, False).Pstar.value
 
 
 def eval_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """Q_{alpha,k}(x) for k = 0..K; the kernel applied to each basis function."""
-    return _identity_kernels(params, x, p, gamma, D, c).Q.value
+    return _identity_kernels(params, x, p, gamma, D, c, False).Q.value
 
 
 def eval_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """int_0^x Q_{alpha,k}; exact antiderivative of eval_Q_all."""
-    return _identity_kernels(params, x, p, gamma, D, c).Qstar.value
+    return _identity_kernels(params, x, p, gamma, D, c, False).Qstar.value
 
 
 def _gradient(kern: Kernel, p: float):
@@ -469,22 +514,22 @@ def _gradient(kern: Kernel, p: float):
 
 def grad_P(x, p: float, gamma: float, D: float, c: float):
     """(d/dp P, d/dgamma P)."""
-    return _gradient(_exp_kernels(x, p, gamma, D, c)[0], p)
+    return _gradient(_identity_kernels(_NO_BASIS, x, p, gamma, D, c, True).P, p)
 
 
 def grad_Pstar(x, p: float, gamma: float, D: float, c: float):
     """(d/dp P*, d/dgamma P*)."""
-    return _gradient(_exp_kernels(x, p, gamma, D, c)[1], p)
+    return _gradient(_identity_kernels(_NO_BASIS, x, p, gamma, D, c, True).Pstar, p)
 
 
 def grad_Q_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q_k, d/dgamma Q_k) for k = 0..K."""
-    return _gradient(_identity_kernels(params, x, p, gamma, D, c).Q, p)
+    return _gradient(_identity_kernels(params, x, p, gamma, D, c, True).Q, p)
 
 
 def grad_Qstar_all(params: LaguerreParams, x, p: float, gamma: float, D: float, c: float):
     """(d/dp Q*_k, d/dgamma Q*_k) for k = 0..K."""
-    return _gradient(_identity_kernels(params, x, p, gamma, D, c).Qstar, p)
+    return _gradient(_identity_kernels(params, x, p, gamma, D, c, True).Qstar, p)
 
 
 @dataclass(frozen=True)
@@ -498,14 +543,17 @@ class ScaleApprox:
     q: float
     coeffs: CoefficientSet
 
-    def kernels(self, x, extra=None) -> Kernels:
+    def kernels(self, x, extra=None, V=None) -> Kernels:
         """The kernels at x contracted with [a^G | extra]: column 0 gives W_K and Z_K.
 
-        The covariance machinery passes extra = A^{-1} B (Gamma F)_{0..2K+1}.
+        Only V's columns get gamma-derivatives, none by default.  The
+        covariance machinery passes extra = A^{-1} B (Gamma F)_{0..2K+1} and
+        V = a^G.
         """
         cs = self.coeffs
         U = cs.a_G[:, None] if extra is None else np.column_stack([cs.a_G, extra])
-        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, U)
+        V = np.empty((len(cs.a_G), 0)) if V is None else V
+        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, U, V)
 
     def w_from(self, k: Kernels):
         """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from ``kernels(x, ...)``."""

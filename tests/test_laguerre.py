@@ -223,6 +223,44 @@ class TestLadder:
         got = ladder(y0, np.empty((0, 2)), 3.0, 1.0)
         assert got.shape == (1, 2) and np.array_equal(got[0], y0)
 
+    def test_per_column_coefficients_run_the_scalar_ladders(self):
+        # forward (diag s, off 2a - s) and backward (diag 2a - s, off s)
+        # columns side by side, each with the bits of its own scalar ladder
+        rng = np.random.default_rng(3)
+        K, alpha = 64, 1.0
+        coef = [(alpha + b, alpha - b) for b in (0.2, 0.0)]
+        coef += [(alpha - b, alpha + b) for b in (-0.7, -30.0)]
+        y0, d = rng.normal(size=4), rng.normal(size=(K, 4))
+        diag, off = (np.array(col) for col in zip(*coef))
+        got = ladder(y0, d, diag, off)
+        for j, (dg, of) in enumerate(coef):
+            assert np.array_equal(got[:, j], ladder(y0[j], d[:, j], dg, of))
+
+    def test_one_dimensional_sources_with_a_scalar_seed(self):
+        # each row of a 1-d result is a number; the step writes into the row itself
+        d = np.array([1.0, -2.0, 0.5])
+        got = ladder(0.25, d, 2.0, 1.0)
+        want = [0.25]
+        for dk in d:
+            want.append((-1.0 * want[-1] + dk) / 2.0)
+        assert got.shape == (4,) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_out_may_alias_the_sources(self, direction):
+        # psi_integral_all's two calls: d is out[1:] in the rows' buffer, read
+        # upward for the forward sweep and downward (reversed views) for the backward
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(21, 7))
+        if direction == "forward":
+            y0, d, diag, off = rows[0].copy(), rows[1:], 1.2, 0.8
+            want = ladder(y0, d.copy(), diag, off)
+            got = ladder(y0, d, diag, off, out=rows)
+        else:
+            y0, d, diag, off = rng.normal(size=7), rows[-2::-1], 1.3, 0.7
+            want = ladder(y0, d.copy(), diag, off)
+            got = ladder(y0, d, diag, off, out=rows[::-1])
+        assert np.shares_memory(got, rows) and np.array_equal(got, want)
+
 
 def _psi_panel_reference(p: LaguerreParams, x: np.ndarray, b: float) -> np.ndarray:
     """Psi_{alpha,0..K}(x; b) by 40-node Gauss-Legendre on unit panels of [0, x] in z."""

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from qscale import series as series_mod
 from qscale.exceptions import DomainError, IllConditionedError, NumericalError
-from qscale.laguerre import LaguerreParams, laguerre_fn_all
+from qscale.laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
 from qscale.levy import (
     CompoundPoissonExponential,
     CompoundPoissonGamma,
@@ -322,7 +322,7 @@ class TestScaleApproxSmallD:
         kw = getattr(self, family)
         x = np.linspace(0.0, 10.0, 41)
         approx, approx0 = self._approx(D, **kw), self._approx(0.0, **kw)
-        k, k0 = approx.kernels(x), approx0.kernels(x)
+        k, k0 = (a.kernels(x, V=a.coeffs.a_G[:, None]) for a in (approx, approx0))
         assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
         def at_positive_x(a, kern):
@@ -353,7 +353,7 @@ class TestScaleApproxSmallD:
         xs = np.linspace(0.5, 10.0, 20)
         want = self._w(0.0, **kw, x=xs)
         approx = self._approx(D, **kw)
-        k = approx.kernels(xs)
+        k = approx.kernels(xs, V=approx.coeffs.a_G[:, None])
         assert np.max(np.abs(approx.w_from(k) - want)) <= 1e-12 * np.max(np.abs(want))
         assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
@@ -789,11 +789,11 @@ class TestContractedKernels:
 
     def check_weights_contract_the_rows(self, alpha, K, D, gamma, x_case):
         params, x, c, p = LaguerreParams(alpha, K), _X_SHAPES[x_case], 1.5, 0.3
-        rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1))
+        rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1), np.eye(K + 1))
         assert rows.Q.value.shape == rows.Qstar.d_gamma.shape == (K + 1,) + np.shape(x)
         rng = np.random.default_rng(K)
         for U in [np.eye(K + 1)] + [rng.normal(size=(K + 1, r)) for r in (1, 3, K + 1)]:
-            got = kernels(params, x, p, gamma, D, c, U)
+            got = kernels(params, x, p, gamma, D, c, U, U)
             for name in ("P", "Pstar"):
                 for part, want in zip(getattr(got, name), getattr(rows, name)):
                     assert np.array_equal(part, want)
@@ -812,6 +812,23 @@ class TestContractedKernels:
                     # rows, weighted by (2k+1) / (2 alpha): ~ (K+1) / alpha |U|^T |Q*|
                     scale = mag(full) + (field == "d_gamma") * (K + 1) / alpha * mag(rows.Qstar.value)
                     assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("gamma", [-0.5, -2.0, -4.0])
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    def test_negative_gamma_against_the_psi_rows(self, K, gamma):
+        # at gamma < 0 both atoms may sweep backward (-0.5, -2), and below
+        # -c/(2D) the atom at -beta = 1 sweeps forward (-4); Q and Q* are
+        # (gamma Psi(gamma) + beta Psi(-beta)) / N and (Psi(gamma) - Psi(-beta)) / N
+        params, x, c, D, p = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 41), 1.5, 0.5, 0.3
+        beta, N = c / D + gamma, (1.0 - p) * (c + 2.0 * gamma * D)
+        got = kernels(params, x, p, gamma, D, c, np.eye(K + 1), np.empty((K + 1, 0)))
+        at_gamma, at_atom = psi_integral_all(params, x, gamma), psi_integral_all(params, x, -beta)
+        for part, want in (
+            (got.Q.value, (gamma * at_gamma + beta * at_atom) / N),
+            (got.Qstar.value, (at_gamma - at_atom) / N),
+        ):
+            # measured at most 3.6e-15 of sup (K = 64, gamma = -0.5)
+            assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
     def test_one_laguerre_recurrence_over_x(self, model, monkeypatch):
@@ -866,6 +883,63 @@ class TestContractedKernels:
             tracemalloc.stop()
         assert len(sweep_peaks) == 1
         assert peak - sweep_peaks[0] < (2 * K + 4) * x.size * 8, (peak, sweep_peaks)
+
+
+class TestDerivativeWeights:
+    """V picks the columns whose gamma-derivatives ``kernels`` forms; no value depends on it."""
+
+    @pytest.mark.parametrize("x_case", list(_X_SHAPES))
+    @pytest.mark.parametrize("K", [0, 20, 64])
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_values_do_not_depend_on_V(self, model, K, x_case):
+        cs, x = scale_approx(model, LaguerreParams(1.0, K)).coeffs, _X_SHAPES[x_case]
+        rng = np.random.default_rng(K)
+        for U in (cs.a_G[:, None], np.column_stack([cs.a_G, rng.normal(size=(K + 1, K + 2))])):
+            runs = [
+                kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, model.c, U, V)
+                for V in (np.empty((K + 1, 0)), cs.a_G[:, None], np.eye(K + 1))
+            ]
+            for run in runs[1:]:
+                for kern, want in zip(run, runs[0]):
+                    assert np.array_equal(kern.value, want.value)
+            assert [run.Q.d_gamma.shape for run in runs] == [
+                (g,) + np.shape(x) for g in (0, 1, K + 1)
+            ]
+            assert all(kern.d_gamma.shape == (0,) + np.shape(x) for kern in runs[0])
+
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_curves_form_no_gamma_derivative(self, model, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a curve formed a gamma-derivative")
+
+        approx = scale_approx(model, LaguerreParams(1.0, 20))
+        x = np.linspace(-1.0, 10.0, 45)
+        want = approx.w(x), approx.z(x)
+        monkeypatch.setattr(series_mod, "_expm1_ratio_db", forbidden)
+        monkeypatch.setattr(series_mod, "t_multiplier", forbidden)
+        assert all(np.array_equal(got, w) for got, w in zip((approx.w(x), approx.z(x)), want))
+        with pytest.raises(AssertionError, match="gamma-derivative"):
+            approx.kernels(x, V=approx.coeffs.a_G[:, None])
+
+    @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
+    def test_one_ladder_runs_both_atoms(self, model, monkeypatch):
+        # the atom at gamma and, for D > 0, the one at -beta: their adjoint
+        # ladders run side by side in one call, over [U | V | Z V]'s columns each
+        K = 20
+        approx = scale_approx(model, LaguerreParams(1.0, K))
+        shapes, ladder = [], series_mod.ladder
+
+        def counted(y0, d, diag, off, out=None):
+            shapes.append(np.shape(d))
+            return ladder(y0, d, diag, off, out)
+
+        monkeypatch.setattr(series_mod, "ladder", counted)
+        atoms = 2 if model.D > 0 else 1
+        x = np.linspace(0.0, 10.0, 11)
+        for V, width in ((None, 1), (approx.coeffs.a_G[:, None], 3)):
+            shapes.clear()
+            approx.kernels(x, V=V)
+            assert shapes == [(K, atoms * width)], shapes
 
 
 class TestNegativeX:
