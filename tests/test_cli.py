@@ -110,6 +110,18 @@ class TestCompute:
         assert main(["compute", "--config", str(cfg)]) == 0
         assert len(calls) == 1
 
+    def test_forms_no_gamma_derivative(self, tmp_path, monkeypatch):
+        # the curves read no kernel derivative, so none is formed
+        import qscale.series as series_mod
+
+        def forbidden(*args):
+            raise AssertionError("compute formed a gamma-derivative")
+
+        monkeypatch.setattr(series_mod, "_expm1_ratio_db", forbidden)
+        monkeypatch.setattr(series_mod, "t_multiplier", forbidden)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["compute", "--config", str(cfg)]) == 0
+
 
 class TestSimulate:
     def test_reruns_byte_identical(self, tmp_path):
