@@ -391,7 +391,7 @@ def kernels(
     gamma-derivatives the caller reads: a^G for the CLT variances, none for
     the curves.  With g = 0 no derivative is formed, P's and P*'s included.
     The Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and
-    each b contracts Psi_{0..K+1} with [U | V | Z V] (rows K+1 of U and V
+    each b contracts Psi_{0..K+1} with [U | V | Z V] (row K+1 of U and V
     zero, Z = ``t_multiplier(K + 1)``), which gives U^T Psi, V^T Psi and
     V^T d/db Psi together.  One Laguerre recurrence over x gives [U | V]^T
     phi, the backward seed at b = -beta (``backward_seed``) and then, in the
