@@ -26,10 +26,10 @@ top-order seed from them.  ``psi_integral_all`` ladders in that same array;
 the kernel evaluator of ``series`` runs each sweep's adjoint on its weights,
 both in one ``ladder`` call with per-column coefficients, and contracts the
 result with the sources (``contract``).  The backward seed is shared
-across the x sorted by a stable argsort (the seed at an x is the one at the
-x before it, decayed by e^{b gap} <= 1, plus the integral over the panel
-between them), and a Taylor rule built from the rows at x takes each panel
-with no quadrature nodes.  The ladder's contraction damps the (~1e-15) seed
+across the sorted x (the seed at an x is the one at the x before it,
+decayed by e^{b gap} <= 1, plus the integral over the panel between them),
+and a Taylor rule built from the rows at x takes each panel with no
+quadrature nodes.  The ladder's contraction damps the (~1e-15) seed
 error further; the value at one x depends at the rounding level on the
 other x of the same call.  This keeps orders up to k = 64 stable in double
 precision, which a monomial expansion of L_k cannot do (binomial
@@ -235,8 +235,8 @@ def _affine_scan(a: np.ndarray, p: np.ndarray) -> None:
 def backward_seed(rows: np.ndarray, alpha: float, x: np.ndarray, b: float) -> np.ndarray:
     """J_kmax(x; b) = int_0^x e^{b(x-z)} M_kmax(z) dz for b < 0, x 1-d, from rows = M_{0..kmax}(x).
 
-    Over x sorted by a stable argsort the seed obeys J(x_i) = e^{b (x_i -
-    x_{i-1})} J(x_{i-1}) + P_i, with P_i the integral over the panel
+    Over the sorted x the seed obeys J(x_i) = e^{b (x_i - x_{i-1})}
+    J(x_{i-1}) + P_i, with P_i the integral over the panel
     [x_{i-1}, x_i] (x below 0 counted as 0).  The panel is taken in the
     offset t = x_i - z and cut where the kernel or the basis function drops
     below e^{-45}: the kernel cut is t = 45/|b| (none for |b| <= 1e-12);
@@ -261,7 +261,8 @@ def backward_seed(rows: np.ndarray, alpha: float, x: np.ndarray, b: float) -> np
     cap = max(_CHUNK_PAIRS // unit, 1)
     z_cut = 2.0 * (_TAIL + kmax * math.log(5.0)) / alpha
     seed = np.empty(len(x))
-    order = np.argsort(x, kind="stable")
+    # equal x take the first one's seed, so their order is free
+    order = np.argsort(x)
     lo, seed_before = 0, 0.0
     while lo < len(x):
         cols = order[lo : lo + cap]

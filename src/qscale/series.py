@@ -15,9 +15,10 @@ the analytic gamma-derivatives its caller reads (the p-derivative of a kernel
 is its value over 1 - p).  Every caller wants Q and Q* only through fixed
 weights (a^G for W_K and Z_K, [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the
 CLT variances), so ``kernels`` takes the (K+1, r) weight matrix U and returns
-U^T Q and U^T Q*: no (K+1)-row kernel stack is formed on the x side.  A
-second weight matrix V names the columns whose gamma-derivatives are read:
-a^G for the CLT variances, none for the curves, which form no derivative.
+U^T Q and U^T Q*: no (K+1)-row kernel stack is formed on the x side.  Its
+count g names U's first g columns as those whose gamma-derivatives are
+read: a^G's (g = 1) for the CLT variances, none for the curves, which form
+no derivative.
 Its ``eval_*`` / ``grad_*`` projections are identity-weight wrappers kept
 only as benchmark trace-probe bindings (``PROBE_ONLY``); no code reads them.
 For x < 0 every kernel is 0, so W_K = 0 and Z_K = 1 there (the convention of
@@ -326,9 +327,10 @@ class Kernel(NamedTuple):
 class Kernels(NamedTuple):
     """P, P* of shape x.shape, and U^T Q, U^T Q* of shape (r, *x.shape) for (K+1, r) weights U.
 
-    For (K+1, g) derivative weights V, P.d_gamma and Pstar.d_gamma have
-    shape x.shape and Q.d_gamma, Qstar.d_gamma are d/dgamma V^T Q, V^T Q*,
-    shape (g, *x.shape).  With g = 0 every d_gamma is empty, shape (0, *x.shape).
+    With g >= 1 derivative columns, P.d_gamma and Pstar.d_gamma have shape
+    x.shape and Q.d_gamma, Qstar.d_gamma are d/dgamma U_g^T Q, U_g^T Q* for
+    U's first g columns U_g, shape (g, *x.shape).  With g = 0 every d_gamma
+    is empty, shape (0, *x.shape).
     """
 
     P: Kernel
@@ -342,24 +344,23 @@ def _atom_beta(c: float, D: float, gamma: float) -> float:
     return float(c) / float(D) + gamma if D > 0 else math.inf
 
 
-def _combine(atom, p: float, gamma: float, D: float, c: float) -> tuple[list, list]:
+def _combine(atoms: list, p: float, gamma: float, D: float, c: float) -> tuple[list, list]:
     """The shared form of every kernel: its values and the gamma-derivatives read.
 
     value = (f(gamma) - f(-beta)) / N, beta = c/D + gamma, with the D-scaled
-    N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D).  ``atom(b)`` returns
-    (fs, grads): one f(b) per kernel, and one pair (f_V(b), d/db f_V(b)) per
-    kernel for the columns whose derivative is read, or no pairs.  Since
-    d beta / d gamma = 1, the gamma-derivative is (f_V'(gamma) + f_V'(-beta))
-    / N - 2 D value_V / (c + 2 gamma D); the p-derivative, value / (1-p), is
-    left to the caller, which divides the combination it needs once.  D = 0
-    is the limit, not a branch: the atom at -beta, not formed there or where
-    c/D overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever
-    it is formed.
+    N = (1-p) (beta + gamma) D = (1-p) (c + 2 gamma D).  ``atoms`` holds the
+    results (fs, grads) at b = gamma and, where it is formed, at b = -beta:
+    one f(b) per kernel, and one pair (f_g(b), d/db f_g(b)) per kernel for
+    the columns whose derivative is read, or no pairs.  Since d beta / d
+    gamma = 1, the gamma-derivative is (f_g'(gamma) + f_g'(-beta)) / N - 2 D
+    value_g / (c + 2 gamma D); the p-derivative, value / (1-p), is left to
+    the caller, which divides the combination it needs once.  D = 0 is the
+    limit, not a branch: the atom at -beta, not formed there or where c/D
+    overflows, is its own limit for x > 0, and it sets W(0) = 0 wherever it
+    is formed.
     """
-    parts, grads = atom(gamma)
-    beta = _atom_beta(c, D, gamma)
-    if math.isfinite(beta):
-        parts_b, grads_b = atom(-beta)
+    parts, grads = atoms[0]
+    for parts_b, grads_b in atoms[1:]:
         parts = [f - f_b for f, f_b in zip(parts, parts_b)]
         grads = [(f - f_b, df + df_b) for (f, df), (f_b, df_b) in zip(grads, grads_b)]
     s = c + 2.0 * gamma * D  # (beta + gamma) D
@@ -381,19 +382,19 @@ def _exp_atoms(x, b: float) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def kernels(
-    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U, V
+    params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, U, g: int
 ) -> Kernels:
-    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x, and the gamma-derivatives for V.
+    """P, U^T Q_{alpha,0..K}, P*, U^T Q*_{alpha,0..K} at x, and d/dgamma of U's first g columns.
 
-    U holds the caller's (K+1, r) value weights: a^G for W_K and Z_K,
-    [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances, the identity
-    for the rows themselves.  V holds the (K+1, g) weights whose
-    gamma-derivatives the caller reads: a^G for the CLT variances, none for
-    the curves.  With g = 0 no derivative is formed, P's and P*'s included.
-    The Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and
-    each b contracts Psi_{0..K+1} with [U | V | Z V] (row K+1 of U and V
-    zero, Z = ``t_multiplier(K + 1)``), which gives U^T Psi, V^T Psi and
-    V^T d/db Psi together.  One Laguerre recurrence over x gives [U | V]^T
+    U holds the caller's (K+1, r) weights: a^G for W_K and Z_K (g = 0),
+    [a^G | A^{-1} B (Gamma F)_{0..2K+1}] for the CLT variances (g = 1), the
+    identity for the rows themselves.  With g = 0 no derivative is formed,
+    P's and P*'s included; g outside [0, r] raises DomainError.  The
+    Q-atoms are phi_k + b Psi_k(x; b) and the Q*-atoms Psi_k(x; b), and
+    each b contracts Psi_{0..K+1} with [U | Z U_g] (U_g = U's first g
+    columns, row K+1 of U zero, Z = ``t_multiplier(K + 1)``): U^T Psi, whose
+    first g rows are U_g^T Psi, and U_g^T d/db Psi = x U_g^T Psi -
+    (Z U_g)^T Psi / (2 alpha).  One Laguerre recurrence over x gives U^T
     phi, the backward seed at b = -beta (``backward_seed``) and then, in the
     same buffer, the sources of both sweeps (``forward_sources``).  Each
     sweep's ladder runs as its adjoint on the weights, forward at b = gamma
@@ -404,18 +405,18 @@ def kernels(
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
     x = np.asarray(x, dtype=float)
-    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
-    K, a, r, g = params.K, params.alpha, U.shape[1], V.shape[1]
+    U = np.asarray(U, dtype=float)
+    K, a, r = params.K, params.alpha, U.shape[1]
+    if not 0 <= g <= r:
+        raise DomainError(f"g = {g} derivative columns outside [0, {r}]")
     below = x < 0.0
     x = np.where(below, 0.0, x)
-    W = np.zeros((K + 2, r + 2 * g))
+    W = np.zeros((K + 2, r + g))
     W[: K + 1, :r] = U
     if g:
-        W[: K + 1, r : r + g] = V
-        W[:, r + g :] = t_multiplier(K + 1) @ V
+        W[:, r:] = t_multiplier(K + 1) @ U[:, :g]
     M = weighted_laguerre_all(K + 1, a, x)
-    # U's and V's columns are contracted apart, so no value depends on V
-    phi = [params.sq2a * contract(w, M[: K + 1]) for w in ((U, V) if g else (U,))]
+    phi = params.sq2a * contract(U, M[: K + 1])
     beta = _atom_beta(c, D, gamma)
     bs = [gamma, -beta] if math.isfinite(beta) else [gamma]
     # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too,
@@ -437,8 +438,9 @@ def kernels(
     first = np.concatenate([W[-1] if b >= 0.0 else W[0] for b in bs])
     d = np.hstack([W[-2:0:-1] if b >= 0.0 else W[1:-1] for b in bs])
     lams = ladder(first / diag, d, diag, off).reshape(K + 1, len(bs), -1)
+    # U's and Z U_g's columns are contracted apart, so no value depends on g
     cols = (slice(None, r), slice(r, None)) if g else (slice(None),)
-    psi_w = {}
+    atoms = []
     for b, (_, of), lam_b in zip(bs, coef, lams.swapaxes(0, 1)):
         lam = np.empty_like(W)
         if b >= 0.0:
@@ -452,19 +454,16 @@ def kernels(
                 contract(lam[:-1, j], S[1:]) + np.multiply.outer(lam[-1, j], seeds[b])
                 for j in cols
             ]
-        psi_w[b] = [params.sq2a * part for part in psi]
-
-    def atom(b):
-        U_psi = psi_w[b][0]
-        Q_U = phi[0] + b * U_psi
+        U_psi = params.sq2a * psi[0]
+        Q_U = phi + b * U_psi
         if not g:
-            return [*_exp_values(x, b), Q_U, U_psi], []
-        V_psi, ZV_psi = np.split(psi_w[b][1], 2)
-        V_db = x * V_psi - ZV_psi / (2.0 * a)
-        grads = [*_exp_atoms(x, b), (phi[1] + b * V_psi, V_psi + b * V_db), (V_psi, V_db)]
-        return [grads[0][0], grads[1][0], Q_U, U_psi], grads
+            atoms.append(([*_exp_values(x, b), Q_U, U_psi], []))
+            continue
+        db = x * U_psi[:g] - params.sq2a * psi[1] / (2.0 * a)
+        grads = [*_exp_atoms(x, b), (Q_U[:g], U_psi[:g] + b * db), (U_psi[:g], db)]
+        atoms.append(([grads[0][0], grads[1][0], Q_U, U_psi], grads))
 
-    values, d_gamma = _combine(atom, p, gamma, D, c)
+    values, d_gamma = _combine(atoms, p, gamma, D, c)
     d_gamma = d_gamma or [np.empty((0,) + x.shape)] * 4
     P, Pstar, Q, Qstar = (Kernel(*pair) for pair in zip(values, d_gamma))
     if np.any(below):
@@ -482,9 +481,9 @@ def _identity_kernels(
     params: LaguerreParams, x, p: float, gamma: float, D: float, c: float, gradient: bool
 ) -> Kernels:
     """``kernels`` on the identity weights U, whose U^T Q are the rows Q_{0..K}
-    themselves; V is the identity for a gradient and empty for a value."""
-    eye = np.eye(params.K + 1)
-    return kernels(params, x, p, gamma, D, c, eye, eye if gradient else eye[:, :0])
+    themselves; every column is differentiated for a gradient, none for a value."""
+    n = params.K + 1
+    return kernels(params, x, p, gamma, D, c, np.eye(n), n if gradient else 0)
 
 
 def eval_P(x, p: float, gamma: float, D: float, c: float):
@@ -543,24 +542,18 @@ class ScaleApprox:
     q: float
     coeffs: CoefficientSet
 
-    def kernels(self, x, extra=None, V=None) -> Kernels:
-        """The kernels at x contracted with [a^G | extra]: column 0 gives W_K and Z_K.
-
-        Only V's columns get gamma-derivatives, none by default.  The
-        covariance machinery passes extra = A^{-1} B (Gamma F)_{0..2K+1} and
-        V = a^G.
-        """
+    def kernels(self, x) -> Kernels:
+        """The kernels at x contracted with U = a^G and no gamma-derivative
+        (g = 0): they give W_K and Z_K."""
         cs = self.coeffs
-        U = cs.a_G[:, None] if extra is None else np.column_stack([cs.a_G, extra])
-        V = np.empty((len(cs.a_G), 0)) if V is None else V
-        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, U, V)
+        return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, self.c, cs.a_G[:, None], 0)
 
     def w_from(self, k: Kernels):
-        """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from ``kernels(x, ...)``."""
+        """W_K(x) = P(x) - Q_{alpha,K}(x) . a^G from ``kernels``."""
         return k.P.value - k.Q.value[0]
 
     def z_from(self, k: Kernels):
-        """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G) from ``kernels(x, ...)``."""
+        """Z_K(x) = 1 + q (P*(x) - Q*_{alpha,K}(x) . a^G) from ``kernels``."""
         return 1.0 + self.q * (k.Pstar.value - k.Qstar.value[0])
 
     def w(self, x):

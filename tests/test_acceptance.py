@@ -179,13 +179,23 @@ def test_criterion_5_ruin_identity():
     criterion("5 Ruin identity (q=0)", err <= 2e-2, f"sup err {err:.2e} (tol 2e-2)")
 
 
+def _rmse_rel_se(mc, name: str) -> float:
+    """Monte Carlo standard error of an RMSE over the RMSE, by the delta
+    method: SE(mean e^2) / (2 mean e^2) for the errors e of the replications."""
+    truth = mc.summary[name]["true"]
+    e2 = np.array([(row[name] - truth) ** 2 for row in mc.rows if not row["failed"]])
+    return float(e2.std(ddof=1) / np.sqrt(len(e2)) / (2.0 * e2.mean()))
+
+
 def test_criterion_6_estimator_rate(mc_t400, mc_t1600):
     start = time.time()
-    ratios = {}
+    ratios, ses = {}, {}
     for name in ("D_hat", "gamma_hat", "p_hat"):
         ratios[name] = mc_t400.summary[name]["rmse"] / mc_t1600.summary[name]["rmse"]
+        # the two runs are independent, so their relative errors add in quadrature
+        ses[name] = ratios[name] * np.hypot(_rmse_rel_se(mc_t400, name), _rmse_rel_se(mc_t1600, name))
     ok = all(1.4 <= r <= 2.8 for r in ratios.values())
-    detail = ", ".join(f"{k}: {v:.2f}" for k, v in ratios.items())
+    detail = ", ".join(f"{k}: {v:.2f} (MC SE {ses[k]:.2f})" for k, v in ratios.items())
     criterion(
         "6 Estimator sqrt(T) rate",
         ok,

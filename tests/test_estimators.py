@@ -429,7 +429,7 @@ def _assert_curve_gradients_match_fd(cs0, starred: bool):
     for D, gamma in _gradient_cases(cs0):
 
         def curve(p, g):
-            k = kernels(cs0.params, x, p, g, D, c, cs0.a_G[:, None], cs0.a_G[:, None])
+            k = kernels(cs0.params, x, p, g, D, c, cs0.a_G[:, None], 1)
             P, Q = (k.Pstar, k.Qstar) if starred else (k.P, k.Q)
             return P.value[0] - Q.value[0, 0], P.d_gamma[0] - Q.d_gamma[0, 0]
 
@@ -509,7 +509,7 @@ class TestCovarianceMachinery:
         # formed from the identity-weight rows, C_K = [Q^T A^{-1} B,
         # (P - Q a^G) / (1 - p), d/dgamma (P - Q a^G)] and q C*_K likewise
         cs, th, GF = rep.est.coeffs, rep.est.theta, rep.est.Gamma @ rep.est.F
-        rows = kernels(cs.params, cov.x, cs.p, th.gamma, th.D, 1.5, np.eye(K + 1), np.eye(K + 1))
+        rows = kernels(cs.params, cov.x, cs.p, th.gamma, th.D, 1.5, np.eye(K + 1), K + 1)
         AinvB = np.linalg.solve(build_Af(cs.a_f, 1.0), build_B(cs.a_G, 1.0))
         v, mag = [], []
         for P, Q, scale in ((rows.P, rows.Q, 1.0), (rows.Pstar, rows.Qstar, q)):
@@ -801,27 +801,30 @@ class TestOracleModeReport:
     def test_one_kernel_evaluation(self, exp_jump_model, params20, monkeypatch):
         # one kernels call per report, contracted with a^G and the columns of
         # A^{-1} B (Gamma F)_{0..2K+1}: none in oracle mode, F's on a sample;
-        # its gamma-derivatives are read of a^G alone in both modes
+        # its gamma-derivatives are read of a^G, the first column, alone in
+        # both modes (g = 1)
+        import qscale.estimators as estimators_mod
         import qscale.series as series_mod
 
-        widths, v_widths = [], []
+        widths, gs = [], []
         orig = series_mod.kernels
 
-        def counting(params, x, p, gamma, D, c, U, V):
+        def counting(params, x, p, gamma, D, c, U, g):
             widths.append(np.shape(U)[1])
-            v_widths.append(np.shape(V)[1])
-            return orig(params, x, p, gamma, D, c, U, V)
+            gs.append(g)
+            return orig(params, x, p, gamma, D, c, U, g)
 
-        monkeypatch.setattr(series_mod, "kernels", counting)
+        for mod in (series_mod, estimators_mod):
+            monkeypatch.setattr(mod, "kernels", counting)
         x = np.linspace(0, 5, 21)
         report_from_true_model(exp_jump_model, params20, x)
-        assert widths == [1] and v_widths == [1]
+        assert widths == [1] and gs == [1]
         widths.clear()
-        v_widths.clear()
+        gs.clear()
         obs = simulate(exp_jump_model, make_scheme(100.0), seed=12)
         rep = build_report(obs, 0.1, 1.5, params20, x=x, D_hat=estimate_D(obs))
         assert widths == [1 + rep.est.F.shape[1]] and rep.est.F.shape[1] == params20.K + 2
-        assert v_widths == [1]
+        assert gs == [1]
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["estimate", "oracle"])
     def test_covariance_keys(self, exp_jump_model, params20, oracle):

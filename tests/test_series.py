@@ -276,6 +276,12 @@ class TestExpm1RatioDb:
         assert np.array_equal(d_atoms[1], _expm1_ratio_db(b, x))
 
 
+def _approx_kernels(approx, x, U, g):
+    """``kernels`` at the coefficients of ``approx`` with weights U and g derivative columns."""
+    cs = approx.coeffs
+    return kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, approx.c, U, g)
+
+
 class TestScaleApproxSmallD:
     """W_K tends to its D = 0 form as D -> 0+ (x > 0): the atom at b = -beta,
     beta = c/D + gamma, drops out, and where c/D overflows it is not formed."""
@@ -322,7 +328,7 @@ class TestScaleApproxSmallD:
         kw = getattr(self, family)
         x = np.linspace(0.0, 10.0, 41)
         approx, approx0 = self._approx(D, **kw), self._approx(0.0, **kw)
-        k, k0 = (a.kernels(x, V=a.coeffs.a_G[:, None]) for a in (approx, approx0))
+        k, k0 = (_approx_kernels(a, x, a.coeffs.a_G[:, None], 1) for a in (approx, approx0))
         assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
         def at_positive_x(a, kern):
@@ -353,7 +359,7 @@ class TestScaleApproxSmallD:
         xs = np.linspace(0.5, 10.0, 20)
         want = self._w(0.0, **kw, x=xs)
         approx = self._approx(D, **kw)
-        k = approx.kernels(xs, V=approx.coeffs.a_G[:, None])
+        k = _approx_kernels(approx, xs, approx.coeffs.a_G[:, None], 1)
         assert np.max(np.abs(approx.w_from(k) - want)) <= 1e-12 * np.max(np.abs(want))
         assert all(np.all(np.isfinite(part)) for kern in k for part in kern)
 
@@ -789,11 +795,11 @@ class TestContractedKernels:
 
     def check_weights_contract_the_rows(self, alpha, K, D, gamma, x_case):
         params, x, c, p = LaguerreParams(alpha, K), _X_SHAPES[x_case], 1.5, 0.3
-        rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1), np.eye(K + 1))
+        rows = kernels(params, x, p, gamma, D, c, np.eye(K + 1), K + 1)
         assert rows.Q.value.shape == rows.Qstar.d_gamma.shape == (K + 1,) + np.shape(x)
         rng = np.random.default_rng(K)
         for U in [np.eye(K + 1)] + [rng.normal(size=(K + 1, r)) for r in (1, 3, K + 1)]:
-            got = kernels(params, x, p, gamma, D, c, U, U)
+            got = kernels(params, x, p, gamma, D, c, U, U.shape[1])
             for name in ("P", "Pstar"):
                 for part, want in zip(getattr(got, name), getattr(rows, name)):
                     assert np.array_equal(part, want)
@@ -821,7 +827,7 @@ class TestContractedKernels:
         # (gamma Psi(gamma) + beta Psi(-beta)) / N and (Psi(gamma) - Psi(-beta)) / N
         params, x, c, D, p = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 41), 1.5, 0.5, 0.3
         beta, N = c / D + gamma, (1.0 - p) * (c + 2.0 * gamma * D)
-        got = kernels(params, x, p, gamma, D, c, np.eye(K + 1), np.empty((K + 1, 0)))
+        got = kernels(params, x, p, gamma, D, c, np.eye(K + 1), 0)
         at_gamma, at_atom = psi_integral_all(params, x, gamma), psi_integral_all(params, x, -beta)
         for part, want in (
             (got.Q.value, (gamma * at_gamma + beta * at_atom) / N),
@@ -886,26 +892,30 @@ class TestContractedKernels:
 
 
 class TestDerivativeWeights:
-    """V picks the columns whose gamma-derivatives ``kernels`` forms; no value depends on it."""
+    """``kernels`` forms gamma-derivatives for U's first g columns; no value depends on g."""
 
     @pytest.mark.parametrize("x_case", list(_X_SHAPES))
     @pytest.mark.parametrize("K", [0, 20, 64])
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
-    def test_values_do_not_depend_on_V(self, model, K, x_case):
+    def test_values_do_not_depend_on_g(self, model, K, x_case):
         cs, x = scale_approx(model, LaguerreParams(1.0, K)).coeffs, _X_SHAPES[x_case]
         rng = np.random.default_rng(K)
         for U in (cs.a_G[:, None], np.column_stack([cs.a_G, rng.normal(size=(K + 1, K + 2))])):
+            gs = (0, 1, U.shape[1])
             runs = [
-                kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, model.c, U, V)
-                for V in (np.empty((K + 1, 0)), cs.a_G[:, None], np.eye(K + 1))
+                kernels(cs.params, x, cs.p, cs.theta.gamma, cs.theta.D, model.c, U, g) for g in gs
             ]
             for run in runs[1:]:
                 for kern, want in zip(run, runs[0]):
                     assert np.array_equal(kern.value, want.value)
-            assert [run.Q.d_gamma.shape for run in runs] == [
-                (g,) + np.shape(x) for g in (0, 1, K + 1)
-            ]
+            assert [run.Q.d_gamma.shape for run in runs] == [(g,) + np.shape(x) for g in gs]
             assert all(kern.d_gamma.shape == (0,) + np.shape(x) for kern in runs[0])
+
+    @pytest.mark.parametrize("g", [-1, 2])
+    def test_g_outside_the_columns(self, g):
+        approx = scale_approx(_ACCEPTANCE, LaguerreParams(1.0, 20))
+        with pytest.raises(DomainError, match="derivative columns"):
+            _approx_kernels(approx, np.linspace(0.0, 10.0, 11), approx.coeffs.a_G[:, None], g)
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
     def test_curves_form_no_gamma_derivative(self, model, monkeypatch):
@@ -919,12 +929,12 @@ class TestDerivativeWeights:
         monkeypatch.setattr(series_mod, "t_multiplier", forbidden)
         assert all(np.array_equal(got, w) for got, w in zip((approx.w(x), approx.z(x)), want))
         with pytest.raises(AssertionError, match="gamma-derivative"):
-            approx.kernels(x, V=approx.coeffs.a_G[:, None])
+            _approx_kernels(approx, x, approx.coeffs.a_G[:, None], 1)
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
     def test_one_ladder_runs_both_atoms(self, model, monkeypatch):
         # the atom at gamma and, for D > 0, the one at -beta: their adjoint
-        # ladders run side by side in one call, over [U | V | Z V]'s columns each
+        # ladders run side by side in one call, over [U | Z U_g]'s r + g columns each
         K = 20
         approx = scale_approx(model, LaguerreParams(1.0, K))
         shapes, ladder = [], series_mod.ladder
@@ -936,9 +946,10 @@ class TestDerivativeWeights:
         monkeypatch.setattr(series_mod, "ladder", counted)
         atoms = 2 if model.D > 0 else 1
         x = np.linspace(0.0, 10.0, 11)
-        for V, width in ((None, 1), (approx.coeffs.a_G[:, None], 3)):
+        for g in (0, 1):
             shapes.clear()
-            approx.kernels(x, V=V)
+            _approx_kernels(approx, x, approx.coeffs.a_G[:, None], g)
+            width = 1 + g
             assert shapes == [(K, atoms * width)], shapes
 
 
@@ -958,7 +969,8 @@ class TestNegativeX:
 
     def check_scale_approx(self, model, alpha):
         approx = scale_approx(model, LaguerreParams(alpha, 20))
-        k = approx.kernels(self.XS, np.ones((21, 2)))
+        U = np.column_stack([approx.coeffs.a_G, np.ones((21, 2))])
+        k = _approx_kernels(approx, self.XS, U, 1)
         W, Z = approx.w_from(k), approx.z_from(k)
         assert np.array_equal(W[:3], np.zeros(3)) and np.array_equal(Z[:3], np.ones(3))
         assert all(not np.any(part[..., :3]) for kern in k for part in kern)
