@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, load_config
@@ -43,6 +44,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# read once per process: each read parses the package's METADATA (milliseconds)
+_package_version = cache(version)
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, seeds: list[int]) -> None:
@@ -52,7 +55,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, seeds: list[
         "versions": {
             "qscale": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _package_version("scipy"),
         },
         "seeds": seeds,
     }
@@ -65,6 +68,16 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
+def _require_finite(x: np.ndarray, **columns: np.ndarray) -> None:
+    """NumericalError naming the first column with a non-finite value, and its
+    first such x: W^(q) grows like e^{Phi(q) x} and can pass the doubles."""
+    for name, col in columns.items():
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise NumericalError(f"{name} is not finite at x = {float(x[bad.argmax()])!r}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports what overflows
 def cmd_compute(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "x_grid")
     out = _out_dir(cfg, args)
@@ -72,6 +85,7 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
     x = cfg.x_grid
     k = approx.kernels(x)
     wk, zk = approx.w_from(k), approx.z_from(k)
+    _require_finite(x, W_K=wk, Z_K=zk)
     header = ["x", "W_K", "Z_K"]
     cols = [x, wk, zk]
     summary = {}
@@ -115,6 +129,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports what overflows
 def cmd_estimate(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "x_grid")
     out = _out_dir(cfg, args)
@@ -143,6 +158,9 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
             write_json(out / "report.json", payload)
             _write_manifest(out, cfg, "estimate", seeds)
             return EXIT_OK
+    cov = report.cov
+    _require_finite(cov.x, W_hat=cov.W_hat, Z_hat=cov.Z_hat, W_lo=cov.W_lo, W_hi=cov.W_hi,
+                    Z_lo=cov.Z_lo, Z_hi=cov.Z_hi, sigma_K=cov.sigma_W, sigma_star_K=cov.sigma_Z)
     if "json" in cfg.formats:
         report.save_json(out / "report.json")
     if "csv" in cfg.formats:
@@ -185,14 +203,8 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
 
 
 def _write_mc_table(path: Path, rows: list[dict]) -> None:
-    table_cols: dict[str, list] = {name: [] for name in MC_COLUMNS}
-    for row in rows:
-        for name in MC_COLUMNS:
-            if name == "failed":
-                table_cols[name].append(1 if row["failed"] else 0)
-            else:
-                table_cols[name].append(row.get(name, float("nan")))
-    write_csv(path, MC_COLUMNS, [table_cols[n] for n in MC_COLUMNS])
+    rows = [{**row, "failed": 1 if row["failed"] else 0} for row in rows]
+    write_csv(path, MC_COLUMNS, [[row.get(n, float("nan")) for row in rows] for n in MC_COLUMNS])
 
 
 def main(argv: list[str] | None = None) -> int:

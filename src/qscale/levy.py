@@ -16,8 +16,8 @@ functionals (density, mean, exponential functional and moment), its sampler
 is the zero measure, ``NoJumps``, a family like the others.
 The generic quadrature of nu(H), ``nu_functional_exact``, is a cross-check
 and lives in ``oracles``; the JSON ``model`` block is parsed in ``config``.
-Only the gamma-subordinator sampler needs a special function beyond
-``math`` (E1), and it imports ``scipy.special`` when it runs.
+No sampler needs a special function: the gamma subordinator's jumps come
+by Poisson thinning of an exponential proposal.
 """
 
 from __future__ import annotations
@@ -237,29 +237,17 @@ class GammaSubordinator(JumpMeasure):
         """The jumps above the cutoff d = eps / 10 exactly; those below as
         their mean drift, int_0^d z nu(dz) = (shape/rate)(1 - e^{-rate d}).
 
-        Above d, nu has mass shape E1(rate d).  Sizes come by rejection from
-        a shifted exponential: propose z = d + Exp(rate), accept with
-        probability d / z.  The shape only scales nu, so the size law does
-        not depend on it.
+        Poisson thinning (Lewis & Shedler 1979): above d, nu lies under
+        (shape/d) e^{-rate z} dz, of mass shape e^{-x}/x with x = rate d, and
+        each proposal z = d + Exp(rate) is kept with probability d / z.
         """
-        from scipy import special  # E1 is the one special function a command needs
-
         cut = scheme.eps / 10.0
-        e1 = special.exp1(self.rate * cut)
-        times = _poisson_times(self.shape * e1 * scheme.T, scheme.T, rng)
-        count = len(times)
-        accept_rate = max(cut * self.rate * math.exp(self.rate * cut) * e1, 1e-3)
-        sizes = np.empty(count)
-        have = 0
-        while have < count:
-            batch = int((count - have) / accept_rate * 1.2) + 16
-            z = cut + rng.exponential(1.0 / self.rate, size=batch)
-            u = rng.uniform(size=batch)
-            acc = z[u < cut / z]
-            take = min(len(acc), count - have)
-            sizes[have : have + take] = acc[:take]
-            have += take
-        return times, sizes, self.shape / self.rate * (-math.expm1(-self.rate * cut))
+        x = self.rate * cut
+        count = int(rng.poisson(scheme.T * self.shape * math.exp(-x) / x))
+        sizes = cut + rng.exponential(1.0 / self.rate, size=count)
+        sizes = sizes[rng.uniform(size=count) < cut / sizes]
+        times = np.sort(rng.uniform(0.0, scheme.T, size=len(sizes)))
+        return times, sizes, self.shape / self.rate * (-math.expm1(-x))
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,7 @@ def run_replication(
             "gamma_hat": est.theta.gamma,
             "p_hat": est.p,
             "v_gamma_sq": est.v_gamma_sq,
-            "W_hat": np.asarray(cov.W_hat),
-            "Z_hat": np.asarray(cov.Z_hat),
-            "W_lo": np.asarray(cov.W_lo),
-            "W_hi": np.asarray(cov.W_hi),
-            "Z_lo": np.asarray(cov.Z_lo),
-            "Z_hi": np.asarray(cov.Z_hi),
+            **{k: getattr(cov, k) for k in ("W_hat", "Z_hat", "W_lo", "W_hi", "Z_lo", "Z_hi")},
         }
 
 

@@ -420,8 +420,9 @@ def kernels(
     beta = _atom_beta(c, D, gamma)
     bs = [gamma, -beta] if math.isfinite(beta) else [gamma]
     # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too,
-    # and below -c/(2D) the atom at -beta > 0 the forward one: at most one
-    # atom is forward, and S[0] is its J_0
+    # and below -c/(2D) the atom at -beta > 0 the forward one; where beta D =
+    # c + gamma D <= 0 <= gamma both are forward, and each re-seeds S[0]
+    forward = [b for b in bs if b >= 0.0]
     seeds = {
         b: backward_seed(M.reshape(K + 2, -1), a, x.ravel(), b).reshape(x.shape)
         for b in bs
@@ -444,6 +445,8 @@ def kernels(
     for b, (_, of), lam_b in zip(bs, coef, lams.swapaxes(0, 1)):
         lam = np.empty_like(W)
         if b >= 0.0:
+            if len(forward) > 1:
+                forward_sources(S[:1], a, x, b)  # J_0 alone: one row has no sources
             lam[:0:-1] = lam_b
             lam[0] = W[0] - of * lam[1]
             psi = [contract(lam[:, j], S) for j in cols]

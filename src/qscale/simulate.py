@@ -11,8 +11,9 @@ with the jumps below it replaced by their mean drift.
 
 Randomness comes from Philox (counter-based) streams keyed by the seed, so
 replications parallelize reproducibly; identical (model, scheme, seed) give
-bit-identical observations.  Draw order is fixed: jump count, jump times,
-jump sizes, then Gaussian increments.
+bit-identical observations.  Draw order is fixed: the jumps (count, times,
+sizes; for the gamma subordinator proposal count, sizes, acceptance
+uniforms, times), then the Gaussian increments.
 
 The estimators read the grid only through the sum of squared increments on
 [0, window].  ``simulate_window`` draws that sum without building the path:

@@ -1,5 +1,6 @@
-"""Shared fixtures: reference models used throughout the suite, and the
-coefficient transform of an empirical jump measure."""
+"""Shared fixtures: reference models used throughout the suite, their images
+under a rescaling of space and time, and the coefficient transform of an
+empirical jump measure."""
 
 from __future__ import annotations
 
@@ -56,6 +57,33 @@ def params20() -> LaguerreParams:
 @pytest.fixture
 def params40() -> LaguerreParams:
     return LaguerreParams(alpha=1.0, K=40)
+
+
+def _rescaled(model: LevyModel, lam: float = 1.0, kappa: float = 1.0) -> LevyModel:
+    """The model of lam X_{kappa t}, whose Laplace exponent is kappa psi(lam theta).
+
+    c scales by lam kappa, D by lam^2 kappa, q by kappa, and each family maps
+    into itself: jump sizes scale by lam and jump rates by kappa.  Its W^(kappa q)
+    is W^(q)(x / lam) / (lam kappa), and its Z^(kappa q) is Z^(q)(x / lam).
+    """
+    j = model.jumps
+    if isinstance(j, CompoundPoissonExponential):
+        jumps = CompoundPoissonExponential(j.rate * kappa, j.jump_mean * lam)
+    elif isinstance(j, CompoundPoissonGamma):
+        jumps = CompoundPoissonGamma(j.rate * kappa, j.shape, j.scale * lam)
+    elif isinstance(j, GammaSubordinator):
+        jumps = GammaSubordinator(j.shape * kappa, j.rate / lam)
+    else:
+        assert isinstance(j, NoJumps)
+        jumps = j
+    return LevyModel(
+        model.x0 * lam, model.c * lam * kappa, model.D * lam * lam * kappa, jumps, model.q * kappa
+    )
+
+
+@pytest.fixture(scope="session")
+def rescaled():
+    return _rescaled
 
 
 class _EmpiricalMeasure(JumpMeasure):

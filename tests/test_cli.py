@@ -549,3 +549,27 @@ class TestConfigValidation:
         del cfg_dict["scheme"]
         (tmp_path / "cfg.json").write_text(json.dumps(cfg_dict))
         assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
+
+
+class TestBeyondTheDoubles:
+    # with no jumps and D = 0, W = e^{qx/c}/c: at c = 0.00904 and q = 15.04
+    # it passes the largest double before x = 1
+    MODEL = {"x0": 0.0, "c": 0.00904, "D": 0.0, "q": 15.04, "jumps": {"kind": "none"}}
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(["compute"], "W_K"), (["estimate", "--oracle"], "W_hat"), (["estimate"], "W_hat")],
+        ids=["compute", "estimate_oracle", "estimate"],
+    )
+    def test_exits_3_naming_the_field_and_x(self, tmp_path, capsys, argv, field):
+        # one stderr line, no result file, and no RuntimeWarning (an error in
+        # this suite) from the overflow on the way; estimate reads the
+        # simulated data in the output directory
+        cfg = write_config(
+            tmp_path / "cfg.json", model=self.MODEL, x_grid={"min": 0, "max": 37, "points": 38}
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {field} is not finite at x = 1.0\n"
+        written = {path.name for path in (tmp_path / "out").iterdir()}
+        assert not written & {"w_curve.csv", "coeffs.json", "report.json", "ci_curve.csv"}

@@ -1,17 +1,19 @@
 """Start-up imports: the commands run on numpy alone.
 
-``scale compute``, ``scale simulate``, ``scale estimate`` and a Monte Carlo
-replication load none of ``scipy.linalg``, ``scipy.special``,
-``scipy.optimize``, ``scipy.stats`` and ``scipy.integrate``, nor ``mpmath``,
-which only the coefficient reference of ``qscale.oracles`` imports: the root
-finder, the triangular solve and the thin QR are numpy code, and the one
-normal quantile is a constant.  Two callers load a subpackage when they run:
-the gamma-subordinator sampler (``scipy.special`` for E1) and the MC
-summary's normality screen (``scipy.stats``, which imports the others).
+``scale compute``, ``scale simulate`` (the gamma subordinator's included),
+``scale estimate`` and a Monte Carlo replication load no scipy module at
+all, ``scipy`` itself included, nor ``mpmath``, which only the coefficient
+reference of ``qscale.oracles`` imports: the root finder, the triangular
+solve and the thin QR are numpy code, the one normal quantile is a
+constant, the gamma subordinator's jumps come by Poisson thinning with no
+special function, and the manifest reads scipy's version from its package
+metadata.  One command loads scipy when it runs: the MC summary's normality
+screen (``scipy.stats``, which imports the other subpackages).
 The check runs in a fresh interpreter, since this process has loaded them
 all through other tests; it asserts what is in ``sys.modules``, not a time.
-On Linux a second check reads ``/proc/self/maps``: ``scale compute`` and a
-replication map no library from ``scipy.libs``, whose OpenBLAS nothing calls.
+On Linux a second check reads ``/proc/self/maps``: ``scale compute``, a
+gamma-subordinator ``scale simulate`` and a replication map no library
+from ``scipy.libs``, whose OpenBLAS nothing calls.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import json
 import sys
 
 MODULES = (
-    "scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate", "mpmath",
+    "scipy", "scipy.linalg", "scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate",
+    "mpmath",
 )
 
 
@@ -108,11 +111,10 @@ def test_commands_load_no_scipy_subpackage(tmp_path):
     assert (tmp_path / "out" / "compute" / "oracle_summary.json").is_file()
     assert (tmp_path / "out" / "estimate" / "report.json").is_file()
     assert seen["replication_ok"]
-    for stage in ("import", "compute", "simulate_estimate", "replication"):
+    for stage in ("import", "compute", "simulate_estimate", "replication", "gamma_simulate"):
         assert seen[stage] == [], stage
-    # the two lazy users: E1 in the gamma-subordinator sampler, and the
-    # normality screen (scipy.stats itself imports the other subpackages)
-    assert seen["gamma_simulate"] == ["scipy.special"]
+    # the one lazy user: the normality screen (scipy.stats itself imports
+    # the other subpackages)
     assert seen["mc_normality"]
     assert "scipy.stats" in seen["mc"]
 
@@ -122,10 +124,10 @@ import json
 import sys
 
 stage, cfg, out = sys.argv[1:4]
-if stage == "compute":
+if stage in ("compute", "simulate"):
     import qscale.cli
 
-    assert qscale.cli.main(["compute", "--config", cfg, "--out", out]) == 0
+    assert qscale.cli.main([stage, "--config", cfg, "--out", out]) == 0
 else:
     from qscale.laguerre import LaguerreParams
     from qscale.levy import CompoundPoissonExponential, LevyModel
@@ -141,11 +143,14 @@ with open("/proc/self/maps") as maps:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-@pytest.mark.parametrize("stage", ["compute", "replication"])
+@pytest.mark.parametrize("stage", ["compute", "simulate", "replication"])
 def test_commands_map_no_scipy_library(tmp_path, stage):
-    cfg = _config(
-        tmp_path / "exp.json",
-        {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+    # the simulate stage draws gamma-subordinator jumps
+    jumps = (
+        {"kind": "gamma-subordinator", "shape": 0.5, "rate": 1.0}
+        if stage == "simulate"
+        else {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0}
     )
+    cfg = _config(tmp_path / "model.json", jumps)
     mapped = json.loads(_fresh_interpreter(MAPS_SCRIPT, stage, cfg, tmp_path / "out"))
     assert not [path for path in mapped if "/scipy.libs/" in path], mapped

@@ -743,6 +743,33 @@ class TestUniformConvergence:
         assert np.max(np.abs(ap.z(xs) - Z)) <= z_tol * np.max(np.abs(Z))
 
 
+class TestRescaling:
+    """W_K obeys the scaling laws of W exactly.
+
+    The model of lam X_{kappa t} (``rescaled``) has W^(kappa q)(x) =
+    W^(q)(x / lam) / (lam kappa) and Z^(kappa q)(x) = Z^(q)(x / lam).  The
+    basis is covariant, phi_{alpha/lam,k}(x) = lam^{-1/2} phi_{alpha,k}(x / lam),
+    so W_K with alpha / lam obeys the law at every K, and at the powers of two
+    below every operation commutes with rounding: the images agree bit for
+    bit on 201 points of [0, 10].  The points keep away from the unit-carrying
+    switches (|b| < 1e-10 in ``_expm1_ratio``, |b| <= 1e-12 in the backward
+    seed, the -1e300 floor of ``_times``), where the bits could part.
+    """
+
+    @pytest.mark.parametrize("lam, kappa", [(4.0, 1.0), (0.25, 1.0), (1.0, 2.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("alpha, K", [(1.0, 20), (0.7, 64)])
+    @pytest.mark.parametrize(
+        "fixture", ["brownian_model", "exp_jump_model", "cp_gamma_model", "gamma_sub_model"]
+    )
+    def test_bit_for_bit(self, request, rescaled, fixture, alpha, K, lam, kappa):
+        model = request.getfixturevalue(fixture)
+        x = np.linspace(0.0, 10.0, 201)
+        base = scale_approx(model, LaguerreParams(alpha, K))
+        image = scale_approx(rescaled(model, lam, kappa), LaguerreParams(alpha / lam, K))
+        assert np.array_equal(image.w(lam * x), base.w(x) / (lam * kappa))
+        assert np.array_equal(image.z(lam * x), base.z(x))
+
+
 class TestGammaSubordinatorRate:
     """The uniform convergence the expansion guarantees has, for the gamma
     subordinator (shape 0.5, rate 1, c 1.5, D 0.3, q 0.05), an algebraic rate,
@@ -819,13 +846,19 @@ class TestContractedKernels:
                     scale = mag(full) + (field == "d_gamma") * (K + 1) / alpha * mag(rows.Qstar.value)
                     assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("gamma", [-0.5, -2.0, -4.0])
+    @pytest.mark.parametrize(
+        "c, gamma",
+        [pytest.param(1.5, gamma, id=str(gamma)) for gamma in (-0.5, -2.0, -4.0)]
+        + [pytest.param(-1.0, 0.2, id="c=-1.0-0.2")],
+    )
     @pytest.mark.parametrize("K", [0, 20, 64])
-    def test_negative_gamma_against_the_psi_rows(self, K, gamma):
+    def test_negative_gamma_against_the_psi_rows(self, K, c, gamma):
         # at gamma < 0 both atoms may sweep backward (-0.5, -2), and below
-        # -c/(2D) the atom at -beta = 1 sweeps forward (-4); Q and Q* are
-        # (gamma Psi(gamma) + beta Psi(-beta)) / N and (Psi(gamma) - Psi(-beta)) / N
-        params, x, c, D, p = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 41), 1.5, 0.5, 0.3
+        # -c/(2D) the atom at -beta = 1 sweeps forward (-4); at c + gamma D
+        # <= 0 <= gamma both sweep forward (c = -1), each from its own J_0.
+        # Q and Q* are (gamma Psi(gamma) + beta Psi(-beta)) / N and
+        # (Psi(gamma) - Psi(-beta)) / N
+        params, x, D, p = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 41), 0.5, 0.3
         beta, N = c / D + gamma, (1.0 - p) * (c + 2.0 * gamma * D)
         got = kernels(params, x, p, gamma, D, c, np.eye(K + 1), 0)
         at_gamma, at_atom = psi_integral_all(params, x, gamma), psi_integral_all(params, x, -beta)

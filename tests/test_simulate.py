@@ -331,6 +331,69 @@ class TestSimulateWindow:
             simulate_window(self.MODELS["exponential"], scheme, 1, window)
 
 
+class TestGammaSubordinatorThinning:
+    """The thinned jumps above d = eps / 10 against nu's law there.
+
+    At T = 100 (d = 0.01047) the 200 Philox streams of seeds 0..199 are
+    fixed before the run, and so are the bounds: |z| <= 4 for the mean count
+    against shape T E1(rate d), and KS p-values >= 1e-3.  Measured: a mean
+    count of 197.89 against 199.62 (z = -1.73), size KS p = 0.20, time KS
+    p = 0.55.
+    """
+
+    JUMPS = GammaSubordinator(shape=0.5, rate=1.0)
+    SCHEME = make_scheme(100.0)
+    CUT = SCHEME.eps / 10.0
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return [self.JUMPS.draw_jumps(self.SCHEME, path_rng(seed)) for seed in range(200)]
+
+    def test_count_has_the_mean_of_nu_above_the_cut(self, draws):
+        counts = np.array([len(times) for times, _, _ in draws])
+        mean = self.JUMPS.shape * self.SCHEME.T * special.exp1(self.JUMPS.rate * self.CUT)
+        # a Poisson count: its variance is its mean
+        assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / len(counts))
+
+    def test_sizes_follow_nu_above_the_cut(self, draws):
+        # P(size <= z) = 1 - E1(rate z) / E1(rate d) for z >= d
+        sizes = np.concatenate([sizes for _, sizes, _ in draws])
+        assert sizes.min() > self.CUT
+        rate, tail = self.JUMPS.rate, special.exp1(self.JUMPS.rate * self.CUT)
+        assert stats.kstest(sizes, lambda z: 1.0 - special.exp1(rate * z) / tail).pvalue >= 1e-3
+
+    def test_times_sorted_and_uniform(self, draws):
+        assert all(np.all(np.diff(times) >= 0.0) for times, _, _ in draws)
+        times = np.concatenate([times for times, _, _ in draws]) / self.SCHEME.T
+        assert stats.kstest(times, "uniform").pvalue >= 1e-3
+
+
+class TestRescaling:
+    """lam X observed with eps x lam is the image of X's observation, bit for bit.
+
+    lam = 4 and 1/4 are powers of two whose square roots are too, so every
+    product, sigma = sqrt(2 D) included, commutes with rounding.  Jump sizes
+    and the grid scale by lam, the window's sum of squares by lam^2, and the
+    jump times stay.
+    """
+
+    @pytest.mark.parametrize("lam", [4.0, 0.25])
+    @pytest.mark.parametrize("name", list(TestSimulateWindow.MODELS))
+    def test_space_scaling_is_exact(self, rescaled, name, lam):
+        model = TestSimulateWindow.MODELS[name]
+        scheme = make_scheme(50.0)
+        image, image_scheme = rescaled(model, lam), dataclasses.replace(scheme, eps=scheme.eps * lam)
+        obs, img = simulate(model, scheme, 7), simulate(image, image_scheme, 7)
+        assert len(obs.jump_sizes) >= 20
+        assert np.array_equal(img.jump_sizes, lam * obs.jump_sizes)
+        assert np.array_equal(img.jump_times, obs.jump_times)
+        assert np.array_equal(img.grid, lam * obs.grid)
+        (_, sum_sq), (_, img_sum_sq) = (
+            simulate_window(m, s, 7, 10.0) for m, s in ((model, scheme), (image, image_scheme))
+        )
+        assert img_sum_sq == lam * lam * sum_sq
+
+
 class TestSerialization:
     def test_round_trip(self, exp_jump_model, tmp_path):
         s = make_scheme(50.0)
