@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 from functools import cache
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .exceptions import (
     DomainError,
     NumericalError,
 )
-from .estimators import build_report, estimate_D, report_from_true_model, write_ci_csv
+from .estimators import build_report, estimate_D, report_from_true_model, require_finite
 from .mc import MC_COLUMNS, McWorkerFailure, one_blas_thread, resolve_workers, run_monte_carlo
 from .oracles import laplace_invert_scale
 from .series import scale_approx
@@ -44,8 +43,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-# read once per process: each read parses the package's METADATA (milliseconds)
-_package_version = cache(version)
+
+
+@cache  # each read parses the package's METADATA (milliseconds): read once per process
+def _package_version(name: str) -> str:
+    from importlib.metadata import version  # not with this module: ~1 MB of peak RSS
+    return version(name)
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, seeds: list[int]) -> None:
@@ -68,16 +71,7 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def _require_finite(x: np.ndarray, **columns: np.ndarray) -> None:
-    """NumericalError naming the first column with a non-finite value, and its
-    first such x: W^(q) grows like e^{Phi(q) x} and can pass the doubles."""
-    for name, col in columns.items():
-        bad = ~np.isfinite(col)
-        if bad.any():
-            raise NumericalError(f"{name} is not finite at x = {float(x[bad.argmax()])!r}")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports what overflows
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # require_finite reports them
 def cmd_compute(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "x_grid")
     out = _out_dir(cfg, args)
@@ -85,7 +79,7 @@ def cmd_compute(cfg: ExperimentConfig, args) -> int:
     x = cfg.x_grid
     k = approx.kernels(x)
     wk, zk = approx.w_from(k), approx.z_from(k)
-    _require_finite(x, W_K=wk, Z_K=zk)
+    require_finite(x, W_K=wk, Z_K=zk)
     header = ["x", "W_K", "Z_K"]
     cols = [x, wk, zk]
     summary = {}
@@ -129,7 +123,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports what overflows
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # require_finite reports them
 def cmd_estimate(cfg: ExperimentConfig, args) -> int:
     cfg.require("laguerre", "x_grid")
     out = _out_dir(cfg, args)
@@ -158,13 +152,12 @@ def cmd_estimate(cfg: ExperimentConfig, args) -> int:
             write_json(out / "report.json", payload)
             _write_manifest(out, cfg, "estimate", seeds)
             return EXIT_OK
-    cov = report.cov
-    _require_finite(cov.x, W_hat=cov.W_hat, Z_hat=cov.Z_hat, W_lo=cov.W_lo, W_hi=cov.W_hi,
-                    Z_lo=cov.Z_lo, Z_hi=cov.Z_hi, sigma_K=cov.sigma_W, sigma_star_K=cov.sigma_Z)
+    cols = report.cov.columns()
+    require_finite(cols["x"], **cols)
     if "json" in cfg.formats:
         report.save_json(out / "report.json")
     if "csv" in cfg.formats:
-        write_ci_csv(out / "ci_curve.csv", report.cov)
+        write_csv(out / "ci_curve.csv", list(cols), list(cols.values()))
     _write_manifest(out, cfg, "estimate", seeds)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateEstimateError, DomainError
+from .exceptions import DegenerateEstimateError, DomainError, NumericalError
 from .laguerre import LaguerreParams, psi_integral_all, t_multiplier
 from .levy import LevyModel, ThetaParams, convex_root, quadratic_bracket
 from .series import (
@@ -44,7 +44,7 @@ from .series import (
     solve_aG,
 )
 from .simulate import JumpSample, ObservationSet, window_steps
-from .tabular import write_csv, write_json
+from .tabular import write_json
 
 __all__ = [
     "LEVEL",
@@ -60,7 +60,7 @@ __all__ = [
     "EstimationReport",
     "build_report",
     "report_from_true_model",
-    "write_ci_csv",
+    "require_finite",
 ]
 
 # asymptotic coverage of every pointwise interval the reports give, and the
@@ -192,12 +192,14 @@ def estimate_coeffs(
 
     One order-(K+1) Psi sweep over the recorded jump sizes gives Y; all else
     works on (K+2)-vectors and (K+2)-column matrices.  Raises
-    DegenerateEstimateError when p_hat >= 1 (every downstream formula
-    divides by 1 - p) and IllConditionedError when the triangular system
-    for a^G_hat degenerates.
+    DegenerateEstimateError when c + gamma_hat D_hat <= 0 (only at q = 0, c <= 0)
+    or p_hat >= 1, outside the compound geometric form, and IllConditionedError
+    when the triangular system for a^G_hat degenerates.
     """
     theta = ThetaParams(D=max(D_hat, 0.0), gamma=gamma_hat)
     D, gamma, n = theta.D, theta.gamma, params.K + 1
+    if c + gamma * D <= 0.0:
+        raise DegenerateEstimateError("c + gamma_hat D_hat <= 0", raw_value=c + gamma * D)
     z, T = obs.jump_sizes, obs.scheme.T
     # Y = [Psi_{0..K}; kg] in the sweep's buffer: only the summed d/dgamma
     # Psi_{0..K} = Z^T sums / (2 alpha) - Psi_{0..K} z reads its top row Psi_{K+1}
@@ -260,6 +262,14 @@ class CovarianceReport:
     W_hi: np.ndarray
     Z_lo: np.ndarray
     Z_hi: np.ndarray
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The per-x columns of ci_curve.csv, by name."""
+        return {
+            "x": self.x, "W_hat": self.W_hat, "Z_hat": self.Z_hat, "W_lo": self.W_lo,
+            "W_hi": self.W_hi, "Z_lo": self.Z_lo, "Z_hi": self.Z_hi,
+            "sigma_K": self.sigma_W, "sigma_star_K": self.sigma_Z,
+        }
 
 
 def covariance_machinery(
@@ -409,11 +419,10 @@ def report_from_true_model(
     )
 
 
-def write_ci_csv(path, cov: CovarianceReport) -> None:
-    """Per-x curve: x, W_hat, Z_hat, W_lo, W_hi, Z_lo, Z_hi, sigma_K, sigma_star_K."""
-    write_csv(
-        path,
-        ["x", "W_hat", "Z_hat", "W_lo", "W_hi", "Z_lo", "Z_hi", "sigma_K", "sigma_star_K"],
-        [cov.x, cov.W_hat, cov.Z_hat, cov.W_lo, cov.W_hi, cov.Z_lo, cov.Z_hi,
-         cov.sigma_W, cov.sigma_Z],
-    )
+def require_finite(x: np.ndarray, /, **columns: np.ndarray) -> None:
+    """NumericalError naming the first column with a non-finite value, and its
+    first such x: W^(q) grows like e^{Phi(q) x} and can pass the doubles."""
+    for name, col in columns.items():
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise NumericalError(f"{name} is not finite at x = {float(x[bad.argmax()])!r}")

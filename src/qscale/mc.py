@@ -36,7 +36,7 @@ from .laguerre import LaguerreParams
 from .levy import LevyModel
 from .simulate import SamplingScheme, replication_seed, simulate_window, window_steps
 from .estimators import (
-    LEVEL, EstimationReport, build_report, realized_D, report_from_true_model,
+    LEVEL, EstimationReport, build_report, realized_D, report_from_true_model, require_finite,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ MC_COLUMNS = [
 ]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # require_finite reports them
 def run_replication(
     model: LevyModel,
     scheme: SamplingScheme,
@@ -73,14 +74,15 @@ def run_replication(
 ) -> dict:
     """One simulate -> estimate pass; returns a flat row of scalars/arrays.
 
-    A failed estimate gives a row with the message in ``failed`` and the
-    exception's class name in ``cause``.
+    A failed estimate or a non-finite curve (NumericalError) gives a row with
+    the message in ``failed`` and the exception's class name in ``cause``.
     """
     with one_blas_thread():
         sample, sum_sq = simulate_window(model, scheme, seed, D_window)
         D_hat = realized_D(sample, sum_sq, D_window)
         try:
             rep = build_report(sample, model.q, model.c, params, x=x_eval, D_hat=D_hat)
+            require_finite(x_eval, **rep.cov.columns())
         except (DegenerateEstimateError, NumericalError) as exc:
             return {"seed": seed, "failed": str(exc), "cause": type(exc).__name__,
                     "n_jumps": len(sample.jump_sizes)}
@@ -193,13 +195,15 @@ def run_monte_carlo(
     covariance treats D_hat noise as negligible at the sqrt(T) scale; under
     the n = T^2 schemes that requires a window growing with T (window = T
     restores it), while sqrt(T)-rate checks for D_hat itself use a fixed
-    window of 1.  A window the grid cannot hold raises DomainError before any
-    replication runs.
+    window of 1.  A window the grid cannot hold (DomainError) and a non-finite
+    true W_K or Z_K (NumericalError) raise before any replication runs.
     """
     window_steps(scheme, D_window)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    truth = report_from_true_model(model, params, x_eval)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # reported below
+        truth = report_from_true_model(model, params, x_eval)
     est, W_K, Z_K = truth.est, truth.cov.W_hat, truth.cov.Z_hat
+    require_finite(x_eval, W_K=W_K, Z_K=Z_K)
     run = functools.partial(
         run_replication, model, scheme, params, x_eval=x_eval, D_window=D_window
     )

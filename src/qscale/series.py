@@ -129,18 +129,22 @@ def _expm1_ratio_db(b: float, x) -> np.ndarray:
 
     Equals x^2 g(bx) with g(u) = ((u - 1) expm1(u) + u) / u^2.  That closed form
     cancels for small |u|, so |u| < 0.1 sums the Taylor series of g instead;
-    elsewhere it divides by u twice, as u^2 overflows for |u| > 1.3e154.
+    elsewhere it divides by u twice, as u^2 overflows for |u| > 1.3e154.  Past
+    u = 700, where (u - 1) expm1(u) nears the largest double, g = (1 - 1/u)
+    e^{u/2} (e^{u/2} / u) + 1/u overflows only where g does (u > 716).
     """
     x = np.asarray(x, dtype=float)
     u = _times(b, x)
-    small = np.abs(u) < 0.1
-    us, ul = u[small], u[~small]
+    small, large = np.abs(u) < 0.1, u > 700.0
+    mid = ~(small | large)
+    us, um, ul = u[small], u[mid], u[large]
     g = np.empty_like(u)
     acc = np.zeros_like(us)
     for coef in reversed(_EXPM1_DB_TAYLOR):
         acc = acc * us + coef
     g[small] = acc
-    g[~small] = ((ul - 1.0) * np.expm1(ul) + ul) / ul / ul
+    g[mid] = ((um - 1.0) * np.expm1(um) + um) / um / um
+    g[large] = (1.0 - 1.0 / ul) * np.exp(ul / 2.0) * (np.exp(ul / 2.0) / ul) + 1.0 / ul
     return x * x * g
 
 
@@ -339,11 +343,6 @@ class Kernels(NamedTuple):
     Qstar: Kernel
 
 
-def _atom_beta(c: float, D: float, gamma: float) -> float:
-    """beta = c/D + gamma, whose atom at -beta the kernels subtract; inf at D = 0 (no atom)."""
-    return float(c) / float(D) + gamma if D > 0 else math.inf
-
-
 def _combine(atoms: list, p: float, gamma: float, D: float, c: float) -> tuple[list, list]:
     """The shared form of every kernel: its values and the gamma-derivatives read.
 
@@ -396,14 +395,18 @@ def kernels(
     first g rows are U_g^T Psi, and U_g^T d/db Psi = x U_g^T Psi -
     (Z U_g)^T Psi / (2 alpha).  One Laguerre recurrence over x gives U^T
     phi, the backward seed at b = -beta (``backward_seed``) and then, in the
-    same buffer, the sources of both sweeps (``forward_sources``).  Each
-    sweep's ladder runs as its adjoint on the weights, forward at b = gamma
-    >= 0 and backward from the seed at b < 0, and one ``ladder`` call runs
-    both atoms' adjoints side by side.  Every kernel vanishes at x < 0,
-    where W^(q) = 0 and Z^(q) = 1.
+    same buffer, the sources of both sweeps (``forward_sources``).  The
+    domain is the compound geometric form's, p < 1 and gamma >= 0 < c +
+    gamma D = beta D (Kuznetsov, Kyprianou & Rivero 2012); outside it
+    DomainError is raised.  There the atom at gamma sweeps forward and the
+    one at -beta < 0 backward from its seed, each as its ladder's adjoint on
+    the weights, and one ``ladder`` call runs both side by side.  Every
+    kernel vanishes at x < 0, where W^(q) = 0 and Z^(q) = 1.
     """
     if p >= 1.0:
         raise DomainError(f"p = {p} >= 1: compound geometric representation undefined")
+    if not (gamma >= 0.0 and c + gamma * D > 0.0):
+        raise DomainError(f"need gamma >= 0 < c + gamma D, got {gamma} and {c + gamma * D}")
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
     K, a, r = params.K, params.alpha, U.shape[1]
@@ -417,46 +420,35 @@ def kernels(
         W[:, r:] = t_multiplier(K + 1) @ U[:, :g]
     M = weighted_laguerre_all(K + 1, a, x)
     phi = params.sq2a * contract(U, M[: K + 1])
-    beta = _atom_beta(c, D, gamma)
+    # beta = c/D + gamma; no atom at -beta at D = 0 or where c/D overflows
+    beta = float(c) / float(D) + gamma if D > 0 else math.inf
     bs = [gamma, -beta] if math.isfinite(beta) else [gamma]
-    # a gamma < 0 (never a Lundberg exponent) takes the backward sweep too,
-    # and below -c/(2D) the atom at -beta > 0 the forward one; where beta D =
-    # c + gamma D <= 0 <= gamma both are forward, and each re-seeds S[0]
-    forward = [b for b in bs if b >= 0.0]
-    seeds = {
-        b: backward_seed(M.reshape(K + 2, -1), a, x.ravel(), b).reshape(x.shape)
-        for b in bs
-        if -math.inf < b < 0.0
-    }
-    S = forward_sources(M, a, x, max(*bs, 0.0))  # in M's buffer
+    if len(bs) > 1:
+        seed = backward_seed(M.reshape(K + 2, -1), a, x.ravel(), -beta).reshape(x.shape)
+    S = forward_sources(M, a, x, gamma)  # in M's buffer
 
-    # each atom's ladder adjoint on W, (diag, off) per column: at b >= 0 that
+    # each atom's ladder adjoint on W, (diag, off) per column: at gamma that
     # of s J_k + (2a - s) J_{k-1} = S_k (J_0 = S_0) from the top order down,
-    # at b < 0 that of (2a - s) J_k + s J_{k+1} = S_{k+1} (J_{K+1} = seed)
+    # at -beta that of (2a - s) J_k + s J_{k+1} = S_{k+1} (J_{K+1} = seed)
     # from order 0 up; errors grow by the same |off / diag| <= 1 per step
-    coef = [(a + b, 2.0 * a - (a + b)) if b >= 0.0 else (2.0 * a - (a + b), a + b) for b in bs]
+    coef = [(a + gamma, 2.0 * a - (a + gamma)), (2.0 * a - (a - beta), a - beta)][: len(bs)]
     diag, off = (np.repeat(col, W.shape[1]) for col in zip(*coef))
-    first = np.concatenate([W[-1] if b >= 0.0 else W[0] for b in bs])
-    d = np.hstack([W[-2:0:-1] if b >= 0.0 else W[1:-1] for b in bs])
+    first = np.concatenate([W[-1], W[0]][: len(bs)])
+    d = np.hstack([W[-2:0:-1], W[1:-1]][: len(bs)])
     lams = ladder(first / diag, d, diag, off).reshape(K + 1, len(bs), -1)
     # U's and Z U_g's columns are contracted apart, so no value depends on g
     cols = (slice(None, r), slice(r, None)) if g else (slice(None),)
     atoms = []
-    for b, (_, of), lam_b in zip(bs, coef, lams.swapaxes(0, 1)):
+    for i, (b, (_, of), lam_b) in enumerate(zip(bs, coef, lams.swapaxes(0, 1))):
         lam = np.empty_like(W)
-        if b >= 0.0:
-            if len(forward) > 1:
-                forward_sources(S[:1], a, x, b)  # J_0 alone: one row has no sources
+        if i == 0:  # the atom at gamma
             lam[:0:-1] = lam_b
             lam[0] = W[0] - of * lam[1]
             psi = [contract(lam[:, j], S) for j in cols]
         else:
             lam[:-1] = lam_b
             lam[-1] = W[-1] - of * lam[-2]
-            psi = [
-                contract(lam[:-1, j], S[1:]) + np.multiply.outer(lam[-1, j], seeds[b])
-                for j in cols
-            ]
+            psi = [contract(lam[:-1, j], S[1:]) + np.multiply.outer(lam[-1, j], seed) for j in cols]
         U_psi = params.sq2a * psi[0]
         Q_U = phi + b * U_psi
         if not g:

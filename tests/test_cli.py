@@ -190,6 +190,27 @@ class TestEstimate:
             ["estimate", "--config", str(cfg), "--data", str(tmp_path / "missing")]
         ) == 4
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0])
+    def test_premium_outside_the_domain_is_flagged(self, tmp_path, capsys, c):
+        # at q = 0, gamma_hat = 0 and c + gamma_hat D_hat = c <= 0: no compound
+        # geometric form, so a flagged report with the raw value c, and no
+        # curve and no warning (an error in this suite)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model={
+                "x0": 0.0, "c": c, "D": 0.5, "q": 0.0,
+                "jumps": {"kind": "compound-poisson-exponential", "rate": 1.0, "jump_mean": 1.0},
+            },
+            scheme={"T": 100, "a": 1.0, "rho": 0.49, "c_eps": 1.0, "seed": 3},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["flags"] == {"degenerate_estimate": True}
+        assert report["raw_value"] == c
+        assert not (tmp_path / "out" / "ci_curve.csv").exists()
+        assert capsys.readouterr().err == ""
+
     def test_degenerate_report_is_always_json(self, tmp_path):
         # at q = 0, gamma_hat = 0 and p_hat = nu_hat(z) / c = 199.8 >= 1 leaves
         # no intervals to write, and the flag must not vanish with "json"
@@ -573,3 +594,12 @@ class TestBeyondTheDoubles:
         assert capsys.readouterr().err == f"numerical failure: {field} is not finite at x = 1.0\n"
         written = {path.name for path in (tmp_path / "out").iterdir()}
         assert not written & {"w_curve.csv", "coeffs.json", "report.json", "ci_curve.csv"}
+
+    def test_mc_exits_3_before_any_replication(self, tmp_path, capsys):
+        # the true W_K names the failure; no replication runs and nothing is written
+        cfg = write_config(
+            tmp_path / "cfg.json", model=self.MODEL, x_grid={"min": 0, "max": 37, "points": 38}
+        )
+        assert main(["mc", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "numerical failure: W_K is not finite at x = 1.0\n"
+        assert list((tmp_path / "out").iterdir()) == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -385,6 +387,25 @@ class TestEstimateCoeffs:
         with pytest.raises(DegenerateEstimateError):
             estimate_coeffs(obs, 1.5, params20, D_hat=0.5, gamma_hat=0.4)
 
+    @pytest.mark.parametrize(
+        "c, D_hat, gamma_hat", [(-1.0, 0.5, 0.0), (0.0, 0.5, 0.0), (-1.0, -0.2, 0.0), (-1.0, 0.5, 2.0)]
+    )
+    def test_premium_outside_the_domain_raises_before_the_sweep(
+        self, params20, monkeypatch, c, D_hat, gamma_hat
+    ):
+        # c + gamma_hat max(D_hat, 0) <= 0 leaves the compound geometric form:
+        # flagged with that raw value before the jumps are read
+        import qscale.estimators as estimators_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Psi sweep ran")
+
+        monkeypatch.setattr(estimators_mod, "psi_integral_all", forbidden)
+        obs = _obs_from_path(np.zeros(101), 0.01, [0.5], [1.0])
+        with pytest.raises(DegenerateEstimateError, match="c \\+ gamma_hat D_hat <= 0") as info:
+            estimate_coeffs(obs, c, params20, D_hat=D_hat, gamma_hat=gamma_hat)
+        assert info.value.raw_value == c + gamma_hat * max(D_hat, 0.0)
+
     def test_consistency_monte_carlo(self, exp_jump_model, params20):
         cs0 = coeffs_true(exp_jump_model, params20)
         s = make_scheme(400.0)
@@ -424,7 +445,9 @@ def _gradient_cases(cs0):
 
 def _assert_curve_gradients_match_fd(cs0, starred: bool):
     """d/dp and d/dgamma of P - Q a^G (P* - Q* a^G when starred) at x = 2 from
-    one ``kernels`` call with U = a^G against central differences of that call."""
+    one ``kernels`` call with U = a^G against central differences of that call;
+    at gamma = 0, the edge of the kernels' domain, the one-sided second-order
+    stencil (-3 f(0) + 4 f(h) - f(2 h)) / (2 h)."""
     x, c, h = np.array([2.0]), 1.5, 1e-6
     for D, gamma in _gradient_cases(cs0):
 
@@ -435,7 +458,10 @@ def _assert_curve_gradients_match_fd(cs0, starred: bool):
 
         value, d_gamma = curve(cs0.p, gamma)
         dp_fd = (curve(cs0.p + h, gamma)[0] - curve(cs0.p - h, gamma)[0]) / (2 * h)
-        dg_fd = (curve(cs0.p, gamma + h)[0] - curve(cs0.p, gamma - h)[0]) / (2 * h)
+        if gamma == 0.0:
+            dg_fd = (-3 * value + 4 * curve(cs0.p, h)[0] - curve(cs0.p, 2 * h)[0]) / (2 * h)
+        else:
+            dg_fd = (curve(cs0.p, gamma + h)[0] - curve(cs0.p, gamma - h)[0]) / (2 * h)
         assert value / (1.0 - cs0.p) == pytest.approx(dp_fd, rel=1e-6)
         assert d_gamma == pytest.approx(dg_fd, rel=1e-6)
 
@@ -847,3 +873,49 @@ class TestOracleModeReport:
         d = json.loads((tmp_path / "report.json").read_text())
         assert d["estimates"]["p_hat"] == pytest.approx(rep.est.p)
         assert len(d["covariance"]["Sigma"]) == 2 * params20.K + 4
+
+
+class TestRescaling:
+    """``build_report`` on a sample of lam X and on the sample's image, bit for bit.
+
+    With eps x lam, lam X's replication is the image of X's: jump sizes x lam,
+    the window's sum of squares x lam^2 (``tests/test_simulate.py``).  Its
+    gamma_hat is gamma_hat / lam, so with alpha / lam the plug-in W_hat at
+    lam x is W_hat(x) / lam, Z_hat is unchanged, and the variances scale like
+    the squares: sigma_W / lam^2, sigma_Z unchanged, v_gamma^2 / lam^2.  At lam
+    = 4 and 1/4 every product commutes with rounding.  The 21 points of [0, 10]
+    keep away from the unit-carrying switches (|b| < 1e-10 in
+    ``_expm1_ratio``, |b| <= 1e-12 in the backward seed, the -1e300 floor of
+    ``_times``).
+    """
+
+    @pytest.mark.parametrize("lam", [4.0, 0.25])
+    @pytest.mark.parametrize(
+        "fixture", ["exp_jump_model", "cramer_lundberg_model", "cp_gamma_model", "gamma_sub_model"]
+    )
+    def test_bit_for_bit(self, request, rescaled, fixture, lam):
+        model = request.getfixturevalue(fixture)
+        image = rescaled(model, lam)
+        scheme = make_scheme(100.0)
+        x = np.linspace(0.0, 10.0, 21)
+        reports = []
+        image_scheme = dataclasses.replace(scheme, eps=scheme.eps * lam)
+        for m, s, params, xs in (
+            (model, scheme, LaguerreParams(1.0, 20), x),
+            (image, image_scheme, LaguerreParams(1.0 / lam, 20), lam * x),
+        ):
+            sample, sum_sq = simulate_window(m, s, 3, 100.0)
+            D_hat = realized_D(sample, sum_sq, 100.0)
+            reports.append(build_report(sample, m.q, m.c, params, x=xs, D_hat=D_hat))
+        base, img = reports
+        assert base.n_jumps >= 20
+        assert img.est.D_raw == lam * lam * base.est.D_raw
+        assert img.est.theta.gamma * lam == base.est.theta.gamma
+        assert img.est.p == base.est.p
+        assert img.est.v_gamma_sq * lam * lam == base.est.v_gamma_sq
+        cov, cov_img = base.cov, img.cov
+        for name in ("W_hat", "W_lo", "W_hi"):
+            assert np.array_equal(getattr(cov_img, name) * lam, getattr(cov, name)), name
+        for name in ("Z_hat", "Z_lo", "Z_hi", "sigma_Z"):
+            assert np.array_equal(getattr(cov_img, name), getattr(cov, name)), name
+        assert np.array_equal(cov_img.sigma_W * lam * lam, cov.sigma_W)

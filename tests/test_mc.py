@@ -16,6 +16,7 @@ import qscale.simulate as simulate_mod
 from qscale.exceptions import (
     ConfigError, DegenerateEstimateError, DomainError, IllConditionedError, NumericalError,
 )
+from qscale.levy import LevyModel, NoJumps
 from qscale.mc import (
     MC_COLUMNS, _ad_critical_1pct, one_blas_thread, resolve_workers, run_monte_carlo,
 )
@@ -77,6 +78,29 @@ class TestGridFreeReplications:
         with pytest.raises(DomainError):
             run_monte_carlo(exp_jump_model, make_scheme(10.0), params20, 2, [1.0], D_window=20.0)
         assert calls == []
+
+
+class TestNonFiniteCurves:
+    """Curves past the doubles: non-finite true curves stop the run before any
+    replication, and a replication's own non-finite curve or bound fails its
+    row, with no RuntimeWarning on the way (an error in this suite)."""
+
+    # with no jumps and D = 0, W = e^{qx/c}/c passes the largest double before x = 1
+    MODEL = LevyModel(0.0, 0.00904, 0.0, NoJumps(), q=15.04)
+    X = np.arange(38.0)
+
+    def test_true_curves_checked_before_any_replication(self, params20, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc_mod, "run_replication", lambda *a, **k: calls.append(1))
+        with pytest.raises(NumericalError, match=r"^W_K is not finite at x = 1\.0$"):
+            run_monte_carlo(self.MODEL, make_scheme(10.0), params20, 2, self.X, D_window=1.0)
+        assert calls == []
+
+    def test_replication_row_fails(self, params20):
+        scheme = make_scheme(10.0)
+        row = mc_mod.run_replication(self.MODEL, scheme, params20, 3, self.X, D_window=1.0)
+        assert row["failed"] == "W_hat is not finite at x = 1.0"
+        assert row["cause"] == "NumericalError"
 
 
 class TestResolveWorkers:

@@ -8,12 +8,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from qscale import series as series_mod
+from qscale.estimators import require_finite
 from qscale.exceptions import DomainError, IllConditionedError, NumericalError
 from qscale.laguerre import LaguerreParams, laguerre_fn_all, psi_integral_all
 from qscale.levy import (
@@ -23,6 +24,7 @@ from qscale.levy import (
     LevyModel,
     NoJumps,
     ThetaParams,
+    check_npc,
     lundberg_exponent,
 )
 from qscale.oracles import (
@@ -256,6 +258,20 @@ class TestExpm1RatioDb:
         with np.errstate(all="raise"):
             got = _expm1_ratio_db(b, self.XS)
         assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize(
+        "u", [650.0, 700.0, np.nextafter(700.0, 701.0), 705.0, 708.0, 709.5, 709.78, 712.0, 716.0]
+    )
+    def test_large_u_overflows_only_with_g(self, u):
+        # (u - 1) expm1(u) passes the largest double near u = 703, but g(u) ~
+        # e^u / u only past 716; at x = 1 against 40 digits, measured within
+        # 1.3e-16 of g
+        with np.errstate(all="raise"):
+            got = _expm1_ratio_db(u, np.array([1.0]))[0]
+        with mpmath.workdps(40):
+            v = mpmath.mpf(float(u))
+            want = float(((v - 1) * mpmath.expm1(v) + v) / v**2)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("gamma", [2e-10, 1e-8, 1e-3, 0.5, 0.0])
     def test_gamma_window_derivative(self, gamma):
@@ -847,17 +863,15 @@ class TestContractedKernels:
                     assert np.max(np.abs(part - want), initial=0.0) <= 1e-14 * scale
 
     @pytest.mark.parametrize(
-        "c, gamma",
-        [pytest.param(1.5, gamma, id=str(gamma)) for gamma in (-0.5, -2.0, -4.0)]
-        + [pytest.param(-1.0, 0.2, id="c=-1.0-0.2")],
+        "c, gamma", [(1.5, 0.0), (0.0, 0.2), (-1.0, 2.5), (-1.0, 2.0 + 1e-9)],
+        ids=["c=1.5-gamma=0", "c=0", "c=-1", "c=-1-beta=1e-9"],
     )
     @pytest.mark.parametrize("K", [0, 20, 64])
-    def test_negative_gamma_against_the_psi_rows(self, K, c, gamma):
-        # at gamma < 0 both atoms may sweep backward (-0.5, -2), and below
-        # -c/(2D) the atom at -beta = 1 sweeps forward (-4); at c + gamma D
-        # <= 0 <= gamma both sweep forward (c = -1), each from its own J_0.
-        # Q and Q* are (gamma Psi(gamma) + beta Psi(-beta)) / N and
-        # (Psi(gamma) - Psi(-beta)) / N
+    def test_in_domain_against_the_psi_rows(self, K, c, gamma):
+        # c <= 0 is in the domain where gamma > -c/D; the atom at gamma sweeps
+        # forward and the one at -beta backward, down to beta = 1e-9.  Q and
+        # Q* are (gamma Psi(gamma) + beta Psi(-beta)) / N and (Psi(gamma) -
+        # Psi(-beta)) / N
         params, x, D, p = LaguerreParams(1.0, K), np.linspace(0.0, 10.0, 41), 0.5, 0.3
         beta, N = c / D + gamma, (1.0 - p) * (c + 2.0 * gamma * D)
         got = kernels(params, x, p, gamma, D, c, np.eye(K + 1), 0)
@@ -866,8 +880,20 @@ class TestContractedKernels:
             (got.Q.value, (gamma * at_gamma + beta * at_atom) / N),
             (got.Qstar.value, (at_gamma - at_atom) / N),
         ):
-            # measured at most 3.6e-15 of sup (K = 64, gamma = -0.5)
+            # measured at most 5.7e-16 of sup (K = 64, c = 1.5)
             assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "c, gamma, D",
+        [(1.5, -0.5, 0.5), (1.5, -1e-300, 0.0), (-1.0, 0.2, 0.5), (-1.0, 2.0, 0.5),
+         (0.0, 0.0, 0.5), (-1.0, 0.0, 0.0), (1.5, math.nan, 0.5)],
+        ids=["gamma<0", "gamma<0-D=0", "c=-1-gamma=0.2", "c+gammaD=0", "c=0-q=0", "c<0-D=0", "nan"],
+    )
+    def test_outside_the_domain(self, c, gamma, D):
+        # the compound geometric form needs gamma >= 0 < c + gamma D (beta D)
+        x = np.linspace(0.0, 10.0, 11)
+        with pytest.raises(DomainError, match="^need gamma >= 0 < c \\+ gamma D"):
+            kernels(LaguerreParams(1.0, 20), x, 0.3, gamma, D, c, np.eye(21), 0)
 
     @pytest.mark.parametrize("model", [_ACCEPTANCE, _GAMMA_SHAPE2], ids=["D>0", "D=0"])
     def test_one_laguerre_recurrence_over_x(self, model, monkeypatch):
@@ -1021,3 +1047,80 @@ class TestNegativeX:
         assert np.array_equal(W[:3], np.zeros(3)) and np.array_equal(Z[:3], np.ones(3))
         assert W[3] == pytest.approx(0.0 if model.D > 0 else 1.0 / model.c, abs=1e-15)
         assert W[4] == pytest.approx(W[3], abs=1e-15) and Z[3] == 1.0
+
+
+def _positive(lo, hi):
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+_JUMPS = st.one_of(
+    st.just(NoJumps()),
+    st.builds(CompoundPoissonExponential, _positive(1e-3, 1e2), _positive(1e-3, 1e2)),
+    st.builds(
+        CompoundPoissonGamma, _positive(1e-3, 1e2), _positive(0.1, 10.0), _positive(1e-3, 1e2)
+    ),
+    st.builds(GammaSubordinator, _positive(1e-3, 10.0), _positive(1e-2, 1e3)),
+)
+
+
+class TestFiniteOrDocumented:
+    """Over the four families, c in [-1, 1e3], D in {0, 1e-250, [1e-6, 1e3]},
+    q in {0, [1e-12, 1e4]}, alpha in [1e-3, 1e3], K <= 64 and x in [0, 1e3],
+    each call gives finite values or a documented exception: DomainError
+    (exit 2) or NumericalError (exit 3), which the commands raise for a
+    non-finite curve (``require_finite``), under the numpy error state they
+    set (overflow, division by zero and invalid values go unwarned; any
+    other warning is an error in this suite).  300 derandomized examples,
+    about 1.5 s on 2 vCPUs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        jumps=_JUMPS,
+        c=st.floats(-1.0, 1e3),
+        D=st.one_of(st.just(0.0), st.just(1e-250), _positive(1e-6, 1e3)),
+        q=st.one_of(st.just(0.0), _positive(1e-12, 1e4)),
+        alpha=_positive(1e-3, 1e3),
+        K=st.integers(0, 64),
+        x=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5).map(np.array),
+        p=st.floats(0.0, 1.0, exclude_max=True),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    )
+    # a subnormal premium: the kernels' denominator (1 - p) (c + 2 gamma D) is 0
+    @example(
+        jumps=NoJumps(), c=5e-324, D=0.0, q=0.0, alpha=1.0, K=0, x=np.zeros(1), p=0.5, gamma=0.0
+    )
+    def test_population_and_kernels(self, jumps, c, D, q, alpha, K, x, p, gamma):
+        params = LaguerreParams(alpha, K)
+        U = np.column_stack([np.ones(K + 1), np.arange(K + 1.0)])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # kernels at a drawn (p, gamma): DomainError exactly outside gamma >= 0 < c + gamma D
+            try:
+                k = kernels(params, x, p, gamma, D, c, U, 1)
+            except DomainError:
+                assert not c + gamma * D > 0.0
+            else:
+                assert c + gamma * D > 0.0
+                try:
+                    require_finite(x, **{f"{n}_{f}": part for n, kern in zip(k._fields, k)
+                                         for f, part in zip(kern._fields, kern)})
+                except NumericalError:
+                    pass
+            # the population curves: DomainError exactly where the net profit
+            # condition fails, and non-finite curves only where W^(q)(x) <=
+            # e^{Phi(q) x} / (c - nu(z)) may pass e^600
+            model = LevyModel(0.0, c, D, jumps, q=q)
+            try:
+                approx = scale_approx(model, params)
+            except DomainError:
+                assert check_npc(model) <= 0.0
+                return
+            except NumericalError:
+                return
+            assert check_npc(model) > 0.0
+            cs = approx.coeffs
+            U = np.column_stack([cs.a_G, U])
+            k = kernels(params, x, cs.p, cs.theta.gamma, cs.theta.D, c, U, 1)
+            try:
+                require_finite(x, W_K=approx.w(x), Z_K=approx.z(x), W_hat=approx.w_from(k))
+            except NumericalError:
+                assert cs.theta.gamma * np.max(x) - math.log(check_npc(model)) >= 600.0
